@@ -1,25 +1,20 @@
-//! Criterion bench: the packed-handshake settle-loop fast path.
+//! Criterion bench: the settle-loop hot path.
 //!
 //! Measures the simulation kernel's inner settle loop on backpressured
-//! MEB pipelines (the workload behind `BENCH_packed_handshake.json`) and
-//! the raw cost of the `ThreadMask` operations the loop is built from.
-//! Random sink readiness keeps every channel's valid/ready masks churning,
-//! so the loop cannot quiesce early — this is the worst case the packed
-//! refactor targets. See `docs/perf.md` for the full methodology.
+//! reduced-MEB pipelines (the workload behind `BENCH_packed_handshake.json`
+//! and `BENCH_fused_kernel.json`) and the raw cost of the `ThreadMask`
+//! operations the loop is built from. Random sink readiness keeps every
+//! channel's valid/ready masks churning, so the loop cannot quiesce
+//! early. See `docs/perf.md` for the full methodology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};
-use elastic_sim::{KernelBackend, ReadyPolicy, ThreadMask};
+use elastic_sim::{ReadyPolicy, ThreadMask};
 
 const CYCLES: u64 = 1_000;
 
-fn run_backpressured_on(threads: usize, stages: usize, backend: KernelBackend) -> u64 {
-    let fuser = match backend {
-        KernelBackend::Fused => Some(elastic_synth::fuse as _),
-        KernelBackend::Interpreted => None,
-    };
-    let mut cfg = PipelineConfig::free_flowing(threads, stages, MebKind::Reduced, CYCLES)
-        .with_backend(backend, fuser);
+fn run_backpressured(threads: usize, stages: usize) -> u64 {
+    let mut cfg = PipelineConfig::free_flowing(threads, stages, MebKind::Reduced, CYCLES);
     for t in 0..threads {
         cfg = cfg.with_sink_policy(
             t,
@@ -34,38 +29,18 @@ fn run_backpressured_on(threads: usize, stages: usize, backend: KernelBackend) -
     h.sink().consumed_total()
 }
 
-fn run_backpressured(threads: usize, stages: usize) -> u64 {
-    run_backpressured_on(threads, stages, KernelBackend::Interpreted)
-}
-
+/// 4-stage backpressured pipelines at S = 8, 16 and 64, where the
+/// word-level `eval` of `ReducedMeb`, `Source` and `Sink` carries the
+/// settle loop.
 fn bench_settle_loop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("settle_hot_path");
+    let mut group = c.benchmark_group("backpressured");
     group.throughput(Throughput::Elements(CYCLES));
     for threads in [8usize, 16, 64] {
         group.bench_with_input(
-            BenchmarkId::new("backpressured", threads),
+            BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| b.iter(|| run_backpressured(threads, 4)),
         );
-    }
-    group.finish();
-}
-
-/// The same backpressured workloads under both settle-kernel backends:
-/// the interpreted `Box<dyn Component>` reference vs the fused op table
-/// (`elastic_synth::fuse`). The pair behind `BENCH_fused_kernel.json`.
-fn bench_fused_vs_interpreted(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fused_vs_interpreted");
-    group.throughput(Throughput::Elements(CYCLES));
-    for threads in [8usize, 16, 64] {
-        for (label, backend) in [
-            ("interpreted", KernelBackend::Interpreted),
-            ("fused", KernelBackend::Fused),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
-                b.iter(|| run_backpressured_on(threads, 4, backend))
-            });
-        }
     }
     group.finish();
 }
@@ -89,10 +64,5 @@ fn bench_mask_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_settle_loop,
-    bench_fused_vs_interpreted,
-    bench_mask_ops
-);
+criterion_group!(benches, bench_settle_loop, bench_mask_ops);
 criterion_main!(benches);

@@ -42,8 +42,8 @@ use elastic_bench::Fig5Setup;
 use elastic_core::{ArbiterKind, MebKind, PipelineConfig, PipelineHarness};
 use elastic_md5::{Md5Error, Md5Hasher};
 use elastic_sim::{
-    available_workers, campaign_key, run_sweep_on, Circuit, EvalMode, KernelBackend, KernelStats,
-    ReadyPolicy, ScheduleMode, SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
+    available_workers, campaign_key, run_sweep_on, Circuit, EvalMode, KernelStats, ReadyPolicy,
+    ScheduleMode, SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
 };
 use elastic_synth::{ElasticIr, IrNodeKind};
 
@@ -566,18 +566,12 @@ fn run_pipeline_s8(
     backpressured: bool,
     mode: EvalMode,
     schedule: ScheduleMode,
-    backend: KernelBackend,
 ) -> Result<RunResult, SimError> {
     const THREADS: usize = 8;
     const STAGES: usize = 8;
-    let fuser = match backend {
-        KernelBackend::Fused => Some(elastic_synth::fuse as _),
-        KernelBackend::Interpreted => None,
-    };
     let mut cfg = PipelineConfig::free_flowing(THREADS, STAGES, MebKind::Reduced, 64)
         .with_eval_mode(mode)
-        .with_schedule(schedule)
-        .with_backend(backend, fuser);
+        .with_schedule(schedule);
     if backpressured {
         for t in 0..THREADS {
             cfg.sink_policies[t] = ReadyPolicy::Random {
@@ -601,13 +595,11 @@ fn run_pipeline_s8(
 }
 
 /// The ranked-schedule ablation (ISSUE 4 acceptance): the backpressured
-/// S = 8 pipeline under every static ordering, the fused backend on the
-/// rank schedule, and the exhaustive oracle. Asserts byte-identical
-/// captures across all five runs, a ≥ 1.2× settle-phase eval saving for
-/// rank order over insertion order, identical eval/round counts between
-/// the fused and interpreted backends, and a ≤ 1.05 settle-round mean on
-/// the straight (always-ready) pipeline — then writes
-/// `BENCH_ranked_schedule.json`.
+/// S = 8 pipeline under every static ordering and the exhaustive oracle.
+/// Asserts byte-identical captures across all four runs, a ≥ 1.2×
+/// settle-phase eval saving for rank order over insertion order, and a
+/// ≤ 1.05 settle-round mean on the straight (always-ready) pipeline —
+/// then writes `BENCH_ranked_schedule.json`.
 fn ranked_schedule_ablation() {
     println!("ranked-schedule ablation — 8 threads x 8 reduced-MEB stages, random sink stalls\n");
     println!(
@@ -617,42 +609,16 @@ fn ranked_schedule_ablation() {
     println!("{}", "-".repeat(74));
 
     let configs = [
-        (
-            "ranked",
-            EvalMode::EventDriven,
-            ScheduleMode::Ranked,
-            KernelBackend::Interpreted,
-        ),
-        (
-            "insertion",
-            EvalMode::EventDriven,
-            ScheduleMode::Insertion,
-            KernelBackend::Interpreted,
-        ),
-        (
-            "reversed",
-            EvalMode::EventDriven,
-            ScheduleMode::Reversed,
-            KernelBackend::Interpreted,
-        ),
-        (
-            "fused",
-            EvalMode::EventDriven,
-            ScheduleMode::Ranked,
-            KernelBackend::Fused,
-        ),
-        (
-            "oracle",
-            EvalMode::Exhaustive,
-            ScheduleMode::Ranked,
-            KernelBackend::Interpreted,
-        ),
+        ("ranked", EvalMode::EventDriven, ScheduleMode::Ranked),
+        ("insertion", EvalMode::EventDriven, ScheduleMode::Insertion),
+        ("reversed", EvalMode::EventDriven, ScheduleMode::Reversed),
+        ("oracle", EvalMode::Exhaustive, ScheduleMode::Ranked),
     ];
     let mut rows = Vec::new();
-    for (label, mode, schedule, backend) in configs {
+    for (label, mode, schedule) in configs {
         let start = Instant::now();
-        let (digest, k) = run_pipeline_s8(true, mode, schedule, backend)
-            .expect("ranked ablation workload runs clean");
+        let (digest, k) =
+            run_pipeline_s8(true, mode, schedule).expect("ranked ablation workload runs clean");
         let wall = start.elapsed();
         println!(
             "{:<12} {:<12} {:>8} {:>8} {:>10.2} {:>9.3} {:>9.2}  {}",
@@ -682,35 +648,17 @@ fn ranked_schedule_ablation() {
         "rank schedule saved only {evals_ratio:.3}x evals over insertion order (need >= 1.2x)"
     );
 
-    // The fused backend runs the same rank schedule through the compiled
-    // op table — same captures (asserted above), same work performed.
-    let fused = &rows[3].2;
-    assert_eq!(
-        fused.component_evals, ranked.component_evals,
-        "fused backend changed the evaluation count vs the interpreted rank schedule"
-    );
-    assert_eq!(
-        fused.settle_rounds, ranked.settle_rounds,
-        "fused backend changed the settle-round count vs the interpreted rank schedule"
-    );
-    let breakdown = fused.fused_op_breakdown();
-    if !breakdown.is_empty() {
-        let cells: Vec<String> = breakdown
-            .iter()
-            .map(|(kind, n)| format!("{} {}", kind.label(), n))
-            .collect();
-        println!("\nfused per-op evals: {}", cells.join(", "));
-    }
+    let cells: Vec<String> = ranked
+        .fused_op_breakdown()
+        .iter()
+        .map(|(kind, n)| format!("{} {}", kind.label(), n))
+        .collect();
+    println!("\nranked per-op evals: {}", cells.join(", "));
 
     // The straight pipeline: with nothing changing downstream, the rank
     // order must settle in (essentially) one round every stepped cycle.
-    let (_, straight) = run_pipeline_s8(
-        false,
-        EvalMode::EventDriven,
-        ScheduleMode::Ranked,
-        KernelBackend::Interpreted,
-    )
-    .expect("straight pipeline runs clean");
+    let (_, straight) = run_pipeline_s8(false, EvalMode::EventDriven, ScheduleMode::Ranked)
+        .expect("straight pipeline runs clean");
     let straight_mean = straight.rounds_per_cycle();
     assert!(
         straight_mean <= 1.05,
@@ -718,10 +666,9 @@ fn ranked_schedule_ablation() {
     );
 
     println!(
-        "\nidentical captures across ranked/insertion/reversed/fused/oracle; rank\n\
-         order saves {evals_ratio:.2}x evals under backpressure, the fused backend\n\
-         performs the identical eval/round counts, and the straight pipeline\n\
-         settles in {straight_mean:.3} rounds/cycle (rank width {}).\n",
+        "\nidentical captures across ranked/insertion/reversed/oracle; rank order\n\
+         saves {evals_ratio:.2}x evals under backpressure, and the straight\n\
+         pipeline settles in {straight_mean:.3} rounds/cycle (rank width {}).\n",
         ranked.rank_width
     );
 
@@ -733,10 +680,10 @@ fn ranked_schedule_ablation() {
                 "    {{\"schedule\": \"{label}\", \"kernel\": \"{}\", \"evals\": {}, \
                  \"settle_rounds\": {}, \"stepped_cycles\": {}, \"evals_per_cycle\": {:.3}, \
                  \"settle_rounds_mean\": {:.4}, \"wall_ms\": {:.3}, \"round_hist\": [{}]}}",
-                match *label {
-                    "oracle" => "exhaustive",
-                    "fused" => "fused",
-                    _ => "event_driven",
+                if *label == "oracle" {
+                    "exhaustive"
+                } else {
+                    "event_driven"
                 },
                 k.component_evals,
                 k.settle_rounds,

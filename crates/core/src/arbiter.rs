@@ -40,9 +40,9 @@ pub trait Arbiter: Send + fmt::Debug {
     /// requesting thread at or after a rotation point, wrapping",
     /// returns that point. The contract:
     /// `choose(req) == req.next_one_wrapping(hint)` for every request
-    /// set, as long as the policy state is unchanged. Fused settle-kernel
-    /// fast paths query this once per evaluation and run the packed word
-    /// scan inline instead of calling `choose` through the vtable;
+    /// set, as long as the policy state is unchanged. Word-level `eval`
+    /// fast paths query this once per cycle and run the packed word scan
+    /// inline instead of calling `choose` through the vtable;
     /// policies with richer selection rules return `None` (the default)
     /// and keep the generic path.
     fn rotation_hint(&self) -> Option<usize> {

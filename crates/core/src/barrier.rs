@@ -15,8 +15,8 @@
 //! realized in elastic handshake logic.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    SlotView, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
+    Ports, SlotView, TickCtx, Token,
 };
 
 /// Per-thread barrier FSM state (paper, Fig. 8).
@@ -160,6 +160,10 @@ impl<T: Token> Barrier<T> {
 impl<T: Token> Component<T> for Barrier<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Sync
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Barrier
     }
 
     fn name(&self) -> &str {

@@ -19,8 +19,8 @@
 //! thread sees only one slot per stage and tops out at 50 % throughput.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
+    Ports, ProtocolError, SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -70,18 +70,18 @@ pub struct ReducedMeb<T: Token> {
     /// it are EMPTY → HALF (enqueue into an empty thread) and
     /// HALF → EMPTY (dequeue without shared refill).
     has: ThreadMask,
-    /// Scratch ready word for [`ReducedMeb::eval_fused`], committed in one
-    /// word-level [`EvalCtx::set_ready_mask`] call.
-    fused_ready: ThreadMask,
+    /// Upstream ready word, committed in one word-level
+    /// [`EvalCtx::set_ready_mask`] call.
+    ready: ThreadMask,
     /// Per-cycle cache of [`Arbiter::rotation_hint`]: the hint depends
     /// only on arbiter state, which advances at the clock edge, so one
     /// vtable call per cycle serves every settle re-evaluation.
-    fused_hint: Option<usize>,
-    /// Cycle-cache stamp for `fused_ready`/`has`: `cycle + 1` when they
-    /// were rebuilt this cycle, 0 = invalid. Both words are functions of
-    /// registered state only, which changes exclusively at the clock
-    /// edge, so one rebuild per cycle serves every settle re-evaluation.
-    fused_stamp: u64,
+    hint: Option<usize>,
+    /// Cycle-cache stamp for `ready`/`hint`: `cycle + 1` when they were
+    /// rebuilt this cycle, 0 = invalid. Both are functions of registered
+    /// state only, which changes exclusively at the clock edge, so one
+    /// rebuild per cycle serves every settle re-evaluation.
+    stamp: u64,
 }
 
 impl<T: Token> ReducedMeb<T> {
@@ -109,57 +109,45 @@ impl<T: Token> ReducedMeb<T> {
             arbiter,
             select: SelectState::new(),
             has: ThreadMask::new(threads),
-            fused_ready: ThreadMask::new(threads),
-            fused_hint: None,
-            fused_stamp: 0,
+            ready: ThreadMask::new(threads),
+            hint: None,
+            stamp: 0,
         }
     }
 
-    /// Fused-kernel evaluation: identical observable behaviour to
-    /// [`Component::eval`], but the upstream ready word is derived in
-    /// O(words) from the incrementally maintained occupancy mask — once
-    /// per cycle, since it depends on registered state only — and
-    /// committed with a single word-level [`EvalCtx::set_ready_mask`]
-    /// (one change test + one wake instead of `S`, and no per-thread FSM
-    /// scan at all).
-    pub fn eval_fused(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.fused_stamp != cycle + 1 {
-            // Upstream ready, derived word-level from the incrementally
-            // maintained `has` mask. With the shared register free no
-            // thread is FULL (the structural invariant), so EMPTY and
-            // HALF are both ready: all ones. With it occupied only EMPTY
-            // threads are ready: ¬has.
-            if self.shared.is_none() {
-                self.fused_ready.fill();
-            } else {
-                self.fused_ready.assign_not(&self.has);
-            }
-            self.fused_hint = self.arbiter.rotation_hint();
-            self.fused_stamp = cycle + 1;
-            // Commit once per cycle: this component is the only driver
-            // of `ready(inp)` and the word is a function of registered
-            // state, so settle re-evaluations would re-commit an
-            // identical word (a guaranteed no-op under the word-level
-            // change test) — skip the call entirely.
-            ctx.set_ready_mask(self.inp, &self.fused_ready);
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: walks every thread's FSM on every call, drives
+    /// `ready` bit by bit and always takes the generic arbiter path. Kept
+    /// so tests can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        // Upstream ready, per thread (all functions of registered state):
+        //  EMPTY — the private main register is free: always ready;
+        //  HALF  — ready only while the shared register is free
+        //          (paper: "threads in the HALF state are ready to accept
+        //          new data, as long as no thread is in the FULL state");
+        //  FULL  — never ready.
+        let shared_free = self.shared.is_none();
+        for t in 0..self.threads {
+            let ready = match self.state[t] {
+                EbState::Empty => true,
+                EbState::Half => shared_free,
+                EbState::Full => false,
+            };
+            ctx.set_ready(self.inp, t, ready);
+            self.has.set(t, self.state[t] != EbState::Empty);
         }
-        // Output selection. On a DAG output channel the anti-swap damping
-        // inside `SelectState::select` is disabled anyway, so when the
-        // arbiter is a pure rotating scan the whole selection collapses to
-        // one fused word scan over `has ∩ ready(out)` (ready-first) with
-        // the stalled-offer rotation as fallback — no request-mask copy,
-        // no vtable call, bit-identical picks. Feedback channels and
-        // richer policies keep the generic path.
-        let picked = match self.fused_hint {
-            Some(hint) if !ctx.in_feedback(self.out) => self
-                .has
-                .next_one_wrapping_and(ctx.ready_mask(self.out), hint)
-                .or_else(|| self.has.next_one_wrapping(self.select.stall_start())),
-            _ => self
-                .select
-                .select(ctx, self.out, self.arbiter.as_ref(), &self.has),
-        };
+        // Downstream valid: arbiter over non-empty threads; head is always
+        // the main register.
+        let picked = self
+            .select
+            .select(ctx, self.out, self.arbiter.as_ref(), &self.has);
+        self.drive(ctx, picked);
+    }
+
+    /// Offers thread `picked`'s head (always its main register) on `out`,
+    /// or drives it idle.
+    fn drive(&self, ctx: &mut EvalCtx<'_, T>, picked: Option<usize>) {
         match picked {
             Some(t) => {
                 let head = self.main[t].clone().expect("non-empty thread has a head");
@@ -272,6 +260,10 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         NetlistNodeKind::Buffer
     }
 
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::MebReduced
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -291,35 +283,49 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         }]
     }
 
+    /// Word-level evaluation. Upstream `ready` depends only on registered
+    /// state (the replicated EB FSMs and the shared-register owner), so it
+    /// is derived in O(words) from the incrementally maintained occupancy
+    /// mask once per cycle and committed with a single word-level
+    /// [`EvalCtx::set_ready_mask`] — no per-thread FSM scan at all.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        // Upstream ready, per thread (all functions of registered state):
-        //  EMPTY — the private main register is free: always ready;
-        //  HALF  — ready only while the shared register is free
-        //          (paper: "threads in the HALF state are ready to accept
-        //          new data, as long as no thread is in the FULL state");
-        //  FULL  — never ready.
-        let shared_free = self.shared.is_none();
-        for t in 0..self.threads {
-            let ready = match self.state[t] {
-                EbState::Empty => true,
-                EbState::Half => shared_free,
-                EbState::Full => false,
-            };
-            ctx.set_ready(self.inp, t, ready);
-            self.has.set(t, self.state[t] != EbState::Empty);
-        }
-        // Downstream valid: arbiter over non-empty threads; head is always
-        // the main register.
-        match self
-            .select
-            .select(ctx, self.out, self.arbiter.as_ref(), &self.has)
-        {
-            Some(t) => {
-                let head = self.main[t].clone().expect("non-empty thread has a head");
-                ctx.drive_token(self.out, t, head);
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            // With the shared register free no thread is FULL (the
+            // structural invariant), so EMPTY and HALF are both ready:
+            // all ones. With it occupied only EMPTY threads are ready:
+            // ¬has.
+            if self.shared.is_none() {
+                self.ready.fill();
+            } else {
+                self.ready.assign_not(&self.has);
             }
-            None => ctx.drive_idle(self.out),
+            self.hint = self.arbiter.rotation_hint();
+            self.stamp = cycle + 1;
+            // Commit once per cycle: this component is the only driver
+            // of `ready(inp)` and the word is a function of registered
+            // state, so settle re-evaluations would re-commit an
+            // identical word (a guaranteed no-op under the word-level
+            // change test) — skip the call entirely.
+            ctx.set_ready_mask(self.inp, &self.ready);
         }
+        // Output selection. On a DAG output channel the anti-swap damping
+        // inside `SelectState::select` is disabled anyway, so when the
+        // arbiter is a pure rotating scan the whole selection collapses to
+        // one word scan over `has ∩ ready(out)` (ready-first) with the
+        // stalled-offer rotation as fallback — no request-mask copy, no
+        // vtable call, bit-identical picks. Feedback channels and richer
+        // policies keep the generic path.
+        let picked = match self.hint {
+            Some(hint) if !ctx.in_feedback(self.out) => self
+                .has
+                .next_one_wrapping_and(ctx.ready_mask(self.out), hint)
+                .or_else(|| self.has.next_one_wrapping(self.select.stall_start())),
+            _ => self
+                .select
+                .select(ctx, self.out, self.arbiter.as_ref(), &self.has),
+        };
+        self.drive(ctx, picked);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
@@ -406,7 +412,7 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         self.arbiter.reset();
         self.select.reset();
         self.has.clear();
-        self.fused_stamp = 0;
+        self.stamp = 0;
         true
     }
 

@@ -7,8 +7,8 @@
 //! each thread's token self-selects its path.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
+    Ports, TickCtx, Token,
 };
 
 /// A two-way conditional router.
@@ -76,6 +76,10 @@ impl<T: Token> Branch<T> {
 impl<T: Token> Component<T> for Branch<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Route
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Branch
     }
 
     fn name(&self) -> &str {

@@ -14,8 +14,8 @@
 //! fork; the `done` state is therefore indexed by thread as well.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
+    Ports, ThreadMask, TickCtx, Token,
 };
 
 /// Per-token output-routing function (see [`Fork::with_route`]).
@@ -137,6 +137,10 @@ impl<T: Token> Fork<T> {
 impl<T: Token> Component<T> for Fork<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Route
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Fork
     }
 
     fn name(&self) -> &str {

@@ -13,8 +13,8 @@
 //! This clarification is recorded in `DESIGN.md`.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
+    Ports, TickCtx, Token,
 };
 
 /// An N-input merge onto one channel.
@@ -105,6 +105,10 @@ impl<T: Token> Merge<T> {
 impl<T: Token> Component<T> for Merge<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Route
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Merge
     }
 
     fn name(&self) -> &str {

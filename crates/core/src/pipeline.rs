@@ -3,8 +3,8 @@
 //! design examples (pipeline registers replaced by MEBs, Sec. V-B).
 
 use elastic_sim::{
-    ChannelId, Circuit, CircuitBuilder, EvalMode, FuseFn, KernelBackend, ReadyPolicy, ScheduleMode,
-    Sink, Source, Tagged, Token,
+    ChannelId, Circuit, CircuitBuilder, EvalMode, ReadyPolicy, ScheduleMode, Sink, Source, Tagged,
+    Token,
 };
 
 use crate::arbiter::ArbiterKind;
@@ -93,14 +93,6 @@ pub struct PipelineConfig {
     /// order by default; [`ScheduleMode::Insertion`] /
     /// [`ScheduleMode::Reversed`] for ablations).
     pub schedule: ScheduleMode,
-    /// Settle-kernel dispatch backend (interpreted vtable dispatch by
-    /// default; [`KernelBackend::Fused`] requires a [`fuser`](Self::fuser)
-    /// lowering, conventionally `elastic_synth::fuse`).
-    pub backend: KernelBackend,
-    /// Lowering installed when `backend` is [`KernelBackend::Fused`]
-    /// (without one the builder silently falls back to interpreted
-    /// dispatch).
-    pub fuser: Option<FuseFn<Tagged>>,
 }
 
 impl PipelineConfig {
@@ -116,8 +108,6 @@ impl PipelineConfig {
             sink_policies: vec![ReadyPolicy::Always; threads],
             eval_mode: EvalMode::default(),
             schedule: ScheduleMode::default(),
-            backend: KernelBackend::default(),
-            fuser: None,
         }
     }
 
@@ -139,16 +129,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_schedule(mut self, schedule: ScheduleMode) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Selects the settle-kernel dispatch backend together with the
-    /// lowering that realizes it (pass `elastic_synth::fuse` for the
-    /// fused op-table kernel).
-    #[must_use]
-    pub fn with_backend(mut self, backend: KernelBackend, fuser: Option<FuseFn<Tagged>>) -> Self {
-        self.backend = backend;
-        self.fuser = fuser;
         self
     }
 }
@@ -184,10 +164,6 @@ impl PipelineHarness {
         }
         b.add(sink);
         b.set_schedule(config.schedule);
-        b.set_backend(config.backend);
-        if let Some(fuse) = config.fuser {
-            b.set_fuser(fuse);
-        }
         let mut circuit = b.build().expect("pipeline harness netlist is well-formed");
         circuit.set_eval_mode(config.eval_mode);
         Self { circuit, pipeline }
@@ -207,6 +183,7 @@ impl PipelineHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elastic_sim::FusedOpKind;
 
     /// Every paper primitive — and the fully-assembled harness — must be
     /// `Send` so whole pipelines can be handed to the parallel sweep
@@ -235,6 +212,39 @@ mod tests {
         h.circuit.run(80).expect("clean");
         assert_eq!(h.sink().consumed_total(), 20);
         assert!(h.source().is_drained());
+    }
+
+    /// The settle loop tallies every evaluation under its component's
+    /// `op_kind`, so the per-op counters add up to the eval total.
+    #[test]
+    fn per_op_eval_counts_sum_to_component_evals() {
+        let mut cfg = PipelineConfig::free_flowing(8, 4, MebKind::Reduced, 40);
+        for t in 0..8 {
+            cfg = cfg.with_sink_policy(
+                t,
+                ReadyPolicy::Random {
+                    p: 0.5,
+                    seed: t as u64,
+                },
+            );
+        }
+        let mut h = PipelineHarness::build(cfg);
+        h.circuit.run(400).expect("clean");
+        let k = h.circuit.stats().kernel();
+        assert_eq!(k.fused_op_evals.iter().sum::<u64>(), k.component_evals);
+        let per_kind: Vec<FusedOpKind> = k
+            .fused_op_breakdown()
+            .iter()
+            .map(|&(kind, _)| kind)
+            .collect();
+        assert_eq!(
+            per_kind,
+            [
+                FusedOpKind::Source,
+                FusedOpKind::Sink,
+                FusedOpKind::MebReduced
+            ]
+        );
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl SelectState {
     }
 
     /// The current stalled-offer rotation start (rule 2 of
-    /// [`select_output_thread`]). Fused fast paths that bypass
+    /// [`select_output_thread`]). Word-level fast paths that bypass
     /// [`select`](SelectState::select) — possible on DAG channels, where
     /// the anti-swap damping is disabled anyway — read the pointer here
     /// and keep [`on_tick`](SelectState::on_tick) advancing it.

@@ -26,8 +26,7 @@ use std::sync::Arc;
 use elastic_core::{ArbiterKind, MebKind};
 use elastic_cost::primitives::{adder, lut_layer, mux};
 use elastic_sim::{
-    ChannelId, Circuit, EvalMode, KernelBackend, KernelStats, ReadyPolicy, SimError, Sink, Source,
-    Token,
+    ChannelId, Circuit, EvalMode, KernelStats, ReadyPolicy, SimError, Sink, Source, Token,
 };
 use elastic_synth::{
     CycleCoverLint, ElasticIr, IrChannelId, IrNodeKind, MebSubstitution, PassManager, ProtocolLint,
@@ -373,29 +372,6 @@ impl Md5Circuit {
     /// Panics if `participants == 0`, `participants > threads`, or
     /// `stages` does not divide 16.
     pub fn with_stages(threads: usize, participants: usize, kind: MebKind, stages: usize) -> Self {
-        Self::with_stages_on(
-            threads,
-            participants,
-            kind,
-            stages,
-            KernelBackend::default(),
-        )
-    }
-
-    /// [`with_stages`](Self::with_stages) with an explicit settle-kernel
-    /// backend — [`KernelBackend::Fused`] elaborates to the lowered op
-    /// table via [`elastic_synth::fuse`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`with_stages`](Self::with_stages).
-    pub fn with_stages_on(
-        threads: usize,
-        participants: usize,
-        kind: MebKind,
-        stages: usize,
-        backend: KernelBackend,
-    ) -> Self {
         let built = Self::ir(threads, participants, stages);
         let Md5Ir {
             mut ir,
@@ -416,7 +392,6 @@ impl Md5Circuit {
             .with(CycleCoverLint)
             .run(&mut ir)
             .expect("md5 netlist passes lints");
-        ir.set_backend(backend);
         let e = ir.elaborate().expect("md5 netlist is well-formed");
         let channels = Md5Channels {
             fresh: e.channel(fresh),
@@ -456,7 +431,6 @@ pub struct Md5Hasher {
     kind: MebKind,
     stages: usize,
     eval_mode: EvalMode,
-    backend: KernelBackend,
 }
 
 impl Md5Hasher {
@@ -473,16 +447,7 @@ impl Md5Hasher {
             kind,
             stages: 1,
             eval_mode: EvalMode::default(),
-            backend: KernelBackend::default(),
         }
-    }
-
-    /// Selects the settle-kernel dispatch backend
-    /// ([`KernelBackend::Fused`] runs the lowered op table).
-    #[must_use]
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Selects the simulation kernel's settle-phase scheduling mode (the
@@ -548,13 +513,7 @@ impl Md5Hasher {
         let blocks: Vec<Vec<[u32; 16]>> = messages.iter().map(|m| pad_blocks(m)).collect();
         let waves = blocks.iter().map(Vec::len).max().unwrap_or(0);
 
-        let mut md5 = Md5Circuit::with_stages_on(
-            self.threads,
-            participants,
-            self.kind,
-            self.stages,
-            self.backend,
-        );
+        let mut md5 = Md5Circuit::with_stages(self.threads, participants, self.kind, self.stages);
         md5.circuit.set_eval_mode(self.eval_mode);
         md5.circuit
             .set_deadlock_watchdog(Some(200 + 20 * self.threads as u64));

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use elastic_core::{ArbiterKind, ForkMode, MebKind};
 use elastic_cost::primitives::{adder, lut_layer, mux, register};
-use elastic_sim::{ChannelId, Circuit, Component, KernelBackend, LatencyModel, SimError};
+use elastic_sim::{ChannelId, Circuit, Component, LatencyModel, SimError};
 use elastic_synth::{
     CycleCoverLint, ElasticIr, IrChannelId, IrNodeKind, MebSubstitution, PassManager, ProtocolLint,
 };
@@ -50,8 +50,6 @@ pub struct CpuConfig {
     /// jumps resolve at predecode; `jr` still stalls). Wrong-path
     /// instructions are squashed via per-thread epochs.
     pub speculate: bool,
-    /// Settle-kernel dispatch backend of the elaborated pipeline.
-    pub backend: KernelBackend,
 }
 
 impl CpuConfig {
@@ -68,16 +66,7 @@ impl CpuConfig {
             dmem_words: 1 << 16,
             seed: 0xDA7E_2014,
             speculate: false,
-            backend: KernelBackend::default(),
         }
-    }
-
-    /// Selects the settle-kernel dispatch backend
-    /// ([`KernelBackend::Fused`] runs the lowered op table).
-    #[must_use]
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Overrides the MEB kind.
@@ -480,7 +469,6 @@ impl Cpu {
             .with(CycleCoverLint)
             .run(&mut ir)
             .expect("cpu netlist passes lints");
-        ir.set_backend(config.backend);
         let e = ir.elaborate().expect("cpu netlist is well-formed");
         let channels = CpuChannels {
             fetch: e.channel(channels.fetch),

@@ -3,10 +3,9 @@
 use std::collections::BTreeMap;
 
 use crate::channel::{ChannelId, ChannelSpec, ChannelState};
-use crate::circuit::{Circuit, ComponentStore};
+use crate::circuit::Circuit;
 use crate::component::Component;
 use crate::error::BuildError;
-use crate::fused::{FuseFn, KernelBackend};
 use crate::rank::{compute_schedule, ScheduleMode};
 use crate::token::Token;
 
@@ -44,8 +43,6 @@ pub struct CircuitBuilder<T: Token> {
     specs: Vec<ChannelSpec>,
     components: Vec<Box<dyn Component<T>>>,
     schedule: ScheduleMode,
-    backend: KernelBackend,
-    fuser: Option<FuseFn<T>>,
 }
 
 impl<T: Token> Default for CircuitBuilder<T> {
@@ -61,8 +58,6 @@ impl<T: Token> CircuitBuilder<T> {
             specs: Vec::new(),
             components: Vec::new(),
             schedule: ScheduleMode::default(),
-            backend: KernelBackend::default(),
-            fuser: None,
         }
     }
 
@@ -77,36 +72,6 @@ impl<T: Token> CircuitBuilder<T> {
     /// Chainable form of [`set_schedule`](CircuitBuilder::set_schedule).
     pub fn with_schedule(mut self, mode: ScheduleMode) -> Self {
         self.schedule = mode;
-        self
-    }
-
-    /// Selects the settle-kernel backend [`build`](CircuitBuilder::build)
-    /// will produce (default [`KernelBackend::Interpreted`]).
-    ///
-    /// [`KernelBackend::Fused`] takes effect only when a lowering
-    /// function is also installed ([`set_fuser`](CircuitBuilder::set_fuser));
-    /// without one the build silently falls back to the interpreted
-    /// store, since this crate defines only the fused *mechanism* — the
-    /// lowering over the concrete primitive set lives in `elastic-synth`.
-    pub fn set_backend(&mut self, backend: KernelBackend) {
-        self.backend = backend;
-    }
-
-    /// Chainable form of [`set_backend`](CircuitBuilder::set_backend).
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Installs the lowering function used when the backend is
-    /// [`KernelBackend::Fused`] (e.g. `elastic_synth::fuse`).
-    pub fn set_fuser(&mut self, fuser: FuseFn<T>) {
-        self.fuser = Some(fuser);
-    }
-
-    /// Chainable form of [`set_fuser`](CircuitBuilder::set_fuser).
-    pub fn with_fuser(mut self, fuser: FuseFn<T>) -> Self {
-        self.fuser = Some(fuser);
         self
     }
 
@@ -257,17 +222,9 @@ impl<T: Token> CircuitBuilder<T> {
         let driver: Vec<usize> = driver.into_iter().map(|d| inv[d]).collect();
         let reader: Vec<usize> = reader.into_iter().map(|r| inv[r]).collect();
 
-        // Lowering happens *after* the rank permutation so the op table
-        // inherits the schedule order: op index == evaluation index, and
-        // the linear sweep over the table is the levelized sweep.
-        let store = match (self.backend, self.fuser) {
-            (KernelBackend::Fused, Some(fuse)) => ComponentStore::Fused(fuse(components)),
-            _ => ComponentStore::Boxed(components),
-        };
-
         let channels = self.specs.into_iter().map(ChannelState::new).collect();
         Ok(Circuit::from_parts(
-            store, channels, driver, reader, schedule,
+            components, channels, driver, reader, schedule,
         ))
     }
 }

@@ -36,9 +36,8 @@
 //! [`Circuit::run_until`] skip transfer-record collection entirely.
 
 use crate::channel::{ChannelId, ChannelState};
-use crate::component::{Component, NextEvent};
+use crate::component::{Component, FusedOpKind, NextEvent};
 use crate::error::SimError;
-use crate::fused::{FusedOpKind, FusedTable, KernelBackend, SweepCtx};
 use crate::mask::ThreadMask;
 use crate::rank::Schedule;
 use crate::stats::Stats;
@@ -413,56 +412,17 @@ pub struct CycleReport {
     pub evals: usize,
 }
 
-/// Backing storage for a circuit's components: either the boxed vector
-/// the interpreted kernel walks (vtable dispatch per eval) or a lowered
-/// [`FusedTable`] (one dynamic call per settle round, `match` dispatch
-/// inside). Every cold path — reset, lookup, tracing, next-event scan —
-/// goes through [`get`](ComponentStore::get)/[`get_mut`](ComponentStore::get_mut),
-/// which both variants serve as plain `dyn Component` borrows, so only
-/// the settle/tick hot paths branch on the variant.
-pub(crate) enum ComponentStore<T: Token> {
-    /// Boxed components in rank order (the interpreted backend).
-    Boxed(Vec<Box<dyn Component<T>>>),
-    /// A lowered op table in the same rank order (the fused backend).
-    Fused(Box<dyn FusedTable<T>>),
-}
-
-impl<T: Token> ComponentStore<T> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            ComponentStore::Boxed(v) => v.len(),
-            ComponentStore::Fused(t) => t.len(),
-        }
-    }
-
-    pub(crate) fn get(&self, i: usize) -> &dyn Component<T> {
-        match self {
-            ComponentStore::Boxed(v) => v[i].as_ref(),
-            ComponentStore::Fused(t) => t.component(i),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, i: usize) -> &mut dyn Component<T> {
-        match self {
-            ComponentStore::Boxed(v) => v[i].as_mut(),
-            ComponentStore::Fused(t) => t.component_mut(i),
-        }
-    }
-
-    pub(crate) fn backend(&self) -> KernelBackend {
-        match self {
-            ComponentStore::Boxed(_) => KernelBackend::Interpreted,
-            ComponentStore::Fused(_) => KernelBackend::Fused,
-        }
-    }
-}
-
 /// A fully wired synchronous elastic circuit.
 ///
 /// Build one with [`CircuitBuilder`](crate::CircuitBuilder), then drive it
 /// with [`step`](Circuit::step) / [`run`](Circuit::run).
 pub struct Circuit<T: Token> {
-    pub(crate) components: ComponentStore<T>,
+    /// Components in rank (evaluation) order.
+    pub(crate) components: Vec<Box<dyn Component<T>>>,
+    /// Per-component op class ([`Component::op_kind`]), read once at
+    /// build time so the settle loop tallies per-op evals without a
+    /// virtual call.
+    op_kinds: Vec<FusedOpKind>,
     pub(crate) channels: Vec<ChannelState<T>>,
     /// Per-channel driving component — doubles as the `ready`-change wake
     /// map of the event-driven kernel.
@@ -492,13 +452,13 @@ pub struct Circuit<T: Token> {
     last_progress: Option<u64>,
     /// Accumulate settle-phase wall time into
     /// [`KernelStats::settle_nanos`] (off by default: two clock reads per
-    /// cycle are pure overhead outside backend-ablation runs).
+    /// cycle are pure overhead outside kernel-ablation runs).
     time_settle: bool,
 }
 
 impl<T: Token> Circuit<T> {
     pub(crate) fn from_parts(
-        components: ComponentStore<T>,
+        components: Vec<Box<dyn Component<T>>>,
         channels: Vec<ChannelState<T>>,
         driver: Vec<usize>,
         reader: Vec<usize>,
@@ -510,8 +470,10 @@ impl<T: Token> Circuit<T> {
                 .map(|c| (c.spec.name.clone(), c.spec.threads)),
         );
         let woke = ThreadMask::new(components.len());
+        let op_kinds = components.iter().map(|c| c.op_kind()).collect();
         Self {
             components,
+            op_kinds,
             channels,
             driver,
             reader,
@@ -541,12 +503,6 @@ impl<T: Token> Circuit<T> {
     /// The active settle-phase scheduling mode.
     pub fn eval_mode(&self) -> EvalMode {
         self.mode
-    }
-
-    /// Which kernel backend this circuit was built with: `Interpreted`
-    /// (boxed components, vtable dispatch) or `Fused` (lowered op table).
-    pub fn backend(&self) -> KernelBackend {
-        self.components.backend()
     }
 
     /// Selects the settle-phase scheduling mode. Both modes reach the
@@ -585,8 +541,7 @@ impl<T: Token> Circuit<T> {
     /// conservative default `reset` (the circuit is left partially reset
     /// and must be rebuilt). All shipped primitives support reset.
     pub fn reset(&mut self) -> Result<(), SimError> {
-        for i in 0..self.components.len() {
-            let c = self.components.get_mut(i);
+        for (i, c) in self.components.iter_mut().enumerate() {
             if !c.reset() {
                 return Err(SimError::ResetUnsupported {
                     index: i,
@@ -632,9 +587,8 @@ impl<T: Token> Circuit<T> {
     /// stepped cycle adds the wall time of its combinational settle loop
     /// to [`KernelStats::settle_nanos`]. The clock reads sit outside the
     /// measured span, and the flag is off by default so ordinary runs pay
-    /// nothing. Backend ablations gate on this number — it isolates the
-    /// phase the dispatch backend actually changes from the tick/capture
-    /// phases that are identical across backends.
+    /// nothing. Kernel ablations gate on this number — it isolates the
+    /// combinational phase from the tick/capture phases around it.
     ///
     /// [`KernelStats::settle_nanos`]: crate::KernelStats::settle_nanos
     pub fn set_settle_timing(&mut self, enabled: bool) {
@@ -651,12 +605,13 @@ impl<T: Token> Circuit<T> {
 
     /// Evaluation-order index of the component named `name`, if any.
     fn component_index(&self, name: &str) -> Option<usize> {
-        (0..self.components.len()).find(|&i| self.components.get(i).name() == name)
+        self.components.iter().position(|c| c.name() == name)
     }
 
     /// Immutable access to a component by instance name.
     pub fn component(&self, name: &str) -> Option<&dyn Component<T>> {
-        self.component_index(name).map(|i| self.components.get(i))
+        self.component_index(name)
+            .map(|i| self.components[i].as_ref())
     }
 
     /// Typed immutable access to a component by instance name.
@@ -670,22 +625,21 @@ impl<T: Token> Circuit<T> {
     /// Typed mutable access to a component by instance name.
     pub fn get_mut<C: Component<T> + 'static>(&mut self, name: &str) -> Option<&mut C> {
         let i = self.component_index(name)?;
-        self.components.get_mut(i).as_any_mut().downcast_mut::<C>()
+        self.components[i].as_any_mut().downcast_mut::<C>()
     }
 
     /// Names of all components, in evaluation order.
     pub fn component_names(&self) -> Vec<String> {
-        (0..self.components.len())
-            .map(|i| self.components.get(i).name().to_string())
+        self.components
+            .iter()
+            .map(|c| c.name().to_string())
             .collect()
     }
 
     /// Structural class of every component, in evaluation order (see
     /// [`Component::netlist_kind`]).
     pub fn component_kinds(&self) -> Vec<crate::netlist::NetlistNodeKind> {
-        (0..self.components.len())
-            .map(|i| self.components.get(i).netlist_kind())
-            .collect()
+        self.components.iter().map(|c| c.netlist_kind()).collect()
     }
 
     /// Name of channel `ch`.
@@ -768,46 +722,28 @@ impl<T: Token> Circuit<T> {
         while rounds < max_rounds {
             let full = exhaustive || rounds == 0;
             let mut changed = false;
-            match &mut self.components {
-                ComponentStore::Boxed(comps) => {
-                    for (i, comp) in comps.iter_mut().enumerate() {
-                        if !full && !self.woke.get(i) {
-                            continue;
-                        }
-                        self.woke.set(i, false);
-                        let mut ctx = EvalCtx {
-                            channels: &mut self.channels,
-                            woke: &mut self.woke,
-                            changed: &mut changed,
-                            current: i,
-                            driver: &self.driver,
-                            reader: &self.reader,
-                            listen_valid: &self.listen_valid,
-                            listen_ready: &self.listen_ready,
-                            feedback: &self.feedback,
-                            cycle: self.cycle,
-                        };
-                        comp.eval(&mut ctx);
-                        evals += 1;
-                    }
+            // One context per round: per evaluation only `current` moves.
+            let mut ctx = EvalCtx {
+                channels: &mut self.channels,
+                woke: &mut self.woke,
+                changed: &mut changed,
+                current: 0,
+                driver: &self.driver,
+                reader: &self.reader,
+                listen_valid: &self.listen_valid,
+                listen_ready: &self.listen_ready,
+                feedback: &self.feedback,
+                cycle: self.cycle,
+            };
+            for (i, comp) in self.components.iter_mut().enumerate() {
+                if !full && !ctx.woke.get(i) {
+                    continue;
                 }
-                ComponentStore::Fused(table) => {
-                    // One dynamic call for the whole round; the table
-                    // claims wake flags and counts evals exactly like the
-                    // interpreted loop above.
-                    let mut ctx = SweepCtx {
-                        channels: &mut self.channels,
-                        woke: &mut self.woke,
-                        changed: &mut changed,
-                        driver: &self.driver,
-                        reader: &self.reader,
-                        listen_valid: &self.listen_valid,
-                        listen_ready: &self.listen_ready,
-                        feedback: &self.feedback,
-                        cycle: self.cycle,
-                    };
-                    evals += table.sweep(&mut ctx, full, &mut op_evals);
-                }
+                ctx.woke.set(i, false);
+                ctx.current = i;
+                comp.eval(&mut ctx);
+                evals += 1;
+                op_evals[self.op_kinds[i] as usize] += 1;
             }
             rounds += 1;
             // The cheap round-count test goes first: it is false on every
@@ -934,8 +870,8 @@ impl<T: Token> Circuit<T> {
             // table resolves them at render time, so the hot path never
             // clones a component name.
             let mut slots = Vec::new();
-            for i in 0..self.components.len() {
-                let s = self.components.get(i).slots();
+            for (i, c) in self.components.iter().enumerate() {
+                let s = c.slots();
                 if !s.is_empty() {
                     slots.push((i, s));
                 }
@@ -991,30 +927,16 @@ impl<T: Token> Circuit<T> {
             channels: &self.channels,
             cycle: self.cycle,
         };
-        match &mut self.components {
-            ComponentStore::Boxed(comps) => {
-                for c in comps.iter_mut() {
-                    c.tick(&tick_ctx);
-                }
-                for c in comps.iter_mut() {
-                    if let Some(error) = c.take_fault() {
-                        return Err(SimError::Component {
-                            cycle: self.cycle,
-                            component: c.name().to_string(),
-                            error,
-                        });
-                    }
-                }
-            }
-            ComponentStore::Fused(table) => {
-                table.tick_all(&tick_ctx);
-                if let Some((i, error)) = table.take_faults() {
-                    return Err(SimError::Component {
-                        cycle: self.cycle,
-                        component: table.component(i).name().to_string(),
-                        error,
-                    });
-                }
+        for c in &mut self.components {
+            c.tick(&tick_ctx);
+        }
+        for c in &mut self.components {
+            if let Some(error) = c.take_fault() {
+                return Err(SimError::Component {
+                    cycle: self.cycle,
+                    component: c.name().to_string(),
+                    error,
+                });
             }
         }
 
@@ -1040,8 +962,8 @@ impl<T: Token> Circuit<T> {
     /// time-sensitive every cycle and the fast-path must stay off.
     fn next_component_event(&self) -> Option<Option<u64>> {
         let mut earliest: Option<u64> = None;
-        for i in 0..self.components.len() {
-            match self.components.get(i).next_event(self.cycle) {
+        for c in &self.components {
+            match c.next_event(self.cycle) {
                 NextEvent::EveryCycle => return None,
                 NextEvent::Idle => {}
                 NextEvent::At(at) => {

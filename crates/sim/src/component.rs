@@ -206,6 +206,85 @@ impl SlotView {
     }
 }
 
+/// Dense label for one primitive op class — the axis of the per-op eval
+/// counters in [`KernelStats`](crate::KernelStats), reported by
+/// [`Component::op_kind`]. One variant per `IrNodeKind` primitive;
+/// `Custom` covers every other component.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum FusedOpKind {
+    /// Token source.
+    Source,
+    /// Token sink.
+    Sink,
+    /// Single-thread elastic buffer.
+    Eb,
+    /// Full MEB (`2·S` slots).
+    MebFull,
+    /// Reduced MEB (`S + 1` slots).
+    MebReduced,
+    /// FIFO MEB.
+    MebFifo,
+    /// M-Fork.
+    Fork,
+    /// M-Join.
+    Join,
+    /// M-Branch.
+    Branch,
+    /// M-Merge.
+    Merge,
+    /// Thread barrier.
+    Barrier,
+    /// Variable-latency unit.
+    VarLatency,
+    /// Stateless transform.
+    Transform,
+    /// Any other component (`IrNodeKind::Custom` nodes, user primitives).
+    Custom,
+}
+
+impl FusedOpKind {
+    /// Number of op classes (the length of the per-op counter array).
+    pub const COUNT: usize = 14;
+
+    /// Every op class, in counter-array order.
+    pub const ALL: [FusedOpKind; FusedOpKind::COUNT] = [
+        FusedOpKind::Source,
+        FusedOpKind::Sink,
+        FusedOpKind::Eb,
+        FusedOpKind::MebFull,
+        FusedOpKind::MebReduced,
+        FusedOpKind::MebFifo,
+        FusedOpKind::Fork,
+        FusedOpKind::Join,
+        FusedOpKind::Branch,
+        FusedOpKind::Merge,
+        FusedOpKind::Barrier,
+        FusedOpKind::VarLatency,
+        FusedOpKind::Transform,
+        FusedOpKind::Custom,
+    ];
+
+    /// Short stable label for tables and JSON.
+    pub fn label(self) -> &'static str {
+        match self {
+            FusedOpKind::Source => "source",
+            FusedOpKind::Sink => "sink",
+            FusedOpKind::Eb => "eb",
+            FusedOpKind::MebFull => "meb_full",
+            FusedOpKind::MebReduced => "meb_reduced",
+            FusedOpKind::MebFifo => "meb_fifo",
+            FusedOpKind::Fork => "fork",
+            FusedOpKind::Join => "join",
+            FusedOpKind::Branch => "branch",
+            FusedOpKind::Merge => "merge",
+            FusedOpKind::Barrier => "barrier",
+            FusedOpKind::VarLatency => "varlat",
+            FusedOpKind::Transform => "transform",
+            FusedOpKind::Custom => "custom",
+        }
+    }
+}
+
 /// A synchronous hardware component.
 ///
 /// See the module documentation for the evaluation contract.
@@ -297,6 +376,15 @@ pub trait Component<T: Token>: Send {
         crate::netlist::NetlistNodeKind::default()
     }
 
+    /// Op class under which the settle loop tallies this component's
+    /// evaluations ([`KernelStats::fused_op_evals`](crate::KernelStats)).
+    /// Read once at [`build`](crate::CircuitBuilder::build); the shipped
+    /// primitives override it, everything else counts as
+    /// [`FusedOpKind::Custom`].
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Custom
+    }
+
     /// Upcast for typed access via [`Circuit::get`](crate::Circuit::get).
     ///
     /// Implement as `fn as_any(&self) -> &dyn Any { self }` (the
@@ -306,17 +394,10 @@ pub trait Component<T: Token>: Send {
     /// Mutable upcast for typed access via
     /// [`Circuit::get_mut`](crate::Circuit::get_mut).
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Consuming upcast: lets a lowering pass take the concrete component
-    /// back out of its box (after checking the type via
-    /// [`as_any`](Component::as_any)) so a fused op table can store it
-    /// unboxed. Written by [`impl_as_any!`](crate::impl_as_any) alongside
-    /// the borrowing upcasts.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
-/// Writes the three [`Component`] upcast methods (`as_any`, `as_any_mut`,
-/// `into_any`) inside an `impl Component<T> for …` block.
+/// Writes the two [`Component`] upcast methods (`as_any`, `as_any_mut`)
+/// inside an `impl Component<T> for …` block.
 ///
 /// # Examples
 ///
@@ -339,9 +420,6 @@ macro_rules! impl_as_any {
             self
         }
         fn as_any_mut(&mut self) -> &mut dyn ::std::any::Any {
-            self
-        }
-        fn into_any(self: ::std::boxed::Box<Self>) -> ::std::boxed::Box<dyn ::std::any::Any> {
             self
         }
     };

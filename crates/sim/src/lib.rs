@@ -68,7 +68,6 @@ mod channel;
 mod circuit;
 mod component;
 mod error;
-mod fused;
 mod latency;
 mod mask;
 mod netlist;
@@ -86,9 +85,10 @@ mod vcd;
 pub use builder::CircuitBuilder;
 pub use channel::{ChannelId, ChannelSpec};
 pub use circuit::{Circuit, CycleReport, EvalCtx, EvalMode, TickCtx, Transfer};
-pub use component::{conservative_paths, CombPath, Component, NextEvent, Ports, SlotView};
+pub use component::{
+    conservative_paths, CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView,
+};
 pub use error::{BuildError, ProtocolError, SimError};
-pub use fused::{FuseFn, FusedOpKind, FusedTable, KernelBackend, SweepCtx};
 pub use latency::{token_latencies, LatencySummary, TokenLatencies};
 pub use mask::{Ones, ThreadMask};
 pub use netlist::{NetlistEdge, NetlistGraph, NetlistNodeKind};

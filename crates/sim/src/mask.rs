@@ -363,8 +363,8 @@ impl ThreadMask {
     /// Copies `other`'s bits into `self` like
     /// [`copy_from`](ThreadMask::copy_from), additionally reporting
     /// whether any bit changed — the word-level analogue of the per-thread
-    /// [`set`](ThreadMask::set) diff that the fused kernel's
-    /// `set_ready_mask`/`set_valid_mask` commits are built on.
+    /// [`set`](ThreadMask::set) diff that the
+    /// `EvalCtx::set_ready_mask`/`set_valid_mask` commits are built on.
     ///
     /// # Panics
     ///
@@ -623,7 +623,7 @@ mod tests {
                 bits.iter().zip(&other_bits).map(|(&a, &b)| a && b).collect();
             prop_assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
 
-            // The fused rotate-over-intersection scan agrees with
+            // The rotate-over-intersection scan agrees with
             // materialising the intersection first.
             prop_assert_eq!(
                 m.next_one_wrapping_and(&other, start),

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
-use crate::component::{CombPath, Component, NextEvent, Ports};
+use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports};
 use crate::mask::ThreadMask;
 use crate::netlist::NetlistNodeKind;
 use crate::token::Token;
@@ -93,19 +93,19 @@ pub struct Source<T: Token> {
     queues: Vec<VecDeque<(u64, T)>>,
     rr: usize,
     injected: Vec<u64>,
-    /// Released-head word for [`Source::eval_fused`]: bit `t` set iff
-    /// thread `t`'s queue head is released this cycle. Queues change only
-    /// at the clock edge (or between cycles via `push*`), so one rebuild
-    /// per cycle serves every settle re-evaluation.
-    fused_eligible: ThreadMask,
-    /// Cycle-cache stamp for `fused_eligible`: `cycle + 1` when current,
+    /// Released-head word: bit `t` set iff thread `t`'s queue head is
+    /// released this cycle. Queues change only at the clock edge (or
+    /// between cycles via `push*`), so one rebuild per cycle serves every
+    /// settle re-evaluation.
+    eligible: ThreadMask,
+    /// Cycle-cache stamp for `eligible`: `cycle + 1` when current,
     /// 0 = invalid.
-    fused_stamp: u64,
+    stamp: u64,
     /// Bit `t` set iff thread `t`'s queue is non-empty, maintained
     /// incrementally on `push*`/tick. While no time-gated token is queued
     /// ([`timed`](Self::timed) is 0) this *is* the eligibility word, so
     /// the per-cycle rebuild collapses to a word copy.
-    fused_nonempty: ThreadMask,
+    nonempty: ThreadMask,
     /// Number of queued tokens with a non-zero release cycle. Zero on the
     /// common release-immediately workloads; while non-zero the
     /// eligibility rebuild falls back to the per-thread head scan.
@@ -122,9 +122,9 @@ impl<T: Token> Source<T> {
             queues: (0..threads).map(|_| VecDeque::new()).collect(),
             rr: 0,
             injected: vec![0; threads],
-            fused_eligible: ThreadMask::new(threads),
-            fused_stamp: 0,
-            fused_nonempty: ThreadMask::new(threads),
+            eligible: ThreadMask::new(threads),
+            stamp: 0,
+            nonempty: ThreadMask::new(threads),
             timed: 0,
         }
     }
@@ -136,7 +136,8 @@ impl<T: Token> Source<T> {
     /// Panics if `thread` is out of range.
     pub fn push(&mut self, thread: usize, token: T) {
         self.queues[thread].push_back((0, token));
-        self.fused_nonempty.set(thread, true);
+        self.nonempty.set(thread, true);
+        self.stamp = 0;
     }
 
     /// Queues `token` on `thread`, released no earlier than `cycle`.
@@ -162,7 +163,8 @@ impl<T: Token> Source<T> {
             self.timed += 1;
         }
         self.queues[thread].push_back((release, token));
-        self.fused_nonempty.set(thread, true);
+        self.nonempty.set(thread, true);
+        self.stamp = 0;
     }
 
     /// Queues every token from `iter` on `thread`, available immediately.
@@ -192,42 +194,38 @@ impl<T: Token> Source<T> {
         self.pending_total() == 0
     }
 
-    fn eligible(&self, cycle: u64) -> impl Iterator<Item = usize> + '_ {
-        (0..self.threads)
-            .filter(move |&t| self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle))
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: probes every queue head on every call and picks
+    /// the offered thread with a per-thread round-robin scan. Kept so
+    /// tests can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        let cycle = ctx.cycle();
+        // Requests: token available and downstream ready (the paper's MEB
+        // arbiter likewise "takes into account which threads are ready
+        // downstream").
+        let mut chosen = None;
+        for off in 0..self.threads {
+            let t = (self.rr + off) % self.threads;
+            let has = self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle);
+            if has && ctx.ready(self.out, t) {
+                chosen = Some(t);
+                break;
+            }
+        }
+        // If nobody is ready downstream, still offer the round-robin first
+        // eligible thread so `valid` precedes `ready` (elastic protocol
+        // permits valid-without-ready; the token simply stalls).
+        if chosen.is_none() {
+            chosen = (0..self.threads)
+                .filter(|&t| self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle))
+                .min_by_key(|&t| (t + self.threads - self.rr) % self.threads);
+        }
+        self.drive(ctx, chosen);
     }
 
-    /// Fused-kernel evaluation: identical observable behaviour to
-    /// [`Component::eval`], but the released-head scan over the
-    /// per-thread queues runs once per cycle into a packed word, and the
-    /// round-robin "released ∧ downstream-ready" pick becomes a word-level
-    /// wrapping scan instead of per-thread queue probes.
-    pub fn eval_fused(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.fused_stamp != cycle + 1 {
-            if self.timed == 0 {
-                // No time-gated token anywhere: every non-empty queue's
-                // head is released, so the incrementally maintained
-                // occupancy word is the eligibility word.
-                self.fused_eligible.copy_from(&self.fused_nonempty);
-            } else {
-                for t in 0..self.threads {
-                    self.fused_eligible.set(
-                        t,
-                        self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle),
-                    );
-                }
-            }
-            self.fused_stamp = cycle + 1;
-        }
-        // Ready-first in round-robin order, else the round-robin first
-        // released thread (valid may precede ready — the offer stalls).
-        // The intersection with `ready(out)` is folded into the wrapping
-        // scan, so no scratch mask is touched per evaluation.
-        let chosen = self
-            .fused_eligible
-            .next_one_wrapping_and(ctx.ready_mask(self.out), self.rr)
-            .or_else(|| self.fused_eligible.next_one_wrapping(self.rr));
+    /// Offers thread `chosen`'s queue head on `out`, or drives it idle.
+    fn drive(&self, ctx: &mut EvalCtx<'_, T>, chosen: Option<usize>) {
         match chosen {
             Some(t) => {
                 let data = self.queues[t]
@@ -244,6 +242,10 @@ impl<T: Token> Source<T> {
 impl<T: Token> Component<T> for Source<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Endpoint
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Source
     }
 
     fn name(&self) -> &str {
@@ -267,60 +269,60 @@ impl<T: Token> Component<T> for Source<T> {
         }]
     }
 
+    /// Word-level evaluation: the released-head scan over the per-thread
+    /// queues runs once per cycle into a packed word, and the round-robin
+    /// "released ∧ downstream-ready" pick is a wrapping word scan instead
+    /// of per-thread queue probes.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let cycle = ctx.cycle();
-        // Requests: token available and downstream ready (the paper's MEB
-        // arbiter likewise "takes into account which threads are ready
-        // downstream").
-        let mut chosen = None;
-        for off in 0..self.threads {
-            let t = (self.rr + off) % self.threads;
-            let has = self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle);
-            if has && ctx.ready(self.out, t) {
-                chosen = Some(t);
-                break;
+        if self.stamp != cycle + 1 {
+            if self.timed == 0 {
+                // No time-gated token anywhere: every non-empty queue's
+                // head is released, so the incrementally maintained
+                // occupancy word is the eligibility word.
+                self.eligible.copy_from(&self.nonempty);
+            } else {
+                for t in 0..self.threads {
+                    self.eligible.set(
+                        t,
+                        self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle),
+                    );
+                }
             }
+            self.stamp = cycle + 1;
         }
-        // If nobody is ready downstream, still offer the round-robin first
-        // eligible thread so `valid` precedes `ready` (elastic protocol
-        // permits valid-without-ready; the token simply stalls).
-        if chosen.is_none() {
-            chosen = self
-                .eligible(cycle)
-                .min_by_key(|&t| (t + self.threads - self.rr) % self.threads);
-        }
-        match chosen {
-            Some(t) => {
-                let data = self.queues[t]
-                    .front()
-                    .map(|(_, d)| d.clone())
-                    .expect("eligible head");
-                ctx.drive_token(self.out, t, data);
-            }
-            None => ctx.drive_idle(self.out),
-        }
+        // Ready-first in round-robin order, else the round-robin first
+        // released thread (valid may precede ready — the offer stalls).
+        // The intersection with `ready(out)` is folded into the wrapping
+        // scan, so no temporary mask is touched per evaluation.
+        let chosen = self
+            .eligible
+            .next_one_wrapping_and(ctx.ready_mask(self.out), self.rr)
+            .or_else(|| self.eligible.next_one_wrapping(self.rr));
+        self.drive(ctx, chosen);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
-        for t in 0..self.threads {
-            if ctx.fired(self.out, t) {
-                if let Some((rel, _)) = self.queues[t].pop_front() {
-                    if rel > 0 {
-                        self.timed -= 1;
-                    }
+        // The kernel has checked the MT channel invariant before the edge:
+        // at most one thread is valid, so one word scan finds the offer.
+        let Some(t) = ctx.valid_mask(self.out).first_one() else {
+            return;
+        };
+        if ctx.ready(self.out, t) {
+            if let Some((rel, _)) = self.queues[t].pop_front() {
+                if rel > 0 {
+                    self.timed -= 1;
                 }
-                if self.queues[t].is_empty() {
-                    self.fused_nonempty.set(t, false);
-                }
-                self.injected[t] += 1;
-                self.rr = (t + 1) % self.threads;
-            } else if ctx.valid(self.out, t) {
-                // Stalled offer: rotate so every waiting thread is
-                // eventually presented downstream (a closed barrier must
-                // be able to observe all arrivals).
-                self.rr = (t + 1) % self.threads;
             }
+            if self.queues[t].is_empty() {
+                self.nonempty.set(t, false);
+            }
+            self.injected[t] += 1;
         }
+        // Fired or stalled, rotate past the offered thread: a stalled
+        // offer must not starve the others (a closed barrier must be able
+        // to observe all arrivals).
+        self.rr = (t + 1) % self.threads;
     }
 
     fn reset(&mut self) -> bool {
@@ -329,8 +331,8 @@ impl<T: Token> Component<T> for Source<T> {
         }
         self.rr = 0;
         self.injected.iter_mut().for_each(|n| *n = 0);
-        self.fused_stamp = 0;
-        self.fused_nonempty.clear();
+        self.stamp = 0;
+        self.nonempty.clear();
         self.timed = 0;
         true
     }
@@ -366,10 +368,10 @@ pub struct Sink<T: Token> {
     captured: Vec<Vec<(u64, T)>>,
     counts: Vec<u64>,
     capture: bool,
-    /// Policy-word cache for [`eval_fused`](Sink::eval_fused): the ready
-    /// mask computed for cycle `fused_stamp - 1` (`0` = invalid).
-    fused_ready: ThreadMask,
-    fused_stamp: u64,
+    /// Policy-word cache: the ready mask computed for cycle `stamp - 1`
+    /// (`stamp == 0` = invalid).
+    ready: ThreadMask,
+    stamp: u64,
 }
 
 impl<T: Token> Sink<T> {
@@ -387,8 +389,8 @@ impl<T: Token> Sink<T> {
             captured: (0..threads).map(|_| Vec::new()).collect(),
             counts: vec![0; threads],
             capture: false,
-            fused_ready: ThreadMask::new(threads),
-            fused_stamp: 0,
+            ready: ThreadMask::new(threads),
+            stamp: 0,
         }
     }
 
@@ -413,7 +415,7 @@ impl<T: Token> Sink<T> {
         self.policies[thread] = policy;
         // A sweep harness reconfigures policies between runs on a reused
         // circuit; the cached policy word is stale the moment one changes.
-        self.fused_stamp = 0;
+        self.stamp = 0;
     }
 
     /// Tokens consumed by `thread`, with the cycle at which each arrived.
@@ -432,24 +434,15 @@ impl<T: Token> Sink<T> {
         self.counts.iter().sum()
     }
 
-    /// Fused-kernel evaluation: identical observable behaviour to
-    /// [`eval`](Component::eval), but the per-thread policy word is
-    /// computed once per *cycle* and cached across settle rounds —
-    /// [`ReadyPolicy::Random`] hashes every thread on every call, which
-    /// the interpreted path pays again each round — and committed with a
-    /// single word-level mask write instead of a per-thread setter loop.
-    pub fn eval_fused(&mut self, ctx: &mut EvalCtx<'_, T>) {
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: re-evaluates every thread's policy and commits it
+    /// bit by bit on every call. Kept so tests can run a circuit with it;
+    /// not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let cycle = ctx.cycle();
-        if self.fused_stamp != cycle + 1 {
-            for (t, policy) in self.policies.iter().enumerate() {
-                self.fused_ready.set(t, policy.is_ready(cycle, t));
-            }
-            self.fused_stamp = cycle + 1;
-            // Commit once per cycle: the sink is the only driver of
-            // `ready(inp)` and the word depends on the cycle number
-            // alone, so re-commits on settle re-evaluations would be
-            // guaranteed no-ops — skip them.
-            ctx.set_ready_mask(self.inp, &self.fused_ready);
+        for (t, policy) in self.policies.iter().enumerate() {
+            ctx.set_ready(self.inp, t, policy.is_ready(cycle, t));
         }
     }
 }
@@ -457,6 +450,10 @@ impl<T: Token> Sink<T> {
 impl<T: Token> Component<T> for Sink<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Endpoint
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Sink
     }
 
     fn name(&self) -> &str {
@@ -475,10 +472,22 @@ impl<T: Token> Component<T> for Sink<T> {
         Vec::new()
     }
 
+    /// Word-level evaluation: the per-thread policy word is computed once
+    /// per *cycle* and cached across settle rounds —
+    /// [`ReadyPolicy::Random`] hashes every thread — and committed with a
+    /// single word-level mask write instead of a per-thread setter loop.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let cycle = ctx.cycle();
-        for (t, policy) in self.policies.iter().enumerate() {
-            ctx.set_ready(self.inp, t, policy.is_ready(cycle, t));
+        if self.stamp != cycle + 1 {
+            for (t, policy) in self.policies.iter().enumerate() {
+                self.ready.set(t, policy.is_ready(cycle, t));
+            }
+            self.stamp = cycle + 1;
+            // Commit once per cycle: the sink is the only driver of
+            // `ready(inp)` and the word depends on the cycle number
+            // alone, so re-commits on settle re-evaluations would be
+            // guaranteed no-ops — skip them.
+            ctx.set_ready_mask(self.inp, &self.ready);
         }
     }
 
@@ -499,7 +508,7 @@ impl<T: Token> Component<T> for Sink<T> {
             c.clear();
         }
         self.counts.iter_mut().for_each(|n| *n = 0);
-        self.fused_stamp = 0;
+        self.stamp = 0;
         true
     }
 

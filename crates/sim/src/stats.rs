@@ -6,7 +6,7 @@
 //! by backpressure, and how busy is the datapath overall.
 
 use crate::channel::ChannelId;
-use crate::fused::FusedOpKind;
+use crate::component::FusedOpKind;
 
 /// Bucket count of [`ChannelStats::occupancy_hist`]: bucket `k` counts
 /// cycles spent at backlog depth `k + 1`; the last bucket collects
@@ -130,19 +130,17 @@ pub struct KernelStats {
     /// cycles that settled in `i + 1` rounds; the last bucket collects
     /// everything at `8` rounds or more.
     pub settle_round_hist: [u64; 8],
-    /// Evaluations per fused-op class, indexed by
-    /// [`FusedOpKind::ALL`](crate::FusedOpKind::ALL) order. All zero when
-    /// the interpreted backend ran — the breakdown exists only where the
-    /// fused table dispatches by op kind anyway, so the interpreted hot
-    /// loop pays nothing for it.
+    /// Evaluations per op class ([`Component::op_kind`]), indexed by
+    /// [`FusedOpKind::ALL`](crate::FusedOpKind::ALL) order. Sums to
+    /// [`component_evals`](Self::component_evals).
+    ///
+    /// [`Component::op_kind`]: crate::Component::op_kind
     pub fused_op_evals: [u64; FusedOpKind::COUNT],
     /// Wall-clock nanoseconds spent inside the settle loop (phase 1 of
     /// every stepped cycle), accumulated only while settle timing is
     /// armed via [`Circuit::set_settle_timing`] — zero otherwise, so the
-    /// hot path never pays for the clock reads by default. This is the
-    /// number the backend-ablation gate compares: it isolates the work
-    /// the dispatch backend can influence from the tick/capture/stats
-    /// phases that are identical by construction across backends.
+    /// hot path never pays for the clock reads by default. It isolates
+    /// the combinational phase from the tick/capture/stats phases.
     ///
     /// [`Circuit::set_settle_timing`]: crate::Circuit::set_settle_timing
     pub settle_nanos: u64,
@@ -195,9 +193,8 @@ impl KernelStats {
         self.settle_nanos += other.settle_nanos;
     }
 
-    /// Per-op eval breakdown of the fused backend, paired with its op
-    /// class: `(kind, evals)` for every class with a non-zero count.
-    /// Empty when the interpreted backend ran.
+    /// Per-op eval breakdown: `(kind, evals)` for every op class with a
+    /// non-zero count.
     pub fn fused_op_breakdown(&self) -> Vec<(FusedOpKind, u64)> {
         FusedOpKind::ALL
             .iter()
@@ -621,7 +618,7 @@ mod tests {
         // Histogram buckets add; rank width takes the max, not the sum.
         assert_eq!(a.settle_round_hist, [3, 1, 1, 0, 0, 0, 0, 0]);
         assert_eq!(a.rank_width, 5);
-        // Per-op fused counters add elementwise.
+        // Per-op counters add elementwise.
         assert_eq!(a.fused_op_evals[0], 4);
         assert_eq!(a.fused_op_evals[1], 5);
         assert_eq!(

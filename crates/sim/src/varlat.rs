@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
-use crate::component::{CombPath, Component, NextEvent, Ports, SlotView};
+use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView};
 use crate::mask::ThreadMask;
 use crate::netlist::NetlistNodeKind;
 use crate::token::Token;
@@ -226,6 +226,10 @@ impl<T: Token> Component<T> for VarLatency<T> {
         NetlistNodeKind::Unit
     }
 
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::VarLatency
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -372,6 +376,10 @@ impl<T: Token> Transform<T> {
 impl<T: Token> Component<T> for Transform<T> {
     fn netlist_kind(&self) -> NetlistNodeKind {
         NetlistNodeKind::Unit
+    }
+
+    fn op_kind(&self) -> FusedOpKind {
+        FusedOpKind::Transform
     }
 
     fn name(&self) -> &str {

@@ -32,9 +32,9 @@ use elastic_core::{
     ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, ForkMode, Join, MebKind, Merge,
 };
 use elastic_sim::{
-    BuildError, ChannelId, Circuit, CircuitBuilder, Component, KernelBackend, LatencyModel,
-    NetlistEdge, NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, ScheduleMode, Sink,
-    Source, Token, Transform, VarLatency,
+    BuildError, ChannelId, Circuit, CircuitBuilder, Component, LatencyModel, NetlistEdge,
+    NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, ScheduleMode, Sink, Source, Token,
+    Transform, VarLatency,
 };
 
 /// Handle to a channel of an [`ElasticIr`].
@@ -400,7 +400,6 @@ pub struct ElasticIr<T: Token> {
     channels: Vec<IrChannel>,
     nodes: Vec<IrNode<T>>,
     schedule: ScheduleMode,
-    backend: KernelBackend,
 }
 
 impl<T: Token> Default for ElasticIr<T> {
@@ -416,7 +415,6 @@ impl<T: Token> ElasticIr<T> {
             channels: Vec::new(),
             nodes: Vec::new(),
             schedule: ScheduleMode::default(),
-            backend: KernelBackend::default(),
         }
     }
 
@@ -424,29 +422,6 @@ impl<T: Token> ElasticIr<T> {
     /// [`CircuitBuilder::set_schedule`] at elaboration.
     pub fn set_schedule(&mut self, mode: ScheduleMode) {
         self.schedule = mode;
-    }
-
-    /// Selects the settle-kernel backend of the elaborated circuit.
-    /// [`KernelBackend::Fused`] makes [`elaborate`](Self::elaborate)
-    /// install [`crate::compile::fuse`] so the built circuit runs the
-    /// lowered op table. The backend is a *kernel* choice, not a
-    /// structural one: it does not enter
-    /// [`structural_hash`](Self::structural_hash), so fused and
-    /// interpreted runs of the same netlist share sweep-cache identity.
-    pub fn set_backend(&mut self, backend: KernelBackend) {
-        self.backend = backend;
-    }
-
-    /// Chainable [`set_backend`](Self::set_backend).
-    #[must_use]
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.set_backend(backend);
-        self
-    }
-
-    /// The settle-kernel backend the elaborated circuit will use.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// Declares a channel supporting `threads` threads, with no width
@@ -765,10 +740,6 @@ impl<T: Token> ElasticIr<T> {
     /// passes first for friendlier, earlier diagnostics.
     pub fn elaborate(self) -> Result<Elaborated<T>, IrError> {
         let mut b = CircuitBuilder::<T>::new().with_schedule(self.schedule);
-        b.set_backend(self.backend);
-        if self.backend == KernelBackend::Fused {
-            b.set_fuser(crate::compile::fuse::<T>);
-        }
         let channel_ids: Vec<ChannelId> = self
             .channels
             .iter()

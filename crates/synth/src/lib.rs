@@ -51,22 +51,18 @@
 
 mod builder;
 mod circuit;
-pub mod compile;
 mod graph;
 pub mod ir;
-pub mod lower;
 pub mod opt;
 pub mod passes;
 
 pub use builder::{DataflowBuilder, SynthConfig, SynthIr};
 pub use circuit::{RunError, SynthCircuit, UnknownPortError};
-pub use compile::fuse;
 pub use graph::{BufferPolicy, Node, OpLatency, SynthError, Wire};
 pub use ir::{
     BuildFn, CostHint, Elaborated, ElasticIr, IrChannel, IrChannelId, IrError, IrNode, IrNodeId,
     IrNodeKind, IrNodeTag,
 };
-pub use lower::{FusedOp, OpTable};
 pub use opt::{
     delta_styles, dot_with_deltas, MebDepthSizing, Retiming, SlackMatching, TransformSpec,
 };
