@@ -5,10 +5,13 @@
 //! and `BENCH_fused_kernel.json`) and the raw cost of the `ThreadMask`
 //! operations the loop is built from. Random sink readiness keeps every
 //! channel's valid/ready masks churning, so the loop cannot quiesce
-//! early. See `docs/perf.md` for the full methodology.
+//! early. The `processor` group tracks the processor datapath, whose
+//! custom units carry their own word-level `eval`s. See `docs/perf.md`
+//! for the full methodology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};
+use elastic_proc::{assemble, programs, Cpu, CpuConfig};
 use elastic_sim::{ReadyPolicy, ThreadMask};
 
 const CYCLES: u64 = 1_000;
@@ -45,6 +48,28 @@ fn bench_settle_loop(c: &mut Criterion) {
     group.finish();
 }
 
+/// The processor datapath run to halt: the word-level `eval`s of the
+/// custom fetch, register and memory units, the variable-latency units
+/// and the routing fork, on the sieve (4 threads) and the matrix
+/// multiply (8 threads).
+fn bench_processor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("processor");
+    group.sample_size(10);
+    for (name, source, threads) in [
+        ("sieve", programs::SIEVE, 4usize),
+        ("matmul", programs::MATMUL, 8),
+    ] {
+        let program = assemble(source).expect("shipped programs assemble");
+        group.bench_function(BenchmarkId::new(name, threads), |b| {
+            b.iter(|| {
+                let mut cpu = Cpu::new(CpuConfig::new(threads), program.clone(), vec![0; threads]);
+                cpu.run_to_halt(2_000_000).expect("halts").cycles
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_mask_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("thread_mask");
     for threads in [8usize, 64, 65] {
@@ -64,5 +89,5 @@ fn bench_mask_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_settle_loop, bench_mask_ops);
+criterion_group!(benches, bench_settle_loop, bench_processor, bench_mask_ops);
 criterion_main!(benches);

@@ -210,21 +210,20 @@ impl<T: Token> ReducedMeb<T> {
     }
 
     fn check_invariants(&self) {
-        // The body only feeds debug assertions, but the `full_threads`
-        // collect would still allocate every tick in release builds —
-        // skip it entirely there.
+        // The body only feeds debug assertions — skip it entirely in
+        // release builds. It allocates nothing, so debug builds keep an
+        // allocation-free clock edge too.
         if !cfg!(debug_assertions) {
             return;
         }
-        let full_threads: Vec<usize> = (0..self.threads)
-            .filter(|&t| self.state[t] == EbState::Full)
-            .collect();
+        let is_full = |t: &usize| self.state[*t] == EbState::Full;
+        let full_count = (0..self.threads).filter(is_full).count();
         debug_assert!(
-            full_threads.len() <= 1,
-            "reduced MEB `{}`: more than one thread in FULL: {full_threads:?}",
+            full_count <= 1,
+            "reduced MEB `{}`: {full_count} threads in FULL",
             self.name
         );
-        match (&self.shared, full_threads.first()) {
+        match (&self.shared, (0..self.threads).find(is_full).as_ref()) {
             (Some((owner, _)), Some(full)) => debug_assert_eq!(
                 owner, full,
                 "reduced MEB `{}`: shared register owner disagrees with FULL thread",
@@ -309,22 +308,13 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
             // change test) — skip the call entirely.
             ctx.set_ready_mask(self.inp, &self.ready);
         }
-        // Output selection. On a DAG output channel the anti-swap damping
-        // inside `SelectState::select` is disabled anyway, so when the
-        // arbiter is a pure rotating scan the whole selection collapses to
-        // one word scan over `has ∩ ready(out)` (ready-first) with the
-        // stalled-offer rotation as fallback — no request-mask copy, no
-        // vtable call, bit-identical picks. Feedback channels and richer
-        // policies keep the generic path.
-        let picked = match self.hint {
-            Some(hint) if !ctx.in_feedback(self.out) => self
-                .has
-                .next_one_wrapping_and(ctx.ready_mask(self.out), hint)
-                .or_else(|| self.has.next_one_wrapping(self.select.stall_start())),
-            _ => self
-                .select
-                .select(ctx, self.out, self.arbiter.as_ref(), &self.has),
-        };
+        let picked = self.select.select_with_hint(
+            ctx,
+            self.out,
+            self.arbiter.as_ref(),
+            &self.has,
+            self.hint,
+        );
         self.drive(ctx, picked);
     }
 

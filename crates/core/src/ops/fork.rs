@@ -15,11 +15,12 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ThreadMask, TickCtx, Token,
+    Ports, ProtocolError, ThreadMask, TickCtx, Token,
 };
 
-/// Per-token output-routing function (see [`Fork::with_route`]).
-type RouteFn<T> = Box<dyn Fn(&T) -> Vec<bool> + Send>;
+/// Per-token output-routing function (see [`Fork::with_route`]): bit `o`
+/// of the returned mask selects output `o`.
+type RouteFn<T> = Box<dyn Fn(&T) -> u64 + Send>;
 
 /// Fork control discipline.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -66,10 +67,40 @@ pub struct Fork<T: Token> {
     /// `done[o]` bit `t`: output `o` has already received thread `t`'s
     /// current token (eager mode only).
     done: Vec<ThreadMask>,
-    /// Optional per-token routing: outputs whose mask entry is `false` do
-    /// not receive the token (they are treated as already done).
+    /// Optional per-token routing: outputs whose mask bit is clear do not
+    /// receive the token (they are treated as already done).
     route: Option<RouteFn<T>>,
+    /// The invalid route mask returned for the token offered at the last
+    /// evaluation, latched as a fault at the clock edge.
+    bad_route: Option<u64>,
+    /// A fault latched at the clock edge, taken by the kernel.
+    fault: Option<ProtocolError>,
+    /// Scratch words of the word-level eager evaluation.
+    word: ThreadMask,
+    ready: ThreadMask,
     _marker: std::marker::PhantomData<T>,
+}
+
+/// How the offered token is routed, as seen by one evaluation.
+#[derive(Clone, Copy)]
+enum Routing {
+    /// No route function, or no token offered: every output.
+    All,
+    /// The route function's mask (bit `o` = output `o`).
+    Mask(u64),
+    /// The route function returned an invalid mask: the token goes
+    /// nowhere and is never consumed.
+    Invalid(u64),
+}
+
+impl Routing {
+    fn routed(self, o: usize) -> bool {
+        match self {
+            Routing::All => true,
+            Routing::Mask(m) => m >> o & 1 != 0,
+            Routing::Invalid(_) => false,
+        }
+    }
 }
 
 impl<T: Token> Fork<T> {
@@ -95,23 +126,34 @@ impl<T: Token> Fork<T> {
             mode,
             done: vec![ThreadMask::new(threads); n],
             route: None,
+            bad_route: None,
+            fault: None,
+            word: ThreadMask::new(threads),
+            ready: ThreadMask::new(threads),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Makes the fork *routing*: `f` returns, per token, which outputs
-    /// receive it (`true` entries). A token routed to a single output
-    /// behaves like a demultiplexed branch; a token routed to several
-    /// outputs is replicated to exactly those. Only meaningful in
-    /// [`ForkMode::Eager`].
+    /// Makes the fork *routing*: `f` returns, per token, the bitmask of
+    /// outputs that receive it (bit `o` = output `o`). A token routed to
+    /// a single output behaves like a demultiplexed branch; a token
+    /// routed to several outputs is replicated to exactly those. Only
+    /// meaningful in [`ForkMode::Eager`].
+    ///
+    /// A mask that selects no output, or sets a bit at or above the
+    /// output count, leaves the token unconsumed and latches
+    /// [`ProtocolError::InvalidRoute`], which the next clock edge reports
+    /// as [`SimError::Component`](elastic_sim::SimError::Component).
     ///
     /// # Panics
     ///
-    /// The component panics during simulation if `f` returns a mask whose
-    /// length differs from the output count, or an all-`false` mask (the
-    /// token could never be consumed and the pipeline would wedge).
+    /// Panics if the fork has more than 64 outputs (the mask width).
     #[must_use]
-    pub fn with_route(mut self, f: impl Fn(&T) -> Vec<bool> + Send + 'static) -> Self {
+    pub fn with_route(mut self, f: impl Fn(&T) -> u64 + Send + 'static) -> Self {
+        assert!(
+            self.outputs.len() <= 64,
+            "a routing fork has at most 64 outputs"
+        );
         self.route = Some(Box::new(f));
         self
     }
@@ -121,16 +163,91 @@ impl<T: Token> Fork<T> {
         self.mode
     }
 
-    /// Routing mask for the current token; `None` means "all outputs"
-    /// (the common non-routing case, which allocates nothing).
-    fn route_mask(&self, token: Option<&T>) -> Option<Vec<bool>> {
-        let mask = self.route.as_ref()?(token?);
-        assert_eq!(mask.len(), self.outputs.len(), "route mask length mismatch");
-        assert!(
-            mask.iter().any(|&m| m),
-            "route mask must select at least one output"
-        );
-        Some(mask)
+    /// Routing of the currently offered token (`data` on the input).
+    fn routing(&self, data: Option<&T>) -> Routing {
+        let (Some(route), Some(token)) = (&self.route, data) else {
+            return Routing::All;
+        };
+        let mask = route(token);
+        let n = self.outputs.len();
+        let outside = if n >= 64 { 0 } else { !0u64 << n };
+        if mask == 0 || mask & outside != 0 {
+            Routing::Invalid(mask)
+        } else {
+            Routing::Mask(mask)
+        }
+    }
+
+    fn note_routing(&mut self, routing: Routing) {
+        self.bad_route = match routing {
+            Routing::Invalid(mask) => Some(mask),
+            _ => None,
+        };
+    }
+
+    /// Lazy control: `valid(out_o) = valid(in) ∧ ready(every other
+    /// output)`, `ready(in) = ready(every output)`.
+    fn eval_lazy(&self, ctx: &mut EvalCtx<'_, T>) {
+        for t in 0..self.threads {
+            let vin = ctx.valid(self.inp, t);
+            for (o, &out) in self.outputs.iter().enumerate() {
+                let others_ready = self
+                    .outputs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(p, _)| p != o)
+                    .all(|(_, &q)| ctx.ready(q, t));
+                ctx.set_valid(out, t, vin && others_ready);
+            }
+            let all_ready = self.outputs.iter().all(|&q| ctx.ready(q, t));
+            ctx.set_ready(self.inp, t, all_ready);
+        }
+    }
+
+    fn drive_data(&self, ctx: &mut EvalCtx<'_, T>, data: Option<T>) {
+        for &out in &self.outputs {
+            ctx.set_data(out, data.clone());
+        }
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives every `(output, thread)` valid bit and
+    /// every thread's ready bit one at a time. Kept so tests can run a
+    /// circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        let data = ctx.data(self.inp).cloned();
+        match self.mode {
+            ForkMode::Lazy => self.eval_lazy(ctx),
+            ForkMode::Eager => {
+                let routing = self.routing(data.as_ref());
+                self.note_routing(routing);
+                let offered = ctx.valid_mask(self.inp).first_one();
+                for t in 0..self.threads {
+                    let vin = ctx.valid(self.inp, t);
+                    for (o, &out) in self.outputs.iter().enumerate() {
+                        ctx.set_valid(out, t, vin && routing.routed(o) && !self.done[o].get(t));
+                    }
+                    // Input consumed once every (routed) output is done or
+                    // accepting. The mask belongs to the *offered* token;
+                    // for any other thread the data bus does not hold its
+                    // token, so answer conservatively as if it routed to
+                    // every output — a conservative ready can only be
+                    // upgraded once the thread is offered, which keeps the
+                    // upstream selection from chasing a false ready. An
+                    // invalid route is never consumed.
+                    let use_mask = offered == Some(t);
+                    let all_served = !(use_mask && matches!(routing, Routing::Invalid(_)))
+                        && (0..self.outputs.len()).all(|o| {
+                            (use_mask && !routing.routed(o))
+                                || self.done[o].get(t)
+                                || ctx.ready(self.outputs[o], t)
+                        });
+                    ctx.set_ready(self.inp, t, all_served);
+                }
+            }
+        }
+        self.drive_data(ctx, data);
     }
 }
 
@@ -200,72 +317,74 @@ impl<T: Token> Component<T> for Fork<T> {
         paths
     }
 
+    /// Eager mode is word-level: each output's `valid` word is
+    /// `valid(in) ∧ ¬done[o]` when the offered token routes to it (zero
+    /// otherwise), and `ready(in)` is the AND over outputs of
+    /// `done[o] ∨ ready(out_o)`, with the offered thread's bit recomputed
+    /// against its token's route. Each word is committed in one masked
+    /// write. Lazy mode keeps the per-thread evaluation.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let data = ctx.data(self.inp).cloned();
-        match self.mode {
-            ForkMode::Lazy => {
-                for t in 0..self.threads {
-                    let vin = ctx.valid(self.inp, t);
-                    for (o, &out) in self.outputs.iter().enumerate() {
-                        let others_ready = self
-                            .outputs
-                            .iter()
-                            .enumerate()
-                            .filter(|&(p, _)| p != o)
-                            .all(|(_, &q)| ctx.ready(q, t));
-                        ctx.set_valid(out, t, vin && others_ready);
-                    }
-                    let all_ready = self.outputs.iter().all(|&q| ctx.ready(q, t));
-                    ctx.set_ready(self.inp, t, all_ready);
-                }
+        if self.mode == ForkMode::Lazy {
+            self.eval_lazy(ctx);
+            self.drive_data(ctx, data);
+            return;
+        }
+        let routing = self.routing(data.as_ref());
+        self.note_routing(routing);
+        self.ready.fill();
+        for (o, &out) in self.outputs.iter().enumerate() {
+            if routing.routed(o) {
+                self.word.assign_not(&self.done[o]);
+                self.word.and_with(ctx.valid_mask(self.inp));
+            } else {
+                self.word.clear();
             }
-            ForkMode::Eager => {
-                let mask = self.route_mask(data.as_ref());
-                let routed = |o: usize| mask.as_ref().is_none_or(|m| m[o]);
-                let offered = ctx.valid_mask(self.inp).first_one();
-                for t in 0..self.threads {
-                    let vin = ctx.valid(self.inp, t);
-                    for (o, &out) in self.outputs.iter().enumerate() {
-                        ctx.set_valid(out, t, vin && routed(o) && !self.done[o].get(t));
-                    }
-                    // Input consumed once every (routed) output is done or
-                    // accepting. The mask belongs to the *offered* token;
-                    // for any other thread the data bus does not hold its
-                    // token, so answer conservatively as if it routed to
-                    // every output — a conservative ready can only be
-                    // upgraded once the thread is offered, which keeps the
-                    // upstream selection from chasing a false ready.
-                    let use_mask = offered == Some(t);
-                    let all_served = (0..self.outputs.len()).all(|o| {
-                        (use_mask && !routed(o))
-                            || self.done[o].get(t)
-                            || ctx.ready(self.outputs[o], t)
+            ctx.set_valid_mask(out, &self.word);
+            self.word.copy_from(&self.done[o]);
+            self.word.or_with(ctx.ready_mask(out));
+            self.ready.and_with(&self.word);
+        }
+        // The conservative word above assumes every output is routed; the
+        // offered thread's own token may skip some of them.
+        if !matches!(routing, Routing::All) {
+            if let Some(t) = ctx.valid_mask(self.inp).first_one() {
+                let served = !matches!(routing, Routing::Invalid(_))
+                    && (0..self.outputs.len()).all(|o| {
+                        !routing.routed(o) || self.done[o].get(t) || ctx.ready(self.outputs[o], t)
                     });
-                    ctx.set_ready(self.inp, t, all_served);
-                }
+                self.ready.set(t, served);
             }
         }
-        for &out in &self.outputs {
-            ctx.set_data(out, data.clone());
-        }
+        ctx.set_ready_mask(self.inp, &self.ready);
+        self.drive_data(ctx, data);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         if self.mode == ForkMode::Lazy {
             return;
         }
-        for t in 0..self.threads {
-            if ctx.fired(self.inp, t) {
-                // Token fully delivered: clear this thread's done bits.
-                for d in &mut self.done {
-                    d.set(t, false);
-                }
-            } else if ctx.valid(self.inp, t) {
-                // Partial delivery: latch which outputs took it.
-                for (o, &out) in self.outputs.iter().enumerate() {
-                    if ctx.fired(out, t) {
-                        self.done[o].set(t, true);
-                    }
+        // The kernel has checked the one-valid-thread invariant before
+        // the clock edge, so only the offered thread can change state.
+        let Some(t) = ctx.valid_mask(self.inp).first_one() else {
+            return;
+        };
+        if let Some(mask) = self.bad_route {
+            self.fault = Some(ProtocolError::InvalidRoute {
+                mask,
+                outputs: self.outputs.len(),
+            });
+        }
+        if ctx.fired(self.inp, t) {
+            // Token fully delivered: clear this thread's done bits.
+            for d in &mut self.done {
+                d.set(t, false);
+            }
+        } else {
+            // Partial delivery: latch which outputs took it.
+            for (o, &out) in self.outputs.iter().enumerate() {
+                if ctx.fired(out, t) {
+                    self.done[o].set(t, true);
                 }
             }
         }
@@ -275,10 +394,16 @@ impl<T: Token> Component<T> for Fork<T> {
         NextEvent::Idle
     }
 
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.fault.take()
+    }
+
     fn reset(&mut self) -> bool {
         for d in &mut self.done {
             d.clear();
         }
+        self.bad_route = None;
+        self.fault = None;
         true
     }
 
@@ -420,9 +545,11 @@ mod tests {
         b.add(
             Fork::new("f", x, vec![y0, y1], 1, ForkMode::Eager).with_route(|v: &u64| {
                 if v.is_multiple_of(3) {
-                    vec![true, true]
+                    0b11
+                } else if v.is_multiple_of(2) {
+                    0b01
                 } else {
-                    vec![v.is_multiple_of(2), !v.is_multiple_of(2)]
+                    0b10
                 }
             }),
         );

@@ -147,14 +147,30 @@ impl SelectState {
         )
     }
 
-    /// The current stalled-offer rotation start (rule 2 of
-    /// [`select_output_thread`]). Word-level fast paths that bypass
-    /// [`select`](SelectState::select) — possible on DAG channels, where
-    /// the anti-swap damping is disabled anyway — read the pointer here
-    /// and keep [`on_tick`](SelectState::on_tick) advancing it.
-    #[must_use]
-    pub fn stall_start(&self) -> usize {
-        self.stall
+    /// [`select`](SelectState::select) for an arbiter whose
+    /// [`Arbiter::rotation_hint`] is `hint` (queried once per cycle by the
+    /// caller). On a DAG output channel the anti-swap damping is disabled
+    /// anyway, so with a rotating arbiter the whole selection collapses to
+    /// one word scan over `has_data ∩ ready(out)` from the hint
+    /// (ready-first), with the stalled-offer rotation as fallback — no
+    /// request-mask copy, no vtable call, bit-identical picks. Feedback
+    /// channels and richer policies (`hint == None`) take the generic
+    /// path.
+    #[inline]
+    pub fn select_with_hint<T: Token>(
+        &mut self,
+        ctx: &EvalCtx<'_, T>,
+        out: ChannelId,
+        arbiter: &dyn Arbiter,
+        has_data: &ThreadMask,
+        hint: Option<usize>,
+    ) -> Option<usize> {
+        match hint {
+            Some(hint) if !ctx.in_feedback(out) => has_data
+                .next_one_wrapping_and(ctx.ready_mask(out), hint)
+                .or_else(|| has_data.next_one_wrapping(self.stall)),
+            _ => self.select(ctx, out, arbiter, has_data),
+        }
     }
 
     /// Clock-edge bookkeeping: rotates the stalled-offer pointer.

@@ -191,6 +191,21 @@ impl From<SimError> for CpuError {
     }
 }
 
+/// The router's output mask for an executed instruction: bit 0 sends it
+/// on to memory and writeback, bit 1 to the fetch redirect. Control
+/// flow redirects (`jal` also writes its link register); everything
+/// else writes back. A token that is not [`ProcToken::Executed`] routes
+/// nowhere, which the router fork reports as
+/// [`ProtocolError::InvalidRoute`](elastic_sim::ProtocolError::InvalidRoute).
+pub fn route(tok: &ProcToken) -> u64 {
+    let ProcToken::Executed { instr, .. } = tok else {
+        return 0;
+    };
+    let to_wb = !instr.is_control_flow() || matches!(instr, Instr::Jal { .. });
+    let to_redirect = instr.is_control_flow();
+    u64::from(to_wb) | u64::from(to_redirect) << 1
+}
+
 /// IR-level channel handles of the processor pipeline (same wires as
 /// [`CpuChannels`], before elaboration).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -379,14 +394,7 @@ impl Cpu {
             "router",
             IrNodeKind::Fork {
                 mode: ForkMode::Eager,
-                route: Some(Box::new(|tok: &ProcToken| {
-                    let ProcToken::Executed { instr, .. } = tok else {
-                        panic!("router received a non-executed token");
-                    };
-                    let to_wb = !instr.is_control_flow() || matches!(instr, Instr::Jal { .. });
-                    let to_redirect = instr.is_control_flow();
-                    vec![to_wb, to_redirect]
-                })),
+                route: Some(Box::new(route)),
             },
             vec![route_in],
             vec![mem_in, redirect_raw],
@@ -562,17 +570,22 @@ impl Cpu {
             + u64::from(self.config.mul_latency);
         let mut idle = 0u64;
         loop {
-            if self.circuit.cycle() >= max_cycles {
+            let cycle = self.circuit.cycle();
+            if cycle >= max_cycles {
                 return Err(CpuError::Timeout { max_cycles });
             }
-            let report = self.circuit.step()?;
-            let halted = self.fetcher().all_halted();
-            if report.transfers.is_empty() {
-                idle += 1;
-            } else {
+            // One cycle through the batch driver: no transfer records are
+            // collected, and the quiescence fast-forward cannot jump past
+            // the one-cycle window.
+            self.circuit.run(1)?;
+            if self.circuit.last_progress() == Some(cycle) {
                 idle = 0;
+            } else {
+                idle += 1;
             }
-            if halted && idle >= drain_window {
+            // The name lookup behind `fetcher()` runs only once the
+            // pipeline has been idle for a whole drain window.
+            if idle >= drain_window && self.fetcher().all_halted() {
                 break;
             }
         }
@@ -836,6 +849,39 @@ mod tests {
             sp.cycles,
             b.cycles
         );
+    }
+
+    #[test]
+    fn router_masks_follow_the_instruction_class() {
+        let executed = |instr| ProcToken::Executed {
+            thread: 0,
+            pc: 0,
+            instr,
+            result: 0,
+            addr: 0,
+            taken: false,
+            target: 0,
+            epoch: 0,
+            seq: 0,
+        };
+        let add = Instr::Add {
+            rd: 1,
+            rs: 2,
+            rt: 3,
+        };
+        assert_eq!(route(&executed(add)), 0b01);
+        assert_eq!(route(&executed(Instr::Jr { rs: 31 })), 0b10);
+        assert_eq!(route(&executed(Instr::Jal { target: 4 })), 0b11);
+        // A token that has not been executed routes nowhere: the router
+        // fork reports it as a typed fault.
+        let fetched = ProcToken::Fetched {
+            thread: 0,
+            pc: 0,
+            word: 0,
+            epoch: 0,
+            seq: 0,
+        };
+        assert_eq!(route(&fetched), 0);
     }
 
     #[test]

@@ -393,9 +393,9 @@ impl Instr {
         })
     }
 
-    /// Source registers this instruction reads.
-    pub fn sources(&self) -> Vec<u8> {
-        match *self {
+    /// Source registers this instruction reads (allocation-free).
+    pub fn sources(&self) -> impl Iterator<Item = u8> {
+        let (first, second) = match *self {
             Instr::Add { rs, rt, .. }
             | Instr::Sub { rs, rt, .. }
             | Instr::And { rs, rt, .. }
@@ -406,23 +406,35 @@ impl Instr {
             | Instr::Sltu { rs, rt, .. }
             | Instr::Mul { rs, rt, .. }
             | Instr::Beq { rs, rt, .. }
-            | Instr::Bne { rs, rt, .. } => vec![rs, rt],
-            Instr::Sll { rt, .. } | Instr::Srl { rt, .. } | Instr::Sra { rt, .. } => vec![rt],
+            | Instr::Bne { rs, rt, .. }
+            | Instr::Sw { rs, rt, .. } => (Some(rs), Some(rt)),
+            Instr::Sll { rt, .. } | Instr::Srl { rt, .. } | Instr::Sra { rt, .. } => {
+                (Some(rt), None)
+            }
             Instr::Jr { rs }
             | Instr::Addi { rs, .. }
             | Instr::Andi { rs, .. }
             | Instr::Ori { rs, .. }
             | Instr::Xori { rs, .. }
             | Instr::Slti { rs, .. }
-            | Instr::Lw { rs, .. } => vec![rs],
-            Instr::Sw { rs, rt, .. } => vec![rs, rt],
+            | Instr::Lw { rs, .. } => (Some(rs), None),
             Instr::Lui { .. }
             | Instr::Tid { .. }
             | Instr::J { .. }
             | Instr::Jal { .. }
             | Instr::Nop
-            | Instr::Halt => vec![],
-        }
+            | Instr::Halt => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The registers this instruction reads or writes as a bitmask (bit
+    /// `r` = register `r`): a scoreboard hazard check is one AND against
+    /// the thread's busy-register mask.
+    pub fn reg_mask(&self) -> u32 {
+        self.sources()
+            .chain(self.dest())
+            .fold(0, |mask, r| mask | 1 << r)
     }
 
     /// The register this instruction writes, if any (`r0` writes are
@@ -671,9 +683,20 @@ mod tests {
                 rs: 2,
                 rt: 3
             }
-            .sources(),
+            .sources()
+            .collect::<Vec<_>>(),
             vec![2, 3]
         );
+        assert_eq!(
+            Instr::Sw {
+                rt: 4,
+                rs: 5,
+                imm: 0
+            }
+            .reg_mask(),
+            1 << 4 | 1 << 5
+        );
+        assert_eq!(Instr::Jal { target: 3 }.reg_mask(), 1 << 31);
         assert_eq!(
             Instr::Add {
                 rd: 1,

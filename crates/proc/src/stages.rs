@@ -71,6 +71,16 @@ impl SpecState {
         seq > b[epoch as usize]
     }
 
+    /// Reopens epoch 0 for every thread, forgetting all mispredictions
+    /// (the freshly built state; part of the units' `reset`).
+    pub fn reset(&self) {
+        for b in &self.boundaries {
+            let mut b = b.lock().expect("spec state lock");
+            b.clear();
+            b.push(u64::MAX);
+        }
+    }
+
     /// Records a misprediction by the branch at `(epoch, seq)`. Returns
     /// `true` if the branch was live (its epoch closes; a new one opens);
     /// `false` if the branch itself was already squashed.
@@ -99,13 +109,21 @@ pub struct Fetcher {
     out: ChannelId,
     redirect: ChannelId,
     threads: usize,
+    /// PCs every thread starts from (restored by `reset`).
+    entry_pcs: Vec<u32>,
     pcs: Vec<u32>,
     status: Vec<ThreadStatus>,
     imem: Arc<Vec<u32>>,
     arbiter: RoundRobin,
     select: SelectState,
-    /// Scratch request mask rebuilt each eval (which threads can fetch).
+    /// Runnable threads (the fetch request mask), built once per cycle.
     has: ThreadMask,
+    /// Redirect ready word: all ones (redirects are always absorbed).
+    redirect_ready: ThreadMask,
+    /// Each thread's open speculation epoch — a copy of
+    /// [`SpecState::current_epoch`], which only this unit's clock edge
+    /// advances, kept so evaluation takes no lock.
+    epochs: Vec<u32>,
     fetched: Vec<u64>,
     /// Predict-not-taken speculation for conditional branches; direct
     /// jumps are taken at predecode; `jr` still stalls.
@@ -114,6 +132,9 @@ pub struct Fetcher {
     spec: Option<Arc<SpecState>>,
     /// Wrong-path instructions squashed per thread (statistics).
     squashed: Vec<u64>,
+    /// Cycle-cache stamp for `has` (and the redirect `ready` commit):
+    /// `cycle + 1` when built this cycle, 0 = invalid.
+    stamp: u64,
 }
 
 impl Fetcher {
@@ -131,21 +152,27 @@ impl Fetcher {
         entry_pcs: Vec<u32>,
     ) -> Self {
         assert_eq!(entry_pcs.len(), threads, "one entry PC per thread");
+        let mut redirect_ready = ThreadMask::new(threads);
+        redirect_ready.fill();
         Self {
             name: name.into(),
             out,
             redirect,
             threads,
-            pcs: entry_pcs,
+            pcs: entry_pcs.clone(),
+            entry_pcs,
             status: vec![ThreadStatus::Running; threads],
             imem,
             arbiter: RoundRobin::new(),
             select: SelectState::new(),
             has: ThreadMask::new(threads),
+            redirect_ready,
+            epochs: vec![0; threads],
             fetched: vec![0; threads],
             speculate: false,
             spec: None,
             squashed: vec![0; threads],
+            stamp: 0,
         }
     }
 
@@ -190,6 +217,46 @@ impl Fetcher {
     fn runnable(&self, t: usize) -> bool {
         self.status[t] == ThreadStatus::Running && (self.pcs[t] as usize) < self.imem.len()
     }
+
+    /// Offers thread `picked`'s next instruction word, or drives idle.
+    fn drive(&self, ctx: &mut EvalCtx<'_, ProcToken>, picked: Option<(usize, u32)>) {
+        match picked {
+            Some((t, epoch)) => {
+                let pc = self.pcs[t];
+                let token = ProcToken::Fetched {
+                    thread: t,
+                    pc,
+                    word: self.imem[pc as usize],
+                    epoch,
+                    seq: self.fetched[t],
+                };
+                ctx.drive_token(self.out, t, token);
+            }
+            None => ctx.drive_idle(self.out),
+        }
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives the redirect `ready` bit by bit, rebuilds
+    /// the runnable mask, takes the generic selection path and reads the
+    /// epoch from the shared squash state on every call. Kept so tests
+    /// can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        // Redirects are always absorbed.
+        for t in 0..self.threads {
+            ctx.set_ready(self.redirect, t, true);
+        }
+        for t in 0..self.threads {
+            let runnable = self.runnable(t);
+            self.has.set(t, runnable);
+        }
+        let picked = self
+            .select
+            .select(ctx, self.out, &self.arbiter, &self.has)
+            .map(|t| (t, self.epoch(t)));
+        self.drive(ctx, picked);
+    }
 }
 
 impl Component<ProcToken> for Fetcher {
@@ -215,35 +282,27 @@ impl Component<ProcToken> for Fetcher {
         }]
     }
 
+    /// Word-level evaluation: the redirect `ready` word (constant ones)
+    /// and the runnable mask depend only on registered state, so both are
+    /// built and committed once per cycle. The round-robin pick is
+    /// [`SelectState::select_with_hint`]: one word scan over
+    /// `runnable ∩ ready(out)` on a non-feedback output, as in
+    /// `ReducedMeb`.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        // Redirects are always absorbed.
-        for t in 0..self.threads {
-            ctx.set_ready(self.redirect, t, true);
-        }
-        for t in 0..self.threads {
-            let runnable = self.runnable(t);
-            self.has.set(t, runnable);
-        }
-        match self.select.select(ctx, self.out, &self.arbiter, &self.has) {
-            Some(t) => {
-                let pc = self.pcs[t];
-                let word = self.imem[pc as usize];
-                let epoch = self.epoch(t);
-                let seq = self.fetched[t];
-                ctx.drive_token(
-                    self.out,
-                    t,
-                    ProcToken::Fetched {
-                        thread: t,
-                        pc,
-                        word,
-                        epoch,
-                        seq,
-                    },
-                );
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            for t in 0..self.threads {
+                let runnable = self.runnable(t);
+                self.has.set(t, runnable);
             }
-            None => ctx.drive_idle(self.out),
+            self.stamp = cycle + 1;
+            ctx.set_ready_mask(self.redirect, &self.redirect_ready);
         }
+        let hint = self.arbiter.rotation_hint();
+        let picked = self
+            .select
+            .select_with_hint(ctx, self.out, &self.arbiter, &self.has, hint);
+        self.drive(ctx, picked.map(|t| (t, self.epochs[t])));
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
@@ -283,12 +342,7 @@ impl Component<ProcToken> for Fetcher {
             else {
                 unreachable!("redirect carries Executed tokens");
             };
-            if self.speculate {
-                let spec = self
-                    .spec
-                    .as_ref()
-                    .expect("speculation state present")
-                    .clone();
+            if let Some(spec) = self.spec.as_ref().filter(|_| self.speculate) {
                 match instr {
                     Instr::Halt | Instr::J { .. } | Instr::Jal { .. } => {
                         // Halt handled at predecode; direct jumps already
@@ -303,6 +357,7 @@ impl Component<ProcToken> for Fetcher {
                             self.squashed[t] += self.fetched[t] - (seq + 1);
                             self.pcs[t] = *target;
                             self.status[t] = ThreadStatus::Running;
+                            self.epochs[t] += 1;
                         }
                         // Correct prediction or stale (already squashed):
                         // nothing to do.
@@ -329,6 +384,21 @@ impl Component<ProcToken> for Fetcher {
             }
         }
         self.select.on_tick(ctx, self.out);
+    }
+
+    fn reset(&mut self) -> bool {
+        self.pcs.copy_from_slice(&self.entry_pcs);
+        self.status.fill(ThreadStatus::Running);
+        self.arbiter.reset();
+        self.select.reset();
+        self.epochs.fill(0);
+        self.fetched.fill(0);
+        self.squashed.fill(0);
+        if let Some(spec) = &self.spec {
+            spec.reset();
+        }
+        self.stamp = 0;
+        true
     }
 
     fn slots(&self) -> Vec<SlotView> {
@@ -358,10 +428,22 @@ pub struct RegUnit {
     regs: Vec<[u32; NUM_REGS]>,
     /// In-flight writers per (thread, register).
     pending: Vec<[u8; NUM_REGS]>,
+    /// Per-thread busy-register mask: bit `r` is set while register `r`
+    /// has an in-flight writer (`pending > 0`; r0 never is).
+    busy: Vec<u32>,
     retired: Vec<u64>,
     /// Squash state (absent when not speculating): wrong-path writebacks
     /// release their scoreboard entry but leave the register file alone.
     spec: Option<Arc<SpecState>>,
+    /// Threads with no in-flight register write, built once per cycle.
+    idle: ThreadMask,
+    /// Writeback ready word: all ones (writeback never stalls).
+    wb_ready: ThreadMask,
+    /// Scratch issue `ready` word.
+    issue_ready: ThreadMask,
+    /// Cycle-cache stamp for `idle` (and the writeback `ready` commit):
+    /// `cycle + 1` when built this cycle, 0 = invalid.
+    stamp: u64,
 }
 
 impl RegUnit {
@@ -373,6 +455,8 @@ impl RegUnit {
         id_out: ChannelId,
         threads: usize,
     ) -> Self {
+        let mut wb_ready = ThreadMask::new(threads);
+        wb_ready.fill();
         Self {
             name: name.into(),
             id_in,
@@ -381,8 +465,13 @@ impl RegUnit {
             threads,
             regs: vec![[0; NUM_REGS]; threads],
             pending: vec![[0; NUM_REGS]; threads],
+            busy: vec![0; threads],
             retired: vec![0; threads],
             spec: None,
+            idle: ThreadMask::new(threads),
+            wb_ready,
+            issue_ready: ThreadMask::new(threads),
+            stamp: 0,
         }
     }
 
@@ -424,16 +513,24 @@ impl RegUnit {
     }
 
     fn hazard(&self, t: usize, instr: &Instr) -> bool {
-        let busy = |r: u8| r != 0 && self.pending[t][r as usize] > 0;
-        instr.sources().into_iter().any(busy) || instr.dest().is_some_and(busy)
+        self.busy[t] & instr.reg_mask() != 0
     }
 
-    fn decode_read(&self, t: usize, pc: u32, word: u32, tok_epoch: u32, tok_seq: u64) -> ProcToken {
-        let instr = Instr::decode(word)
-            .unwrap_or_else(|e| panic!("thread {t} decoded invalid instruction at pc {pc}: {e}"));
+    /// [`hazard`](Self::hazard) as a per-register scoreboard scan.
+    fn hazard_reference(&self, t: usize, instr: &Instr) -> bool {
+        let busy = |r: u8| r != 0 && self.pending[t][r as usize] > 0;
+        instr.sources().any(busy) || instr.dest().is_some_and(busy)
+    }
+
+    fn decode(t: usize, pc: u32, word: u32) -> Instr {
+        Instr::decode(word)
+            .unwrap_or_else(|e| panic!("thread {t} offered invalid instruction at pc {pc}: {e}"))
+    }
+
+    /// The decoded token for `instr`, with its operands read from thread
+    /// `t`'s register file.
+    fn read_operands(&self, t: usize, pc: u32, instr: Instr, epoch: u32, seq: u64) -> ProcToken {
         let src = |r: u8| self.regs[t][r as usize];
-        let epoch = tok_epoch;
-        let seq = tok_seq;
         let (a, b) = match instr {
             Instr::Add { rs, rt, .. }
             | Instr::Sub { rs, rt, .. }
@@ -472,6 +569,61 @@ impl RegUnit {
             seq,
         }
     }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives every `ready` bit one at a time, scans the
+    /// scoreboard of every thread and decodes and hazard-checks the
+    /// offered word once per thread and again for the issue. Kept so
+    /// tests can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        // Writeback never stalls.
+        for t in 0..self.threads {
+            ctx.set_ready(self.wb_in, t, true);
+        }
+        // Issue: pass the offered instruction through decode if it is
+        // hazard-free and the next stage accepts. Only the offered thread's
+        // instruction word is visible on the channel, so its gate is the
+        // exact hazard check; for every other thread we answer
+        // *conservatively* from the scoreboard (ready only when the thread
+        // has no in-flight register writes at all — a state in which no
+        // instruction can be hazarded). Conservative answers can only be
+        // upgraded when a thread is actually offered, so the upstream
+        // MEB's selection never chases a false ready and the settle loop
+        // converges.
+        let offered = ctx.incoming(self.id_in).map(|(t, tok)| (t, tok.clone()));
+        for t in 0..self.threads {
+            let gate = match &offered {
+                Some((ot, ProcToken::Fetched { pc, word, .. })) if *ot == t => {
+                    !self.hazard_reference(t, &Self::decode(t, *pc, *word))
+                }
+                _ => self.pending[t].iter().all(|&p| p == 0),
+            };
+            ctx.set_ready(self.id_in, t, gate && ctx.ready(self.id_out, t));
+        }
+        // Drive the decoded token downstream.
+        match &offered {
+            Some((
+                t,
+                ProcToken::Fetched {
+                    pc,
+                    word,
+                    epoch,
+                    seq,
+                    ..
+                },
+            )) => {
+                let instr = Self::decode(*t, *pc, *word);
+                if self.hazard_reference(*t, &instr) {
+                    ctx.drive_idle(self.id_out);
+                } else {
+                    let decoded = self.read_operands(*t, *pc, instr, *epoch, *seq);
+                    ctx.drive_token(self.id_out, *t, decoded);
+                }
+            }
+            _ => ctx.drive_idle(self.id_out),
+        }
+    }
 }
 
 impl Component<ProcToken> for RegUnit {
@@ -503,55 +655,50 @@ impl Component<ProcToken> for RegUnit {
         ]
     }
 
+    /// Word-level evaluation. The writeback `ready` word (constant ones)
+    /// and the per-thread "no in-flight write" mask depend only on
+    /// registered state and are built once per cycle. The offered word is
+    /// decoded and hazard-checked once — one AND of its register mask
+    /// against the thread's busy mask — and the issue `ready` word is that
+    /// conservative mask with the offered thread's exact gate, ANDed with
+    /// `ready(id_out)` and committed in one masked write.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        // Writeback never stalls.
-        for t in 0..self.threads {
-            ctx.set_ready(self.wb_in, t, true);
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            for t in 0..self.threads {
+                self.idle.set(t, self.busy[t] == 0);
+            }
+            self.stamp = cycle + 1;
+            ctx.set_ready_mask(self.wb_in, &self.wb_ready);
         }
-        // Issue: pass the offered instruction through decode if it is
-        // hazard-free and the next stage accepts. Only the offered thread's
-        // instruction word is visible on the channel, so its gate is the
-        // exact hazard check; for every other thread we answer
-        // *conservatively* from the scoreboard (ready only when the thread
-        // has no in-flight register writes at all — a state in which no
-        // instruction can be hazarded). Conservative answers can only be
-        // upgraded when a thread is actually offered, so the upstream
-        // MEB's selection never chases a false ready and the settle loop
-        // converges.
-        let offered = ctx.incoming(self.id_in).map(|(t, tok)| (t, tok.clone()));
-        for t in 0..self.threads {
-            let gate = match &offered {
-                Some((ot, ProcToken::Fetched { pc, word, .. })) if *ot == t => {
-                    let instr = Instr::decode(*word).unwrap_or_else(|e| {
-                        panic!("thread {t} offered invalid instruction at pc {pc}: {e}")
-                    });
-                    !self.hazard(t, &instr)
-                }
-                _ => self.pending[t].iter().all(|&p| p == 0),
-            };
-            ctx.set_ready(self.id_in, t, gate && ctx.ready(self.id_out, t));
-        }
-        // Drive the decoded token downstream.
-        match &offered {
+        let offered = match ctx.incoming(self.id_in) {
             Some((
                 t,
-                ProcToken::Fetched {
+                &ProcToken::Fetched {
                     pc,
                     word,
                     epoch,
                     seq,
                     ..
                 },
-            )) => {
-                let instr = Instr::decode(*word).expect("validated above");
-                if self.hazard(*t, &instr) {
-                    ctx.drive_idle(self.id_out);
-                } else {
-                    let decoded = self.decode_read(*t, *pc, *word, *epoch, *seq);
-                    ctx.drive_token(self.id_out, *t, decoded);
-                }
+            )) => Some((t, pc, word, epoch, seq)),
+            _ => None,
+        };
+        self.issue_ready.copy_from(&self.idle);
+        let mut issue = None;
+        if let Some((t, pc, word, epoch, seq)) = offered {
+            let instr = Self::decode(t, pc, word);
+            let clear = !self.hazard(t, &instr);
+            self.issue_ready.set(t, clear);
+            if clear {
+                issue = Some((t, self.read_operands(t, pc, instr, epoch, seq)));
             }
-            _ => ctx.drive_idle(self.id_out),
+        }
+        self.issue_ready.and_with(ctx.ready_mask(self.id_out));
+        ctx.set_ready_mask(self.id_in, &self.issue_ready);
+        match issue {
+            Some((t, decoded)) => ctx.drive_token(self.id_out, t, decoded),
+            None => ctx.drive_idle(self.id_out),
         }
     }
 
@@ -580,6 +727,9 @@ impl Component<ProcToken> for RegUnit {
                     let p = &mut self.pending[t][rd as usize];
                     debug_assert!(*p > 0, "writeback without a pending issue");
                     *p -= 1;
+                    if *p == 0 {
+                        self.busy[t] &= !(1 << rd);
+                    }
                 }
             }
             if !stale {
@@ -594,9 +744,22 @@ impl Component<ProcToken> for RegUnit {
             if let Some(rd) = instr.dest() {
                 if rd != 0 {
                     self.pending[t][rd as usize] += 1;
+                    self.busy[t] |= 1 << rd;
                 }
             }
         }
+    }
+
+    fn reset(&mut self) -> bool {
+        self.regs.fill([0; NUM_REGS]);
+        self.pending.fill([0; NUM_REGS]);
+        self.busy.fill(0);
+        self.retired.fill(0);
+        if let Some(spec) = &self.spec {
+            spec.reset();
+        }
+        self.stamp = 0;
+        true
     }
 
     impl_as_any!();
@@ -695,17 +858,28 @@ pub struct MemUnit {
     capacity: usize,
     lat_min: u32,
     lat_max: u32,
+    /// Seed of the latency stream (restored by `reset`).
+    seed: u64,
     mem: Vec<u32>,
     entries: Vec<(usize, ProcToken, u64)>,
     rng: StdRng,
     arbiter: RoundRobin,
     select: SelectState,
-    /// Scratch request mask rebuilt each eval (threads with a completed
-    /// head entry).
+    /// Threads with a completed head entry.
     has: ThreadMask,
+    /// Entry index of each thread's completed head (meaningful where
+    /// `has` is set).
+    head_idx: Vec<usize>,
+    /// Scratch "oldest entry already seen" mask of the head scan.
+    seen: ThreadMask,
+    /// Upstream ready word: all ones while a slot is free, else zero.
+    ready: ThreadMask,
     /// Squash state (absent when not speculating): wrong-path loads and
     /// stores must not touch memory.
     spec: Option<Arc<SpecState>>,
+    /// Cycle-cache stamp for `ready`, `has` and `head_idx`: `cycle + 1`
+    /// when built this cycle, 0 = invalid.
+    stamp: u64,
 }
 
 impl MemUnit {
@@ -735,13 +909,18 @@ impl MemUnit {
             capacity,
             lat_min,
             lat_max,
+            seed,
             mem: vec![0; words],
-            entries: Vec::new(),
+            entries: Vec::with_capacity(capacity),
             rng: StdRng::seed_from_u64(seed ^ 0xD3E),
             arbiter: RoundRobin::new(),
             select: SelectState::new(),
             has: ThreadMask::new(threads),
+            head_idx: vec![0; threads],
+            seen: ThreadMask::new(threads),
+            ready: ThreadMask::new(threads),
             spec: None,
+            stamp: 0,
         }
     }
 
@@ -768,14 +947,18 @@ impl MemUnit {
         self.mem.len()
     }
 
-    /// Rebuilds `has` with the oldest completed entry per thread.
+    /// Rebuilds `has` and `head_idx` with the oldest entry per thread,
+    /// where it has completed by `cycle`.
     fn rebuild_heads(&mut self, cycle: u64) {
-        let mut seen = ThreadMask::new(self.threads);
+        self.seen.clear();
         self.has.clear();
-        for (t, _, done) in &self.entries {
-            if !seen.get(*t) {
-                seen.set(*t, true);
-                self.has.set(*t, *done <= cycle);
+        for (i, (t, _, done)) in self.entries.iter().enumerate() {
+            if !self.seen.get(*t) {
+                self.seen.set(*t, true);
+                if *done <= cycle {
+                    self.has.set(*t, true);
+                    self.head_idx[*t] = i;
+                }
             }
         }
     }
@@ -787,6 +970,27 @@ impl MemUnit {
             .find(|(et, _, _)| *et == t)
             .expect("selected thread has an entry")
             .1
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives every `ready` bit one at a time, rebuilds
+    /// the completed heads and searches the entries for the offered head
+    /// on every call, and takes the generic selection path. Kept so tests
+    /// can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        let free = self.entries.len() < self.capacity;
+        for t in 0..self.threads {
+            ctx.set_ready(self.inp, t, free);
+        }
+        self.rebuild_heads(ctx.cycle());
+        match self.select.select(ctx, self.out, &self.arbiter, &self.has) {
+            Some(t) => {
+                let tok = self.head_token(t).clone();
+                ctx.drive_token(self.out, t, tok);
+            }
+            None => ctx.drive_idle(self.out),
+        }
     }
 }
 
@@ -810,15 +1014,30 @@ impl Component<ProcToken> for MemUnit {
         }]
     }
 
+    /// Word-level evaluation: the free-slot `ready` word and the
+    /// completed-head mask (with each head's entry index) depend only on
+    /// the entries, so they are built and committed once per cycle. The
+    /// round-robin pick is [`SelectState::select_with_hint`]: one word
+    /// scan over `heads ∩ ready(out)` on a non-feedback output.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        let free = self.entries.len() < self.capacity;
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, free);
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            if self.entries.len() < self.capacity {
+                self.ready.fill();
+            } else {
+                self.ready.clear();
+            }
+            self.rebuild_heads(cycle);
+            self.stamp = cycle + 1;
+            ctx.set_ready_mask(self.inp, &self.ready);
         }
-        self.rebuild_heads(ctx.cycle());
-        match self.select.select(ctx, self.out, &self.arbiter, &self.has) {
+        let hint = self.arbiter.rotation_hint();
+        let picked = self
+            .select
+            .select_with_hint(ctx, self.out, &self.arbiter, &self.has, hint);
+        match picked {
             Some(t) => {
-                let tok = self.head_token(t).clone();
+                let tok = self.entries[self.head_idx[t]].1.clone();
                 ctx.drive_token(self.out, t, tok);
             }
             None => ctx.drive_idle(self.out),
@@ -873,6 +1092,19 @@ impl Component<ProcToken> for MemUnit {
             self.entries
                 .push((t, tok, ctx.cycle() + u64::from(latency)));
         }
+    }
+
+    fn reset(&mut self) -> bool {
+        self.mem.fill(0);
+        self.entries.clear();
+        self.rng = StdRng::seed_from_u64(self.seed ^ 0xD3E);
+        self.arbiter.reset();
+        self.select.reset();
+        if let Some(spec) = &self.spec {
+            spec.reset();
+        }
+        self.stamp = 0;
+        true
     }
 
     fn slots(&self) -> Vec<SlotView> {

@@ -603,6 +603,33 @@ impl<T: Token> Circuit<T> {
         self.idle_cycles = 0;
     }
 
+    /// Cycle of the most recent cycle in which some transfer fired, if
+    /// any — the per-cycle progress signal drivers read after
+    /// [`run`](Circuit::run) instead of collecting a
+    /// [`CycleReport`] through [`step`](Circuit::step).
+    pub fn last_progress(&self) -> Option<u64> {
+        self.last_progress
+    }
+
+    /// Replaces the component named `name` by `wrap(component)`, keeping
+    /// its place in the compiled schedule. The wrapper must present the
+    /// same ports, combinational paths and op kind; tests use this to
+    /// run a built circuit with a primitive's reference evaluation.
+    /// Returns `false` if no component has that name.
+    #[doc(hidden)]
+    pub fn wrap_component(
+        &mut self,
+        name: &str,
+        wrap: impl FnOnce(Box<dyn Component<T>>) -> Box<dyn Component<T>>,
+    ) -> bool {
+        let Some(i) = self.component_index(name) else {
+            return false;
+        };
+        let inner = self.components.remove(i);
+        self.components.insert(i, wrap(inner));
+        true
+    }
+
     /// Evaluation-order index of the component named `name`, if any.
     fn component_index(&self, name: &str) -> Option<usize> {
         self.components.iter().position(|c| c.name() == name)

@@ -133,6 +133,15 @@ pub enum ProtocolError {
         /// Per-thread capacity of the storage.
         capacity: usize,
     },
+    /// A routing fork's route function returned a mask that selects no
+    /// output or names an output the fork does not have; the offered
+    /// token could never be consumed.
+    InvalidRoute {
+        /// The returned output bitmask (bit `o` = output `o`).
+        mask: u64,
+        /// Number of outputs of the fork.
+        outputs: usize,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -147,6 +156,11 @@ impl fmt::Display for ProtocolError {
             ProtocolError::ExcessInitialTokens { thread, capacity } => write!(
                 f,
                 "thread {thread} given more initial tokens than its capacity ({capacity})"
+            ),
+            ProtocolError::InvalidRoute { mask, outputs } => write!(
+                f,
+                "route mask {mask:#b} selects no output of a {outputs}-output fork \
+                 or an output it does not have"
             ),
         }
     }
@@ -392,6 +406,11 @@ mod tests {
             capacity: 2,
         };
         assert!(e.to_string().contains("thread 3"));
+        let r = ProtocolError::InvalidRoute {
+            mask: 0b100,
+            outputs: 2,
+        };
+        assert!(r.to_string().contains("0b100"), "{r}");
         let s = SimError::Component {
             cycle: 7,
             component: "eb0".into(),

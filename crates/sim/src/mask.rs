@@ -397,6 +397,21 @@ impl ThreadMask {
         }
     }
 
+    /// Unites `self` with `other` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the masks have different thread counts.
+    pub fn or_with(&mut self, other: &Self) {
+        assert_eq!(self.threads, other.threads, "mask width mismatch");
+        self.head |= other.head;
+        if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d |= *s;
+            }
+        }
+    }
+
     /// Allocation-free iterator over the set bit indices, ascending.
     #[must_use]
     pub fn iter_ones(&self) -> Ones<'_> {
@@ -622,6 +637,11 @@ mod tests {
             let ref_and: Vec<bool> =
                 bits.iter().zip(&other_bits).map(|(&a, &b)| a && b).collect();
             prop_assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
+            let mut ored = m.clone();
+            ored.or_with(&other);
+            let ref_or: Vec<bool> =
+                bits.iter().zip(&other_bits).map(|(&a, &b)| a || b).collect();
+            prop_assert_eq!(&ored, &ThreadMask::from_bools(&ref_or));
 
             // The rotate-over-intersection scan agrees with
             // materialising the intersection first.

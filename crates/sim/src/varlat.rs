@@ -106,6 +106,23 @@ pub struct VarLatency<T: Token> {
     /// First-eval-of-cycle detection for the anti-swap guard (see
     /// `choose`).
     last_eval_cycle: Option<u64>,
+    /// Upstream ready word: all ones while a slot is free, else zero.
+    ready: ThreadMask,
+    /// Threads whose oldest in-flight entry has completed.
+    heads: ThreadMask,
+    /// Entry index of each thread's completed head (meaningful where
+    /// `heads` is set).
+    head_idx: Vec<usize>,
+    /// Scratch "oldest entry already seen" mask of the head scan.
+    seen: ThreadMask,
+    /// The token emitted for an entry this cycle: `(entry index, token
+    /// after the transform)`, so settle re-evaluations that offer the
+    /// same entry do not re-run the transform.
+    emitted: Option<(usize, T)>,
+    /// Cycle-cache stamp for `ready`, `heads`, `head_idx` and `emitted`:
+    /// `cycle + 1` when they were built this cycle, 0 = invalid. All are
+    /// functions of the entries, which change only at the clock edge.
+    stamp: u64,
 }
 
 impl<T: Token> VarLatency<T> {
@@ -135,10 +152,16 @@ impl<T: Token> VarLatency<T> {
             capacity,
             latency,
             transform: None,
-            entries: VecDeque::new(),
+            entries: VecDeque::with_capacity(capacity),
             rng: StdRng::seed_from_u64(seed ^ 0xE1A5),
             rr: 0,
             last_eval_cycle: None,
+            ready: ThreadMask::new(threads),
+            heads: ThreadMask::new(threads),
+            head_idx: vec![0; threads],
+            seen: ThreadMask::new(threads),
+            emitted: None,
+            stamp: 0,
         }
     }
 
@@ -170,6 +193,86 @@ impl<T: Token> VarLatency<T> {
             }
         }
         out
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives `ready` bit by bit, rebuilds the completed
+    /// heads as a list on every call and re-runs the transform on every
+    /// offer. Kept so tests can run a circuit with it; not a production
+    /// path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        // Upstream ready: any free slot, shared by all threads.
+        let free = self.entries.len() < self.capacity;
+        for t in 0..self.threads {
+            ctx.set_ready(self.inp, t, free);
+        }
+        // Downstream valid: the chosen completed head.
+        let fresh = self.last_eval_cycle != Some(ctx.cycle());
+        self.last_eval_cycle = Some(ctx.cycle());
+        match self.choose(ctx, fresh) {
+            Some((t, idx)) => {
+                let token = &self.entries[idx].token;
+                let data = match &self.transform {
+                    Some(f) => f(token),
+                    None => token.clone(),
+                };
+                ctx.drive_token(self.out, t, data);
+            }
+            None => ctx.drive_idle(self.out),
+        }
+    }
+
+    /// Rebuilds the per-cycle words from the entries: the `ready` word,
+    /// the completed-head mask and each head's entry index.
+    fn rebuild(&mut self, cycle: u64) {
+        if self.entries.len() < self.capacity {
+            self.ready.fill();
+        } else {
+            self.ready.clear();
+        }
+        self.heads.clear();
+        self.seen.clear();
+        // Entries are globally FIFO, so the first entry found per thread
+        // is that thread's oldest.
+        for (i, e) in self.entries.iter().enumerate() {
+            if !self.seen.get(e.thread) {
+                self.seen.set(e.thread, true);
+                if e.done_at <= cycle {
+                    self.heads.set(e.thread, true);
+                    self.head_idx[e.thread] = i;
+                }
+            }
+        }
+        self.emitted = None;
+    }
+
+    /// [`choose`](Self::choose) over the cached head mask: the same
+    /// ready-first pick, anti-swap guard and stalled-offer rotation as
+    /// word scans. Returns the thread; its entry is `head_idx[thread]`.
+    fn pick(&self, ctx: &EvalCtx<'_, T>, fresh: bool) -> Option<usize> {
+        let ready = ctx.ready_mask(self.out);
+        let Some(ready_pick) = self.heads.next_one_wrapping_and(ready, self.rr) else {
+            return self.heads.next_one_wrapping(self.rr);
+        };
+        // The anti-swap guard (see `choose`) only runs on a feedback
+        // output, after the first evaluation of the cycle.
+        if !fresh && ctx.in_feedback(self.out) {
+            if let Some(c) = ctx.valid_mask(self.out).first_one() {
+                if self.heads.get(c) && !ready.get(c) {
+                    // The lowest rank among ready heads is the first one
+                    // at or after the cycle's rotation point.
+                    let base = ctx.cycle() as usize % self.threads;
+                    let rank = |t: usize| (t + self.threads - base) % self.threads;
+                    let best = self
+                        .heads
+                        .next_one_wrapping_and(ready, base)
+                        .expect("ready pick exists");
+                    return Some(if rank(best) < rank(c) { best } else { c });
+                }
+            }
+        }
+        Some(ready_pick)
     }
 
     /// Chooses the `(thread, entry index)` to offer. Mirrors the MEB
@@ -250,26 +353,40 @@ impl<T: Token> Component<T> for VarLatency<T> {
         }]
     }
 
+    /// Word-level evaluation. Upstream `ready` (a free slot) and the
+    /// completed-head mask depend only on the entries, so both are built
+    /// once per cycle; `ready` is committed then with one word-level
+    /// [`EvalCtx::set_ready_mask`] (re-commits would be no-ops). The
+    /// output pick is a word scan over `heads ∩ ready(out)` from the
+    /// round-robin pointer, and the emitted token is transformed once per
+    /// cycle and entry.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        // Upstream ready: any free slot, shared by all threads.
-        let free = self.entries.len() < self.capacity;
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, free);
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            self.rebuild(cycle);
+            self.stamp = cycle + 1;
+            ctx.set_ready_mask(self.inp, &self.ready);
         }
-        // Downstream valid: the chosen completed head.
-        let fresh = self.last_eval_cycle != Some(ctx.cycle());
-        self.last_eval_cycle = Some(ctx.cycle());
-        match self.choose(ctx, fresh) {
-            Some((t, idx)) => {
+        let fresh = self.last_eval_cycle != Some(cycle);
+        self.last_eval_cycle = Some(cycle);
+        let Some(t) = self.pick(ctx, fresh) else {
+            ctx.drive_idle(self.out);
+            return;
+        };
+        let idx = self.head_idx[t];
+        let data = match &self.emitted {
+            Some((i, tok)) if *i == idx => tok.clone(),
+            _ => {
                 let token = &self.entries[idx].token;
-                let data = match &self.transform {
+                let tok = match &self.transform {
                     Some(f) => f(token),
                     None => token.clone(),
                 };
-                ctx.drive_token(self.out, t, data);
+                self.emitted = Some((idx, tok.clone()));
+                tok
             }
-            None => ctx.drive_idle(self.out),
-        }
+        };
+        ctx.drive_token(self.out, t, data);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
@@ -305,6 +422,7 @@ impl<T: Token> Component<T> for VarLatency<T> {
         self.rng = StdRng::seed_from_u64(self.latency.seed() ^ 0xE1A5);
         self.rr = 0;
         self.last_eval_cycle = None;
+        self.stamp = 0;
         true
     }
 

@@ -91,9 +91,10 @@ pub struct CostHint {
     pub les_each: usize,
 }
 
-/// Routing predicate of a [`IrNodeKind::Fork`] (which outputs receive
-/// each token).
-pub type RouteFn<T> = Box<dyn Fn(&T) -> Vec<bool> + Send>;
+/// Routing function of a [`IrNodeKind::Fork`]: the bitmask of outputs
+/// that receive each token (bit `o` = output `o`; see
+/// [`Fork::with_route`](elastic_core::Fork::with_route)).
+pub type RouteFn<T> = Box<dyn Fn(&T) -> u64 + Send>;
 /// N-ary combine function of a [`IrNodeKind::Join`].
 pub type CombineFn<T> = Box<dyn Fn(&[&T]) -> T + Send>;
 /// Branch predicate of a [`IrNodeKind::Branch`].

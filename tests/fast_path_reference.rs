@@ -1,12 +1,14 @@
 //! Reference-model tests for the word-level fast paths.
 //!
-//! `ReducedMeb`, `Source` and `Sink` evaluate through word-level `eval`s
-//! that cache a per-cycle word (upstream ready, released heads, the
-//! ready-policy word) and commit it with one masked write. Each primitive
-//! keeps its per-thread evaluation as `eval_reference`. Here a circuit
-//! built from the fast primitives is run next to the same circuit whose
-//! three primitives are wrapped in [`Reference`], so that their `eval`
-//! calls `eval_reference`. The bars, under both settle modes:
+//! `ReducedMeb`, `Source`, `Sink`, `VarLatency` and the eager `Fork`
+//! evaluate through word-level `eval`s that cache a per-cycle word
+//! (upstream ready, released heads, the ready-policy word, completed
+//! heads) or build each handshake word in one pass, and commit it with one
+//! masked write. Each primitive keeps its per-thread evaluation as
+//! `eval_reference`. Here a circuit built from the fast primitives is run
+//! next to the same circuit whose primitives are wrapped in
+//! [`Reference`], so that their `eval` calls `eval_reference`. The bars,
+//! under both settle modes:
 //!
 //! 1. identical per-thread sink captures;
 //! 2. identical `Component::eval` counts and settle-round counts — the
@@ -51,6 +53,18 @@ impl HasReference for Sink<Tagged> {
     }
 }
 
+impl HasReference for Fork<Tagged> {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
+        Fork::eval_reference(self, ctx);
+    }
+}
+
+impl HasReference for VarLatency<Tagged> {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
+        VarLatency::eval_reference(self, ctx);
+    }
+}
+
 /// Runs the wrapped primitive with its reference `eval`; every other
 /// method delegates unchanged.
 struct Reference<C>(C);
@@ -92,7 +106,7 @@ impl<C: HasReference + 'static> Component<Tagged> for Reference<C> {
     impl_as_any!();
 }
 
-/// Which `eval` the three primitives run.
+/// Which `eval` the primitives with a fast path run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Model {
     Fast,
@@ -218,37 +232,46 @@ fn run_net(
         let arm_b = b.channel("arm_b", p.threads);
         let done_a = b.channel("done_a", p.threads);
         let done_b = b.channel("done_b", p.threads);
-        comps.push(Box::new(Fork::new(
-            "split",
-            work,
-            vec![arm_a, arm_b],
-            p.threads,
-            ForkMode::Eager,
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ua",
-            arm_a,
-            done_a,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ub",
-            arm_b,
-            done_b,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 2,
-                seed: p.seed ^ 7,
-            },
-        )));
+        comps.push(boxed(
+            Fork::new(
+                "split",
+                work,
+                vec![arm_a, arm_b],
+                p.threads,
+                ForkMode::Eager,
+            ),
+            model,
+        ));
+        comps.push(boxed(
+            VarLatency::new(
+                "ua",
+                arm_a,
+                done_a,
+                p.threads,
+                2,
+                LatencyModel::Uniform {
+                    min: 1,
+                    max: 3,
+                    seed: p.seed,
+                },
+            ),
+            model,
+        ));
+        comps.push(boxed(
+            VarLatency::new(
+                "ub",
+                arm_b,
+                done_b,
+                p.threads,
+                2,
+                LatencyModel::Uniform {
+                    min: 1,
+                    max: 2,
+                    seed: p.seed ^ 7,
+                },
+            ),
+            model,
+        ));
         comps.push(Box::new(Join::new(
             "pair",
             vec![done_a, done_b],
@@ -257,18 +280,21 @@ fn run_net(
             |ins: &[&Tagged]| ins[0].clone(),
         )));
     } else {
-        comps.push(Box::new(VarLatency::new(
-            "u",
-            work,
-            mid,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
+        comps.push(boxed(
+            VarLatency::new(
+                "u",
+                work,
+                mid,
+                p.threads,
+                2,
+                LatencyModel::Uniform {
+                    min: 1,
+                    max: 3,
+                    seed: p.seed,
+                },
+            ),
+            model,
+        ));
     }
     comps.push(meb(p.kind, "bridge", mid, tail[0], p.threads, model));
     for i in 0..p.tail_stages {
@@ -357,6 +383,84 @@ proptest! {
                 order_seed ^ 0xDEAD_BEEF,
             );
             prop_assert_eq!(&a.0, &b.0, "insertion order leaked through the fast paths");
+        }
+    }
+}
+
+/// Per-sink, per-thread `(cycle, seq)` captures, eval count and
+/// settle-round count.
+type RoutedObs = (Vec<Vec<Vec<(u64, u64)>>>, u64, u64);
+
+/// Source → reduced MEB → routing fork over three outputs → three
+/// randomly stalling sinks. Each token's route is a seeded non-empty
+/// mask, so tokens go to one, two or all three outputs, and the stalls
+/// leave partial deliveries latched in the fork's done bits. The MEB's
+/// ready-aware selection puts the fork's input on a feedback channel, as
+/// in the processor's router.
+fn run_routed(threads: usize, tokens: u64, seed: u64, model: Model, mode: EvalMode) -> RoutedObs {
+    let mut b = CircuitBuilder::<Tagged>::new();
+    let src_ch = b.channel("src", threads);
+    let work = b.channel("work", threads);
+    let outs = b.channels("out", threads, 3);
+    let mut src = Source::new("src", src_ch, threads);
+    for t in 0..threads {
+        src.extend(t, (0..tokens).map(|i| Tagged::new(t, i, i)));
+    }
+    b.add_boxed(boxed(src, model));
+    b.add_boxed(meb(MebKind::Reduced, "head", src_ch, work, threads, model));
+    let route = move |tok: &Tagged| {
+        let h = (tok.seq ^ (tok.thread as u64) << 32 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        1 + (h >> 61) % 7
+    };
+    b.add_boxed(boxed(
+        Fork::new("route", work, outs.clone(), threads, ForkMode::Eager).with_route(route),
+        model,
+    ));
+    for (o, &ch) in outs.iter().enumerate() {
+        let policy = ReadyPolicy::Random {
+            p: 0.4 + 0.2 * o as f64,
+            seed: seed ^ o as u64,
+        };
+        b.add_boxed(boxed(
+            Sink::with_capture(format!("s{o}"), ch, threads, policy),
+            model,
+        ));
+    }
+    let mut c = b.build().expect("routed fork is well-formed");
+    c.set_eval_mode(mode);
+    c.run(40 + tokens * threads as u64 * 8).expect("clean");
+    let captures = (0..3)
+        .map(|o| {
+            let snk: &Sink<Tagged> = part(&c, &format!("s{o}"));
+            (0..threads)
+                .map(|t| {
+                    snk.captured(t)
+                        .iter()
+                        .map(|(cy, tok)| (*cy, tok.seq))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let k = c.stats().kernel();
+    (captures, k.component_evals, k.settle_rounds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The word-level routing fork matches its reference under random
+    /// routes and partial deliveries, in both settle modes.
+    #[test]
+    fn routed_fork_matches_the_reference(
+        threads in 1usize..5,
+        tokens in 1u64..10,
+        seed in any::<u64>(),
+    ) {
+        for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+            let fast = run_routed(threads, tokens, seed, Model::Fast, mode);
+            let reference = run_routed(threads, tokens, seed, Model::Reference, mode);
+            prop_assert_eq!(&fast, &reference, "{:?}: routed fork diverged", mode);
         }
     }
 }

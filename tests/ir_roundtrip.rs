@@ -297,7 +297,7 @@ fn cpu_direct(
     Vec<mt_elastic::sim::ChannelId>,
 ) {
     use mt_elastic::core::{Fork, ForkMode};
-    use mt_elastic::proc::{execute, Fetcher, Instr, MemUnit, ProcToken};
+    use mt_elastic::proc::{execute, Fetcher, MemUnit, ProcToken};
 
     let s = config.threads;
     let mut b = CircuitBuilder::<ProcToken>::new();
@@ -370,14 +370,7 @@ fn cpu_direct(
             s,
             ForkMode::Eager,
         )
-        .with_route(|tok: &ProcToken| {
-            let ProcToken::Executed { instr, .. } = tok else {
-                panic!("router received a non-executed token");
-            };
-            let to_wb = !instr.is_control_flow() || matches!(instr, Instr::Jal { .. });
-            let to_redirect = instr.is_control_flow();
-            vec![to_wb, to_redirect]
-        }),
+        .with_route(mt_elastic::proc::cpu::route),
     );
     b.add(MemUnit::new(
         "dmem",

@@ -1,0 +1,307 @@
+//! Reference-model tests for the processor datapath's word-level `eval`s.
+//!
+//! The fetcher, register unit and data memory (the processor's custom
+//! units), its two variable-latency units and its routing fork evaluate
+//! through word-level `eval`s that cache per-cycle words. Each keeps its
+//! per-thread evaluation as `eval_reference`. Here every program of
+//! `programs::all()` runs on a processor built as usual and on one whose
+//! six units are wrapped so that their `eval` calls `eval_reference`; the
+//! architectural state, the `CpuRunStats` and the kernel counters (eval
+//! counts, round counts, per-op evals) must be identical under both
+//! settle modes. The reset contract of the processor units is checked
+//! here too: reset-and-rerun loops must reproduce a fresh build's run.
+
+use std::any::Any;
+
+use mt_elastic::core::Fork;
+use mt_elastic::proc::{
+    assemble, programs, Cpu, CpuConfig, CpuRunStats, Fetcher, MemUnit, ProcToken, RegUnit, NUM_REGS,
+};
+use mt_elastic::sim::{
+    run_sweep_on, CombPath, Component, EvalCtx, EvalMode, FusedOpKind, KernelStats,
+    NetlistNodeKind, NextEvent, Ports, ProtocolError, SharedCircuit, SimJob, SlotView, TickCtx,
+    VarLatency,
+};
+
+/// A unit with a per-thread reference evaluation.
+trait HasReference: Component<ProcToken> + 'static {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>);
+}
+
+impl HasReference for Fetcher {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        Fetcher::eval_reference(self, ctx);
+    }
+}
+
+impl HasReference for RegUnit {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        RegUnit::eval_reference(self, ctx);
+    }
+}
+
+impl HasReference for MemUnit {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        MemUnit::eval_reference(self, ctx);
+    }
+}
+
+impl HasReference for VarLatency<ProcToken> {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        VarLatency::eval_reference(self, ctx);
+    }
+}
+
+impl HasReference for Fork<ProcToken> {
+    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        Fork::eval_reference(self, ctx);
+    }
+}
+
+/// Calls `C::eval_reference` on a type-erased unit.
+fn reference_eval<C: HasReference>(unit: &mut dyn Any, ctx: &mut EvalCtx<'_, ProcToken>) {
+    unit.downcast_mut::<C>()
+        .expect("the wrapped unit has the wrapper's type")
+        .eval_reference(ctx);
+}
+
+/// Runs the wrapped unit with its reference `eval`. Every other method,
+/// the typed-access upcasts included, delegates to the unit, so the
+/// processor's accessors still find it.
+struct Reference {
+    unit: Box<dyn Component<ProcToken>>,
+    eval: fn(&mut dyn Any, &mut EvalCtx<'_, ProcToken>),
+}
+
+impl Component<ProcToken> for Reference {
+    fn name(&self) -> &str {
+        self.unit.name()
+    }
+    fn ports(&self) -> Ports {
+        self.unit.ports()
+    }
+    fn comb_paths(&self) -> Vec<CombPath> {
+        self.unit.comb_paths()
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
+        (self.eval)(self.unit.as_any_mut(), ctx);
+    }
+    fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
+        self.unit.tick(ctx);
+    }
+    fn reset(&mut self) -> bool {
+        self.unit.reset()
+    }
+    fn slots(&self) -> Vec<SlotView> {
+        self.unit.slots()
+    }
+    fn next_event(&self, now: u64) -> NextEvent {
+        self.unit.next_event(now)
+    }
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.unit.take_fault()
+    }
+    fn netlist_kind(&self) -> NetlistNodeKind {
+        self.unit.netlist_kind()
+    }
+    fn op_kind(&self) -> FusedOpKind {
+        self.unit.op_kind()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.unit.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.unit.as_any_mut()
+    }
+}
+
+fn wrap<C: HasReference>(cpu: &mut Cpu, name: &str) {
+    let wrapped = cpu.circuit.wrap_component(name, |unit| {
+        Box::new(Reference {
+            unit,
+            eval: reference_eval::<C>,
+        })
+    });
+    assert!(wrapped, "the processor has a unit named `{name}`");
+}
+
+/// Which `eval` the six datapath units run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Model {
+    Fast,
+    Reference,
+}
+
+fn build(source: &str, config: &CpuConfig, model: Model, mode: EvalMode) -> Cpu {
+    let program = assemble(source).expect("shipped programs assemble");
+    let mut cpu = Cpu::new(config.clone(), program, vec![0; config.threads]);
+    if model == Model::Reference {
+        wrap::<Fetcher>(&mut cpu, "fetch");
+        wrap::<VarLatency<ProcToken>>(&mut cpu, "icache");
+        wrap::<RegUnit>(&mut cpu, "regs");
+        wrap::<VarLatency<ProcToken>>(&mut cpu, "exec");
+        wrap::<Fork<ProcToken>>(&mut cpu, "router");
+        wrap::<MemUnit>(&mut cpu, "dmem");
+    }
+    cpu.circuit.set_eval_mode(mode);
+    cpu
+}
+
+/// Words of data memory the programs touch on up to 8 threads.
+const DATA_WORDS: usize = 1024;
+
+/// Seeds the first 32 words of every thread's 64-word region, where the
+/// copy, dot-product, sort and matrix programs read their inputs.
+fn preset(cpu: &mut Cpu) {
+    for t in 0..cpu.config().threads {
+        for i in 0..32usize {
+            cpu.set_mem(t * 64 + i, ((t * 131 + i * 17 + 5) % 97) as u32);
+        }
+    }
+}
+
+/// Everything a run can observe.
+#[derive(PartialEq, Debug)]
+struct Obs {
+    stats: CpuRunStats,
+    regs: Vec<u32>,
+    mem: Vec<u32>,
+    fetched: Vec<u64>,
+    kernel: KernelStats,
+}
+
+/// Presets the data, runs to halt and observes.
+fn run(cpu: &mut Cpu) -> Obs {
+    preset(cpu);
+    let stats = cpu.run_to_halt(3_000_000).expect("program halts");
+    let threads = cpu.config().threads;
+    Obs {
+        stats,
+        regs: (0..threads)
+            .flat_map(|t| (0..NUM_REGS).map(move |r| (t, r)))
+            .map(|(t, r)| cpu.reg(t, r))
+            .collect(),
+        mem: (0..DATA_WORDS).map(|a| cpu.mem(a)).collect(),
+        fetched: (0..threads).map(|t| cpu.fetcher().fetched(t)).collect(),
+        kernel: *cpu.circuit.stats().kernel(),
+    }
+}
+
+/// Every program under both settle modes: the fast and the reference
+/// units must agree on everything.
+fn check_programs(config: &CpuConfig) {
+    for (name, source, _) in programs::all() {
+        for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+            let fast = run(&mut build(source, config, Model::Fast, mode));
+            let reference = run(&mut build(source, config, Model::Reference, mode));
+            assert_eq!(
+                fast, reference,
+                "{name} on {} threads ({mode:?}): fast evals diverged from the reference",
+                config.threads
+            );
+        }
+    }
+}
+
+#[test]
+fn fast_paths_match_the_reference_on_2_threads() {
+    check_programs(&CpuConfig::new(2));
+}
+
+#[test]
+fn fast_paths_match_the_reference_on_4_threads() {
+    check_programs(&CpuConfig::new(4));
+}
+
+#[test]
+fn fast_paths_match_the_reference_on_8_threads() {
+    check_programs(&CpuConfig::new(8));
+}
+
+/// Speculation adds the squash epochs the fetcher mirrors locally and
+/// the wrong-path handling of the register and memory units.
+#[test]
+fn fast_paths_match_the_reference_under_speculation() {
+    check_programs(&CpuConfig::new(4).with_speculation());
+}
+
+/// `Circuit::reset` rewinds the whole processor: a reset and rerun
+/// reproduces a fresh build's run exactly, whether the reset comes after
+/// a full run, mid-run, or after a single cycle (which leaves every
+/// per-cycle cache stamped for cycle 0, the cycle the rerun starts at).
+#[test]
+fn reset_and_rerun_reproduce_a_fresh_run() {
+    for config in [CpuConfig::new(4), CpuConfig::new(4).with_speculation()] {
+        for (name, source) in [
+            ("bubble_sort", programs::BUBBLE_SORT),
+            ("sieve", programs::SIEVE),
+        ] {
+            for model in [Model::Fast, Model::Reference] {
+                let mut cpu = build(source, &config, model, EvalMode::EventDriven);
+                let fresh = run(&mut cpu);
+                for cut in [None, Some(1), Some(300)] {
+                    cpu.circuit.reset().expect("every processor unit resets");
+                    if let Some(cycles) = cut {
+                        preset(&mut cpu);
+                        cpu.circuit.run(cycles).expect("clean");
+                        cpu.circuit.reset().expect("every processor unit resets");
+                    }
+                    assert_eq!(
+                        run(&mut cpu),
+                        fresh,
+                        "{name} ({model:?}, speculate {}): rerun after a reset at {cut:?}",
+                        config.speculate
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// With reset supported, the sweep pool reuses one processor circuit per
+/// worker: every job on the reused instance matches the first.
+#[test]
+fn sweep_jobs_reuse_a_reset_processor() {
+    let config = CpuConfig::new(4);
+    let program = assemble(programs::MATMUL).expect("assembles");
+    let shared = SharedCircuit::new(move || {
+        Cpu::new(config.clone(), program.clone(), vec![0; config.threads]).circuit
+    });
+    let jobs = (0..4)
+        .map(|i| {
+            SimJob::on_circuit(format!("matmul #{i}"), &shared, |circuit| {
+                let dmem: &mut MemUnit = circuit.get_mut("dmem").expect("data memory");
+                for a in 0..4 * 64 {
+                    dmem.write(a, (a * 7 % 31) as u32);
+                }
+                let mut idle = 0;
+                loop {
+                    let cycle = circuit.cycle();
+                    circuit.run(1)?;
+                    idle = if circuit.last_progress() == Some(cycle) {
+                        0
+                    } else {
+                        idle + 1
+                    };
+                    let fetch: &Fetcher = circuit.get("fetch").expect("fetcher");
+                    if idle >= 64 && fetch.all_halted() {
+                        break;
+                    }
+                }
+                let dmem: &MemUnit = circuit.get("dmem").expect("data memory");
+                let words: Vec<u32> = (0..4 * 64).map(|a| dmem.read(a)).collect();
+                let kernel = *circuit.stats().kernel();
+                Ok(((circuit.cycle(), words, kernel), kernel))
+            })
+        })
+        .collect();
+    let report = run_sweep_on(jobs, 1);
+    let results: Vec<_> = report
+        .jobs
+        .into_iter()
+        .map(|j| j.outcome.expect("job runs clean"))
+        .collect();
+    for r in &results[1..] {
+        assert_eq!(r, &results[0], "a reused processor diverged");
+    }
+}

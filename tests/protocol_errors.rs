@@ -281,3 +281,60 @@ fn a_buffer_cuts_the_loop() {
     let snk: &Sink<u64> = circuit.get("snk").expect("sink");
     assert_eq!(snk.consumed_total(), 5);
 }
+
+/// A routing fork whose route function selects no output, or an output
+/// the fork does not have, stalls the token and reports a typed fault at
+/// the clock edge instead of panicking inside `eval`.
+#[test]
+fn misrouted_fork_reports_a_typed_fault() {
+    use mt_elastic::core::{Fork, ForkMode};
+    for bad in [0u64, 0b100] {
+        let mut b = CircuitBuilder::<u64>::new();
+        let x = b.channel("x", 1);
+        let y0 = b.channel("y0", 1);
+        let y1 = b.channel("y1", 1);
+        let mut src = Source::new("src", x, 1);
+        src.extend(0, 0..4u64);
+        b.add(src);
+        // Token 2 is mis-routed; the others go to output 0.
+        b.add(
+            Fork::new("router", x, vec![y0, y1], 1, ForkMode::Eager).with_route(move |v: &u64| {
+                if *v == 2 {
+                    bad
+                } else {
+                    0b01
+                }
+            }),
+        );
+        b.add(Sink::with_capture("s0", y0, 1, ReadyPolicy::Always));
+        b.add(Sink::with_capture("s1", y1, 1, ReadyPolicy::Always));
+        let mut circuit = b.build().expect("structurally valid");
+        let err = circuit.run(10).expect_err("the bad route must surface");
+        match err {
+            SimError::Component {
+                cycle,
+                component,
+                error,
+            } => {
+                assert_eq!(cycle, 2);
+                assert_eq!(component, "router");
+                assert_eq!(
+                    error,
+                    ProtocolError::InvalidRoute {
+                        mask: bad,
+                        outputs: 2
+                    }
+                );
+            }
+            other => panic!("unexpected: {other}"),
+        }
+        let s0: &Sink<u64> = circuit.get("s0").expect("sink");
+        assert_eq!(
+            s0.consumed(0),
+            2,
+            "tokens before the bad one were delivered"
+        );
+        let s1: &Sink<u64> = circuit.get("s1").expect("sink");
+        assert_eq!(s1.consumed(0), 0, "the mis-routed token went nowhere");
+    }
+}
