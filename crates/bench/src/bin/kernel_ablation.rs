@@ -17,18 +17,8 @@
 //! byte-identical to the serial one and records the wall-clock scaling
 //! curve of a replicated campaign in `BENCH_parallel_sweep.json`.
 //!
-//! A third axis selects the settle loop's static component ordering
-//! (`--schedule {ranked,insertion,reversed}`, default `ranked`), and the
-//! binary always finishes with the ranked-schedule ablation: an S = 8
-//! backpressured MEB pipeline under every ordering plus the exhaustive
-//! oracle, asserting byte-identical captures, a ≥ 1.2× eval saving for
-//! the levelized rank order over insertion order, and a one-round settle
-//! mean on the straight pipeline. Results land in
-//! `BENCH_ranked_schedule.json`.
-//!
 //! ```text
-//! cargo run --release --bin kernel_ablation \
-//!     [-- --parallel] [--workers N] [--schedule ranked|insertion|reversed]
+//! cargo run --release --bin kernel_ablation [-- --parallel] [--workers N]
 //! ```
 //!
 //! `--workers N` overrides the pool width (by default the host's
@@ -36,14 +26,14 @@
 //! still recorded, but the JSON is annotated `"scaling_valid": false` —
 //! wall-clock speedups measured there say nothing about the pool.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use elastic_bench::Fig5Setup;
 use elastic_core::{ArbiterKind, MebKind, PipelineConfig, PipelineHarness};
 use elastic_md5::{Md5Error, Md5Hasher};
 use elastic_sim::{
     available_workers, campaign_key, run_sweep_on, Circuit, EvalMode, KernelStats, ReadyPolicy,
-    ScheduleMode, SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
+    SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
 };
 use elastic_synth::{ElasticIr, IrNodeKind};
 
@@ -95,7 +85,7 @@ fn saving(old: &KernelStats, new: &KernelStats) {
 
 /// Runs the Figure 5 scenario under `mode` and returns a digest of the
 /// per-thread captures plus kernel counters.
-fn run_fig5(kind: MebKind, mode: EvalMode, schedule: ScheduleMode) -> Result<RunResult, SimError> {
+fn run_fig5(kind: MebKind, mode: EvalMode) -> Result<RunResult, SimError> {
     let setup = Fig5Setup::paper(kind);
     let cfg = PipelineConfig::free_flowing(2, setup.stages, kind, setup.tokens_per_thread)
         .with_sink_policy(
@@ -105,8 +95,7 @@ fn run_fig5(kind: MebKind, mode: EvalMode, schedule: ScheduleMode) -> Result<Run
                 to: setup.stall_to,
             },
         )
-        .with_eval_mode(mode)
-        .with_schedule(schedule);
+        .with_eval_mode(mode);
     let mut h = PipelineHarness::build(cfg);
     h.circuit.run(setup.cycles)?;
     let captures: Vec<Vec<(u64, u64)>> = (0..2)
@@ -124,11 +113,10 @@ fn run_fig5(kind: MebKind, mode: EvalMode, schedule: ScheduleMode) -> Result<Run
 /// A longer random-stall pipeline where the dirty-set savings compound.
 /// `seed` varies the stall pattern so the scaling campaign can replicate
 /// the workload into many distinct, equally-heavy jobs.
-fn run_stalled(seed: u64, mode: EvalMode, schedule: ScheduleMode) -> Result<RunResult, SimError> {
+fn run_stalled(seed: u64, mode: EvalMode) -> Result<RunResult, SimError> {
     const THREADS: usize = 4;
-    let mut cfg = PipelineConfig::free_flowing(THREADS, 4, MebKind::Reduced, 64)
-        .with_eval_mode(mode)
-        .with_schedule(schedule);
+    let mut cfg =
+        PipelineConfig::free_flowing(THREADS, 4, MebKind::Reduced, 64).with_eval_mode(mode);
     for t in 0..THREADS {
         cfg.sink_policies[t] = ReadyPolicy::Random {
             p: 0.4,
@@ -169,25 +157,22 @@ fn run_md5(mode: EvalMode) -> Result<RunResult, SimError> {
 type RunResult = (String, KernelStats);
 
 /// The ablation campaign: every workload under both kernels, as
-/// independent sweep jobs (submission order = table order). `schedule`
-/// selects the settle loop's component ordering for the pipeline
-/// workloads (the MD5 harness builds its own circuit and always uses the
-/// default rank order).
-fn campaign(schedule: ScheduleMode) -> (Vec<(String, EvalMode)>, Vec<SimJob<RunResult>>) {
+/// independent sweep jobs (submission order = table order).
+fn campaign() -> (Vec<(String, EvalMode)>, Vec<SimJob<RunResult>>) {
     let mut meta = Vec::new();
     let mut jobs: Vec<SimJob<RunResult>> = Vec::new();
     for kind in [MebKind::Full, MebKind::Reduced] {
         for mode in [EvalMode::Exhaustive, EvalMode::EventDriven] {
             meta.push((format!("fig5 ({kind})"), mode));
             jobs.push(SimJob::new(format!("fig5 {kind} {mode:?}"), move || {
-                run_fig5(kind, mode, schedule)
+                run_fig5(kind, mode)
             }));
         }
     }
     for mode in [EvalMode::Exhaustive, EvalMode::EventDriven] {
         meta.push(("4t/4s random stalls".to_string(), mode));
         jobs.push(SimJob::new(format!("stalled {mode:?}"), move || {
-            run_stalled(0xA5A5, mode, schedule)
+            run_stalled(0xA5A5, mode)
         }));
     }
     for mode in [EvalMode::Exhaustive, EvalMode::EventDriven] {
@@ -394,7 +379,7 @@ fn scaling_curve(width: usize) {
             .flat_map(|seed| {
                 [EvalMode::Exhaustive, EvalMode::EventDriven].map(|mode| {
                     SimJob::new(format!("fresh seed {seed} {mode:?}"), move || {
-                        run_stalled(0x5eed ^ (seed << 8), mode, ScheduleMode::Ranked)
+                        run_stalled(0x5eed ^ (seed << 8), mode)
                     })
                 })
             })
@@ -558,166 +543,6 @@ fn scaling_curve(width: usize) {
     println!("\nwrote BENCH_parallel_sweep.json");
 }
 
-/// The S = 8 ranked-schedule workload: an 8-thread, 8-stage reduced-MEB
-/// pipeline. `backpressured` adds irregular per-thread sink stalls so
-/// downstream ready keeps changing — the case where evaluation order
-/// decides how many settle rounds a ready change costs.
-fn run_pipeline_s8(
-    backpressured: bool,
-    mode: EvalMode,
-    schedule: ScheduleMode,
-) -> Result<RunResult, SimError> {
-    const THREADS: usize = 8;
-    const STAGES: usize = 8;
-    let mut cfg = PipelineConfig::free_flowing(THREADS, STAGES, MebKind::Reduced, 64)
-        .with_eval_mode(mode)
-        .with_schedule(schedule);
-    if backpressured {
-        for t in 0..THREADS {
-            cfg.sink_policies[t] = ReadyPolicy::Random {
-                p: 0.35,
-                seed: 0xC0FFEE ^ t as u64,
-            };
-        }
-    }
-    let mut h = PipelineHarness::build(cfg);
-    h.circuit.run(1_500)?;
-    let captures: Vec<Vec<(u64, u64)>> = (0..THREADS)
-        .map(|t| {
-            h.sink()
-                .captured(t)
-                .iter()
-                .map(|(c, tok)| (*c, tok.seq))
-                .collect()
-        })
-        .collect();
-    Ok((format!("{captures:?}"), *h.circuit.stats().kernel()))
-}
-
-/// The ranked-schedule ablation (ISSUE 4 acceptance): the backpressured
-/// S = 8 pipeline under every static ordering and the exhaustive oracle.
-/// Asserts byte-identical captures across all four runs, a ≥ 1.2×
-/// settle-phase eval saving for rank order over insertion order, and a
-/// ≤ 1.05 settle-round mean on the straight (always-ready) pipeline —
-/// then writes `BENCH_ranked_schedule.json`.
-fn ranked_schedule_ablation() {
-    println!("ranked-schedule ablation — 8 threads x 8 reduced-MEB stages, random sink stalls\n");
-    println!(
-        "{:<12} {:<12} {:>8} {:>8} {:>10} {:>9} {:>9}",
-        "schedule", "kernel", "evals", "rounds", "evals/cyc", "mean rnd", "wall ms"
-    );
-    println!("{}", "-".repeat(74));
-
-    let configs = [
-        ("ranked", EvalMode::EventDriven, ScheduleMode::Ranked),
-        ("insertion", EvalMode::EventDriven, ScheduleMode::Insertion),
-        ("reversed", EvalMode::EventDriven, ScheduleMode::Reversed),
-        ("oracle", EvalMode::Exhaustive, ScheduleMode::Ranked),
-    ];
-    let mut rows = Vec::new();
-    for (label, mode, schedule) in configs {
-        let start = Instant::now();
-        let (digest, k) =
-            run_pipeline_s8(true, mode, schedule).expect("ranked ablation workload runs clean");
-        let wall = start.elapsed();
-        println!(
-            "{:<12} {:<12} {:>8} {:>8} {:>10.2} {:>9.3} {:>9.2}  {}",
-            label,
-            format!("{mode:?}"),
-            k.component_evals,
-            k.settle_rounds,
-            k.evals_per_cycle(),
-            k.rounds_per_cycle(),
-            wall.as_secs_f64() * 1e3,
-            hist(&k)
-        );
-        rows.push((label, digest, k, wall));
-    }
-
-    for (label, digest, _, _) in &rows[1..] {
-        assert_eq!(
-            digest, &rows[0].1,
-            "{label}: captures diverged from the ranked schedule"
-        );
-    }
-    let ranked = &rows[0].2;
-    let insertion = &rows[1].2;
-    let evals_ratio = insertion.component_evals as f64 / ranked.component_evals as f64;
-    assert!(
-        evals_ratio >= 1.2,
-        "rank schedule saved only {evals_ratio:.3}x evals over insertion order (need >= 1.2x)"
-    );
-
-    let cells: Vec<String> = ranked
-        .fused_op_breakdown()
-        .iter()
-        .map(|(kind, n)| format!("{} {}", kind.label(), n))
-        .collect();
-    println!("\nranked per-op evals: {}", cells.join(", "));
-
-    // The straight pipeline: with nothing changing downstream, the rank
-    // order must settle in (essentially) one round every stepped cycle.
-    let (_, straight) = run_pipeline_s8(false, EvalMode::EventDriven, ScheduleMode::Ranked)
-        .expect("straight pipeline runs clean");
-    let straight_mean = straight.rounds_per_cycle();
-    assert!(
-        straight_mean <= 1.05,
-        "straight pipeline settle-round mean {straight_mean:.3} exceeds 1.05"
-    );
-
-    println!(
-        "\nidentical captures across ranked/insertion/reversed/oracle; rank order\n\
-         saves {evals_ratio:.2}x evals under backpressure, and the straight\n\
-         pipeline settles in {straight_mean:.3} rounds/cycle (rank width {}).\n",
-        ranked.rank_width
-    );
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(label, _, k, wall)| {
-            let hist_cells: Vec<String> = k.settle_round_hist.iter().map(u64::to_string).collect();
-            format!(
-                "    {{\"schedule\": \"{label}\", \"kernel\": \"{}\", \"evals\": {}, \
-                 \"settle_rounds\": {}, \"stepped_cycles\": {}, \"evals_per_cycle\": {:.3}, \
-                 \"settle_rounds_mean\": {:.4}, \"wall_ms\": {:.3}, \"round_hist\": [{}]}}",
-                if *label == "oracle" {
-                    "exhaustive"
-                } else {
-                    "event_driven"
-                },
-                k.component_evals,
-                k.settle_rounds,
-                k.stepped_cycles,
-                k.evals_per_cycle(),
-                k.rounds_per_cycle(),
-                wall.as_secs_f64() * 1e3,
-                hist_cells.join(", ")
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ranked schedule ablation\",\n  \
-         \"workload\": \"8 threads x 8 reduced-MEB stages, random sink stalls (p=0.35)\",\n  \
-         \"rank_width\": {},\n  \"digests_identical\": true,\n  \
-         \"evals_ratio_insertion_over_ranked\": {evals_ratio:.3},\n  \
-         \"straight_pipeline_settle_rounds_mean\": {straight_mean:.4},\n  \
-         \"configs\": [\n{}\n  ]\n}}\n",
-        ranked.rank_width,
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_ranked_schedule.json", json).expect("write BENCH_ranked_schedule.json");
-    println!("wrote BENCH_ranked_schedule.json");
-}
-
-fn parse_schedule(s: &str) -> ScheduleMode {
-    match s {
-        "ranked" => ScheduleMode::Ranked,
-        "insertion" => ScheduleMode::Insertion,
-        "reversed" => ScheduleMode::Reversed,
-        other => panic!("--schedule takes ranked|insertion|reversed, got {other}"),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let parallel = args.iter().any(|a| a == "--parallel");
@@ -727,18 +552,8 @@ fn main() {
             .filter(|&n| n > 0)
             .expect("--workers takes a positive integer")
     });
-    let schedule = args
-        .iter()
-        .position(|a| a == "--schedule")
-        .map(|i| {
-            parse_schedule(
-                args.get(i + 1)
-                    .expect("--schedule takes ranked|insertion|reversed"),
-            )
-        })
-        .unwrap_or_default();
     let width = workers_override.unwrap_or_else(available_workers);
-    let (meta, jobs) = campaign(schedule);
+    let (meta, jobs) = campaign();
 
     // The table itself: run the campaign on the pool (all cores when
     // --parallel, serial baseline otherwise) — results always arrive in
@@ -773,12 +588,10 @@ fn main() {
          observationally equivalent to the exhaustive oracle (docs/kernel.md).\n"
     );
 
-    ranked_schedule_ablation();
-
     if parallel {
         // Prove the parallel path byte-identical to the serial one on
         // the real campaign, then record the scaling curve.
-        let serial = run_sweep_on(campaign(schedule).1, 1).unwrap_all();
+        let serial = run_sweep_on(campaign().1, 1).unwrap_all();
         assert_eq!(
             digests(&serial),
             digests(&results),

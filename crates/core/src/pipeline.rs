@@ -3,8 +3,7 @@
 //! design examples (pipeline registers replaced by MEBs, Sec. V-B).
 
 use elastic_sim::{
-    ChannelId, Circuit, CircuitBuilder, EvalMode, ReadyPolicy, ScheduleMode, Sink, Source, Tagged,
-    Token,
+    ChannelId, Circuit, CircuitBuilder, EvalMode, ReadyPolicy, Sink, Source, Tagged, Token,
 };
 
 use crate::arbiter::ArbiterKind;
@@ -89,10 +88,6 @@ pub struct PipelineConfig {
     /// Settle-phase scheduling mode of the built circuit (the dirty-set
     /// kernel by default; [`EvalMode::Exhaustive`] for oracle runs).
     pub eval_mode: EvalMode,
-    /// Static component ordering used by the settle loop (levelized rank
-    /// order by default; [`ScheduleMode::Insertion`] /
-    /// [`ScheduleMode::Reversed`] for ablations).
-    pub schedule: ScheduleMode,
 }
 
 impl PipelineConfig {
@@ -107,7 +102,6 @@ impl PipelineConfig {
             tokens_per_thread: vec![n; threads],
             sink_policies: vec![ReadyPolicy::Always; threads],
             eval_mode: EvalMode::default(),
-            schedule: ScheduleMode::default(),
         }
     }
 
@@ -122,13 +116,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
         self.eval_mode = mode;
-        self
-    }
-
-    /// Selects the settle loop's static component ordering.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: ScheduleMode) -> Self {
-        self.schedule = schedule;
         self
     }
 }
@@ -163,7 +150,6 @@ impl PipelineHarness {
             sink.set_policy(t, p.clone());
         }
         b.add(sink);
-        b.set_schedule(config.schedule);
         let mut circuit = b.build().expect("pipeline harness netlist is well-formed");
         circuit.set_eval_mode(config.eval_mode);
         Self { circuit, pipeline }

@@ -14,7 +14,8 @@ use rand::{Rng, SeedableRng};
 
 use elastic_core::{Arbiter, RoundRobin, SelectState};
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, Ports, SlotView, ThreadMask, TickCtx,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, Ports, ProtocolError, SlotView,
+    ThreadMask, TickCtx,
 };
 
 use crate::isa::{Instr, NUM_REGS};
@@ -135,6 +136,8 @@ pub struct Fetcher {
     /// Cycle-cache stamp for `has` (and the redirect `ready` commit):
     /// `cycle + 1` when built this cycle, 0 = invalid.
     stamp: u64,
+    /// Undecodable word fetched at the last clock edge.
+    fault: Option<ProtocolError>,
 }
 
 impl Fetcher {
@@ -173,6 +176,7 @@ impl Fetcher {
             spec: None,
             squashed: vec![0; threads],
             stamp: 0,
+            fault: None,
         }
     }
 
@@ -308,23 +312,26 @@ impl Component<ProcToken> for Fetcher {
     fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
         // A fetch left for the pipeline: advance or block the thread.
         if let Some((t, tok)) = ctx.fired_any(self.out) {
-            let ProcToken::Fetched { word, .. } = tok else {
+            let &ProcToken::Fetched { pc, word, .. } = tok else {
                 unreachable!("fetch output carries Fetched tokens");
             };
-            let instr = Instr::decode(*word)
-                .unwrap_or_else(|e| panic!("thread {t} fetched invalid instruction: {e}"));
             self.fetched[t] += 1;
-            match instr {
-                Instr::Halt => self.status[t] = ThreadStatus::Halted,
+            match Instr::decode(word) {
+                // An undecodable word stops the thread and faults.
+                Err(_) => {
+                    self.status[t] = ThreadStatus::Halted;
+                    self.fault = Some(ProtocolError::InvalidInstruction { pc, word });
+                }
+                Ok(Instr::Halt) => self.status[t] = ThreadStatus::Halted,
                 // Direct jumps: under speculation the target is known at
                 // predecode — take it immediately, no stall.
-                Instr::J { target } | Instr::Jal { target } if self.speculate => {
+                Ok(Instr::J { target } | Instr::Jal { target }) if self.speculate => {
                     self.pcs[t] = target;
                 }
                 // Conditional branches: predict not-taken, keep fetching.
-                Instr::Beq { .. } | Instr::Bne { .. } if self.speculate => self.pcs[t] += 1,
-                i if i.is_control_flow() => self.status[t] = ThreadStatus::WaitControl,
-                _ => self.pcs[t] += 1,
+                Ok(Instr::Beq { .. } | Instr::Bne { .. }) if self.speculate => self.pcs[t] += 1,
+                Ok(i) if i.is_control_flow() => self.status[t] = ThreadStatus::WaitControl,
+                Ok(_) => self.pcs[t] += 1,
             }
             self.arbiter.commit(t);
         }
@@ -398,7 +405,12 @@ impl Component<ProcToken> for Fetcher {
             spec.reset();
         }
         self.stamp = 0;
+        self.fault = None;
         true
+    }
+
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.fault.take()
     }
 
     fn slots(&self) -> Vec<SlotView> {
@@ -444,6 +456,8 @@ pub struct RegUnit {
     /// Cycle-cache stamp for `idle` (and the writeback `ready` commit):
     /// `cycle + 1` when built this cycle, 0 = invalid.
     stamp: u64,
+    /// Undecodable word dropped at the last clock edge.
+    fault: Option<ProtocolError>,
 }
 
 impl RegUnit {
@@ -472,6 +486,7 @@ impl RegUnit {
             wb_ready,
             issue_ready: ThreadMask::new(threads),
             stamp: 0,
+            fault: None,
         }
     }
 
@@ -520,11 +535,6 @@ impl RegUnit {
     fn hazard_reference(&self, t: usize, instr: &Instr) -> bool {
         let busy = |r: u8| r != 0 && self.pending[t][r as usize] > 0;
         instr.sources().any(busy) || instr.dest().is_some_and(busy)
-    }
-
-    fn decode(t: usize, pc: u32, word: u32) -> Instr {
-        Instr::decode(word)
-            .unwrap_or_else(|e| panic!("thread {t} offered invalid instruction at pc {pc}: {e}"))
     }
 
     /// The decoded token for `instr`, with its operands read from thread
@@ -590,12 +600,13 @@ impl RegUnit {
         // instruction can be hazarded). Conservative answers can only be
         // upgraded when a thread is actually offered, so the upstream
         // MEB's selection never chases a false ready and the settle loop
-        // converges.
+        // converges. An undecodable word is taken and dropped (`tick`
+        // reports it).
         let offered = ctx.incoming(self.id_in).map(|(t, tok)| (t, tok.clone()));
         for t in 0..self.threads {
             let gate = match &offered {
-                Some((ot, ProcToken::Fetched { pc, word, .. })) if *ot == t => {
-                    !self.hazard_reference(t, &Self::decode(t, *pc, *word))
+                Some((ot, ProcToken::Fetched { word, .. })) if *ot == t => {
+                    Instr::decode(*word).map_or(true, |i| !self.hazard_reference(t, &i))
                 }
                 _ => self.pending[t].iter().all(|&p| p == 0),
             };
@@ -612,15 +623,13 @@ impl RegUnit {
                     seq,
                     ..
                 },
-            )) => {
-                let instr = Self::decode(*t, *pc, *word);
-                if self.hazard_reference(*t, &instr) {
-                    ctx.drive_idle(self.id_out);
-                } else {
+            )) => match Instr::decode(*word) {
+                Ok(instr) if !self.hazard_reference(*t, &instr) => {
                     let decoded = self.read_operands(*t, *pc, instr, *epoch, *seq);
                     ctx.drive_token(self.id_out, *t, decoded);
                 }
-            }
+                _ => ctx.drive_idle(self.id_out),
+            },
             _ => ctx.drive_idle(self.id_out),
         }
     }
@@ -661,7 +670,8 @@ impl Component<ProcToken> for RegUnit {
     /// decoded and hazard-checked once — one AND of its register mask
     /// against the thread's busy mask — and the issue `ready` word is that
     /// conservative mask with the offered thread's exact gate, ANDed with
-    /// `ready(id_out)` and committed in one masked write.
+    /// `ready(id_out)` and committed in one masked write. An undecodable
+    /// word is taken and dropped; [`tick`](Component::tick) reports it.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         let cycle = ctx.cycle();
         if self.stamp != cycle + 1 {
@@ -687,11 +697,17 @@ impl Component<ProcToken> for RegUnit {
         self.issue_ready.copy_from(&self.idle);
         let mut issue = None;
         if let Some((t, pc, word, epoch, seq)) = offered {
-            let instr = Self::decode(t, pc, word);
-            let clear = !self.hazard(t, &instr);
-            self.issue_ready.set(t, clear);
-            if clear {
-                issue = Some((t, self.read_operands(t, pc, instr, epoch, seq)));
+            match Instr::decode(word) {
+                Ok(instr) => {
+                    let clear = !self.hazard(t, &instr);
+                    self.issue_ready.set(t, clear);
+                    if clear {
+                        issue = Some((t, self.read_operands(t, pc, instr, epoch, seq)));
+                    }
+                }
+                Err(_) => {
+                    self.issue_ready.set(t, true);
+                }
             }
         }
         self.issue_ready.and_with(ctx.ready_mask(self.id_out));
@@ -736,7 +752,9 @@ impl Component<ProcToken> for RegUnit {
                 self.retired[t] += 1;
             }
         }
-        // Record the issue.
+        // Record the issue. A decodable word taken from `id_in` is always
+        // issued in the same cycle, so a word taken without an issue is
+        // one `eval` dropped as undecodable.
         if let Some((t, tok)) = ctx.fired_any(self.id_out) {
             let ProcToken::Decoded { instr, .. } = tok else {
                 unreachable!("issue output carries Decoded tokens");
@@ -747,6 +765,8 @@ impl Component<ProcToken> for RegUnit {
                     self.busy[t] |= 1 << rd;
                 }
             }
+        } else if let Some((_, &ProcToken::Fetched { pc, word, .. })) = ctx.fired_any(self.id_in) {
+            self.fault = Some(ProtocolError::InvalidInstruction { pc, word });
         }
     }
 
@@ -759,7 +779,12 @@ impl Component<ProcToken> for RegUnit {
             spec.reset();
         }
         self.stamp = 0;
+        self.fault = None;
         true
+    }
+
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.fault.take()
     }
 
     impl_as_any!();
@@ -880,6 +905,8 @@ pub struct MemUnit {
     /// Cycle-cache stamp for `ready`, `has` and `head_idx`: `cycle + 1`
     /// when built this cycle, 0 = invalid.
     stamp: u64,
+    /// Out-of-range access taken at the last clock edge.
+    fault: Option<ProtocolError>,
 }
 
 impl MemUnit {
@@ -921,6 +948,7 @@ impl MemUnit {
             ready: ThreadMask::new(threads),
             spec: None,
             stamp: 0,
+            fault: None,
         }
     }
 
@@ -1069,18 +1097,23 @@ impl Component<ProcToken> for MemUnit {
                 ..
             } = &mut tok
             {
+                let in_range = (*addr as usize) < self.mem.len();
                 match instr {
                     _ if stale => 1, // squashed: no side effects, no service time
+                    Instr::Lw { .. } | Instr::Sw { .. } if !in_range => {
+                        // Faulting access: no side effects, no service time.
+                        self.fault = Some(ProtocolError::AddressOutOfRange {
+                            addr: *addr,
+                            words: self.mem.len(),
+                        });
+                        1
+                    }
                     Instr::Lw { .. } => {
-                        let a = *addr as usize;
-                        assert!(a < self.mem.len(), "load address {a} out of bounds");
-                        *result = self.mem[a];
+                        *result = self.mem[*addr as usize];
                         self.rng.gen_range(self.lat_min..=self.lat_max)
                     }
                     Instr::Sw { .. } => {
-                        let a = *addr as usize;
-                        assert!(a < self.mem.len(), "store address {a} out of bounds");
-                        self.mem[a] = *result;
+                        self.mem[*addr as usize] = *result;
                         self.rng.gen_range(self.lat_min..=self.lat_max)
                     }
                     // Non-memory instructions pass through in one cycle.
@@ -1104,7 +1137,12 @@ impl Component<ProcToken> for MemUnit {
             spec.reset();
         }
         self.stamp = 0;
+        self.fault = None;
         true
+    }
+
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.fault.take()
     }
 
     fn slots(&self) -> Vec<SlotView> {

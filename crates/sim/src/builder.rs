@@ -6,7 +6,7 @@ use crate::channel::{ChannelId, ChannelSpec, ChannelState};
 use crate::circuit::Circuit;
 use crate::component::Component;
 use crate::error::BuildError;
-use crate::rank::{compute_schedule, ScheduleMode};
+use crate::rank::compute_schedule;
 use crate::token::Token;
 
 /// Incrementally wires channels and components into a [`Circuit`].
@@ -42,7 +42,6 @@ use crate::token::Token;
 pub struct CircuitBuilder<T: Token> {
     specs: Vec<ChannelSpec>,
     components: Vec<Box<dyn Component<T>>>,
-    schedule: ScheduleMode,
 }
 
 impl<T: Token> Default for CircuitBuilder<T> {
@@ -57,22 +56,7 @@ impl<T: Token> CircuitBuilder<T> {
         Self {
             specs: Vec::new(),
             components: Vec::new(),
-            schedule: ScheduleMode::default(),
         }
-    }
-
-    /// Selects the evaluation-order schedule [`build`](CircuitBuilder::build)
-    /// will produce (default [`ScheduleMode::Ranked`]). Loop rejection and
-    /// wake-map analysis are identical in every mode; only the component
-    /// permutation changes, so the non-ranked modes exist for ablation.
-    pub fn set_schedule(&mut self, mode: ScheduleMode) {
-        self.schedule = mode;
-    }
-
-    /// Chainable form of [`set_schedule`](CircuitBuilder::set_schedule).
-    pub fn with_schedule(mut self, mode: ScheduleMode) -> Self {
-        self.schedule = mode;
-        self
     }
 
     /// Declares a channel supporting `threads` concurrent threads.
@@ -98,26 +82,25 @@ impl<T: Token> CircuitBuilder<T> {
             .collect()
     }
 
-    /// Adds a component; returns its evaluation-order index.
-    pub fn add(&mut self, component: impl Component<T> + 'static) -> usize {
+    /// Adds a component.
+    pub fn add(&mut self, component: impl Component<T> + 'static) {
         self.components.push(Box::new(component));
-        self.components.len() - 1
     }
 
     /// Adds an already boxed component (e.g. one produced by a factory
     /// that selects the concrete type at runtime).
-    pub fn add_boxed(&mut self, component: Box<dyn Component<T>>) -> usize {
+    pub fn add_boxed(&mut self, component: Box<dyn Component<T>>) {
         self.components.push(component);
-        self.components.len() - 1
     }
 
     /// Validates the netlist, compiles the rank schedule and produces a
     /// runnable [`Circuit`].
     ///
-    /// Components are permuted into levelized rank order (see
-    /// [`ScheduleMode`]): every component evaluates after everything it
-    /// combinationally depends on, as declared through
-    /// [`Component::comb_paths`], so an acyclic net settles in one sweep.
+    /// Components are permuted into levelized rank order: every component
+    /// evaluates after everything it combinationally depends on, as
+    /// declared through [`Component::comb_paths`], so an acyclic net
+    /// settles in one sweep. Components of one rank level keep the order
+    /// they were added in.
     ///
     /// # Errors
     ///
@@ -195,13 +178,7 @@ impl<T: Token> CircuitBuilder<T> {
             }
         }
 
-        let schedule = compute_schedule(
-            &self.components,
-            &self.specs,
-            &driver,
-            &reader,
-            self.schedule,
-        )?;
+        let schedule = compute_schedule(&self.components, &self.specs, &driver, &reader)?;
 
         // Permute components into schedule order and remap the wake
         // tables: driver/reader values are component indices, so they are

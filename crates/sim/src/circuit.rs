@@ -706,7 +706,8 @@ impl<T: Token> Circuit<T> {
     ///   same channel in the same cycle;
     /// * [`SimError::MissingData`] — a producer asserted valid without data;
     /// * [`SimError::Component`] — a component latched a protocol fault at
-    ///   the clock edge;
+    ///   the clock edge (the edge has happened, so the cycle counter has
+    ///   advanced past it);
     /// * [`SimError::Deadlock`] — the watchdog fired (if armed).
     pub fn step(&mut self) -> Result<CycleReport, SimError> {
         self.step_collect(true)
@@ -957,24 +958,27 @@ impl<T: Token> Circuit<T> {
         for c in &mut self.components {
             c.tick(&tick_ctx);
         }
+        // The edge has happened, so the cycle advances even when it
+        // faulted: stepping on resumes from the post-edge state instead of
+        // replaying this cycle over it.
+        let cycle = self.cycle;
+        self.cycle += 1;
         for c in &mut self.components {
             if let Some(error) = c.take_fault() {
                 return Err(SimError::Component {
-                    cycle: self.cycle,
+                    cycle,
                     component: c.name().to_string(),
                     error,
                 });
             }
         }
 
-        let report = CycleReport {
-            cycle: self.cycle,
+        Ok(CycleReport {
+            cycle,
             transfers,
             settle_iterations: rounds,
             evals,
-        };
-        self.cycle += 1;
-        Ok(report)
+        })
     }
 
     /// True when the last stepped cycle completed with no transfer and no

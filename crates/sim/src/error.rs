@@ -110,9 +110,11 @@ impl fmt::Display for BuildError {
 
 impl Error for BuildError {}
 
-/// A local handshake-protocol fault detected inside a component — the
-/// typed replacement for the `panic!`s that used to live in the
-/// elastic-buffer FSMs of `elastic-core`.
+/// A local fault detected inside a component — a handshake-protocol
+/// violation, or a token the component cannot process (an out-of-range
+/// address, an undecodable instruction). The typed replacement for the
+/// `panic!`s that used to live in the elastic-buffer FSMs of
+/// `elastic-core` and the processor's stages.
 ///
 /// Construction-time checks (e.g. seeding a buffer with more initial
 /// tokens than it can hold) return this directly; run-time faults are
@@ -142,6 +144,22 @@ pub enum ProtocolError {
         /// Number of outputs of the fork.
         outputs: usize,
     },
+    /// A memory access named an address outside the memory; the access
+    /// was not performed.
+    AddressOutOfRange {
+        /// The requested word address.
+        addr: u32,
+        /// Size of the memory in words.
+        words: usize,
+    },
+    /// An instruction word does not decode; the instruction was not
+    /// executed.
+    InvalidInstruction {
+        /// Program counter the word was fetched from.
+        pc: u32,
+        /// The undecodable word.
+        word: u32,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -162,6 +180,12 @@ impl fmt::Display for ProtocolError {
                 "route mask {mask:#b} selects no output of a {outputs}-output fork \
                  or an output it does not have"
             ),
+            ProtocolError::AddressOutOfRange { addr, words } => {
+                write!(f, "address {addr:#x} is outside the {words}-word memory")
+            }
+            ProtocolError::InvalidInstruction { pc, word } => {
+                write!(f, "invalid instruction word {word:#010x} at pc {pc}")
+            }
         }
     }
 }
@@ -411,6 +435,16 @@ mod tests {
             outputs: 2,
         };
         assert!(r.to_string().contains("0b100"), "{r}");
+        let a = ProtocolError::AddressOutOfRange {
+            addr: 0xFFFF_FFFF,
+            words: 16,
+        };
+        assert!(a.to_string().contains("0xffffffff"), "{a}");
+        let i = ProtocolError::InvalidInstruction {
+            pc: 3,
+            word: 0x7000_0000,
+        };
+        assert!(i.to_string().contains("0x70000000"), "{i}");
         let s = SimError::Component {
             cycle: 7,
             component: "eb0".into(),

@@ -30,7 +30,7 @@
 //! re-evaluated, idle stretches are fast-forwarded to the next scheduled
 //! component event ([`NextEvent`]), and the saved work is reported through
 //! [`KernelStats`]. The builder additionally compiles the declarations
-//! into a **levelized rank schedule** ([`ScheduleMode`]): components are
+//! into a **levelized rank schedule** ([`CircuitBuilder::build`]): components are
 //! permuted so each evaluates after everything it combinationally depends
 //! on, making the round-1 sweep the fixed point on acyclic nets, and
 //! genuine zero-latency handshake cycles are rejected at build time with
@@ -97,7 +97,6 @@ pub use par::{
     available_workers, run_sweep, run_sweep_on, JobError, JobReport, SharedCircuit, SimJob,
     SweepReport,
 };
-pub use rank::ScheduleMode;
 pub use schedule::{ReadyPolicy, Sink, Source};
 pub use stats::{
     ChannelFeedback, ChannelStats, FeedbackProfile, KernelStats, Stats, OCCUPANCY_BUCKETS,

@@ -29,26 +29,6 @@ use crate::component::{CombPath, Component};
 use crate::error::BuildError;
 use crate::token::Token;
 
-/// How [`CircuitBuilder::build`](crate::CircuitBuilder::build) orders
-/// components for the settle loop.
-///
-/// Loop rejection, feedback detection and wake-map narrowing are
-/// identical in every mode; only the evaluation permutation differs. The
-/// non-default modes exist for ablation (`kernel_ablation --schedule`)
-/// and for stress-testing order independence.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ScheduleMode {
-    /// Levelized rank order (the default): dependency sources first, so
-    /// an acyclic net settles in a single sweep.
-    #[default]
-    Ranked,
-    /// The order components were added to the builder — the historical
-    /// behaviour, kept as the ablation baseline.
-    Insertion,
-    /// Insertion order reversed — the adversarial baseline.
-    Reversed,
-}
-
 /// The static schedule computed at build time.
 #[derive(Debug)]
 pub(crate) struct Schedule {
@@ -223,7 +203,6 @@ pub(crate) fn compute_schedule<T: Token>(
     specs: &[ChannelSpec],
     driver: &[usize],
     reader: &[usize],
-    mode: ScheduleMode,
 ) -> Result<Schedule, BuildError> {
     let n = components.len();
     let n_ch = specs.len();
@@ -332,11 +311,7 @@ pub(crate) fn compute_schedule<T: Token>(
     let rank_width = width.into_iter().max().unwrap_or(1);
 
     let mut order: Vec<usize> = (0..n).collect();
-    match mode {
-        ScheduleMode::Ranked => order.sort_by_key(|&i| (comp_level[i], i)),
-        ScheduleMode::Insertion => {}
-        ScheduleMode::Reversed => order.reverse(),
-    }
+    order.sort_by_key(|&i| (comp_level[i], i));
 
     Ok(Schedule {
         order,
@@ -430,30 +405,13 @@ mod tests {
             ),
             decl("snk", vec![b], vec![], vec![]),
         ];
-        let s = compute_schedule(&comps, &specs(2), &[0, 1], &[1, 2], ScheduleMode::Ranked)
-            .expect("acyclic");
+        let s = compute_schedule(&comps, &specs(2), &[0, 1], &[1, 2]).expect("acyclic");
         // Dependencies: snk drives ready(b) -> buf; buf drives ready(a) -> src.
         assert_eq!(s.order, vec![2, 1, 0]);
         assert_eq!(s.rank_width, 1);
         assert_eq!(s.feedback, vec![false, false]);
         assert_eq!(s.listen_valid, vec![false, false]);
         assert_eq!(s.listen_ready, vec![true, true]);
-    }
-
-    #[test]
-    fn insertion_and_reversed_modes_keep_analysis_but_not_order() {
-        let a = ChannelId(0);
-        let comps = vec![
-            decl("src", vec![], vec![a], vec![]),
-            decl("snk", vec![a], vec![], vec![]),
-        ];
-        let sp = specs(1);
-        let ins = compute_schedule(&comps, &sp, &[0], &[1], ScheduleMode::Insertion).unwrap();
-        assert_eq!(ins.order, vec![0, 1]);
-        let rev = compute_schedule(&comps, &sp, &[0], &[1], ScheduleMode::Reversed).unwrap();
-        assert_eq!(rev.order, vec![1, 0]);
-        assert_eq!(ins.feedback, rev.feedback);
-        assert_eq!(ins.rank_width, rev.rank_width);
     }
 
     /// Two pass-through stages wired in a ring: valid chases valid around
@@ -475,8 +433,7 @@ mod tests {
             )
         };
         let comps = vec![passthrough("t1", a, b), passthrough("t2", b, a)];
-        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1], ScheduleMode::Ranked)
-            .expect_err("strict ring");
+        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1]).expect_err("strict ring");
         assert_eq!(
             err,
             BuildError::CombinationalLoop {
@@ -515,8 +472,8 @@ mod tests {
                 ],
             ),
         ];
-        let s = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1], ScheduleMode::Ranked)
-            .expect("damped cycle is legal");
+        let s =
+            compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1]).expect("damped cycle is legal");
         // R(b) -> V(b) (damped) -> V(a) -> R(a) -> R(b): one SCC touching
         // both signals of both channels.
         assert_eq!(s.feedback, vec![true, true]);
@@ -558,7 +515,7 @@ mod tests {
                 ],
             ),
         ];
-        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1], ScheduleMode::Ranked)
+        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1])
             .expect_err("strict V-ring survives damping elsewhere");
         match err {
             BuildError::CombinationalLoop { components } => {
@@ -581,8 +538,7 @@ mod tests {
             ),
             decl("snk", vec![a], vec![], vec![]),
         ];
-        let err = compute_schedule(&comps, &specs(1), &[0], &[1], ScheduleMode::Ranked)
-            .expect_err("bad declaration");
+        let err = compute_schedule(&comps, &specs(1), &[0], &[1]).expect_err("bad declaration");
         assert_eq!(
             err,
             BuildError::InvalidCombPath {
@@ -611,14 +567,7 @@ mod tests {
             pass("r", b, d),
             decl("join", vec![c, d], vec![], vec![]),
         ];
-        let s = compute_schedule(
-            &comps,
-            &specs(4),
-            &[0, 0, 1, 2],
-            &[1, 2, 3, 3],
-            ScheduleMode::Ranked,
-        )
-        .expect("acyclic");
+        let s = compute_schedule(&comps, &specs(4), &[0, 0, 1, 2], &[1, 2, 3, 3]).expect("acyclic");
         // join drives ready(c)/ready(d) -> l and r depend on it; fork has
         // no declared reads at all.
         assert_eq!(s.rank_width, 2);

@@ -319,42 +319,6 @@ impl<T: Token> DataflowBuilder<T> {
         Ok(())
     }
 
-    /// Renders the (pre-elaboration) dataflow graph in Graphviz DOT
-    /// syntax — ops as boxes, branches as diamonds, buffers as cylinders.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out =
-            String::from("digraph dataflow {\n  rankdir=LR;\n  node [fontname=\"monospace\"];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            if self.dead_nodes[i] {
-                continue;
-            }
-            let shape = match node {
-                Node::Input { .. } | Node::Output { .. } => "ellipse",
-                Node::Branch { .. } | Node::Merge { .. } => "diamond",
-                Node::Buffer { .. } => "cylinder",
-                Node::Barrier { .. } => "octagon",
-                _ => "box",
-            };
-            let _ = writeln!(
-                out,
-                "  n{i} [label=\"{}\", shape={shape}];",
-                node.name().replace('"', "'")
-            );
-        }
-        for w in 0..self.producer.len() {
-            if self.dead_wires[w] {
-                continue;
-            }
-            let (p, _) = self.producer[w];
-            if let Some(c) = self.consumer[w] {
-                let _ = writeln!(out, "  n{p} -> n{c} [label=\"w{w}\"];");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     fn validate(&self) -> Result<(), SynthError> {
         if self.nodes.is_empty() {
             return Err(SynthError::EmptyGraph);

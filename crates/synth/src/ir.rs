@@ -33,8 +33,8 @@ use elastic_core::{
 };
 use elastic_sim::{
     BuildError, ChannelId, Circuit, CircuitBuilder, Component, LatencyModel, NetlistEdge,
-    NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, ScheduleMode, Sink, Source, Token,
-    Transform, VarLatency,
+    NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, Sink, Source, Token, Transform,
+    VarLatency,
 };
 
 /// Handle to a channel of an [`ElasticIr`].
@@ -400,7 +400,6 @@ impl<T: Token> Elaborated<T> {
 pub struct ElasticIr<T: Token> {
     channels: Vec<IrChannel>,
     nodes: Vec<IrNode<T>>,
-    schedule: ScheduleMode,
 }
 
 impl<T: Token> Default for ElasticIr<T> {
@@ -415,14 +414,7 @@ impl<T: Token> ElasticIr<T> {
         Self {
             channels: Vec::new(),
             nodes: Vec::new(),
-            schedule: ScheduleMode::default(),
         }
-    }
-
-    /// Selects the evaluation-order schedule passed through to
-    /// [`CircuitBuilder::set_schedule`] at elaboration.
-    pub fn set_schedule(&mut self, mode: ScheduleMode) {
-        self.schedule = mode;
     }
 
     /// Declares a channel supporting `threads` threads, with no width
@@ -581,11 +573,6 @@ impl<T: Token> ElasticIr<T> {
                 h.word(out.index() as u64);
             }
         }
-        h.word(match self.schedule {
-            ScheduleMode::Ranked => 0,
-            ScheduleMode::Insertion => 1,
-            ScheduleMode::Reversed => 2,
-        });
         h.0
     }
 
@@ -740,7 +727,7 @@ impl<T: Token> ElasticIr<T> {
     /// (missing drivers/readers, combinational loops, …). Run the lint
     /// passes first for friendlier, earlier diagnostics.
     pub fn elaborate(self) -> Result<Elaborated<T>, IrError> {
-        let mut b = CircuitBuilder::<T>::new().with_schedule(self.schedule);
+        let mut b = CircuitBuilder::<T>::new();
         let channel_ids: Vec<ChannelId> = self
             .channels
             .iter()
@@ -945,9 +932,6 @@ mod tests {
         let mut extra = build(ReadyPolicy::Always);
         extra.channel("c", 4);
         assert_ne!(base, extra.structural_hash());
-        let mut resched = build(ReadyPolicy::Always);
-        resched.set_schedule(ScheduleMode::Insertion);
-        assert_ne!(base, resched.structural_hash());
     }
 
     /// Regression: buffer microarchitecture is behaviour, not payload —

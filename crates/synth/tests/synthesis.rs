@@ -198,7 +198,7 @@ fn unconsumed_wire_is_rejected() {
 }
 
 #[test]
-fn dataflow_dot_export_shows_the_loop() {
+fn dataflow_dot_export_shows_the_loop() -> Result<(), SynthError> {
     let mut g = DataflowBuilder::<(u64, u64)>::new(2);
     let fresh = g.input("pairs");
     let looped = g.input("loop");
@@ -207,13 +207,23 @@ fn dataflow_dot_export_shows_the_loop() {
     g.output("gcd", done);
     let step = g.op1("step", OpLatency::Combinational, cont, |&p| p);
     g.loopback("loop", step).expect("closes");
-    let dot = g.to_dot();
-    assert!(dot.starts_with("digraph dataflow {"));
+    let dot = g.build_ir(SynthConfig::default())?.ir.to_dot();
+    assert!(dot.starts_with("digraph elastic {"), "{dot}");
     assert!(dot.contains("shape=diamond"), "{dot}");
     assert!(dot.contains("entry"));
-    // The dead placeholder input is gone; the loop edge is present.
+    // The dead placeholder input is gone; the buffered loop edge runs
+    // back into the entry merge.
     assert!(!dot.contains("\"loop\""), "{dot}");
+    let entry = dot
+        .lines()
+        .find_map(|l| l.trim().strip_suffix(" [label=\"entry\", shape=diamond];"))
+        .expect("entry node");
+    assert!(
+        dot.contains(&format!(" -> {entry} [label=\"w5:step.0:buf")),
+        "{dot}"
+    );
     assert!(dot.trim_end().ends_with('}'));
+    Ok(())
 }
 
 #[test]

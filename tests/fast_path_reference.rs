@@ -25,8 +25,8 @@
 use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind, ReducedMeb};
 use mt_elastic::sim::{
     impl_as_any, Circuit, CircuitBuilder, CombPath, Component, EvalCtx, EvalMode, FusedOpKind,
-    LatencyModel, NetlistNodeKind, NextEvent, Ports, ProtocolError, ReadyPolicy, ScheduleMode,
-    Sink, SlotView, Source, Tagged, TickCtx, VarLatency,
+    LatencyModel, NetlistNodeKind, NextEvent, Ports, ProtocolError, ReadyPolicy, Sink, SlotView,
+    Source, Tagged, TickCtx, VarLatency,
 };
 use proptest::prelude::*;
 
@@ -207,13 +207,7 @@ struct NetParams {
 
 /// Builds and drains the network, adding components in the permutation
 /// selected by `order_seed`.
-fn run_net(
-    p: &NetParams,
-    model: Model,
-    mode: EvalMode,
-    schedule: ScheduleMode,
-    order_seed: u64,
-) -> Obs {
+fn run_net(p: &NetParams, model: Model, mode: EvalMode, order_seed: u64) -> Obs {
     let mut b = CircuitBuilder::<Tagged>::new();
     let src_ch = b.channel("src", p.threads);
     let work = b.channel("work", p.threads);
@@ -325,7 +319,6 @@ fn run_net(
     for c in comps {
         b.add_boxed(c);
     }
-    b.set_schedule(schedule);
     let mut circuit = b.build().expect("random acyclic net is well-formed");
     circuit.set_eval_mode(mode);
     circuit.set_deadlock_watchdog(Some(400));
@@ -340,8 +333,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The fast paths match the reference model on random topologies,
-    /// under every schedule, both settle modes and shuffled insertion
-    /// orders.
+    /// under both settle modes and two shuffled insertion orders (the
+    /// rank sort breaks ties by insertion index, so each order permutes
+    /// the evaluation order inside every rank level).
     #[test]
     fn fast_paths_match_the_reference_model(
         threads in 1usize..4,
@@ -355,21 +349,21 @@ proptest! {
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
 
-        for schedule in [ScheduleMode::Ranked, ScheduleMode::Insertion, ScheduleMode::Reversed] {
+        for order in [order_seed, order_seed ^ 0xDEAD_BEEF] {
             for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
-                let fast = run_net(&p, Model::Fast, mode, schedule, order_seed);
-                let reference = run_net(&p, Model::Reference, mode, schedule, order_seed);
+                let fast = run_net(&p, Model::Fast, mode, order);
+                let reference = run_net(&p, Model::Reference, mode, order);
                 prop_assert_eq!(
                     &fast, &reference,
-                    "{:?}/{:?}: fast paths diverged from the reference model", schedule, mode
+                    "order {:#x}/{:?}: fast paths diverged from the reference model", order, mode
                 );
             }
             // Kernel soundness: the dirty-set kernel matches the oracle.
-            let fast = run_net(&p, Model::Fast, EvalMode::EventDriven, schedule, order_seed);
-            let oracle = run_net(&p, Model::Fast, EvalMode::Exhaustive, schedule, order_seed);
+            let fast = run_net(&p, Model::Fast, EvalMode::EventDriven, order);
+            let oracle = run_net(&p, Model::Fast, EvalMode::Exhaustive, order);
             prop_assert_eq!(
                 &fast.0, &oracle.0,
-                "{:?}: dirty-set kernel diverged from the oracle", schedule
+                "order {:#x}: dirty-set kernel diverged from the oracle", order
             );
         }
 
@@ -377,11 +371,8 @@ proptest! {
         // the diamond the damped feedback makes the fixed point
         // legitimately order-sensitive, exactly as in `ranked_schedule.rs`).
         if !diamond {
-            let a = run_net(&p, Model::Fast, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed);
-            let b = run_net(
-                &p, Model::Fast, EvalMode::EventDriven, ScheduleMode::Ranked,
-                order_seed ^ 0xDEAD_BEEF,
-            );
+            let a = run_net(&p, Model::Fast, EvalMode::EventDriven, order_seed);
+            let b = run_net(&p, Model::Fast, EvalMode::EventDriven, order_seed ^ 0xDEAD_BEEF);
             prop_assert_eq!(&a.0, &b.0, "insertion order leaked through the fast paths");
         }
     }
@@ -479,17 +470,13 @@ fn fast_paths_match_the_reference_at_the_word_boundary() {
         p_ready: 0.55,
         seed: 0x65,
     };
-    for schedule in [
-        ScheduleMode::Ranked,
-        ScheduleMode::Insertion,
-        ScheduleMode::Reversed,
-    ] {
+    for order in [0x5eed, 0x5eed ^ 0xDEAD_BEEF] {
         for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
-            let fast = run_net(&p, Model::Fast, mode, schedule, 0x5eed);
-            let reference = run_net(&p, Model::Reference, mode, schedule, 0x5eed);
+            let fast = run_net(&p, Model::Fast, mode, order);
+            let reference = run_net(&p, Model::Reference, mode, order);
             assert_eq!(
                 fast, reference,
-                "{schedule:?}/{mode:?}: S=65 fast paths diverged from the reference"
+                "order {order:#x}/{mode:?}: S=65 fast paths diverged from the reference"
             );
         }
     }

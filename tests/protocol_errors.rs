@@ -338,3 +338,68 @@ fn misrouted_fork_reports_a_typed_fault() {
         assert_eq!(s1.consumed(0), 0, "the mis-routed token went nowhere");
     }
 }
+
+/// A load or store outside the processor's data memory reports a typed
+/// fault at the clock edge that accepts it instead of panicking, and the
+/// faulting access leaves memory untouched.
+#[test]
+fn out_of_range_memory_access_reports_a_typed_fault() {
+    use mt_elastic::proc::{Cpu, CpuConfig, CpuError};
+    for program in [
+        "lw r1, -1(r0)\nhalt\n",
+        "addi r1, r0, 7\nsw r1, -1(r0)\nhalt\n",
+    ] {
+        let config = CpuConfig::new(1);
+        let words = config.dmem_words;
+        let mut cpu = Cpu::from_asm(config, program).expect("assembles");
+        match cpu.run_to_halt(1_000) {
+            Err(CpuError::Sim(SimError::Component {
+                component, error, ..
+            })) => {
+                assert_eq!(component, "dmem");
+                assert_eq!(
+                    error,
+                    ProtocolError::AddressOutOfRange {
+                        addr: u32::MAX,
+                        words
+                    }
+                );
+            }
+            other => panic!("{program:?}: unexpected: {other:?}"),
+        }
+        let dmem = cpu.dmem();
+        assert!(
+            (0..dmem.size()).all(|a| dmem.read(a) == 0),
+            "{program:?}: the faulting access touched memory"
+        );
+        // The access was dropped, not wedged: stepping on drains the
+        // pipeline and halts.
+        cpu.run_to_halt(1_000).expect("runs on past the fault");
+    }
+}
+
+/// An undecodable instruction word reports a typed fault when it is
+/// fetched, and again when it reaches decode if the caller steps on after
+/// the first error; the thread stops fetching and the pipeline drains.
+#[test]
+fn invalid_instruction_reports_a_typed_fault() {
+    use mt_elastic::proc::{Cpu, CpuConfig, CpuError};
+    const WORD: u32 = 0x7000_0000;
+    let mut cpu = Cpu::new(CpuConfig::new(1), vec![WORD], vec![0]);
+    for stage in ["fetch", "regs"] {
+        match cpu.run_to_halt(1_000) {
+            Err(CpuError::Sim(SimError::Component {
+                component, error, ..
+            })) => {
+                assert_eq!(component, stage);
+                assert_eq!(
+                    error,
+                    ProtocolError::InvalidInstruction { pc: 0, word: WORD }
+                );
+            }
+            other => panic!("{stage}: unexpected: {other:?}"),
+        }
+    }
+    cpu.run_to_halt(1_000)
+        .expect("the faulting thread is halted");
+}

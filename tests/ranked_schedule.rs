@@ -1,15 +1,16 @@
-//! Property tests for the build-time levelized rank schedule.
+//! Tests for the build-time levelized rank schedule.
 //!
+//! The rank sort breaks ties by builder insertion index, so shuffling the
+//! insertion order permutes the evaluation order inside every rank level.
 //! Two equivalence bars, in decreasing strength:
 //!
-//! 1. **Kernel soundness** — for *every* schedule (ranked, insertion,
-//!    reversed) and every shuffled builder insertion order, the
-//!    event-driven dirty-set kernel must match the exhaustive oracle
+//! 1. **Kernel soundness** — for every shuffled builder insertion order,
+//!    the event-driven dirty-set kernel must match the exhaustive oracle
 //!    byte for byte. Holds unconditionally.
-//! 2. **Schedule independence** — on *signal-acyclic* nets every eval is
+//! 2. **Order independence** — on *signal-acyclic* nets every eval is
 //!    a pure function of the handshake state, the cycle's fixed point is
-//!    unique, and the captures are identical across schedules and
-//!    insertion orders (the purity argument of `docs/kernel.md`).
+//!    unique, and the captures are identical across insertion orders
+//!    (the purity argument of `docs/kernel.md`).
 //!    The fork/join diamond is deliberately *excluded* from this bar:
 //!    the Join's valid→ready coupling closes a (damped) signal cycle
 //!    through the two variable-latency arms, and on feedback channels
@@ -17,9 +18,11 @@
 //!    but individually valid — fixed point. There the weaker guarantee
 //!    is token conservation per thread.
 
-use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind};
+use mt_elastic::core::{
+    ArbiterKind, Fork, ForkMode, Join, MebKind, PipelineConfig, PipelineHarness,
+};
 use mt_elastic::sim::{
-    CircuitBuilder, Component, EvalMode, LatencyModel, ReadyPolicy, ScheduleMode, Sink, Source,
+    CircuitBuilder, Component, EvalMode, KernelStats, LatencyModel, ReadyPolicy, Sink, Source,
     Tagged, VarLatency,
 };
 use proptest::prelude::*;
@@ -60,12 +63,7 @@ struct NetParams {
 
 /// Builds and runs the network, adding components in the permutation
 /// selected by `order_seed`, and returns the per-thread captures.
-fn run_net(
-    p: &NetParams,
-    mode: EvalMode,
-    schedule: ScheduleMode,
-    order_seed: u64,
-) -> Vec<Vec<(u64, u64)>> {
+fn run_net(p: &NetParams, mode: EvalMode, order_seed: u64) -> Vec<Vec<(u64, u64)>> {
     let mut b = CircuitBuilder::<Tagged>::new();
     let src_ch = b.channel("src", p.threads);
     let work = b.channel("work", p.threads);
@@ -173,7 +171,6 @@ fn run_net(
     for c in comps {
         b.add_boxed(c);
     }
-    b.set_schedule(schedule);
     let mut circuit = b.build().expect("random acyclic net is well-formed");
     circuit.set_eval_mode(mode);
     circuit.set_deadlock_watchdog(Some(400));
@@ -209,21 +206,22 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
-        let reference = run_net(&p, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed);
+        let orders = [order_seed, order_seed ^ 0xDEAD_BEEF];
+        let reference = run_net(&p, EvalMode::EventDriven, orders[0]);
 
-        // Bar 1: the dirty-set kernel matches the exhaustive oracle
-        // under every static ordering, on every topology.
-        for schedule in [ScheduleMode::Ranked, ScheduleMode::Insertion, ScheduleMode::Reversed] {
-            let fast = run_net(&p, EvalMode::EventDriven, schedule, order_seed);
-            let oracle = run_net(&p, EvalMode::Exhaustive, schedule, order_seed);
+        for order in orders {
+            // Bar 1: the dirty-set kernel matches the exhaustive oracle
+            // under every insertion order, on every topology.
+            let fast = run_net(&p, EvalMode::EventDriven, order);
+            let oracle = run_net(&p, EvalMode::Exhaustive, order);
             prop_assert_eq!(
                 &fast, &oracle,
-                "{:?}: event-driven kernel diverged from the exhaustive oracle", schedule
+                "order {:#x}: event-driven kernel diverged from the exhaustive oracle", order
             );
             if diamond {
                 // Feedback (damped) signal cycle through the join: the
-                // schedules may settle on different — individually valid
-                // — arbitration orders, but never lose or forge tokens.
+                // orders may settle on different — individually valid —
+                // arbitration orders, but never lose or forge tokens.
                 for (t, caps) in fast.iter().enumerate() {
                     let mut seqs: Vec<u64> = caps.iter().map(|&(_, s)| s).collect();
                     seqs.sort_unstable();
@@ -231,26 +229,72 @@ proptest! {
                 }
             } else {
                 // Bar 2: signal-acyclic net — the fixed point is unique,
-                // so the schedule is behaviourally invisible.
+                // so the builder insertion order is behaviourally
+                // invisible.
                 prop_assert_eq!(
                     &reference, &fast,
-                    "{:?} schedule diverged from ranked on an acyclic net", schedule
+                    "builder insertion order {:#x} leaked into behaviour", order
                 );
             }
         }
+    }
+}
 
-        // A different builder insertion order must not change behaviour
-        // on acyclic nets either — the rank schedule (and the fixed
-        // point itself) is a property of the netlist, not of
-        // construction order.
-        if !diamond {
-            let reshuffled = run_net(
-                &p, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed ^ 0xDEAD_BEEF,
-            );
-            prop_assert_eq!(
-                &reference, &reshuffled,
-                "builder insertion order leaked into behaviour"
-            );
+/// The S = 8 workload: an 8-thread, 8-stage reduced-MEB pipeline, 64
+/// tokens per thread. `backpressured` adds irregular per-thread sink
+/// stalls so downstream ready keeps changing.
+fn run_pipeline_s8(backpressured: bool, mode: EvalMode) -> (Vec<Vec<(u64, u64)>>, KernelStats) {
+    const THREADS: usize = 8;
+    const STAGES: usize = 8;
+    let mut cfg =
+        PipelineConfig::free_flowing(THREADS, STAGES, MebKind::Reduced, 64).with_eval_mode(mode);
+    if backpressured {
+        for t in 0..THREADS {
+            cfg.sink_policies[t] = ReadyPolicy::Random {
+                p: 0.35,
+                seed: 0xC0FFEE ^ t as u64,
+            };
         }
     }
+    let mut h = PipelineHarness::build(cfg);
+    h.circuit.run(1_500).expect("S = 8 pipeline runs clean");
+    let captures = (0..THREADS)
+        .map(|t| {
+            h.sink()
+                .captured(t)
+                .iter()
+                .map(|(c, tok)| (*c, tok.seq))
+                .collect()
+        })
+        .collect();
+    (captures, *h.circuit.stats().kernel())
+}
+
+/// Rank order makes the round-1 sweep the fixed point: the S = 8
+/// pipeline settles in (essentially) one round every stepped cycle, both
+/// straight and under backpressure, where a sink's ready change reaches
+/// the upstream stages in the same sweep only if consumers evaluate
+/// first; and the dirty-set kernel still matches the exhaustive oracle
+/// byte for byte.
+#[test]
+fn s8_pipeline_settles_in_one_round_and_matches_the_oracle() {
+    let (_, straight) = run_pipeline_s8(false, EvalMode::EventDriven);
+    let (fast, backpressured) = run_pipeline_s8(true, EvalMode::EventDriven);
+    for (label, k) in [("straight", straight), ("backpressured", backpressured)] {
+        let mean = k.rounds_per_cycle();
+        assert!(
+            mean <= 1.05,
+            "{label} pipeline settle-round mean {mean:.3} exceeds 1.05"
+        );
+    }
+
+    let (oracle, _) = run_pipeline_s8(true, EvalMode::Exhaustive);
+    assert!(
+        fast.iter().all(|caps| !caps.is_empty()),
+        "every thread delivers"
+    );
+    assert_eq!(
+        fast, oracle,
+        "backpressured captures diverged from the oracle"
+    );
 }
