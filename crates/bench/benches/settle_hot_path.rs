@@ -6,11 +6,13 @@
 //! operations the loop is built from. Random sink readiness keeps every
 //! channel's valid/ready masks churning, so the loop cannot quiesce
 //! early. The `processor` group tracks the processor datapath, whose
-//! custom units carry their own word-level `eval`s. See `docs/perf.md`
-//! for the full methodology.
+//! custom units carry their own word-level `eval`s, and the `md5` group
+//! the paper's MD5 loop (merge, MEBs, round transform, barrier, branch).
+//! See `docs/perf.md` for the full methodology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};
+use elastic_md5::Md5Hasher;
 use elastic_proc::{assemble, programs, Cpu, CpuConfig};
 use elastic_sim::{ReadyPolicy, ThreadMask};
 
@@ -70,6 +72,22 @@ fn bench_processor(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 8-thread batch of 4-block messages through `Md5Hasher`: four waves
+/// of four barrier-synchronised round trips, elaboration included.
+fn bench_md5(c: &mut Criterion) {
+    let mut group = c.benchmark_group("md5");
+    group.sample_size(10);
+    let messages: Vec<Vec<u8>> = (0..8u8)
+        .map(|t| (0..200u8).map(|i| i.wrapping_mul(31) ^ t).collect())
+        .collect();
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    let hasher = Md5Hasher::new(8, MebKind::Reduced);
+    group.bench_function(BenchmarkId::new("batch_4_blocks", 8), |b| {
+        b.iter(|| hasher.hash_messages(&refs).expect("hashes").1)
+    });
+    group.finish();
+}
+
 fn bench_mask_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("thread_mask");
     for threads in [8usize, 64, 65] {
@@ -89,5 +107,11 @@ fn bench_mask_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_settle_loop, bench_processor, bench_mask_ops);
+criterion_group!(
+    benches,
+    bench_settle_loop,
+    bench_processor,
+    bench_md5,
+    bench_mask_ops
+);
 criterion_main!(benches);

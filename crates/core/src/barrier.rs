@@ -16,7 +16,7 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, SlotView, TickCtx, Token,
+    Ports, SlotView, ThreadMask, TickCtx, Token,
 };
 
 /// Per-thread barrier FSM state (paper, Fig. 8).
@@ -67,6 +67,11 @@ pub struct Barrier<T: Token> {
     threads: usize,
     participant: Vec<bool>,
     state: Vec<BarrierState>,
+    /// Bit `t` set iff thread `t` may pass: a non-participant, or a
+    /// participant in FREE. Kept at the clock edge with the FSMs and
+    /// rebuilt by `reset` and `with_participants`, so `eval` gates both
+    /// handshake words with it in one pass each.
+    open: ThreadMask,
     lgo: Vec<bool>,
     go: bool,
     count: usize,
@@ -95,6 +100,7 @@ impl<T: Token> Barrier<T> {
             threads,
             participant: vec![true; threads],
             state: vec![BarrierState::Idle; threads],
+            open: ThreadMask::new(threads),
             lgo: vec![false; threads],
             go: false,
             count: 0,
@@ -129,6 +135,7 @@ impl<T: Token> Barrier<T> {
             "a barrier needs at least one participant"
         );
         self.participant = mask;
+        self.reset_open();
         self
     }
 
@@ -154,6 +161,30 @@ impl<T: Token> Barrier<T> {
 
     fn participants_total(&self) -> usize {
         self.participant.iter().filter(|&&p| p).count()
+    }
+
+    /// The `open` word of a barrier whose participants are all IDLE: the
+    /// non-participants.
+    fn reset_open(&mut self) {
+        for (t, &p) in self.participant.iter().enumerate() {
+            self.open.set(t, !p);
+        }
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: derives each thread's gate from its FSM state and
+    /// drives `valid`/`ready` bit by bit. Kept so tests can run a circuit
+    /// with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        for t in 0..self.threads {
+            let open = !self.participant[t] || self.state[t] == BarrierState::Free;
+            let vin = ctx.valid(self.inp, t);
+            ctx.set_valid(self.out, t, vin && open);
+            ctx.set_ready(self.inp, t, open && ctx.ready(self.out, t));
+        }
+        let data = ctx.data(self.inp).cloned();
+        ctx.set_data(self.out, data);
     }
 }
 
@@ -190,15 +221,13 @@ impl<T: Token> Component<T> for Barrier<T> {
         ]
     }
 
+    /// Word-level evaluation: `valid(out) = valid(in) ∧ open` and
+    /// `ready(in) = ready(out) ∧ open`, one gated word commit each, and
+    /// the data word forwarded without a clone when it is unchanged.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let open = !self.participant[t] || self.state[t] == BarrierState::Free;
-            let vin = ctx.valid(self.inp, t);
-            ctx.set_valid(self.out, t, vin && open);
-            ctx.set_ready(self.inp, t, open && ctx.ready(self.out, t));
-        }
-        let data = ctx.data(self.inp).cloned();
-        ctx.set_data(self.out, data);
+        ctx.forward_valid(self.inp, self.out, Some(&self.open));
+        ctx.forward_ready(self.out, self.inp, Some(&self.open));
+        ctx.forward_data(self.inp, self.out);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
@@ -208,6 +237,7 @@ impl<T: Token> Component<T> for Barrier<T> {
         for t in 0..self.threads {
             if self.state[t] == BarrierState::Wait && self.lgo[t] != old_go {
                 self.state[t] = BarrierState::Free;
+                self.open.set(t, true);
             }
         }
 
@@ -221,13 +251,15 @@ impl<T: Token> Component<T> for Barrier<T> {
                     self.name
                 );
                 self.state[t] = BarrierState::Idle;
+                self.open.set(t, false);
             }
         }
 
-        // IDLE → WAIT: a new (unconsumed) token reached the barrier.
-        for t in 0..self.threads {
-            let arriving = ctx.valid(self.inp, t)
-                && !ctx.fired(self.inp, t)
+        // IDLE → WAIT: a new (unconsumed) token reached the barrier. The
+        // kernel has checked the one-valid-thread invariant before the
+        // edge, so only the offered thread can arrive.
+        if let Some(t) = ctx.valid_mask(self.inp).first_one() {
+            let arriving = !ctx.fired(self.inp, t)
                 && self.participant[t]
                 && self.state[t] == BarrierState::Idle;
             if arriving {
@@ -272,6 +304,7 @@ impl<T: Token> Component<T> for Barrier<T> {
         // Participation and the release callback are configuration; the
         // per-thread FSMs and release history rewind.
         self.state.iter_mut().for_each(|s| *s = BarrierState::Idle);
+        self.reset_open();
         self.lgo.iter_mut().for_each(|b| *b = false);
         self.go = false;
         self.count = 0;

@@ -157,7 +157,7 @@ impl<T: Token> Component<T> for ElasticBuffer<T> {
         ctx.set_ready(self.inp, 0, self.state != EbState::Full);
         match &self.main {
             Some(head) if self.state != EbState::Empty => {
-                ctx.drive_token(self.out, 0, head.clone());
+                ctx.drive_token_ref(self.out, 0, head);
             }
             _ => ctx.drive_idle(self.out),
         }

@@ -58,4 +58,4 @@ pub use eb::{EbState, ElasticBuffer};
 pub use meb::{FifoMeb, FullMeb, MebKind, ReducedMeb};
 pub use ops::{Branch, Fork, ForkMode, Join, Merge};
 pub use pipeline::{build_meb_pipeline, MebPipeline, PipelineConfig, PipelineHarness};
-pub use select::{advance_stall_pointer, select_output_thread, SelectState};
+pub use select::{advance_stall_pointer, select_output_thread, ReadyCache, SelectState};

@@ -15,7 +15,7 @@ use elastic_sim::{
 };
 
 use crate::arbiter::Arbiter;
-use crate::select::SelectState;
+use crate::select::{ReadyCache, SelectState};
 
 /// A MEB with `depth` private slots per thread and no shared storage.
 pub struct FifoMeb<T: Token> {
@@ -27,8 +27,15 @@ pub struct FifoMeb<T: Token> {
     queues: Vec<VecDeque<T>>,
     arbiter: Box<dyn Arbiter>,
     select: SelectState,
-    /// Persistent "thread has data" mask, rebuilt in place each eval.
+    /// Packed "thread has data" mask (queue non-empty), maintained at the
+    /// clock edge.
     has: ThreadMask,
+    /// Packed "queue holds `depth` items" mask, maintained at the clock
+    /// edge.
+    full: ThreadMask,
+    /// Upstream ready word, `¬full`, and rotation hint, built and
+    /// committed once per cycle.
+    cache: ReadyCache,
 }
 
 impl<T: Token> FifoMeb<T> {
@@ -59,6 +66,39 @@ impl<T: Token> FifoMeb<T> {
             arbiter,
             select: SelectState::new(),
             has: ThreadMask::new(threads),
+            full: ThreadMask::new(threads),
+            cache: ReadyCache::new(threads),
+        }
+    }
+
+    /// Re-derives thread `t`'s bits of the `has` and `full` masks from its
+    /// queue.
+    fn sync_masks(&mut self, t: usize) {
+        let len = self.queues[t].len();
+        self.has.set(t, len > 0);
+        self.full.set(t, len >= self.depth);
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: re-derives every queue's state on every call,
+    /// drives `ready` bit by bit and always takes the generic arbiter
+    /// path. Kept so tests can run a circuit with it; not a production
+    /// path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        for t in 0..self.threads {
+            ctx.set_ready(self.inp, t, self.queues[t].len() < self.depth);
+            self.has.set(t, !self.queues[t].is_empty());
+        }
+        match self
+            .select
+            .select(ctx, self.out, self.arbiter.as_ref(), &self.has)
+        {
+            Some(t) => {
+                let head = self.queues[t].front().cloned().expect("non-empty queue");
+                ctx.drive_token(self.out, t, head);
+            }
+            None => ctx.drive_idle(self.out),
         }
     }
 
@@ -68,16 +108,20 @@ impl<T: Token> FifoMeb<T> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::ExcessInitialTokens`] if a thread receives
-    /// more than `depth` initial tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thread index is out of range.
+    /// more than `depth` initial tokens, and
+    /// [`ProtocolError::InitialTokenThread`] for a thread index out of
+    /// range.
     pub fn with_initial(
         mut self,
         tokens: impl IntoIterator<Item = (usize, T)>,
     ) -> Result<Self, ProtocolError> {
         for (t, tok) in tokens {
+            if t >= self.threads {
+                return Err(ProtocolError::InitialTokenThread {
+                    thread: t,
+                    threads: self.threads,
+                });
+            }
             if self.queues[t].len() >= self.depth {
                 return Err(ProtocolError::ExcessInitialTokens {
                     thread: t,
@@ -85,6 +129,7 @@ impl<T: Token> FifoMeb<T> {
                 });
             }
             self.queues[t].push_back(tok);
+            self.sync_masks(t);
         }
         Ok(self)
     }
@@ -138,31 +183,37 @@ impl<T: Token> Component<T> for FifoMeb<T> {
         }]
     }
 
+    /// Word-level evaluation: upstream `ready` (a free queue slot) is the
+    /// complement of the full mask kept at the clock edge, built and
+    /// committed once per cycle; the output pick and the head drive are
+    /// `ReducedMeb`'s.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, self.queues[t].len() < self.depth);
-            self.has.set(t, !self.queues[t].is_empty());
-        }
-        match self
-            .select
-            .select(ctx, self.out, self.arbiter.as_ref(), &self.has)
-        {
-            Some(t) => {
-                let head = self.queues[t].front().cloned().expect("non-empty queue");
-                ctx.drive_token(self.out, t, head);
-            }
-            None => ctx.drive_idle(self.out),
-        }
+        let full = &self.full;
+        self.cache
+            .commit(ctx, self.inp, self.arbiter.as_ref(), |ready| {
+                ready.assign_not(full)
+            });
+        let queues = &self.queues;
+        self.select.offer(
+            ctx,
+            self.out,
+            self.arbiter.as_ref(),
+            &self.has,
+            self.cache.hint(),
+            |t| queues[t].front().expect("non-empty queue"),
+        );
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         if let Some((t, _)) = ctx.fired_any(self.out) {
             self.queues[t].pop_front();
+            self.sync_masks(t);
             self.arbiter.commit(t);
         }
         if let Some((t, data)) = ctx.fired_any(self.inp) {
             debug_assert!(self.queues[t].len() < self.depth, "enqueue into full FIFO");
             self.queues[t].push_back(data.clone());
+            self.sync_masks(t);
         }
         self.select.on_tick(ctx, self.out);
     }
@@ -191,6 +242,8 @@ impl<T: Token> Component<T> for FifoMeb<T> {
         self.arbiter.reset();
         self.select.reset();
         self.has.clear();
+        self.full.clear();
+        self.cache.invalidate();
         true
     }
 

@@ -88,16 +88,20 @@ impl<T: Token> FullMeb<T> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::ExcessInitialTokens`] if a thread receives
-    /// more than two initial tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thread index is out of range.
+    /// more than two initial tokens, and
+    /// [`ProtocolError::InitialTokenThread`] for a thread index out of
+    /// range.
     pub fn with_initial(
         mut self,
         tokens: impl IntoIterator<Item = (usize, T)>,
     ) -> Result<Self, ProtocolError> {
         for (t, tok) in tokens {
+            if t >= self.threads {
+                return Err(ProtocolError::InitialTokenThread {
+                    thread: t,
+                    threads: self.threads,
+                });
+            }
             if self.main[t].is_none() {
                 self.main[t] = Some(tok);
             } else if self.aux[t].is_none() {

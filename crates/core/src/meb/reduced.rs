@@ -25,7 +25,7 @@ use elastic_sim::{
 
 use crate::arbiter::Arbiter;
 use crate::eb::EbState;
-use crate::select::SelectState;
+use crate::select::{ReadyCache, SelectState};
 
 /// A reduced MEB: `S` main registers + one shared auxiliary register.
 ///
@@ -70,18 +70,9 @@ pub struct ReducedMeb<T: Token> {
     /// it are EMPTY → HALF (enqueue into an empty thread) and
     /// HALF → EMPTY (dequeue without shared refill).
     has: ThreadMask,
-    /// Upstream ready word, committed in one word-level
-    /// [`EvalCtx::set_ready_mask`] call.
-    ready: ThreadMask,
-    /// Per-cycle cache of [`Arbiter::rotation_hint`]: the hint depends
-    /// only on arbiter state, which advances at the clock edge, so one
-    /// vtable call per cycle serves every settle re-evaluation.
-    hint: Option<usize>,
-    /// Cycle-cache stamp for `ready`/`hint`: `cycle + 1` when they were
-    /// rebuilt this cycle, 0 = invalid. Both are functions of registered
-    /// state only, which changes exclusively at the clock edge, so one
-    /// rebuild per cycle serves every settle re-evaluation.
-    stamp: u64,
+    /// Upstream ready word and rotation hint, built and committed once
+    /// per cycle: both are functions of registered state only.
+    cache: ReadyCache,
 }
 
 impl<T: Token> ReducedMeb<T> {
@@ -109,9 +100,7 @@ impl<T: Token> ReducedMeb<T> {
             arbiter,
             select: SelectState::new(),
             has: ThreadMask::new(threads),
-            ready: ThreadMask::new(threads),
-            hint: None,
-            stamp: 0,
+            cache: ReadyCache::new(threads),
         }
     }
 
@@ -142,12 +131,6 @@ impl<T: Token> ReducedMeb<T> {
         let picked = self
             .select
             .select(ctx, self.out, self.arbiter.as_ref(), &self.has);
-        self.drive(ctx, picked);
-    }
-
-    /// Offers thread `picked`'s head (always its main register) on `out`,
-    /// or drives it idle.
-    fn drive(&self, ctx: &mut EvalCtx<'_, T>, picked: Option<usize>) {
         match picked {
             Some(t) => {
                 let head = self.main[t].clone().expect("non-empty thread has a head");
@@ -164,16 +147,20 @@ impl<T: Token> ReducedMeb<T> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::ExcessInitialTokens`] if a thread receives
-    /// more than one initial token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thread index is out of range.
+    /// more than one initial token, and
+    /// [`ProtocolError::InitialTokenThread`] for a thread index out of
+    /// range.
     pub fn with_initial(
         mut self,
         tokens: impl IntoIterator<Item = (usize, T)>,
     ) -> Result<Self, ProtocolError> {
         for (t, tok) in tokens {
+            if t >= self.threads {
+                return Err(ProtocolError::InitialTokenThread {
+                    thread: t,
+                    threads: self.threads,
+                });
+            }
             if self.main[t].is_some() {
                 // Reduced MEB mains hold one initial token per thread (the
                 // shared register cannot be pre-assigned).
@@ -288,34 +275,29 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
     /// mask once per cycle and committed with a single word-level
     /// [`EvalCtx::set_ready_mask`] — no per-thread FSM scan at all.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
-            // With the shared register free no thread is FULL (the
-            // structural invariant), so EMPTY and HALF are both ready:
-            // all ones. With it occupied only EMPTY threads are ready:
-            // ¬has.
-            if self.shared.is_none() {
-                self.ready.fill();
-            } else {
-                self.ready.assign_not(&self.has);
-            }
-            self.hint = self.arbiter.rotation_hint();
-            self.stamp = cycle + 1;
-            // Commit once per cycle: this component is the only driver
-            // of `ready(inp)` and the word is a function of registered
-            // state, so settle re-evaluations would re-commit an
-            // identical word (a guaranteed no-op under the word-level
-            // change test) — skip the call entirely.
-            ctx.set_ready_mask(self.inp, &self.ready);
-        }
-        let picked = self.select.select_with_hint(
+        let (has, shared_free) = (&self.has, self.shared.is_none());
+        self.cache
+            .commit(ctx, self.inp, self.arbiter.as_ref(), |ready| {
+                // With the shared register free no thread is FULL (the
+                // structural invariant), so EMPTY and HALF are both
+                // ready: all ones. With it occupied only EMPTY threads
+                // are ready: ¬has.
+                if shared_free {
+                    ready.fill();
+                } else {
+                    ready.assign_not(has);
+                }
+            });
+        // The head is always the main register.
+        let main = &self.main;
+        self.select.offer(
             ctx,
             self.out,
             self.arbiter.as_ref(),
             &self.has,
-            self.hint,
+            self.cache.hint(),
+            |t| main[t].as_ref().expect("non-empty thread has a head"),
         );
-        self.drive(ctx, picked);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
@@ -402,7 +384,7 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         self.arbiter.reset();
         self.select.reset();
         self.has.clear();
-        self.stamp = 0;
+        self.cache.invalidate();
         true
     }
 

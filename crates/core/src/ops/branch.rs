@@ -8,7 +8,7 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, TickCtx, Token,
+    Ports, ThreadMask, TickCtx, Token,
 };
 
 /// A two-way conditional router.
@@ -49,6 +49,8 @@ pub struct Branch<T: Token> {
     out_false: ChannelId,
     threads: usize,
     cond: Box<dyn Fn(&T) -> bool + Send>,
+    /// Scratch for the `ready(in)` word.
+    ready: ThreadMask,
 }
 
 impl<T: Token> Branch<T> {
@@ -69,7 +71,34 @@ impl<T: Token> Branch<T> {
             out_false,
             threads,
             cond: Box::new(cond),
+            ready: ThreadMask::new(threads),
         }
+    }
+
+    /// The selected and the other output for the offered token.
+    fn outputs(&self, ctx: &EvalCtx<'_, T>) -> (ChannelId, ChannelId) {
+        match ctx.data(self.inp).map(|d| (self.cond)(d)) {
+            Some(true) => (self.out_true, self.out_false),
+            _ => (self.out_false, self.out_true),
+        }
+    }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: drives `valid`/`ready` bit by bit and clones the
+    /// data word on every call. Kept so tests can run a circuit with it;
+    /// not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        let (sel, other) = self.outputs(ctx);
+        for t in 0..self.threads {
+            let vin = ctx.valid(self.inp, t);
+            ctx.set_valid(sel, t, vin);
+            ctx.set_valid(other, t, false);
+            ctx.set_ready(self.inp, t, vin && ctx.ready(sel, t));
+        }
+        let data = ctx.data(self.inp).cloned();
+        ctx.set_data(sel, data);
+        ctx.set_data(other, None);
     }
 }
 
@@ -119,29 +148,18 @@ impl<T: Token> Component<T> for Branch<T> {
         ]
     }
 
+    /// Word-level evaluation: `valid(sel) = valid(in)` and
+    /// `ready(in) = valid(in) ∧ ready(sel)`, one word commit each; the
+    /// other output is driven idle and the data word is forwarded to the
+    /// selected output without a clone when it is unchanged.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let taken = ctx.data(self.inp).map(|d| (self.cond)(d));
-        for t in 0..self.threads {
-            let vin = ctx.valid(self.inp, t);
-            let (sel, other) = match taken {
-                Some(true) => (self.out_true, self.out_false),
-                _ => (self.out_false, self.out_true),
-            };
-            ctx.set_valid(sel, t, vin);
-            ctx.set_valid(other, t, false);
-            ctx.set_ready(self.inp, t, vin && ctx.ready(sel, t));
-        }
-        let data = ctx.data(self.inp).cloned();
-        match taken {
-            Some(true) => {
-                ctx.set_data(self.out_true, data);
-                ctx.set_data(self.out_false, None);
-            }
-            _ => {
-                ctx.set_data(self.out_false, data);
-                ctx.set_data(self.out_true, None);
-            }
-        }
+        let (sel, other) = self.outputs(ctx);
+        ctx.forward_valid(self.inp, sel, None);
+        ctx.drive_idle(other);
+        self.ready
+            .assign_and(ctx.valid_mask(self.inp), ctx.ready_mask(sel));
+        ctx.set_ready_mask(self.inp, &self.ready);
+        ctx.forward_data(self.inp, sel);
     }
 
     fn tick(&mut self, _ctx: &TickCtx<'_, T>) {}

@@ -100,6 +100,45 @@ impl<T: Token> Merge<T> {
         }
         None
     }
+
+    /// Drives the handshake for the choice `chosen`, and the data word
+    /// when nothing is chosen: `valid(out)` for the chosen thread, the
+    /// chosen input's `ready` if the output takes it, every other input
+    /// unready.
+    fn drive_handshake(&self, ctx: &mut EvalCtx<'_, T>, chosen: Option<(usize, usize)>) {
+        match chosen {
+            Some((i, t)) => {
+                ctx.set_valid_only(self.out, t);
+                let pass = ctx.ready(self.out, t);
+                for (j, &ch) in self.inputs.iter().enumerate() {
+                    if j == i && pass {
+                        ctx.set_ready_only(ch, t);
+                    } else {
+                        ctx.drive_unready(ch);
+                    }
+                }
+            }
+            None => {
+                ctx.drive_idle(self.out);
+                for &ch in &self.inputs {
+                    ctx.drive_unready(ch);
+                }
+            }
+        }
+    }
+
+    /// The reference evaluation [`eval`](Component::eval) is checked
+    /// against: clones the chosen input's data word on every call. Kept
+    /// so tests can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        let chosen = self.choose(ctx);
+        if let Some((i, _)) = chosen {
+            let data = ctx.data(self.inputs[i]).cloned();
+            ctx.set_data(self.out, data);
+        }
+        self.drive_handshake(ctx, chosen);
+    }
 }
 
 impl<T: Token> Component<T> for Merge<T> {
@@ -151,29 +190,15 @@ impl<T: Token> Component<T> for Merge<T> {
         paths
     }
 
+    /// Forwards the chosen input's data word without a clone when it is
+    /// unchanged; otherwise the same drive as
+    /// [`eval_reference`](Merge::eval_reference).
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let chosen = self.choose(ctx);
-        match chosen {
-            Some((i, t)) => {
-                let data = ctx.data(self.inputs[i]).cloned();
-                ctx.set_valid_only(self.out, t);
-                ctx.set_data(self.out, data);
-                let pass = ctx.ready(self.out, t);
-                for (j, &ch) in self.inputs.iter().enumerate() {
-                    if j == i && pass {
-                        ctx.set_ready_only(ch, t);
-                    } else {
-                        ctx.drive_unready(ch);
-                    }
-                }
-            }
-            None => {
-                ctx.drive_idle(self.out);
-                for &ch in &self.inputs {
-                    ctx.drive_unready(ch);
-                }
-            }
+        if let Some((i, _)) = chosen {
+            ctx.forward_data(self.inputs[i], self.out);
         }
+        self.drive_handshake(ctx, chosen);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {

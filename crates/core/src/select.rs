@@ -173,6 +173,25 @@ impl SelectState {
         }
     }
 
+    /// Picks with [`select_with_hint`](SelectState::select_with_hint)
+    /// and drives `out`: the picked thread's head token, which `head_of`
+    /// lends and which is cloned only when the offer changes, or idle.
+    #[inline]
+    pub fn offer<'h, T: Token>(
+        &mut self,
+        ctx: &mut EvalCtx<'_, T>,
+        out: ChannelId,
+        arbiter: &dyn Arbiter,
+        has_data: &ThreadMask,
+        hint: Option<usize>,
+        head_of: impl FnOnce(usize) -> &'h T,
+    ) {
+        match self.select_with_hint(ctx, out, arbiter, has_data, hint) {
+            Some(t) => ctx.drive_token_ref(out, t, head_of(t)),
+            None => ctx.drive_idle(out),
+        }
+    }
+
     /// Clock-edge bookkeeping: rotates the stalled-offer pointer.
     pub fn on_tick<T: Token>(&mut self, ctx: &TickCtx<'_, T>, out: ChannelId) {
         advance_stall_pointer(ctx, out, &mut self.stall);
@@ -184,6 +203,69 @@ impl SelectState {
     pub fn reset(&mut self) {
         self.stall = 0;
         self.last_cycle = None;
+    }
+}
+
+/// The once-per-cycle half of a buffer's word-level `eval`: the upstream
+/// `ready` word and the arbiter's rotation hint, for a buffer where both
+/// depend only on registered state, which changes only at the clock edge.
+/// The first evaluation of a cycle builds them and commits the word; every
+/// settle re-evaluation of that cycle reuses them.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct ReadyCache {
+    /// The upstream ready word last committed.
+    ready: ThreadMask,
+    /// [`Arbiter::rotation_hint`] as of the current cycle.
+    hint: Option<usize>,
+    /// `cycle + 1` when `ready` and `hint` were built this cycle, 0 =
+    /// invalid.
+    stamp: u64,
+}
+
+impl ReadyCache {
+    /// An invalid cache for a `threads`-wide input.
+    pub fn new(threads: usize) -> Self {
+        Self {
+            ready: ThreadMask::new(threads),
+            hint: None,
+            stamp: 0,
+        }
+    }
+
+    /// On the first call of a cycle: rebuilds the ready word with `build`,
+    /// caches `arbiter`'s rotation hint and commits the word to
+    /// `ready(inp)`. Later calls in the same cycle do nothing: the buffer
+    /// is the only driver of `ready(inp)` and the word cannot have
+    /// changed, so a re-commit would be a no-op under the word-level
+    /// change test.
+    #[inline]
+    pub fn commit<T: Token>(
+        &mut self,
+        ctx: &mut EvalCtx<'_, T>,
+        inp: ChannelId,
+        arbiter: &dyn Arbiter,
+        build: impl FnOnce(&mut ThreadMask),
+    ) {
+        let cycle = ctx.cycle();
+        if self.stamp != cycle + 1 {
+            build(&mut self.ready);
+            self.hint = arbiter.rotation_hint();
+            self.stamp = cycle + 1;
+            ctx.set_ready_mask(inp, &self.ready);
+        }
+    }
+
+    /// The rotation hint cached by this cycle's [`commit`](Self::commit).
+    #[inline]
+    pub fn hint(&self) -> Option<usize> {
+        self.hint
+    }
+
+    /// Forgets the cycle's build. Call it wherever registered state
+    /// changes outside the clock edge, such as `reset`, which also
+    /// rewinds the clock.
+    pub fn invalidate(&mut self) {
+        self.stamp = 0;
     }
 }
 

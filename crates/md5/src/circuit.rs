@@ -420,6 +420,97 @@ impl Md5Circuit {
     pub fn participants(&self) -> usize {
         self.participants
     }
+
+    /// Hashes `messages`, one per participating thread, on this freshly
+    /// built circuit and returns the digests, the cycles used and the
+    /// kernel's counters — the loop behind
+    /// [`Md5Hasher::hash_messages_instrumented`], open so tests can run it
+    /// on a circuit whose components they have wrapped.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Md5Hasher::hash_messages`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one message per participant.
+    #[doc(hidden)]
+    pub fn hash(
+        &mut self,
+        messages: &[&[u8]],
+    ) -> Result<(Vec<[u8; 16]>, u64, KernelStats), Md5Error> {
+        let participants = self.participants;
+        assert_eq!(messages.len(), participants, "one message per participant");
+        let blocks: Vec<Vec<[u32; 16]>> = messages.iter().map(|m| pad_blocks(m)).collect();
+        let waves = blocks.iter().map(Vec::len).max().unwrap_or(0);
+        let circuit = &mut self.circuit;
+        circuit.set_deadlock_watchdog(Some(200 + 20 * self.threads as u64));
+
+        let mut chain: Vec<[u32; 4]> = vec![MD5_IV; participants];
+        let mut seen: Vec<usize> = vec![0; participants];
+        let mut remaining = participants * waves;
+
+        // Wave 0: one token per participating thread.
+        {
+            let feeder: &mut Source<Md5Token> = circuit.get_mut("feeder").expect("feeder exists");
+            for (t, thread_blocks) in blocks.iter().enumerate() {
+                feeder.push(t, make_token(t, 0, thread_blocks, chain[t]));
+            }
+        }
+
+        let max_cycles = 4_000 + (waves as u64) * (self.threads as u64 + 20) * 8;
+        let mut delivered = 0;
+        while remaining > 0 {
+            if circuit.cycle() >= max_cycles {
+                return Err(Md5Error::Timeout { max_cycles });
+            }
+            // `run(1)` steps one cycle without collecting a transfer list;
+            // the sink is looked at only on cycles where `done` fired.
+            circuit.run(1)?;
+            let fired = circuit.stats().total_transfers(self.channels.done);
+            if fired == delivered {
+                continue;
+            }
+            delivered = fired;
+
+            // Collect completions observed this cycle.
+            let mut completions: Vec<Md5Token> = Vec::new();
+            {
+                let sink: &Sink<Md5Token> = circuit.get("out").expect("sink exists");
+                for t in 0..participants {
+                    let captured = sink.captured(t);
+                    for (_, tok) in &captured[seen[t]..] {
+                        completions.push(tok.clone());
+                    }
+                    seen[t] = captured.len();
+                }
+            }
+            for tok in completions {
+                remaining -= 1;
+                let t = tok.thread;
+                if !tok.phantom {
+                    debug_assert_eq!(tok.steps_done, 64);
+                    chain[t] = [
+                        tok.chain[0].wrapping_add(tok.work[0]),
+                        tok.chain[1].wrapping_add(tok.work[1]),
+                        tok.chain[2].wrapping_add(tok.work[2]),
+                        tok.chain[3].wrapping_add(tok.work[3]),
+                    ];
+                }
+                let next_wave = tok.wave + 1;
+                if next_wave < waves {
+                    let token = make_token(t, next_wave, &blocks[t], chain[t]);
+                    let feeder: &mut Source<Md5Token> =
+                        circuit.get_mut("feeder").expect("feeder exists");
+                    feeder.push(t, token);
+                }
+            }
+        }
+
+        let digests = (0..participants).map(|t| digest_bytes(chain[t])).collect();
+        let kernel = *circuit.stats().kernel();
+        Ok((digests, circuit.cycle(), kernel))
+    }
 }
 
 /// Drives an [`Md5Circuit`] to hash one message per thread, cycle by
@@ -509,72 +600,9 @@ impl Md5Hasher {
                 threads: self.threads,
             });
         }
-        let participants = messages.len();
-        let blocks: Vec<Vec<[u32; 16]>> = messages.iter().map(|m| pad_blocks(m)).collect();
-        let waves = blocks.iter().map(Vec::len).max().unwrap_or(0);
-
-        let mut md5 = Md5Circuit::with_stages(self.threads, participants, self.kind, self.stages);
+        let mut md5 = Md5Circuit::with_stages(self.threads, messages.len(), self.kind, self.stages);
         md5.circuit.set_eval_mode(self.eval_mode);
-        md5.circuit
-            .set_deadlock_watchdog(Some(200 + 20 * self.threads as u64));
-
-        let mut chain: Vec<[u32; 4]> = vec![MD5_IV; participants];
-        let mut seen: Vec<usize> = vec![0; participants];
-        let mut remaining = participants * waves;
-
-        // Wave 0: one token per participating thread.
-        {
-            let feeder: &mut Source<Md5Token> =
-                md5.circuit.get_mut("feeder").expect("feeder exists");
-            for (t, thread_blocks) in blocks.iter().enumerate() {
-                feeder.push(t, make_token(t, 0, thread_blocks, chain[t]));
-            }
-        }
-
-        let max_cycles = 4_000 + (waves as u64) * (self.threads as u64 + 20) * 8;
-        while remaining > 0 {
-            if md5.circuit.cycle() >= max_cycles {
-                return Err(Md5Error::Timeout { max_cycles });
-            }
-            md5.circuit.step()?;
-
-            // Collect completions observed this cycle.
-            let mut completions: Vec<Md5Token> = Vec::new();
-            {
-                let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
-                for t in 0..participants {
-                    let captured = sink.captured(t);
-                    for (_, tok) in &captured[seen[t]..] {
-                        completions.push(tok.clone());
-                    }
-                    seen[t] = captured.len();
-                }
-            }
-            for tok in completions {
-                remaining -= 1;
-                let t = tok.thread;
-                if !tok.phantom {
-                    debug_assert_eq!(tok.steps_done, 64);
-                    chain[t] = [
-                        tok.chain[0].wrapping_add(tok.work[0]),
-                        tok.chain[1].wrapping_add(tok.work[1]),
-                        tok.chain[2].wrapping_add(tok.work[2]),
-                        tok.chain[3].wrapping_add(tok.work[3]),
-                    ];
-                }
-                let next_wave = tok.wave + 1;
-                if next_wave < waves {
-                    let token = make_token(t, next_wave, &blocks[t], chain[t]);
-                    let feeder: &mut Source<Md5Token> =
-                        md5.circuit.get_mut("feeder").expect("feeder exists");
-                    feeder.push(t, token);
-                }
-            }
-        }
-
-        let digests = (0..participants).map(|t| digest_bytes(chain[t])).collect();
-        let kernel = *md5.circuit.stats().kernel();
-        Ok((digests, md5.circuit.cycle(), kernel))
+        md5.hash(messages)
     }
 }
 

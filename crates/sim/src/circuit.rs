@@ -223,7 +223,11 @@ impl<'a, T: Token> EvalCtx<'a, T> {
         }
     }
 
-    /// Drives the data word on an output channel.
+    /// Drives the data word on an output channel with an owned token — for
+    /// tokens the component computes. Stored tokens go through
+    /// [`set_data_ref`](Self::set_data_ref) and pass-through tokens through
+    /// [`forward_data`](Self::forward_data), which compare before they
+    /// clone.
     ///
     /// # Panics
     ///
@@ -234,6 +238,98 @@ impl<'a, T: Token> EvalCtx<'a, T> {
         if *slot != value {
             *slot = value;
             self.wake_reader(ch.0);
+        }
+    }
+
+    /// Drives the data word on an output channel from a borrowed token (a
+    /// buffer register, a queue head). The token is compared with the
+    /// slot first and cloned only when it differs, so a settle
+    /// re-evaluation that offers the same token clones nothing. Same
+    /// slot contents and wakes as [`set_data`](Self::set_data).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling component is not the registered driver of `ch`.
+    pub fn set_data_ref(&mut self, ch: ChannelId, value: Option<&T>) {
+        self.assert_drives(ch, "data");
+        let slot = &mut self.channels[ch.0].data;
+        if slot.as_ref() != value {
+            *slot = value.cloned();
+            self.wake_reader(ch.0);
+        }
+    }
+
+    /// Drives the data word of output `to` with the data word of input
+    /// `from`, as a pass-through unit does. Compares before it clones,
+    /// like [`set_data_ref`](Self::set_data_ref).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling component is not the registered driver of
+    /// `to`, or if `from == to`.
+    pub fn forward_data(&mut self, from: ChannelId, to: ChannelId) {
+        self.assert_drives(to, "data");
+        let (src, dst) = self.pair(from, to);
+        if dst.data != src.data {
+            dst.data.clone_from(&src.data);
+            self.wake_reader(to.0);
+        }
+    }
+
+    /// Drives `valid(to) = valid(from) ∧ gate` (`gate` absent: all ones)
+    /// on output `to` in one word-level commit — the forward handshake of
+    /// a pass-through unit. Wakes exactly as the per-thread
+    /// [`set_valid`](Self::set_valid) loop would (see
+    /// [`set_valid_mask`](Self::set_valid_mask)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling component is not the registered driver of
+    /// `to`, if `from == to`, or if the channel and gate widths differ.
+    pub fn forward_valid(&mut self, from: ChannelId, to: ChannelId, gate: Option<&ThreadMask>) {
+        self.assert_drives(to, "valid");
+        let (src, dst) = self.pair(from, to);
+        let changed = match gate {
+            Some(gate) => dst.valid.assign_and(&src.valid, gate),
+            None => dst.valid.assign(&src.valid),
+        };
+        if changed {
+            self.wake_reader(to.0);
+        }
+    }
+
+    /// Drives `ready(to) = ready(from) ∧ gate` on input `to` from the
+    /// `ready` of output `from`: the backward handshake of a pass-through
+    /// unit, the counterpart of [`forward_valid`](Self::forward_valid).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling component is not the registered reader of
+    /// `to`, if `from == to`, or if the channel and gate widths differ.
+    pub fn forward_ready(&mut self, from: ChannelId, to: ChannelId, gate: Option<&ThreadMask>) {
+        self.assert_reads(to);
+        let (src, dst) = self.pair(from, to);
+        let changed = match gate {
+            Some(gate) => dst.ready.assign_and(&src.ready, gate),
+            None => dst.ready.assign(&src.ready),
+        };
+        if changed {
+            self.wake_driver(to.0);
+        }
+    }
+
+    /// Shared access to channel `from` next to exclusive access to `to`.
+    fn pair(&mut self, from: ChannelId, to: ChannelId) -> (&ChannelState<T>, &mut ChannelState<T>) {
+        assert_ne!(
+            from, to,
+            "a pass-through cannot forward a channel onto itself"
+        );
+        if from.0 < to.0 {
+            let (lo, hi) = self.channels.split_at_mut(to.0);
+            (&lo[from.0], &mut hi[0])
+        } else {
+            let (lo, hi) = self.channels.split_at_mut(from.0);
+            (&hi[0], &mut lo[to.0])
         }
     }
 
@@ -311,6 +407,14 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     pub fn drive_token(&mut self, ch: ChannelId, thread: usize, data: T) {
         self.set_valid_only(ch, thread);
         self.set_data(ch, Some(data));
+    }
+
+    /// [`drive_token`](Self::drive_token) for a stored token, cloned only
+    /// when it differs from the slot (see
+    /// [`set_data_ref`](Self::set_data_ref)).
+    pub fn drive_token_ref(&mut self, ch: ChannelId, thread: usize, data: &T) {
+        self.set_valid_only(ch, thread);
+        self.set_data_ref(ch, Some(data));
     }
 
     /// Convenience: drives every `ready` bit of an input channel low.

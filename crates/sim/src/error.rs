@@ -135,6 +135,13 @@ pub enum ProtocolError {
         /// Per-thread capacity of the storage.
         capacity: usize,
     },
+    /// An initial token names a thread the storage does not have.
+    InitialTokenThread {
+        /// The out-of-range thread index.
+        thread: usize,
+        /// Thread count of the storage.
+        threads: usize,
+    },
     /// A routing fork's route function returned a mask that selects no
     /// output or names an output the fork does not have; the offered
     /// token could never be consumed.
@@ -174,6 +181,10 @@ impl fmt::Display for ProtocolError {
             ProtocolError::ExcessInitialTokens { thread, capacity } => write!(
                 f,
                 "thread {thread} given more initial tokens than its capacity ({capacity})"
+            ),
+            ProtocolError::InitialTokenThread { thread, threads } => write!(
+                f,
+                "initial token for thread {thread} of a {threads}-thread buffer"
             ),
             ProtocolError::InvalidRoute { mask, outputs } => write!(
                 f,

@@ -382,6 +382,30 @@ impl ThreadMask {
         changed
     }
 
+    /// Assigns `a ∧ b` to `self` in one word-level pass, reporting
+    /// whether any bit changed (the gated form of
+    /// [`assign`](ThreadMask::assign)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three masks do not all have the same thread count.
+    pub fn assign_and(&mut self, a: &Self, b: &Self) -> bool {
+        assert_eq!(self.threads, a.threads, "mask width mismatch");
+        assert_eq!(self.threads, b.threads, "mask width mismatch");
+        let head = a.head & b.head;
+        let mut changed = self.head != head;
+        self.head = head;
+        if let (Some(dst), Some(x), Some(y)) =
+            (self.rest.as_mut(), a.rest.as_ref(), b.rest.as_ref())
+        {
+            for ((d, x), y) in dst.iter_mut().zip(x.iter()).zip(y.iter()) {
+                changed |= *d != *x & *y;
+                *d = *x & *y;
+            }
+        }
+        changed
+    }
+
     /// Intersects `self` with `other` in place.
     ///
     /// # Panics
@@ -578,6 +602,22 @@ mod tests {
     }
 
     #[test]
+    fn assign_and_reports_word_level_change() {
+        for width in [3usize, 130] {
+            let a = ThreadMask::from_bools(&(0..width).map(|t| t % 2 == 0).collect::<Vec<_>>());
+            let b = ThreadMask::from_bools(&(0..width).map(|t| t % 3 == 0).collect::<Vec<_>>());
+            let mut m = ThreadMask::new(width);
+            assert!(m.assign_and(&a, &b), "width {width}: gated bits appear");
+            assert!(
+                !m.assign_and(&a, &b),
+                "width {width}: same result, no change"
+            );
+            assert!(m.assign_and(&a, &ThreadMask::new(width)), "width {width}");
+            assert!(!m.any());
+        }
+    }
+
+    #[test]
     fn debug_renders_the_index_set() {
         let m = ThreadMask::from_bools(&[true, false, true]);
         assert_eq!(format!("{m:?}"), "{0, 2}");
@@ -637,6 +677,9 @@ mod tests {
             let ref_and: Vec<bool> =
                 bits.iter().zip(&other_bits).map(|(&a, &b)| a && b).collect();
             prop_assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
+            let mut gated = ThreadMask::new(s);
+            gated.assign_and(&m, &other);
+            prop_assert_eq!(&gated, &anded);
             let mut ored = m.clone();
             ored.or_with(&other);
             let ref_or: Vec<bool> =

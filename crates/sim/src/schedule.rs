@@ -221,11 +221,6 @@ impl<T: Token> Source<T> {
                 .filter(|&t| self.queues[t].front().is_some_and(|(rel, _)| *rel <= cycle))
                 .min_by_key(|&t| (t + self.threads - self.rr) % self.threads);
         }
-        self.drive(ctx, chosen);
-    }
-
-    /// Offers thread `chosen`'s queue head on `out`, or drives it idle.
-    fn drive(&self, ctx: &mut EvalCtx<'_, T>, chosen: Option<usize>) {
         match chosen {
             Some(t) => {
                 let data = self.queues[t]
@@ -299,7 +294,14 @@ impl<T: Token> Component<T> for Source<T> {
             .eligible
             .next_one_wrapping_and(ctx.ready_mask(self.out), self.rr)
             .or_else(|| self.eligible.next_one_wrapping(self.rr));
-        self.drive(ctx, chosen);
+        // The queue head is cloned only when the offer changes.
+        match chosen {
+            Some(t) => {
+                let (_, data) = self.queues[t].front().expect("eligible head");
+                ctx.drive_token_ref(self.out, t, data);
+            }
+            None => ctx.drive_idle(self.out),
+        }
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {

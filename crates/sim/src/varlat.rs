@@ -374,19 +374,16 @@ impl<T: Token> Component<T> for VarLatency<T> {
             return;
         };
         let idx = self.head_idx[t];
-        let data = match &self.emitted {
-            Some((i, tok)) if *i == idx => tok.clone(),
-            _ => {
-                let token = &self.entries[idx].token;
-                let tok = match &self.transform {
-                    Some(f) => f(token),
-                    None => token.clone(),
-                };
-                self.emitted = Some((idx, tok.clone()));
-                tok
-            }
-        };
-        ctx.drive_token(self.out, t, data);
+        if !matches!(&self.emitted, Some((i, _)) if *i == idx) {
+            let token = &self.entries[idx].token;
+            let tok = match &self.transform {
+                Some(f) => f(token),
+                None => token.clone(),
+            };
+            self.emitted = Some((idx, tok));
+        }
+        let (_, data) = self.emitted.as_ref().expect("emitted token cached above");
+        ctx.drive_token_ref(self.out, t, data);
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
@@ -489,6 +486,21 @@ impl<T: Token> Transform<T> {
             f: Box::new(f),
         }
     }
+
+    /// The per-thread reference evaluation [`eval`](Component::eval) is
+    /// checked against: copies `valid` and `ready` bit by bit. Kept so
+    /// tests can run a circuit with it; not a production path.
+    #[doc(hidden)]
+    pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
+        for t in 0..self.threads {
+            let v = ctx.valid(self.inp, t);
+            ctx.set_valid(self.out, t, v);
+            let r = ctx.ready(self.out, t);
+            ctx.set_ready(self.inp, t, r);
+        }
+        let data = ctx.data(self.inp).map(|d| (self.f)(d));
+        ctx.set_data(self.out, data);
+    }
 }
 
 impl<T: Token> Component<T> for Transform<T> {
@@ -523,13 +535,11 @@ impl<T: Token> Component<T> for Transform<T> {
         ]
     }
 
+    /// Word-level evaluation: both handshake words are copied through in
+    /// one commit each; the data word is computed.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let v = ctx.valid(self.inp, t);
-            ctx.set_valid(self.out, t, v);
-            let r = ctx.ready(self.out, t);
-            ctx.set_ready(self.inp, t, r);
-        }
+        ctx.forward_valid(self.inp, self.out, None);
+        ctx.forward_ready(self.out, self.inp, None);
         let data = ctx.data(self.inp).map(|d| (self.f)(d));
         ctx.set_data(self.out, data);
     }

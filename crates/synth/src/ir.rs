@@ -342,7 +342,33 @@ pub enum IrError {
         /// Declared output count.
         outputs: usize,
     },
-    /// A MEB's initial tokens exceed its per-thread capacity.
+    /// A node's ports disagree on the thread count (or an EB sits on a
+    /// multithreaded channel) — the protocol lint's check. `Custom` nodes
+    /// are exempt: their builders choose their own widths.
+    ThreadMismatch {
+        /// Offending node.
+        node: String,
+        /// The channel whose thread count disagrees.
+        channel: String,
+        /// Thread count expected from the node's first port (1 for an EB).
+        expected: usize,
+        /// Thread count found on `channel`.
+        got: usize,
+    },
+    /// A barrier's participant mask does not fit it: its length is not
+    /// the barrier's thread count, or no thread participates.
+    BadParticipants {
+        /// Offending node.
+        node: String,
+        /// Thread count of the barrier.
+        threads: usize,
+        /// Length of the participant mask.
+        len: usize,
+        /// Participating threads in the mask.
+        participants: usize,
+    },
+    /// A MEB's initial tokens exceed its per-thread capacity or name a
+    /// thread it does not have.
     Protocol(ProtocolError),
     /// The lowered netlist failed structural validation or rank
     /// scheduling (see [`BuildError`]).
@@ -361,6 +387,26 @@ impl std::fmt::Display for IrError {
                 "node `{node}` is wired to {inputs} input(s) and {outputs} output(s), \
                  which its kind does not support"
             ),
+            IrError::ThreadMismatch {
+                node,
+                channel,
+                expected,
+                got,
+            } => write!(
+                f,
+                "node `{node}` expects {expected} thread(s) but channel `{channel}` \
+                 carries {got}"
+            ),
+            IrError::BadParticipants {
+                node,
+                threads,
+                len,
+                participants,
+            } => write!(
+                f,
+                "barrier `{node}` has {threads} thread(s) but a participant mask of \
+                 length {len} with {participants} participant(s)"
+            ),
             IrError::Protocol(e) => write!(f, "{e}"),
             IrError::Build(e) => write!(f, "{e}"),
         }
@@ -372,7 +418,9 @@ impl std::error::Error for IrError {
         match self {
             IrError::Protocol(e) => Some(e),
             IrError::Build(e) => Some(e),
-            IrError::BadPorts { .. } => None,
+            IrError::BadPorts { .. }
+            | IrError::ThreadMismatch { .. }
+            | IrError::BadParticipants { .. } => None,
         }
     }
 }
@@ -666,6 +714,25 @@ impl<T: Token> ElasticIr<T> {
             .unwrap_or(1)
     }
 
+    /// The first port of `node` whose thread count differs from the
+    /// node's, as `(channel, expected, got)`: all ports of a node carry
+    /// its first port's thread count (an elastic circuit never changes
+    /// `S` mid-node), except that a single-thread EB expects 1. The
+    /// protocol lint and [`elaborate`](Self::elaborate) both apply it.
+    pub(crate) fn thread_mismatch(&self, node: &IrNode<T>) -> Option<(IrChannelId, usize, usize)> {
+        let mut ports = node.inputs.iter().chain(&node.outputs).copied();
+        let first = ports.next()?;
+        let expected = if node.tag() == IrNodeTag::Eb {
+            1
+        } else {
+            self.channels[first.0].threads
+        };
+        std::iter::once(first)
+            .chain(ports)
+            .map(|ch| (ch, expected, self.channels[ch.0].threads))
+            .find(|&(_, expected, got)| got != expected)
+    }
+
     /// Extracts the structural graph of the IR — same shape as
     /// [`Circuit::netlist`](elastic_sim::Circuit::netlist) extraction
     /// from a built circuit, but available *before* (or instead of)
@@ -722,11 +789,29 @@ impl<T: Token> ElasticIr<T> {
     /// # Errors
     ///
     /// [`IrError::BadPorts`] when a node's wiring does not fit its kind,
-    /// [`IrError::Protocol`] when a MEB's initial tokens overflow, and
-    /// [`IrError::Build`] for anything the circuit builder rejects
-    /// (missing drivers/readers, combinational loops, …). Run the lint
-    /// passes first for friendlier, earlier diagnostics.
+    /// [`IrError::ThreadMismatch`] when a primitive's ports disagree on
+    /// the thread count, [`IrError::BadParticipants`] for a barrier mask
+    /// that does not fit, [`IrError::Protocol`] when a MEB's initial
+    /// tokens overflow or name a missing thread, and [`IrError::Build`]
+    /// for anything the circuit builder rejects (missing
+    /// drivers/readers, combinational loops, …). Run the lint passes
+    /// first for friendlier, earlier diagnostics.
     pub fn elaborate(self) -> Result<Elaborated<T>, IrError> {
+        // The primitives commit whole handshake words, so a width
+        // mismatch would otherwise surface as a panic mid-run.
+        for node in self.nodes.iter() {
+            if matches!(node.kind, IrNodeKind::Custom { .. }) {
+                continue;
+            }
+            if let Some((ch, expected, got)) = self.thread_mismatch(node) {
+                return Err(IrError::ThreadMismatch {
+                    node: node.name.clone(),
+                    channel: self.channels[ch.0].name.clone(),
+                    expected,
+                    got,
+                });
+            }
+        }
         let mut b = CircuitBuilder::<T>::new();
         let channel_ids: Vec<ChannelId> = self
             .channels
@@ -813,6 +898,17 @@ impl<T: Token> ElasticIr<T> {
                 } => {
                     ok(ins.len() == 1 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
+                    if let Some(mask) = &participants {
+                        let count = mask.iter().filter(|&&p| p).count();
+                        if mask.len() != threads || count == 0 {
+                            return Err(IrError::BadParticipants {
+                                node: name,
+                                threads,
+                                len: mask.len(),
+                                participants: count,
+                            });
+                        }
+                    }
                     let mut bar = Barrier::new(name, ins[0], outs[0], threads);
                     if let Some(mask) = participants {
                         bar = bar.with_participants(mask);
@@ -1016,6 +1112,123 @@ mod tests {
             Err(IrError::BadPorts { node, .. }) => assert_eq!(node, "br"),
             other => panic!("unexpected: {:?}", other.map(|_| ())),
         }
+    }
+
+    /// src → `node` → capturing sink over `threads`-thread channels.
+    fn one_node_ir(threads: usize, kind: IrNodeKind<u64>) -> ElasticIr<u64> {
+        let mut ir = ElasticIr::<u64>::new();
+        let a = ir.channel("a", threads);
+        let b = ir.channel("b", threads);
+        ir.add("src", IrNodeKind::Source, vec![], vec![a]);
+        ir.add("node", kind, vec![a], vec![b]);
+        ir.add(
+            "snk",
+            IrNodeKind::Sink {
+                capture: true,
+                policy: ReadyPolicy::Always,
+            },
+            vec![b],
+            vec![],
+        );
+        ir
+    }
+
+    #[test]
+    fn malformed_barrier_masks_are_typed_errors() {
+        for (mask, len, participants) in [
+            (vec![true, false], 2, 1),
+            (vec![true, true, true, true], 4, 4),
+            (vec![false, false, false], 3, 0),
+        ] {
+            let ir = one_node_ir(
+                3,
+                IrNodeKind::Barrier {
+                    participants: Some(mask),
+                    on_release: None,
+                },
+            );
+            match ir.elaborate() {
+                Err(IrError::BadParticipants {
+                    node,
+                    threads: 3,
+                    len: l,
+                    participants: p,
+                }) => assert_eq!((node.as_str(), l, p), ("node", len, participants)),
+                other => panic!("mask {len}/{participants}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn initial_token_on_a_missing_thread_is_a_typed_error() {
+        for kind in [MebKind::Full, MebKind::Reduced, MebKind::Fifo { depth: 2 }] {
+            let ir = one_node_ir(
+                2,
+                IrNodeKind::Meb {
+                    kind,
+                    arbiter: ArbiterKind::RoundRobin,
+                    initial: vec![(0, 1), (2, 5)],
+                    auto: false,
+                },
+            );
+            match ir.elaborate() {
+                Err(IrError::Protocol(ProtocolError::InitialTokenThread {
+                    thread: 2,
+                    threads: 2,
+                })) => {}
+                other => panic!("{kind}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn port_thread_mismatch_is_a_typed_error_except_on_custom_nodes() {
+        let narrow_input = |kind: IrNodeKind<u64>| {
+            let mut ir = ElasticIr::<u64>::new();
+            let a = ir.channel("a", 2);
+            let b = ir.channel("b", 4);
+            ir.add("src", IrNodeKind::Source, vec![], vec![a]);
+            ir.add("node", kind, vec![a], vec![b]);
+            ir.add(
+                "snk",
+                IrNodeKind::Sink {
+                    capture: false,
+                    policy: ReadyPolicy::Always,
+                },
+                vec![b],
+                vec![],
+            );
+            ir
+        };
+        let transform = IrNodeKind::Transform {
+            f: Box::new(|v: &u64| v + 1),
+        };
+        match narrow_input(transform).elaborate() {
+            Err(IrError::ThreadMismatch {
+                node,
+                channel,
+                expected: 2,
+                got: 4,
+            }) => assert_eq!((node.as_str(), channel.as_str()), ("node", "b")),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+        match one_node_ir(2, IrNodeKind::Eb).elaborate() {
+            Err(IrError::ThreadMismatch {
+                expected: 1,
+                got: 2,
+                ..
+            }) => {}
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+        // A custom node's builder picks its own widths.
+        let custom = IrNodeKind::Custom {
+            build: Box::new(|ins: &[ChannelId], outs: &[ChannelId]| {
+                Box::new(Transform::new("node", ins[0], outs[0], 2, |v: &u64| *v))
+                    as Box<dyn Component<u64>>
+            }),
+            cuts: false,
+        };
+        assert!(narrow_input(custom).elaborate().is_ok());
     }
 
     #[test]

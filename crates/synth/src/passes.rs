@@ -506,29 +506,13 @@ impl<T: Token> Pass<T> for ProtocolLint {
         }
 
         for node in ir.nodes() {
-            let ports: Vec<_> = node
-                .inputs()
-                .iter()
-                .chain(node.outputs())
-                .copied()
-                .collect();
-            if let Some(&first) = ports.first() {
-                let expected = if node.tag() == IrNodeTag::Eb {
-                    1
-                } else {
-                    ir.channel_info(first).threads
-                };
-                for &ch in &ports {
-                    let got = ir.channel_info(ch).threads;
-                    if got != expected {
-                        return Err(PassError::ThreadMismatch {
-                            node: node.name().to_string(),
-                            channel: ir.channel_info(ch).name.clone(),
-                            expected,
-                            got,
-                        });
-                    }
-                }
+            if let Some((ch, expected, got)) = ir.thread_mismatch(node) {
+                return Err(PassError::ThreadMismatch {
+                    node: node.name().to_string(),
+                    channel: ir.channel_info(ch).name.clone(),
+                    expected,
+                    got,
+                });
             }
             let (ni, no) = (node.inputs().len(), node.outputs().len());
             let ok = match node.tag() {

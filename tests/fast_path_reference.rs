@@ -1,16 +1,18 @@
 //! Reference-model tests for the word-level fast paths.
 //!
-//! `ReducedMeb`, `Source`, `Sink`, `VarLatency` and the eager `Fork`
+//! The three MEBs, `Source`, `Sink`, `VarLatency` and the eager `Fork`
 //! evaluate through word-level `eval`s that cache a per-cycle word
 //! (upstream ready, released heads, the ready-policy word, completed
 //! heads) or build each handshake word in one pass, and commit it with one
-//! masked write. Each primitive keeps its per-thread evaluation as
-//! `eval_reference`. Here a circuit built from the fast primitives is run
-//! next to the same circuit whose primitives are wrapped in
-//! [`Reference`], so that their `eval` calls `eval_reference`. The bars,
-//! under both settle modes:
+//! masked write. `Barrier`, `Branch` and `Transform` gate or copy whole
+//! handshake words, and the pass-through units forward data words that
+//! are cloned only when they change. Each primitive keeps its per-thread
+//! evaluation as `eval_reference`. Here a circuit built from the fast
+//! primitives is run next to the same circuit whose primitives are wrapped
+//! in [`Reference`], so that their `eval` calls `eval_reference`. The
+//! bars, under both settle modes:
 //!
-//! 1. identical per-thread sink captures;
+//! 1. identical per-thread sink captures (digests, for the MD5 loop);
 //! 2. identical `Component::eval` counts and settle-round counts — the
 //!    fast paths save work inside an evaluation, never evaluations;
 //! 3. on random topologies, the event-driven kernel still matches the
@@ -20,122 +22,38 @@
 //! Beyond the random topologies, deterministic cases cover the cache
 //! invalidation paths: timed `push_at` releases, a push into the past
 //! after a quiescent fast-forward, `Sink::set_policy` between runs,
-//! reconfiguration after a deadlock error and `Circuit::reset` loops.
+//! reconfiguration after a deadlock error and `Circuit::reset` loops, on
+//! every MEB kind. The MD5 loop runs on 1–8 threads and 1–16 round
+//! stages, and the barrier's `open` word is checked over random arrival
+//! schedules, participant masks and reset loops.
 
-use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind, ReducedMeb};
+mod common;
+
+use common::{boxed, wrap, Model};
+use mt_elastic::core::{
+    ArbiterKind, Barrier, BarrierState, Branch, FifoMeb, Fork, ForkMode, FullMeb, Join, MebKind,
+    Merge, ReducedMeb,
+};
+use mt_elastic::md5::{algo, Md5Circuit, Md5Token};
 use mt_elastic::sim::{
-    impl_as_any, Circuit, CircuitBuilder, CombPath, Component, EvalCtx, EvalMode, FusedOpKind,
-    LatencyModel, NetlistNodeKind, NextEvent, Ports, ProtocolError, ReadyPolicy, Sink, SlotView,
-    Source, Tagged, TickCtx, VarLatency,
+    Circuit, CircuitBuilder, Component, EvalMode, KernelStats, LatencyModel, ReadyPolicy, Sink,
+    Source, Tagged, Transform, VarLatency,
 };
 use proptest::prelude::*;
 
-/// A primitive with a per-thread reference evaluation.
-trait HasReference: Component<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>);
+fn part<'a, C: Component<Tagged> + 'static>(c: &'a Circuit<Tagged>, name: &str) -> &'a C {
+    c.get::<C>(name).expect("component exists")
 }
 
-impl HasReference for ReducedMeb<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        ReducedMeb::eval_reference(self, ctx);
-    }
+fn part_mut<'a, C: Component<Tagged> + 'static>(
+    c: &'a mut Circuit<Tagged>,
+    name: &str,
+) -> &'a mut C {
+    c.get_mut::<C>(name).expect("component exists")
 }
 
-impl HasReference for Source<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        Source::eval_reference(self, ctx);
-    }
-}
-
-impl HasReference for Sink<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        Sink::eval_reference(self, ctx);
-    }
-}
-
-impl HasReference for Fork<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        Fork::eval_reference(self, ctx);
-    }
-}
-
-impl HasReference for VarLatency<Tagged> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        VarLatency::eval_reference(self, ctx);
-    }
-}
-
-/// Runs the wrapped primitive with its reference `eval`; every other
-/// method delegates unchanged.
-struct Reference<C>(C);
-
-impl<C: HasReference + 'static> Component<Tagged> for Reference<C> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn ports(&self) -> Ports {
-        self.0.ports()
-    }
-    fn comb_paths(&self) -> Vec<CombPath> {
-        self.0.comb_paths()
-    }
-    fn eval(&mut self, ctx: &mut EvalCtx<'_, Tagged>) {
-        self.0.eval_reference(ctx);
-    }
-    fn tick(&mut self, ctx: &TickCtx<'_, Tagged>) {
-        self.0.tick(ctx);
-    }
-    fn reset(&mut self) -> bool {
-        self.0.reset()
-    }
-    fn slots(&self) -> Vec<SlotView> {
-        self.0.slots()
-    }
-    fn next_event(&self, now: u64) -> NextEvent {
-        self.0.next_event(now)
-    }
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.0.take_fault()
-    }
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        self.0.netlist_kind()
-    }
-    fn op_kind(&self) -> FusedOpKind {
-        self.0.op_kind()
-    }
-    impl_as_any!();
-}
-
-/// Which `eval` the primitives with a fast path run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Model {
-    Fast,
-    Reference,
-}
-
-fn boxed<C: HasReference + 'static>(c: C, model: Model) -> Box<dyn Component<Tagged>> {
-    match model {
-        Model::Fast => Box::new(c),
-        Model::Reference => Box::new(Reference(c)),
-    }
-}
-
-/// The primitive named `name`, whether or not it is wrapped.
-fn part_mut<'a, C: HasReference + 'static>(c: &'a mut Circuit<Tagged>, name: &str) -> &'a mut C {
-    if c.get::<C>(name).is_some() {
-        return c.get_mut::<C>(name).expect("checked above");
-    }
-    &mut c.get_mut::<Reference<C>>(name).expect("component exists").0
-}
-
-fn part<'a, C: HasReference + 'static>(c: &'a Circuit<Tagged>, name: &str) -> &'a C {
-    c.get::<C>(name)
-        .or_else(|| c.get::<Reference<C>>(name).map(|r| &r.0))
-        .expect("component exists")
-}
-
-/// A MEB of `kind`; reduced MEBs honour `model`, the other kinds have no
-/// fast path to compare.
+/// A round-robin MEB of `kind` running the `model` evaluation. `FullMeb`
+/// has a single, per-thread evaluation and is never wrapped.
 fn meb(
     kind: MebKind,
     name: impl Into<String>,
@@ -144,12 +62,13 @@ fn meb(
     threads: usize,
     model: Model,
 ) -> Box<dyn Component<Tagged>> {
+    let arbiter = ArbiterKind::RoundRobin.build();
     match kind {
-        MebKind::Reduced => boxed(
-            ReducedMeb::new(name, inp, out, threads, ArbiterKind::RoundRobin.build()),
-            model,
-        ),
-        _ => kind.build_with::<Tagged>(name, inp, out, threads, ArbiterKind::RoundRobin),
+        MebKind::Reduced => boxed(ReducedMeb::new(name, inp, out, threads, arbiter), model),
+        MebKind::Full => Box::new(FullMeb::new(name, inp, out, threads, arbiter)),
+        MebKind::Fifo { depth } => {
+            boxed(FifoMeb::new(name, inp, out, threads, depth, arbiter), model)
+        }
     }
 }
 
@@ -458,39 +377,48 @@ proptest! {
 
 /// Deterministic S = 65 word-boundary case: every `ThreadMask` in the net
 /// spills past the inline word, exercising the multi-word paths of the
-/// word-level commits, the rotation scans and the occupancy complement.
+/// word-level commits, the rotation scans and the occupancy and full-mask
+/// complements of every MEB kind.
 #[test]
 fn fast_paths_match_the_reference_at_the_word_boundary() {
-    let p = NetParams {
-        threads: 65,
-        tokens: 3,
-        kind: MebKind::Reduced,
-        diamond: false,
-        tail_stages: 2,
-        p_ready: 0.55,
-        seed: 0x65,
-    };
-    for order in [0x5eed, 0x5eed ^ 0xDEAD_BEEF] {
-        for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
-            let fast = run_net(&p, Model::Fast, mode, order);
-            let reference = run_net(&p, Model::Reference, mode, order);
-            assert_eq!(
-                fast, reference,
-                "order {order:#x}/{mode:?}: S=65 fast paths diverged from the reference"
-            );
+    for kind in [MebKind::Reduced, MebKind::Full, MebKind::Fifo { depth: 2 }] {
+        let p = NetParams {
+            threads: 65,
+            tokens: 3,
+            kind,
+            diamond: false,
+            tail_stages: 2,
+            p_ready: 0.55,
+            seed: 0x65,
+        };
+        for order in [0x5eed, 0x5eed ^ 0xDEAD_BEEF] {
+            for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+                let fast = run_net(&p, Model::Fast, mode, order);
+                let reference = run_net(&p, Model::Reference, mode, order);
+                assert_eq!(
+                    fast, reference,
+                    "{kind}/order {order:#x}/{mode:?}: S=65 fast paths diverged from the reference"
+                );
+            }
         }
     }
 }
 
-/// Source → `stages` reduced MEBs → capturing sink, with empty queues and
-/// an always-ready sink; the scenarios below load and reconfigure it.
-fn pipeline(threads: usize, stages: usize, model: Model, mode: EvalMode) -> Circuit<Tagged> {
+/// Source → `stages` MEBs of `kind` → capturing sink, with empty queues
+/// and an always-ready sink; the scenarios below load and reconfigure it.
+fn pipeline(
+    kind: MebKind,
+    threads: usize,
+    stages: usize,
+    model: Model,
+    mode: EvalMode,
+) -> Circuit<Tagged> {
     let mut b = CircuitBuilder::<Tagged>::new();
     let chs = b.channels("ch", threads, stages + 1);
     b.add_boxed(boxed(Source::new("src", chs[0], threads), model));
     for s in 0..stages {
         b.add_boxed(meb(
-            MebKind::Reduced,
+            kind,
             format!("meb{s}"),
             chs[s],
             chs[s + 1],
@@ -507,20 +435,23 @@ fn pipeline(threads: usize, stages: usize, model: Model, mode: EvalMode) -> Circ
     c
 }
 
-/// Runs `scenario` on the fast and the reference pipeline under both
-/// settle modes and asserts every observation it returns is identical.
+/// Runs `scenario` on the fast and the reference pipeline of every MEB
+/// kind under both settle modes and asserts every observation it returns
+/// is identical.
 fn check<R: PartialEq + std::fmt::Debug>(
     threads: usize,
     stages: usize,
     scenario: impl Fn(&mut Circuit<Tagged>) -> R,
 ) {
-    for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
-        let fast = scenario(&mut pipeline(threads, stages, Model::Fast, mode));
-        let reference = scenario(&mut pipeline(threads, stages, Model::Reference, mode));
-        assert_eq!(
-            fast, reference,
-            "{mode:?}: fast paths diverged from the reference"
-        );
+    for kind in [MebKind::Reduced, MebKind::Full, MebKind::Fifo { depth: 3 }] {
+        for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+            let fast = scenario(&mut pipeline(kind, threads, stages, Model::Fast, mode));
+            let reference = scenario(&mut pipeline(kind, threads, stages, Model::Reference, mode));
+            assert_eq!(
+                fast, reference,
+                "{kind}/{mode:?}: fast paths diverged from the reference"
+            );
+        }
     }
 }
 
@@ -665,4 +596,230 @@ fn reset_loops_match_the_reference() {
         }
         obs
     });
+}
+
+/// Digests, cycles and kernel counters of one MD5 batch.
+type Md5Obs = (Vec<[u8; 16]>, u64, KernelStats);
+
+/// Hashes one message per thread on `Md5Circuit::with_stages`, with every
+/// primitive of the loop (feeder, merge, MEBs, round stages, barrier,
+/// branch, sink) running the `model` evaluation. The messages span one to
+/// three blocks, so phantom equalisation and multi-wave chaining run.
+fn run_md5(threads: usize, stages: usize, mode: EvalMode, model: Model) -> Md5Obs {
+    let messages: Vec<Vec<u8>> = (0..threads)
+        .map(|t| {
+            (0..(t * 29 + 11) % 150)
+                .map(|i| (i * 7 + t) as u8)
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    let mut md5 = Md5Circuit::with_stages(threads, threads, MebKind::Reduced, stages);
+    md5.circuit.set_eval_mode(mode);
+    if model == Model::Reference {
+        let c = &mut md5.circuit;
+        wrap::<Md5Token, Source<_>>(c, "feeder");
+        wrap::<Md5Token, Merge<_>>(c, "entry");
+        wrap::<Md5Token, ReducedMeb<_>>(c, "meb_in");
+        for k in 0..stages {
+            wrap::<Md5Token, Transform<_>>(c, &format!("round_stage{k}"));
+            if k + 1 < stages {
+                wrap::<Md5Token, ReducedMeb<_>>(c, &format!("meb_stage{k}"));
+            }
+        }
+        wrap::<Md5Token, ReducedMeb<_>>(c, "meb_out");
+        wrap::<Md5Token, Barrier<_>>(c, "barrier");
+        wrap::<Md5Token, Branch<_>>(c, "exit");
+        wrap::<Md5Token, Sink<_>>(c, "out");
+    }
+    let (digests, cycles, kernel) = md5.hash(&refs).expect("the loop hashes");
+    for (got, m) in digests.iter().zip(&messages) {
+        assert_eq!(*got, algo::md5(m), "{threads} threads, {stages} stages");
+    }
+    (digests, cycles, kernel)
+}
+
+/// The MD5 loop — barrier, branch, round transforms and merge included —
+/// gives identical digests, cycles and kernel counters (evals, rounds,
+/// per-op evals) under its fast and its reference evaluations.
+#[test]
+fn md5_loop_matches_the_reference() {
+    for threads in [1usize, 2, 4, 8] {
+        for stages in [1usize, 2, 4, 16] {
+            for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+                let fast = run_md5(threads, stages, mode, Model::Fast);
+                let reference = run_md5(threads, stages, mode, Model::Reference);
+                assert_eq!(
+                    fast, reference,
+                    "{threads} threads, {stages} stages, {mode:?}: MD5 fast paths diverged"
+                );
+            }
+        }
+    }
+}
+
+/// Sink captures, kernel counters and the barrier's releases and FSM
+/// states after each round of a barrier scenario.
+type BarrierObs = Vec<(Obs, u64, Vec<BarrierState>)>;
+
+/// One run of a barrier scenario: the `(thread, release cycle)` arrivals
+/// it pushes, the sink's ready policy and the cycles it runs.
+struct Round {
+    arrivals: Vec<(usize, u64)>,
+    sink: ReadyPolicy,
+    cycles: u64,
+}
+
+/// Source → reduced MEB → barrier over `participants` → sink. Each round
+/// pushes its arrivals, sets the sink policy, runs and records what it
+/// saw; a `Circuit::reset` comes before every round but the first.
+fn run_barrier(
+    participants: &[bool],
+    rounds: &[Round],
+    model: Model,
+    mode: EvalMode,
+) -> BarrierObs {
+    let threads = participants.len();
+    let mut b = CircuitBuilder::<Tagged>::new();
+    let x = b.channel("x", threads);
+    let m = b.channel("m", threads);
+    let y = b.channel("y", threads);
+    b.add_boxed(boxed(Source::new("src", x, threads), model));
+    b.add_boxed(meb(MebKind::Reduced, "meb", x, m, threads, model));
+    b.add_boxed(boxed(
+        Barrier::new("bar", m, y, threads).with_participants(participants.to_vec()),
+        model,
+    ));
+    b.add_boxed(boxed(
+        Sink::with_capture("snk", y, threads, ReadyPolicy::Always),
+        model,
+    ));
+    let mut c = b.build().expect("barrier net is well-formed");
+    c.set_eval_mode(mode);
+    let mut obs = Vec::new();
+    for (i, round) in rounds.iter().enumerate() {
+        if i > 0 {
+            c.reset().expect("all primitives reset");
+        }
+        let mut seq = vec![0u64; threads];
+        for &(t, at) in &round.arrivals {
+            let t = t % threads;
+            part_mut::<Source<Tagged>>(&mut c, "src").push_at(t, at, Tagged::new(t, seq[t], at));
+            seq[t] += 1;
+        }
+        for t in 0..threads {
+            part_mut::<Sink<Tagged>>(&mut c, "snk").set_policy(t, round.sink.clone());
+        }
+        c.run(round.cycles).expect("clean");
+        let bar: &Barrier<Tagged> = part(&c, "bar");
+        let states = (0..threads).map(|t| bar.thread_state(t)).collect();
+        obs.push((observe(&c), bar.releases(), states));
+    }
+    obs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The word-level barrier matches its reference over random arrival
+    /// schedules, participant masks, sink stalls and `reset` loops (resets
+    /// land mid-phase, with threads waiting or released).
+    #[test]
+    fn barrier_matches_the_reference(
+        threads in 1usize..6,
+        mask in any::<u64>(),
+        arrivals in prop::collection::vec((0usize..6, 0u64..30), 1..20),
+        cycles in prop::collection::vec(1u64..60, 1..4),
+        p_ready in 0.2f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let mut participants: Vec<bool> = (0..threads).map(|t| mask >> t & 1 != 0).collect();
+        if !participants.contains(&true) {
+            participants[(mask as usize) % threads] = true;
+        }
+        let rounds: Vec<Round> = cycles
+            .iter()
+            .enumerate()
+            .map(|(i, &cycles)| Round {
+                arrivals: arrivals.clone(),
+                sink: ReadyPolicy::Random { p: p_ready, seed: seed ^ i as u64 },
+                cycles,
+            })
+            .collect();
+        for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+            let fast = run_barrier(&participants, &rounds, Model::Fast, mode);
+            let reference = run_barrier(&participants, &rounds, Model::Reference, mode);
+            prop_assert_eq!(&fast, &reference, "{:?}: barrier diverged", mode);
+        }
+    }
+}
+
+/// A 65-thread barrier, so the `open` word and the gated `valid`/`ready`
+/// commits span two mask words: participants on both sides of the word
+/// boundary, bypass threads among them, sink stalls and a reset between
+/// two phases.
+#[test]
+fn barrier_matches_the_reference_at_the_word_boundary() {
+    let participants: Vec<bool> = (0..65).map(|t| t % 3 != 1).collect();
+    let arrivals: Vec<(usize, u64)> = (0..65)
+        .rev()
+        .flat_map(|t| [(t, (t as u64 * 7) % 23), (t, 30 + (t as u64 * 5) % 17)])
+        .collect();
+    let rounds = [
+        Round {
+            arrivals: arrivals.clone(),
+            sink: ReadyPolicy::Random { p: 0.6, seed: 65 },
+            cycles: 150,
+        },
+        Round {
+            arrivals,
+            sink: ReadyPolicy::Always,
+            cycles: 200,
+        },
+    ];
+    for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+        let fast = run_barrier(&participants, &rounds, Model::Fast, mode);
+        let reference = run_barrier(&participants, &rounds, Model::Reference, mode);
+        assert_eq!(fast, reference, "{mode:?}: 65-thread barrier diverged");
+        assert!(
+            fast.iter().all(|(_, releases, _)| *releases >= 1),
+            "every round must release at least one phase"
+        );
+    }
+}
+
+/// A reset while released threads still hold the barrier open: after it,
+/// a lone participant's arrival must wait for the others again.
+#[test]
+fn barrier_reset_while_released_matches_the_reference() {
+    // Both participants arrive and are released, but a never-ready sink
+    // keeps them FREE until the reset. Afterwards only thread 0 arrives,
+    // at an always-ready sink: it must not pass.
+    let rounds = [
+        Round {
+            arrivals: vec![(0, 0), (1, 1), (2, 2)],
+            sink: ReadyPolicy::Never,
+            cycles: 12,
+        },
+        Round {
+            arrivals: vec![(0, 0), (2, 1)],
+            sink: ReadyPolicy::Always,
+            cycles: 30,
+        },
+    ];
+    for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+        let fast = run_barrier(&[true, true, false], &rounds, Model::Fast, mode);
+        let reference = run_barrier(&[true, true, false], &rounds, Model::Reference, mode);
+        assert_eq!(fast, reference, "{mode:?}: barrier diverged across a reset");
+        assert_eq!(
+            fast[0].2,
+            [BarrierState::Free, BarrierState::Free, BarrierState::Idle],
+            "the reset must land while both participants are released"
+        );
+        let captured = &fast[1].0 .0;
+        assert!(
+            captured[0].is_empty() && captured[2].len() == 1,
+            "only the bypass thread passes after the reset: {captured:?}"
+        );
+    }
 }

@@ -11,137 +11,46 @@
 //! settle modes. The reset contract of the processor units is checked
 //! here too: reset-and-rerun loops must reproduce a fresh build's run.
 
-use std::any::Any;
+mod common;
 
+use common::{wrap, HasReference, Model};
 use mt_elastic::core::Fork;
 use mt_elastic::proc::{
     assemble, programs, Cpu, CpuConfig, CpuRunStats, Fetcher, MemUnit, ProcToken, RegUnit, NUM_REGS,
 };
 use mt_elastic::sim::{
-    run_sweep_on, CombPath, Component, EvalCtx, EvalMode, FusedOpKind, KernelStats,
-    NetlistNodeKind, NextEvent, Ports, ProtocolError, SharedCircuit, SimJob, SlotView, TickCtx,
-    VarLatency,
+    run_sweep_on, EvalCtx, EvalMode, KernelStats, SharedCircuit, SimJob, VarLatency,
 };
 
-/// A unit with a per-thread reference evaluation.
-trait HasReference: Component<ProcToken> + 'static {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>);
-}
-
-impl HasReference for Fetcher {
+impl HasReference<ProcToken> for Fetcher {
     fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         Fetcher::eval_reference(self, ctx);
     }
 }
 
-impl HasReference for RegUnit {
+impl HasReference<ProcToken> for RegUnit {
     fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         RegUnit::eval_reference(self, ctx);
     }
 }
 
-impl HasReference for MemUnit {
+impl HasReference<ProcToken> for MemUnit {
     fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         MemUnit::eval_reference(self, ctx);
     }
-}
-
-impl HasReference for VarLatency<ProcToken> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        VarLatency::eval_reference(self, ctx);
-    }
-}
-
-impl HasReference for Fork<ProcToken> {
-    fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        Fork::eval_reference(self, ctx);
-    }
-}
-
-/// Calls `C::eval_reference` on a type-erased unit.
-fn reference_eval<C: HasReference>(unit: &mut dyn Any, ctx: &mut EvalCtx<'_, ProcToken>) {
-    unit.downcast_mut::<C>()
-        .expect("the wrapped unit has the wrapper's type")
-        .eval_reference(ctx);
-}
-
-/// Runs the wrapped unit with its reference `eval`. Every other method,
-/// the typed-access upcasts included, delegates to the unit, so the
-/// processor's accessors still find it.
-struct Reference {
-    unit: Box<dyn Component<ProcToken>>,
-    eval: fn(&mut dyn Any, &mut EvalCtx<'_, ProcToken>),
-}
-
-impl Component<ProcToken> for Reference {
-    fn name(&self) -> &str {
-        self.unit.name()
-    }
-    fn ports(&self) -> Ports {
-        self.unit.ports()
-    }
-    fn comb_paths(&self) -> Vec<CombPath> {
-        self.unit.comb_paths()
-    }
-    fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        (self.eval)(self.unit.as_any_mut(), ctx);
-    }
-    fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
-        self.unit.tick(ctx);
-    }
-    fn reset(&mut self) -> bool {
-        self.unit.reset()
-    }
-    fn slots(&self) -> Vec<SlotView> {
-        self.unit.slots()
-    }
-    fn next_event(&self, now: u64) -> NextEvent {
-        self.unit.next_event(now)
-    }
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.unit.take_fault()
-    }
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        self.unit.netlist_kind()
-    }
-    fn op_kind(&self) -> FusedOpKind {
-        self.unit.op_kind()
-    }
-    fn as_any(&self) -> &dyn Any {
-        self.unit.as_any()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self.unit.as_any_mut()
-    }
-}
-
-fn wrap<C: HasReference>(cpu: &mut Cpu, name: &str) {
-    let wrapped = cpu.circuit.wrap_component(name, |unit| {
-        Box::new(Reference {
-            unit,
-            eval: reference_eval::<C>,
-        })
-    });
-    assert!(wrapped, "the processor has a unit named `{name}`");
-}
-
-/// Which `eval` the six datapath units run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Model {
-    Fast,
-    Reference,
 }
 
 fn build(source: &str, config: &CpuConfig, model: Model, mode: EvalMode) -> Cpu {
     let program = assemble(source).expect("shipped programs assemble");
     let mut cpu = Cpu::new(config.clone(), program, vec![0; config.threads]);
     if model == Model::Reference {
-        wrap::<Fetcher>(&mut cpu, "fetch");
-        wrap::<VarLatency<ProcToken>>(&mut cpu, "icache");
-        wrap::<RegUnit>(&mut cpu, "regs");
-        wrap::<VarLatency<ProcToken>>(&mut cpu, "exec");
-        wrap::<Fork<ProcToken>>(&mut cpu, "router");
-        wrap::<MemUnit>(&mut cpu, "dmem");
+        let c = &mut cpu.circuit;
+        wrap::<_, Fetcher>(c, "fetch");
+        wrap::<_, VarLatency<ProcToken>>(c, "icache");
+        wrap::<_, RegUnit>(c, "regs");
+        wrap::<_, VarLatency<ProcToken>>(c, "exec");
+        wrap::<_, Fork<ProcToken>>(c, "router");
+        wrap::<_, MemUnit>(c, "dmem");
     }
     cpu.circuit.set_eval_mode(mode);
     cpu
