@@ -1,11 +1,11 @@
 //! Criterion bench: the settle-loop hot path.
 //!
 //! Measures the simulation kernel's inner settle loop on backpressured
-//! reduced-MEB pipelines (the workload behind `BENCH_packed_handshake.json`
-//! and `BENCH_fused_kernel.json`) and the raw cost of the `ThreadMask`
-//! operations the loop is built from. Random sink readiness keeps every
-//! channel's valid/ready masks churning, so the loop cannot quiesce
-//! early. The `processor` group tracks the processor datapath, whose
+//! reduced-MEB pipelines (the workload of the packed-handshake and
+//! fused-kernel measurements, `docs/perf.md` §4–5) and the raw cost of
+//! the `ThreadMask` operations the loop is built from. Random sink
+//! readiness keeps every channel's valid/ready masks churning, so the
+//! loop cannot quiesce early. The `processor` group tracks the processor datapath, whose
 //! custom units carry their own word-level `eval`s, and the `md5` group
 //! the paper's MD5 loop (merge, MEBs, round transform, barrier, branch).
 //! See `docs/perf.md` for the full methodology.

@@ -3,7 +3,7 @@
 //! multithreaded GCD loop across thread counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use elastic_synth::{DataflowBuilder, OpLatency, SynthCircuit, SynthConfig};
+use elastic_synth::{DataflowBuilder, OpLatency, SynthCircuit};
 
 fn build_gcd(threads: usize) -> SynthCircuit<(u64, u64)> {
     let mut g = DataflowBuilder::<(u64, u64)>::new(threads);
@@ -20,7 +20,7 @@ fn build_gcd(threads: usize) -> SynthCircuit<(u64, u64)> {
         }
     });
     g.loopback("loop", step).expect("loop closes");
-    g.elaborate(SynthConfig::default()).expect("elaborates")
+    g.elaborate().expect("elaborates")
 }
 
 fn bench_elaboration(c: &mut Criterion) {

@@ -19,7 +19,7 @@ use elastic_proc::Cpu;
 use elastic_sim::Token;
 use elastic_synth::{
     dot_with_deltas, DataflowBuilder, ElasticIr, MebSubstitution, OpLatency, Pass, PassManager,
-    PassReport, SynthConfig, TransformSpec,
+    PassReport, TransformSpec,
 };
 
 /// Repo-relative path of the committed golden DOT file.
@@ -47,9 +47,7 @@ fn gcd_ir(threads: usize) -> ElasticIr<(u64, u64)> {
         }
     });
     g.loopback("loop", step).expect("loop closes");
-    g.build_ir(SynthConfig::default())
-        .expect("gcd graph builds")
-        .ir
+    g.build_ir().expect("gcd graph builds").ir
 }
 
 /// Applies a canonical transform set to the linted GCD IR and renders the

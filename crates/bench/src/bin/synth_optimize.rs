@@ -47,33 +47,13 @@ use elastic_cost::{expected_les_delta, Inventory};
 use elastic_md5::Md5Token;
 use elastic_proc::{programs, Cpu, CpuConfig, Fetcher, RegUnit, NUM_REGS};
 use elastic_sim::{
-    campaign_key, Circuit, FeedbackProfile, ReadyPolicy, SimError, SimJob, Sink, Source,
+    campaign_key, Circuit, FeedbackProfile, Fnv1a, ReadyPolicy, SimError, SimJob, Sink, Source,
     SweepService, Token,
 };
 use elastic_synth::{
     dot_with_deltas, ElasticIr, IrNodeKind, IrNodeTag, MebDepthSizing, Pass, PassDelta,
     PassManager, RetimeDirection, Retiming, SlackMatching, TransformSpec,
 };
-
-/// FNV-1a over a byte stream — the digest the exhaustive oracle is
-/// compared with, bit for bit.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn word(&mut self, w: u64) {
-        self.eat(&w.to_le_bytes());
-    }
-}
 
 /// One measured design point.
 #[derive(Clone)]
@@ -151,9 +131,9 @@ fn make_job<T: Token>(
         .run(&mut scratch)
         .map_err(|e| format!("lint: {e}"))?;
     let les = Inventory::from_ir(&scratch).total_les() as u64;
-    let mut cfg = Fnv::new();
-    cfg.eat(target.name.as_bytes());
-    let key = campaign_key(scratch.structural_hash(), cfg.0, 0);
+    let mut cfg = Fnv1a::new();
+    cfg.write(target.name.as_bytes());
+    let key = campaign_key(scratch.structural_hash(), cfg.finish(), 0);
 
     let factory = Arc::clone(&target.factory);
     let drive = Arc::clone(&target.drive);
@@ -517,15 +497,15 @@ fn drive_gcd(circuit: &mut Circuit<GcdTok>, threads: usize, waves: usize) -> Res
         }
     }
     let sink: &Sink<GcdTok> = circuit.get("out").expect("sink exists");
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for t in 0..threads {
-        h.word(t as u64);
+        h.write_u64(t as u64);
         for (_, (a, b)) in sink.captured(t) {
-            h.word(*a);
-            h.word(*b);
+            h.write_u64(*a);
+            h.write_u64(*b);
         }
     }
-    Ok(h.0)
+    Ok(h.finish())
 }
 
 // ---------------------------------------------------------------- MD5
@@ -568,17 +548,17 @@ fn drive_md5(circuit: &mut Circuit<Md5Token>, participants: usize) -> Result<u64
         }
     }
     let sink: &Sink<Md5Token> = circuit.get("out").expect("sink exists");
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for t in 0..participants {
-        h.word(t as u64);
+        h.write_u64(t as u64);
         for (_, tok) in sink.captured(t) {
             for w in tok.work {
-                h.word(u64::from(w));
+                h.write_u64(u64::from(w));
             }
-            h.word(u64::from(tok.steps_done));
+            h.write_u64(u64::from(tok.steps_done));
         }
     }
-    Ok(h.0)
+    Ok(h.finish())
 }
 
 // ------------------------------------------------------------ processor
@@ -611,14 +591,14 @@ fn drive_cpu(
         }
     }
     let regs: &RegUnit = circuit.get("regs").expect("reg unit exists");
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for t in 0..threads {
-        h.word(t as u64);
+        h.write_u64(t as u64);
         for r in 0..NUM_REGS {
-            h.word(u64::from(regs.reg(t, r)));
+            h.write_u64(u64::from(regs.reg(t, r)));
         }
     }
-    Ok(h.0)
+    Ok(h.finish())
 }
 
 // ---------------------------------------------------------------- JSON

@@ -68,6 +68,7 @@ mod channel;
 mod circuit;
 mod component;
 mod error;
+mod fnv;
 mod latency;
 mod mask;
 mod netlist;
@@ -89,6 +90,7 @@ pub use component::{
     conservative_paths, CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView,
 };
 pub use error::{BuildError, ProtocolError, SimError};
+pub use fnv::Fnv1a;
 pub use latency::{token_latencies, LatencySummary, TokenLatencies};
 pub use mask::{Ones, ThreadMask};
 pub use netlist::{NetlistEdge, NetlistGraph, NetlistNodeKind};

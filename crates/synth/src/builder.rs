@@ -1,45 +1,124 @@
-//! Graph assembly and elaboration into an elastic circuit.
+//! The dataflow front-end: a thin builder that writes [`ElasticIr`]
+//! nodes and channels as each method is called.
 
 use std::collections::BTreeMap;
 
 use elastic_core::{ArbiterKind, ForkMode, MebKind};
-use elastic_sim::{ChannelId, LatencyModel, ReadyPolicy, Token};
+use elastic_sim::{LatencyModel, ReadyPolicy, Token};
 
 use crate::circuit::SynthCircuit;
-use crate::graph::{BufferPolicy, Node, OpLatency, SynthError, Wire};
-use crate::ir::{ElasticIr, IrChannelId, IrNodeKind};
-use crate::passes::{CycleCoverLint, MebSubstitution, PassManager, ProtocolLint};
+use crate::ir::{ElasticIr, IrChannelId, IrError, IrNodeId, IrNodeKind};
+use crate::passes::{PassError, PassManager};
 
-/// Elaboration options.
-#[derive(Clone, Copy, Debug)]
-pub struct SynthConfig {
-    /// MEB microarchitecture for every inserted buffer.
-    pub meb: MebKind,
-    /// Arbitration policy inside every inserted buffer.
-    pub arbiter: ArbiterKind,
-    /// Automatic buffer insertion policy.
-    pub buffers: BufferPolicy,
+/// Handle to a value in the dataflow graph: the IR channel its one
+/// consumer reads. Elastic channels are point-to-point, so fan-out needs
+/// an explicit [fork](DataflowBuilder::fork).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Wire(IrChannelId);
+
+/// Latency class of an operation.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum OpLatency {
+    /// Pure combinational logic between buffers (zero cycles).
+    #[default]
+    Combinational,
+    /// A registered unit taking exactly `n` cycles.
+    Fixed(u32),
+    /// A variable-latency unit, uniform in `min..=max` cycles.
+    Variable {
+        /// Minimum latency (≥ 1).
+        min: u32,
+        /// Maximum latency.
+        max: u32,
+        /// RNG seed.
+        seed: u64,
+    },
 }
 
-impl Default for SynthConfig {
-    fn default() -> Self {
-        Self {
-            meb: MebKind::Reduced,
-            arbiter: ArbiterKind::RoundRobin,
-            buffers: BufferPolicy::AfterOps,
+/// Errors detected while assembling or elaborating a graph.
+#[derive(Debug)]
+pub enum SynthError {
+    /// The graph has no nodes.
+    EmptyGraph,
+    /// [`DataflowBuilder::loopback`] named a port that is not an input
+    /// of the graph (or was already closed).
+    NoSuchInput {
+        /// The requested port.
+        port: String,
+    },
+    /// [`DataflowBuilder::loopback`] closed a placeholder input that
+    /// nothing reads yet.
+    PlaceholderUnread {
+        /// The placeholder port.
+        port: String,
+    },
+    /// [`DataflowBuilder::loopback`] was given a wire that already has a
+    /// consumer.
+    WireConsumed {
+        /// The placeholder port.
+        port: String,
+        /// The channel the wire's consumer reads.
+        channel: String,
+    },
+    /// An IR lint rejected the netlist — a dangling wire
+    /// ([`PassError::NoReader`]), a wire read twice
+    /// ([`PassError::MultipleReaders`]), a bad arity
+    /// ([`PassError::BadArity`]) or a feedback loop with no elastic
+    /// buffer on it ([`PassError::UnbufferedCycle`]).
+    Lint(PassError),
+    /// The IR failed elaboration, e.g. a buffer given more initial tokens
+    /// than it holds ([`IrError::Protocol`]).
+    Elaborate(IrError),
+}
+
+impl std::fmt::Display for SynthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SynthError::EmptyGraph => write!(f, "dataflow graph has no nodes"),
+            SynthError::NoSuchInput { port } => write!(f, "no input port named `{port}`"),
+            SynthError::PlaceholderUnread { port } => {
+                write!(f, "placeholder `{port}` is not consumed by anything yet")
+            }
+            SynthError::WireConsumed { port, channel } => write!(
+                f,
+                "loopback source for `{port}` (channel `{channel}`) is already consumed"
+            ),
+            SynthError::Lint(e) => write!(f, "lint rejected the netlist: {e}"),
+            SynthError::Elaborate(e) => write!(f, "elaboration failed: {e}"),
         }
     }
 }
 
-/// Assembles a dataflow graph and elaborates it into a multithreaded
-/// elastic circuit built from the paper's primitives.
+impl std::error::Error for SynthError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SynthError::Lint(e) => Some(e),
+            SynthError::Elaborate(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// Assembles a dataflow graph directly as an [`ElasticIr`] built from
+/// the paper's primitives.
+///
+/// Each method writes its nodes and channels when called. Wire `n` out
+/// of a producer's port `p` is the channel `w{n}:{producer}.{p}`. An op
+/// lowers to `{op}:fn` (one input) or `{op}:join` (otherwise), followed
+/// by a latency unit `{op}:unit` fed through `{op}:joined` unless it is
+/// combinational. Every op and merge output is registered by a reduced
+/// round-robin MEB `autobuf:w{n}` marked `auto`, whose output is the
+/// channel `w{n}:{producer}.0:buf`; [`MebSubstitution::auto`] retargets
+/// exactly those buffers.
+///
+/// [`MebSubstitution::auto`]: crate::MebSubstitution::auto
 ///
 /// # Examples
 ///
 /// A two-input adder with an external result port:
 ///
 /// ```
-/// use elastic_synth::{DataflowBuilder, OpLatency, SynthConfig};
+/// use elastic_synth::{DataflowBuilder, OpLatency};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut g = DataflowBuilder::<u64>::new(2);
@@ -47,7 +126,7 @@ impl Default for SynthConfig {
 /// let b = g.input("b");
 /// let sum = g.op2("add", OpLatency::Combinational, a, b, |x, y| x + y);
 /// g.output("sum", sum);
-/// let mut s = g.elaborate(SynthConfig::default())?;
+/// let mut s = g.elaborate()?;
 /// s.push("a", 0, 2)?;
 /// s.push("b", 0, 40)?;
 /// s.run_until_outputs("sum", 1, 100)?;
@@ -57,17 +136,16 @@ impl Default for SynthConfig {
 /// ```
 pub struct DataflowBuilder<T: Token> {
     threads: usize,
-    nodes: Vec<Node<T>>,
-    /// Wires consumed by each node, in port order.
-    node_inputs: Vec<Vec<Wire>>,
-    /// `(producer node, output port)` per wire.
-    producer: Vec<(usize, usize)>,
-    /// Consuming node per wire, filled as nodes are added.
-    consumer: Vec<Option<usize>>,
-    /// Nodes removed by [`loopback`](DataflowBuilder::loopback).
-    dead_nodes: Vec<bool>,
-    /// Wires removed by [`loopback`](DataflowBuilder::loopback).
-    dead_wires: Vec<bool>,
+    ir: ElasticIr<T>,
+    /// Wires declared so far: the `n` of the next `w{n}` channel.
+    wires: usize,
+    /// External input port → source node name.
+    inputs: BTreeMap<String, String>,
+    /// External output port → sink node name.
+    outputs: BTreeMap<String, String>,
+    /// Placeholder sources closed by [`loopback`](Self::loopback);
+    /// [`build_ir`](Self::build_ir) drops them.
+    closed: Vec<IrNodeId>,
 }
 
 impl<T: Token> DataflowBuilder<T> {
@@ -80,12 +158,11 @@ impl<T: Token> DataflowBuilder<T> {
         assert!(threads > 0, "a graph needs at least one thread");
         Self {
             threads,
-            nodes: Vec::new(),
-            node_inputs: Vec::new(),
-            producer: Vec::new(),
-            consumer: Vec::new(),
-            dead_nodes: Vec::new(),
-            dead_wires: Vec::new(),
+            ir: ElasticIr::new(),
+            wires: 0,
+            inputs: BTreeMap::new(),
+            outputs: BTreeMap::new(),
+            closed: Vec::new(),
         }
     }
 
@@ -94,57 +171,72 @@ impl<T: Token> DataflowBuilder<T> {
         self.threads
     }
 
-    fn add_node(&mut self, node: Node<T>, inputs: Vec<Wire>) -> usize {
-        let idx = self.nodes.len();
-        for &w in &inputs {
-            assert!(w.0 < self.producer.len(), "wire belongs to another graph");
-            assert!(
-                self.consumer[w.0].is_none(),
-                "wire #{} (from `{}`) is already consumed — insert a fork for fan-out",
-                w.0,
-                self.nodes[self.producer[w.0].0].name()
-            );
-            self.consumer[w.0] = Some(idx);
-        }
-        debug_assert_eq!(inputs.len(), node.inputs());
-        self.nodes.push(node);
-        self.node_inputs.push(inputs);
-        self.dead_nodes.push(false);
-        idx
+    /// Declares wire `n`, the channel out of `producer`'s output `port`.
+    fn wire(&mut self, producer: &str, port: usize) -> (usize, IrChannelId) {
+        let n = self.wires;
+        self.wires += 1;
+        let ch = self
+            .ir
+            .channel(format!("w{n}:{producer}.{port}"), self.threads);
+        (n, ch)
     }
 
-    fn add_outputs(&mut self, node: usize, n: usize) -> Vec<Wire> {
-        (0..n)
-            .map(|port| {
-                let w = Wire(self.producer.len());
-                self.producer.push((node, port));
-                self.consumer.push(None);
-                self.dead_wires.push(false);
-                w
-            })
-            .collect()
+    /// Registers wire `n` (channel `out`) behind an auto-inserted MEB and
+    /// returns the buffered wire its consumer reads.
+    fn auto_buffer(&mut self, n: usize, out: IrChannelId) -> Wire {
+        let name = format!("{}:buf", self.ir.channel_info(out).name);
+        let buffered = self.ir.channel(name, self.threads);
+        self.ir.add(
+            format!("autobuf:w{n}"),
+            IrNodeKind::Meb {
+                kind: MebKind::Reduced,
+                arbiter: ArbiterKind::RoundRobin,
+                initial: Vec::new(),
+                auto: true,
+            },
+            vec![out],
+            vec![buffered],
+        );
+        Wire(buffered)
+    }
+
+    /// Adds `name`, a node of one input and one output, and returns its
+    /// output wire.
+    fn stage(&mut self, name: String, kind: IrNodeKind<T>, input: Wire) -> Wire {
+        let (_, out) = self.wire(&name, 0);
+        self.ir.add(name, kind, vec![input.0], vec![out]);
+        Wire(out)
     }
 
     /// Declares an external input port.
     pub fn input(&mut self, name: impl Into<String>) -> Wire {
-        let idx = self.add_node(Node::Input { name: name.into() }, vec![]);
-        self.add_outputs(idx, 1)[0]
+        let name = name.into();
+        let (_, out) = self.wire(&name, 0);
+        let source = format!("in:{name}");
+        self.ir
+            .add(source.clone(), IrNodeKind::Source, vec![], vec![out]);
+        self.inputs.insert(name, source);
+        Wire(out)
     }
 
     /// Declares an external output port consuming `wire`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wire` is already consumed.
     pub fn output(&mut self, name: impl Into<String>, wire: Wire) {
-        self.add_node(Node::Output { name: name.into() }, vec![wire]);
+        let name = name.into();
+        let sink = format!("out:{name}");
+        self.ir.add(
+            sink.clone(),
+            IrNodeKind::Sink {
+                capture: true,
+                policy: ReadyPolicy::Always,
+            },
+            vec![wire.0],
+            vec![],
+        );
+        self.outputs.insert(name, sink);
     }
 
-    /// An N-ary operation over `inputs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or any wire is already consumed.
+    /// An N-ary operation over `inputs`. An op with no inputs is reported
+    /// by [`build_ir`](Self::build_ir) as a bad arity.
     pub fn op(
         &mut self,
         name: impl Into<String>,
@@ -152,15 +244,17 @@ impl<T: Token> DataflowBuilder<T> {
         inputs: &[Wire],
         f: impl Fn(&[&T]) -> T + Send + 'static,
     ) -> Wire {
-        assert!(!inputs.is_empty(), "an op needs at least one input");
-        let node = Node::Op {
-            name: name.into(),
-            arity: inputs.len(),
-            f: Box::new(f),
-            latency,
-        };
-        let idx = self.add_node(node, inputs.to_vec());
-        self.add_outputs(idx, 1)[0]
+        match inputs {
+            [a] => self.op1(name, latency, *a, move |t| f(&[t])),
+            _ => self.op_node(
+                name.into(),
+                latency,
+                inputs,
+                IrNodeKind::Join {
+                    combine: Box::new(f),
+                },
+            ),
+        }
     }
 
     /// A unary operation.
@@ -171,7 +265,8 @@ impl<T: Token> DataflowBuilder<T> {
         a: Wire,
         f: impl Fn(&T) -> T + Send + 'static,
     ) -> Wire {
-        self.op(name, latency, &[a], move |ins| f(ins[0]))
+        let kind = IrNodeKind::Transform { f: Box::new(f) };
+        self.op_node(name.into(), latency, &[a], kind)
     }
 
     /// A binary operation.
@@ -186,6 +281,47 @@ impl<T: Token> DataflowBuilder<T> {
         self.op(name, latency, &[a, b], move |ins| f(ins[0], ins[1]))
     }
 
+    /// Lowers an op: its function node `f` (a transform or a join), a
+    /// latency unit unless it is combinational, and the auto-buffer.
+    fn op_node(
+        &mut self,
+        name: String,
+        latency: OpLatency,
+        inputs: &[Wire],
+        f: IrNodeKind<T>,
+    ) -> Wire {
+        let (n, out) = self.wire(&name, 0);
+        let suffix = match f {
+            IrNodeKind::Transform { .. } => "fn",
+            _ => "join",
+        };
+        let model = match latency {
+            OpLatency::Combinational => None,
+            OpLatency::Fixed(cycles) => Some(LatencyModel::Fixed(cycles)),
+            OpLatency::Variable { min, max, seed } => {
+                Some(LatencyModel::Uniform { min, max, seed })
+            }
+        };
+        // Without a latency unit the function node drives the wire itself.
+        let joined = match model {
+            None => out,
+            Some(_) => self.ir.channel(format!("{name}:joined"), self.threads),
+        };
+        let ins = inputs.iter().map(|w| w.0).collect();
+        self.ir
+            .add(format!("{name}:{suffix}"), f, ins, vec![joined]);
+        if let Some(model) = model {
+            let unit = IrNodeKind::VarLatency {
+                servers: self.threads.max(2),
+                model,
+                transform: None,
+            };
+            self.ir
+                .add(format!("{name}:unit"), unit, vec![joined], vec![out]);
+        }
+        self.auto_buffer(n, out)
+    }
+
     /// A conditional router; returns `(taken, not_taken)` wires.
     pub fn branch(
         &mut self,
@@ -193,50 +329,45 @@ impl<T: Token> DataflowBuilder<T> {
         input: Wire,
         cond: impl Fn(&T) -> bool + Send + 'static,
     ) -> (Wire, Wire) {
-        let idx = self.add_node(
-            Node::Branch {
-                name: name.into(),
-                cond: Box::new(cond),
-            },
-            vec![input],
-        );
-        let outs = self.add_outputs(idx, 2);
-        (outs[0], outs[1])
-    }
-
-    /// An N-way merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two inputs are given.
-    pub fn merge(&mut self, name: impl Into<String>, inputs: &[Wire]) -> Wire {
-        assert!(inputs.len() >= 2, "a merge needs at least two inputs");
-        let node = Node::Merge {
-            name: name.into(),
-            arity: inputs.len(),
+        let name = name.into();
+        let (_, taken) = self.wire(&name, 0);
+        let (_, not_taken) = self.wire(&name, 1);
+        let kind = IrNodeKind::Branch {
+            cond: Box::new(cond),
         };
-        let idx = self.add_node(node, inputs.to_vec());
-        self.add_outputs(idx, 1)[0]
+        self.ir
+            .add(name, kind, vec![input.0], vec![taken, not_taken]);
+        (Wire(taken), Wire(not_taken))
     }
 
-    /// Replicates `input` to `n` consumers (eager fork).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
+    /// An N-way merge. A merge of fewer than two inputs is reported by
+    /// [`build_ir`](Self::build_ir) as a bad arity.
+    pub fn merge(&mut self, name: impl Into<String>, inputs: &[Wire]) -> Wire {
+        let name = name.into();
+        let (n, out) = self.wire(&name, 0);
+        let ins = inputs.iter().map(|w| w.0).collect();
+        self.ir.add(name, IrNodeKind::Merge, ins, vec![out]);
+        self.auto_buffer(n, out)
+    }
+
+    /// Replicates `input` to `n` consumers (eager fork). A fork of fewer
+    /// than two outputs is reported by [`build_ir`](Self::build_ir) as a
+    /// bad arity.
     pub fn fork(&mut self, name: impl Into<String>, input: Wire, n: usize) -> Vec<Wire> {
-        assert!(n >= 2, "a fork needs at least two outputs");
-        let idx = self.add_node(
-            Node::Fork {
-                name: name.into(),
-                arity: n,
-            },
-            vec![input],
-        );
-        self.add_outputs(idx, n)
+        let name = name.into();
+        let outs: Vec<IrChannelId> = (0..n).map(|port| self.wire(&name, port).1).collect();
+        let kind = IrNodeKind::Fork {
+            mode: ForkMode::Eager,
+            route: None,
+        };
+        self.ir.add(name, kind, vec![input.0], outs.clone());
+        outs.into_iter().map(Wire).collect()
     }
 
-    /// Inserts an explicit MEB.
+    /// Inserts an explicit round-robin MEB of microarchitecture `kind`.
+    /// Unlike the auto-inserted buffers it is not marked `auto`, so
+    /// [`MebSubstitution::auto`](crate::MebSubstitution::auto) leaves it
+    /// alone.
     pub fn buffer(&mut self, name: impl Into<String>, input: Wire, kind: MebKind) -> Wire {
         self.buffer_with_initial(name, input, kind, Vec::new())
     }
@@ -245,10 +376,9 @@ impl<T: Token> DataflowBuilder<T> {
     /// dataflow "token on the back edge" that seeds accumulator loops
     /// (each thread's first join partner before any looped value exists).
     ///
-    /// # Panics
-    ///
-    /// The elaborated buffer panics at construction if the initial tokens
-    /// exceed the MEB kind's per-thread capacity.
+    /// Initial tokens beyond the MEB kind's per-thread capacity, or on a
+    /// thread the graph does not have, make [`SynthIr::elaborate`] return
+    /// [`SynthError::Elaborate`] with the typed [`IrError::Protocol`].
     pub fn buffer_with_initial(
         &mut self,
         name: impl Into<String>,
@@ -256,26 +386,28 @@ impl<T: Token> DataflowBuilder<T> {
         kind: MebKind,
         initial: Vec<(usize, T)>,
     ) -> Wire {
-        let idx = self.add_node(
-            Node::Buffer {
-                name: name.into(),
-                kind,
-                initial,
-            },
-            vec![input],
-        );
-        self.add_outputs(idx, 1)[0]
+        let kind = IrNodeKind::Meb {
+            kind,
+            arbiter: ArbiterKind::RoundRobin,
+            initial,
+            auto: false,
+        };
+        self.stage(name.into(), kind, input)
     }
 
     /// Inserts a thread barrier across all threads of the graph.
     pub fn barrier(&mut self, name: impl Into<String>, input: Wire) -> Wire {
-        let idx = self.add_node(Node::Barrier { name: name.into() }, vec![input]);
-        self.add_outputs(idx, 1)[0]
+        let kind = IrNodeKind::Barrier {
+            participants: None,
+            on_release: None,
+        };
+        self.stage(name.into(), kind, input)
     }
 
-    /// Closes a feedback loop: rebinds the placeholder input port `port`
-    /// so that its consumer reads from `wire` instead. The placeholder
-    /// input node and its wire are removed from the graph.
+    /// Closes a feedback loop: the node reading the placeholder input
+    /// port `port` reads `wire` instead. The placeholder stops being an
+    /// input port, and [`build_ir`](Self::build_ir) drops its source
+    /// and channel.
     ///
     /// This is how iterative circuits (the GCD example, the MD5 round
     /// loop) are described: declare an input as a stand-in for the value
@@ -284,298 +416,75 @@ impl<T: Token> DataflowBuilder<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::UnconsumedWire`]-style diagnostics via
-    /// [`SynthError::Build`] when `port` is not a placeholder input, the
-    /// placeholder is not yet consumed, or `wire` is already consumed.
+    /// [`SynthError::NoSuchInput`] when `port` is not an input port,
+    /// [`SynthError::PlaceholderUnread`] when nothing reads the
+    /// placeholder yet, and [`SynthError::WireConsumed`] when `wire`
+    /// already has a consumer. The graph is unchanged on error.
     pub fn loopback(&mut self, port: &str, wire: Wire) -> Result<(), SynthError> {
-        let node_idx = self
-            .nodes
-            .iter()
-            .position(|n| matches!(n, Node::Input { name } if name == port))
-            .ok_or_else(|| SynthError::Build(format!("no input port named `{port}`")))?;
-        let placeholder = (0..self.producer.len())
-            .find(|&w| !self.dead_wires[w] && self.producer[w].0 == node_idx)
-            .map(Wire)
-            .ok_or_else(|| SynthError::Build(format!("input `{port}` has no live wire")))?;
-        let consumer_node = self.consumer[placeholder.0].ok_or_else(|| {
-            SynthError::Build(format!(
-                "placeholder `{port}` is not consumed by anything yet"
-            ))
-        })?;
-        if self.consumer[wire.0].is_some() {
-            return Err(SynthError::Build(format!(
-                "loopback source wire #{} is already consumed",
-                wire.0
-            )));
+        let source = self
+            .inputs
+            .get(port)
+            .and_then(|name| self.ir.node_named(name))
+            .ok_or_else(|| SynthError::NoSuchInput {
+                port: port.to_string(),
+            })?;
+        let placeholder = self.ir.node(source).outputs()[0];
+        let reader =
+            self.ir
+                .reader_of(placeholder)
+                .ok_or_else(|| SynthError::PlaceholderUnread {
+                    port: port.to_string(),
+                })?;
+        if self.ir.reader_of(wire.0).is_some() {
+            return Err(SynthError::WireConsumed {
+                port: port.to_string(),
+                channel: self.ir.channel_info(wire.0).name.clone(),
+            });
         }
-        for slot in &mut self.node_inputs[consumer_node] {
+        for slot in self.ir.node_mut(reader).inputs_mut() {
             if *slot == placeholder {
-                *slot = wire;
+                *slot = wire.0;
             }
         }
-        self.consumer[wire.0] = Some(consumer_node);
-        self.dead_nodes[node_idx] = true;
-        self.dead_wires[placeholder.0] = true;
+        self.inputs.remove(port);
+        self.closed.push(source);
         Ok(())
     }
 
-    fn validate(&self) -> Result<(), SynthError> {
-        if self.nodes.is_empty() {
-            return Err(SynthError::EmptyGraph);
-        }
-        for (w, consumer) in self.consumer.iter().enumerate() {
-            if self.dead_wires[w] {
-                continue;
-            }
-            if consumer.is_none() {
-                return Err(SynthError::UnconsumedWire {
-                    wire: w,
-                    producer: self.nodes[self.producer[w].0].name().to_string(),
-                });
-            }
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if self.dead_nodes[i] {
-                continue;
-            }
-            match node {
-                Node::Op { arity, .. } if *arity == 0 => {
-                    return Err(SynthError::BadArity {
-                        node: node.name().to_string(),
-                        arity: 0,
-                    })
-                }
-                Node::Merge { arity, .. } | Node::Fork { arity, .. } if *arity < 2 => {
-                    return Err(SynthError::BadArity {
-                        node: node.name().to_string(),
-                        arity: *arity,
-                    })
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Lowers the graph into a structural [`ElasticIr`] netlist — stage
+    /// Finishes the graph as a structural [`ElasticIr`] netlist — stage
     /// one of elaboration.
     ///
-    /// The lowering maps dataflow nodes onto the paper's primitives (ops
-    /// become transforms/joins plus latency units, conditionals become
-    /// branches/merges, the buffer policy inserts auto-MEBs) and then
-    /// runs the standard pass pipeline: [`MebSubstitution::auto`]
-    /// retargets the inserted buffers to `config.meb`/`config.arbiter`,
-    /// and the protocol and cycle-cover lints verify the netlist — so a
-    /// feedback loop with no buffer on it is rejected *here*, as a typed
-    /// [`SynthError::Lint`], before any component is constructed.
+    /// Drops the placeholders closed by [`loopback`](Self::loopback),
+    /// puts the auto-inserted buffers first, and runs
+    /// [`PassManager::lint_suite`], so wiring mistakes and a feedback loop
+    /// with no buffer on it come back as a typed [`SynthError::Lint`]
+    /// before any component is constructed.
     ///
     /// The returned [`SynthIr`] can be inspected (`ir.to_dot()`), costed
-    /// (`Inventory::from_ir`), rewritten with further passes, and finally
+    /// (`Inventory::from_ir`), rewritten with further passes — e.g.
+    /// [`MebSubstitution::auto`](crate::MebSubstitution::auto) to choose
+    /// the inserted buffers' microarchitecture or arbiter — and finally
     /// [`SynthIr::elaborate`]d into a runnable circuit.
     ///
     /// # Errors
     ///
-    /// Returns a [`SynthError`] for dangling wires, invalid arities, an
-    /// empty graph, or a lint rejection.
-    pub fn build_ir(self, config: SynthConfig) -> Result<SynthIr<T>, SynthError> {
-        self.validate()?;
-        let threads = self.threads;
-        let mut ir = ElasticIr::<T>::new();
-
-        // One channel per wire, plus an auto-buffer stage where the policy
-        // asks for it. `wire_out[w]` is the channel the producer drives;
-        // `wire_in[w]` is the channel the consumer reads.
-        let n_wires = self.producer.len();
-        let mut wire_out: Vec<Option<IrChannelId>> = vec![None; n_wires];
-        let mut wire_in: Vec<Option<IrChannelId>> = vec![None; n_wires];
-        for w in 0..n_wires {
-            if self.dead_wires[w] {
-                continue;
-            }
-            let (pnode, pport) = self.producer[w];
-            let pname = self.nodes[pnode].name();
-            let auto =
-                config.buffers == BufferPolicy::AfterOps && self.nodes[pnode].wants_auto_buffer();
-            let ch = ir.channel(format!("w{w}:{pname}.{pport}"), threads);
-            if auto {
-                let buffered = ir.channel(format!("w{w}:{pname}.{pport}:buf"), threads);
-                // Placeholder microarchitecture; the meb-substitution pass
-                // below retargets every `auto` buffer to `config.meb`.
-                ir.add(
-                    format!("autobuf:w{w}"),
-                    IrNodeKind::Meb {
-                        kind: MebKind::Reduced,
-                        arbiter: config.arbiter,
-                        initial: Vec::new(),
-                        auto: true,
-                    },
-                    vec![ch],
-                    vec![buffered],
-                );
-                wire_out[w] = Some(ch);
-                wire_in[w] = Some(buffered);
-            } else {
-                wire_out[w] = Some(ch);
-                wire_in[w] = Some(ch);
-            }
+    /// [`SynthError::EmptyGraph`] or a [`SynthError::Lint`].
+    pub fn build_ir(self) -> Result<SynthIr<T>, SynthError> {
+        let Self {
+            threads,
+            mut ir,
+            inputs,
+            outputs,
+            closed,
+            ..
+        } = self;
+        if ir.node_count() == 0 {
+            return Err(SynthError::EmptyGraph);
         }
-        let outc = |w: Wire| wire_out[w.0].expect("channel assigned");
-        let inc = |w: Wire| wire_in[w.0].expect("channel assigned");
-
-        let mut inputs: BTreeMap<String, String> = BTreeMap::new();
-        let mut outputs: BTreeMap<String, (String, IrChannelId)> = BTreeMap::new();
-
-        for (idx, node) in self.nodes.into_iter().enumerate() {
-            if self.dead_nodes[idx] {
-                continue;
-            }
-            let ins = &self.node_inputs[idx];
-            // Output wires of this node, in port order.
-            let outs: Vec<Wire> = (0..n_wires)
-                .filter(|&w| !self.dead_wires[w] && self.producer[w].0 == idx)
-                .map(Wire)
-                .collect();
-            match node {
-                Node::Input { name } => {
-                    let comp = format!("in:{name}");
-                    ir.add(
-                        comp.clone(),
-                        IrNodeKind::Source,
-                        vec![],
-                        vec![outc(outs[0])],
-                    );
-                    inputs.insert(name, comp);
-                }
-                Node::Output { name } => {
-                    let comp = format!("out:{name}");
-                    let ch = inc(ins[0]);
-                    ir.add(
-                        comp.clone(),
-                        IrNodeKind::Sink {
-                            capture: true,
-                            policy: ReadyPolicy::Always,
-                        },
-                        vec![ch],
-                        vec![],
-                    );
-                    outputs.insert(name, (comp, ch));
-                }
-                Node::Op {
-                    name,
-                    arity,
-                    f,
-                    latency,
-                } => {
-                    let out_ch = outc(outs[0]);
-                    // The joined/combined value either goes straight out
-                    // (combinational) or through a latency unit.
-                    let (combine_target, delay_src) = match latency {
-                        OpLatency::Combinational => (out_ch, None),
-                        _ => {
-                            let mid = ir.channel(format!("{name}:joined"), threads);
-                            (mid, Some(mid))
-                        }
-                    };
-                    if arity == 1 {
-                        ir.add(
-                            format!("{name}:fn"),
-                            IrNodeKind::Transform {
-                                f: Box::new(move |t: &T| f(&[t])),
-                            },
-                            vec![inc(ins[0])],
-                            vec![combine_target],
-                        );
-                    } else {
-                        let chans: Vec<IrChannelId> = ins.iter().map(|&w| inc(w)).collect();
-                        ir.add(
-                            format!("{name}:join"),
-                            IrNodeKind::Join { combine: f },
-                            chans,
-                            vec![combine_target],
-                        );
-                    }
-                    if let Some(src) = delay_src {
-                        let model = match latency {
-                            OpLatency::Fixed(n) => LatencyModel::Fixed(n),
-                            OpLatency::Variable { min, max, seed } => {
-                                LatencyModel::Uniform { min, max, seed }
-                            }
-                            OpLatency::Combinational => unreachable!("handled above"),
-                        };
-                        ir.add(
-                            format!("{name}:unit"),
-                            IrNodeKind::VarLatency {
-                                servers: threads.max(2),
-                                model,
-                                transform: None,
-                            },
-                            vec![src],
-                            vec![out_ch],
-                        );
-                    }
-                }
-                Node::Branch { name, cond } => {
-                    ir.add(
-                        name,
-                        IrNodeKind::Branch { cond },
-                        vec![inc(ins[0])],
-                        vec![outc(outs[0]), outc(outs[1])],
-                    );
-                }
-                Node::Merge { name, .. } => {
-                    let chans: Vec<IrChannelId> = ins.iter().map(|&w| inc(w)).collect();
-                    ir.add(name, IrNodeKind::Merge, chans, vec![outc(outs[0])]);
-                }
-                Node::Fork { name, .. } => {
-                    let chans: Vec<IrChannelId> = outs.iter().map(|&w| outc(w)).collect();
-                    ir.add(
-                        name,
-                        IrNodeKind::Fork {
-                            mode: ForkMode::Eager,
-                            route: None,
-                        },
-                        vec![inc(ins[0])],
-                        chans,
-                    );
-                }
-                Node::Buffer {
-                    name,
-                    kind,
-                    initial,
-                } => {
-                    ir.add(
-                        name,
-                        IrNodeKind::Meb {
-                            kind,
-                            arbiter: config.arbiter,
-                            initial,
-                            auto: false,
-                        },
-                        vec![inc(ins[0])],
-                        vec![outc(outs[0])],
-                    );
-                }
-                Node::Barrier { name } => {
-                    ir.add(
-                        name,
-                        IrNodeKind::Barrier {
-                            participants: None,
-                            on_release: None,
-                        },
-                        vec![inc(ins[0])],
-                        vec![outc(outs[0])],
-                    );
-                }
-            }
-        }
-
-        PassManager::new()
-            .with(MebSubstitution::auto(config.meb))
-            .with(ProtocolLint)
-            .with(CycleCoverLint)
+        ir.finish_dataflow(&closed);
+        PassManager::lint_suite()
             .run(&mut ir)
             .map_err(SynthError::Lint)?;
-
         Ok(SynthIr {
             ir,
             inputs,
@@ -590,11 +499,9 @@ impl<T: Token> DataflowBuilder<T> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SynthError`] for dangling wires, invalid arities, an
-    /// empty graph, a lint rejection (e.g. an unbuffered feedback loop),
-    /// or (should the builder itself be buggy) an invalid netlist.
-    pub fn elaborate(self, config: SynthConfig) -> Result<SynthCircuit<T>, SynthError> {
-        self.build_ir(config)?.elaborate()
+    /// Any error of either stage.
+    pub fn elaborate(self) -> Result<SynthCircuit<T>, SynthError> {
+        self.build_ir()?.elaborate()
     }
 }
 
@@ -604,15 +511,15 @@ impl<T: Token> DataflowBuilder<T> {
 ///
 /// The IR is public — inspect it, render it (`synth.ir.to_dot()`), cost
 /// it (`Inventory::from_ir(&synth.ir)`), or rewrite it with further
-/// passes (e.g. [`MebSubstitution::named`] to retarget one buffer) before
-/// elaborating.
+/// passes (e.g. [`MebSubstitution::named`](crate::MebSubstitution::named)
+/// to retarget one buffer) before elaborating.
 pub struct SynthIr<T: Token> {
     /// The lowered netlist.
     pub ir: ElasticIr<T>,
-    /// External input port → source component name.
+    /// External input port → source node name.
     inputs: BTreeMap<String, String>,
-    /// External output port → (sink component name, sink input channel).
-    outputs: BTreeMap<String, (String, IrChannelId)>,
+    /// External output port → sink node name.
+    outputs: BTreeMap<String, String>,
     threads: usize,
 }
 
@@ -626,20 +533,25 @@ impl<T: Token> SynthIr<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::Build`] when the netlist fails construction
-    /// (ill-fitting ports, initial-token overflow, or circuit-builder
-    /// rejection) — all conditions the lint passes in
-    /// [`build_ir`](DataflowBuilder::build_ir) catch earlier with typed
-    /// errors.
+    /// [`SynthError::Elaborate`] with the [`IrError`] of
+    /// [`ElasticIr::elaborate`], e.g. [`IrError::Protocol`] for initial
+    /// tokens that overflow a buffer.
     pub fn elaborate(self) -> Result<SynthCircuit<T>, SynthError> {
-        let elaborated = self
-            .ir
-            .elaborate()
-            .map_err(|e| SynthError::Build(e.to_string()))?;
-        let outputs: BTreeMap<String, (String, ChannelId)> = self
+        // Resolved by name: passes may have rewired the sinks' inputs.
+        let sink_inputs: Vec<IrChannelId> = self
+            .outputs
+            .values()
+            .map(|sink| {
+                let id = self.ir.node_named(sink).expect("the IR keeps every sink");
+                self.ir.node(id).inputs()[0]
+            })
+            .collect();
+        let elaborated = self.ir.elaborate().map_err(SynthError::Elaborate)?;
+        let outputs = self
             .outputs
             .into_iter()
-            .map(|(port, (comp, ch))| (port, (comp, elaborated.channel(ch))))
+            .zip(sink_inputs)
+            .map(|((port, sink), ch)| (port, (sink, elaborated.channel(ch))))
             .collect();
         Ok(SynthCircuit::new(
             elaborated.circuit,
@@ -665,8 +577,20 @@ impl<T: Token> std::fmt::Debug for DataflowBuilder<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DataflowBuilder")
             .field("threads", &self.threads)
-            .field("nodes", &self.nodes)
-            .field("wires", &self.producer.len())
+            .field("ir", &self.ir)
+            .field("wires", &self.wires)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_display() {
+        let e = SynthError::NoSuchInput { port: "acc".into() };
+        assert!(e.to_string().contains("acc"));
+        assert!(SynthError::EmptyGraph.to_string().contains("no nodes"));
     }
 }

@@ -32,7 +32,7 @@ use elastic_core::{
     ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, ForkMode, Join, MebKind, Merge,
 };
 use elastic_sim::{
-    BuildError, ChannelId, Circuit, CircuitBuilder, Component, LatencyModel, NetlistEdge,
+    BuildError, ChannelId, Circuit, CircuitBuilder, Component, Fnv1a, LatencyModel, NetlistEdge,
     NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, Sink, Source, Token, Transform,
     VarLatency,
 };
@@ -134,8 +134,9 @@ pub enum IrNodeKind<T: Token> {
         arbiter: ArbiterKind,
         /// `(thread, token)` pairs present before the first cycle.
         initial: Vec<(usize, T)>,
-        /// `true` when inserted by a buffer policy rather than the
-        /// designer — the scope of
+        /// `true` when inserted by a constructor (the dataflow builder's
+        /// auto-buffers, the processor's pipeline registers) rather than
+        /// placed by the designer — the scope of
         /// [`MebTarget::Auto`](crate::passes::MebTarget::Auto).
         auto: bool,
     },
@@ -526,6 +527,50 @@ impl<T: Token> ElasticIr<T> {
         id
     }
 
+    /// Finishes an IR written by the dataflow builder. Drops the
+    /// placeholder `sources` its loopbacks closed, with the channels they
+    /// drive (nothing reads those any more), renumbering what remains.
+    /// Then moves the `auto` MEBs to the front, in the order they were
+    /// added.
+    ///
+    /// Node order is behaviour: ties in the rank schedule keep insertion
+    /// order, and the GCD loop's captures change with it. Buffers first
+    /// is the order the builder has always elaborated its graphs in
+    /// (`tests/ir_roundtrip.rs` pins it).
+    pub(crate) fn finish_dataflow(&mut self, sources: &[IrNodeId]) {
+        let mut dead = vec![false; self.channels.len()];
+        for id in sources {
+            for ch in &self.nodes[id.0].outputs {
+                dead[ch.0] = true;
+            }
+        }
+        let mut renumbered = Vec::with_capacity(dead.len());
+        let mut next = 0;
+        for &d in &dead {
+            renumbered.push(next);
+            next += usize::from(!d);
+        }
+        self.channels = std::mem::take(&mut self.channels)
+            .into_iter()
+            .zip(&dead)
+            .filter_map(|(ch, &d)| (!d).then_some(ch))
+            .collect();
+        self.nodes = std::mem::take(&mut self.nodes)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, node)| (!sources.contains(&IrNodeId(i))).then_some(node))
+            .collect();
+        for node in &mut self.nodes {
+            for ch in node.inputs.iter_mut().chain(&mut node.outputs) {
+                debug_assert!(!dead[ch.0], "a dropped channel is still read");
+                ch.0 = renumbered[ch.0];
+            }
+        }
+        // A stable sort: both groups keep their insertion order.
+        self.nodes
+            .sort_by_key(|n| !matches!(n.kind, IrNodeKind::Meb { auto: true, .. }));
+    }
+
     /// Attaches a cost hint to a node (see [`CostHint`]).
     pub fn add_cost_hint(
         &mut self,
@@ -554,38 +599,26 @@ impl<T: Token> ElasticIr<T> {
     /// flag and cost hints do not participate — two IRs with equal
     /// hashes elaborate behaviourally identical circuits.
     ///
-    /// The digest is deliberately hand-rolled (not
-    /// [`std::hash::Hash`]-based) so it is stable across processes and
-    /// Rust versions, making it usable as the IR component of a
-    /// [`campaign_key`](elastic_sim::campaign_key) for memoized sweeps.
+    /// The digest is [`Fnv1a`] (not [`std::hash::Hash`]-based) so it is
+    /// stable across processes and Rust versions, making it usable as the
+    /// IR component of a [`campaign_key`](elastic_sim::campaign_key) for
+    /// memoized sweeps.
     pub fn structural_hash(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn eat(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 ^= u64::from(b);
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-            fn word(&mut self, w: u64) {
-                self.eat(&w.to_le_bytes());
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.word(self.channels.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.channels.len() as u64);
         for ch in &self.channels {
-            h.eat(ch.name.as_bytes());
-            h.eat(&[0xFF]); // name terminator: ("ab","c") != ("a","bc")
-            h.word(ch.threads as u64);
-            h.word(ch.width.map_or(u64::MAX, |w| w as u64));
+            h.write(ch.name.as_bytes());
+            h.write(&[0xFF]); // name terminator: ("ab","c") != ("a","bc")
+            h.write_u64(ch.threads as u64);
+            h.write_u64(ch.width.map_or(u64::MAX, |w| w as u64));
         }
-        h.word(self.nodes.len() as u64);
+        h.write_u64(self.nodes.len() as u64);
         for node in &self.nodes {
-            h.eat(node.name().as_bytes());
-            h.eat(&[0xFF]);
+            h.write(node.name().as_bytes());
+            h.write(&[0xFF]);
             // Tag names are part of the public API; Debug is stable here.
-            h.eat(format!("{:?}", node.tag()).as_bytes());
-            h.eat(&[0xFF]);
+            h.write(format!("{:?}", node.tag()).as_bytes());
+            h.write(&[0xFF]);
             if let IrNodeKind::Meb {
                 kind,
                 arbiter,
@@ -594,34 +627,34 @@ impl<T: Token> ElasticIr<T> {
             } = node.kind()
             {
                 match kind {
-                    MebKind::Full => h.word(1),
-                    MebKind::Reduced => h.word(2),
+                    MebKind::Full => h.write_u64(1),
+                    MebKind::Reduced => h.write_u64(2),
                     MebKind::Fifo { depth } => {
-                        h.word(3);
-                        h.word(*depth as u64);
+                        h.write_u64(3);
+                        h.write_u64(*depth as u64);
                     }
                 }
-                h.eat(format!("{arbiter:?}").as_bytes());
-                h.eat(&[0xFF]);
-                h.word(initial.len() as u64);
+                h.write(format!("{arbiter:?}").as_bytes());
+                h.write(&[0xFF]);
+                h.write_u64(initial.len() as u64);
                 for (thread, token) in initial {
-                    h.word(*thread as u64);
+                    h.write_u64(*thread as u64);
                     // Tokens are `Debug`-bounded; their rendering is the
                     // only process-stable identity available for them.
-                    h.eat(format!("{token:?}").as_bytes());
-                    h.eat(&[0xFF]);
+                    h.write(format!("{token:?}").as_bytes());
+                    h.write(&[0xFF]);
                 }
             }
-            h.word(node.inputs().len() as u64);
+            h.write_u64(node.inputs().len() as u64);
             for inp in node.inputs() {
-                h.word(inp.index() as u64);
+                h.write_u64(inp.index() as u64);
             }
-            h.word(node.outputs().len() as u64);
+            h.write_u64(node.outputs().len() as u64);
             for out in node.outputs() {
-                h.word(out.index() as u64);
+                h.write_u64(out.index() as u64);
             }
         }
-        h.0
+        h.finish()
     }
 
     /// Number of channels.
@@ -1085,6 +1118,8 @@ mod tests {
         // …and pre-loaded initial tokens (count, slot and value).
         let with_initial = build(MebKind::Fifo { depth: 2 }, rr, vec![(0, 7)]);
         assert_ne!(base, with_initial);
+        // The digest keys cached campaigns across processes: pinned.
+        assert_eq!(with_initial, 0xd67a_cdd8_816f_00df);
         assert_ne!(
             with_initial,
             build(MebKind::Fifo { depth: 2 }, rr, vec![(1, 7)])

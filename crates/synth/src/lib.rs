@@ -2,14 +2,17 @@
 //!
 //! The paper's conclusion promises that its primitives "enable the
 //! automated synthesis of complex algorithms to their multithreaded
-//! elastic equivalent circuits." This crate implements that flow: a small
-//! dataflow-graph IR ([`Node`], assembled with [`DataflowBuilder`]) is
-//! elaborated into an [`elastic_sim`] circuit built from [`elastic_core`]
-//! primitives — ops become joins + (variable-)latency units, conditionals
-//! become M-Branch/M-Merge loops, fan-out becomes eager M-Forks, and every
-//! operation output gets a MEB under the default [`BufferPolicy`], so the
+//! elastic equivalent circuits." This crate implements that flow:
+//! [`DataflowBuilder`] writes a dataflow graph straight into the
+//! structural [`ElasticIr`] built from [`elastic_core`] primitives — ops
+//! become joins + (variable-)latency units, conditionals become
+//! M-Branch/M-Merge loops, fan-out becomes eager M-Forks, and every
+//! operation and merge output gets a reduced MEB marked `auto`, so the
 //! synthesized circuit is automatically multithreaded: `S` independent
-//! threads time-multiplex the one datapath.
+//! threads time-multiplex the one datapath. The same IR feeds the
+//! [`passes`] (e.g. [`MebSubstitution::auto`] picks the inserted
+//! buffers' microarchitecture), the cost model, DOT rendering and
+//! elaboration into an [`elastic_sim`] circuit.
 //!
 //! **Loop ordering caveat**: an iterative loop (built with
 //! [`DataflowBuilder::loopback`]) may hold several problems of the same
@@ -21,7 +24,7 @@
 //! # Example — an iterative circuit (Euclid's GCD) shared by 2 threads
 //!
 //! ```
-//! use elastic_synth::{DataflowBuilder, OpLatency, SynthConfig};
+//! use elastic_synth::{DataflowBuilder, OpLatency};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut g = DataflowBuilder::<(u64, u64)>::new(2);
@@ -35,9 +38,9 @@
 //!     if a > b { (a - b, b) } else { (a, b - a) }
 //! });
 //! // Close the loop: the `step` output is what `loop_seed` stood for
-//! // (`loopback` rebinds the placeholder input to the internal wire).
+//! // (`loopback` rewires the placeholder's reader to the internal wire).
 //! g.loopback("loop_seed", step)?;
-//! let mut s = g.elaborate(SynthConfig::default())?;
+//! let mut s = g.elaborate()?;
 //! s.push("pairs", 0, (48, 36))?;
 //! s.push("pairs", 1, (81, 54))?;
 //! s.run_until_outputs("gcd", 2, 2_000)?;
@@ -51,14 +54,12 @@
 
 mod builder;
 mod circuit;
-mod graph;
 pub mod ir;
 pub mod opt;
 pub mod passes;
 
-pub use builder::{DataflowBuilder, SynthConfig, SynthIr};
+pub use builder::{DataflowBuilder, OpLatency, SynthError, SynthIr, Wire};
 pub use circuit::{RunError, SynthCircuit, UnknownPortError};
-pub use graph::{BufferPolicy, Node, OpLatency, SynthError, Wire};
 pub use ir::{
     BuildFn, CostHint, Elaborated, ElasticIr, IrChannel, IrChannelId, IrError, IrNode, IrNodeId,
     IrNodeKind, IrNodeTag,

@@ -7,15 +7,21 @@
 //! build-time string or a simulation deadlock. [`PassManager`] runs a
 //! sequence of passes and collects one [`PassReport`] per pass.
 //!
-//! The canonical pipeline — what [`DataflowBuilder::build_ir`](crate::DataflowBuilder::build_ir) runs after lowering — is:
+//! The canonical pipeline — what the MD5 and processor constructors run
+//! before elaborating — is:
 //!
-//! 1. [`MebSubstitution::auto`] — point every policy-inserted buffer at
-//!    the configured MEB microarchitecture;
+//! 1. [`MebSubstitution`] — point the buffers at the chosen MEB
+//!    microarchitecture;
 //! 2. [`ProtocolLint`] — single driver/reader per channel, uniform
 //!    thread counts across each node's ports, primitive arities;
 //! 3. [`CycleCoverLint`] — every structural cycle must contain an
 //!    EB/MEB/latency-unit cut (the static version of the rank
 //!    scheduler's Tarjan check, reported before any component is built).
+//!
+//! [`DataflowBuilder::build_ir`](crate::DataflowBuilder::build_ir) runs
+//! steps 2 and 3 ([`PassManager::lint_suite`]); its auto-inserted
+//! buffers are reduced MEBs until a [`MebSubstitution::auto`] says
+//! otherwise.
 
 use crate::ir::{ElasticIr, IrNodeId, IrNodeKind, IrNodeTag};
 use elastic_core::{ArbiterKind, MebKind};
@@ -327,7 +333,7 @@ impl<T: Token> PassManager<T> {
 pub enum MebTarget {
     /// Every MEB node.
     All,
-    /// Only policy-inserted MEBs (`auto: true`) — designer-placed
+    /// Only constructor-inserted MEBs (`auto: true`) — designer-placed
     /// buffers keep their explicit microarchitecture.
     Auto,
     /// The single MEB with this instance name.
@@ -337,10 +343,10 @@ pub enum MebTarget {
 /// Rewrites MEB microarchitectures (full ↔ reduced ↔ FIFO ablation) per
 /// node or globally.
 ///
-/// This pass is how buffer choice flows from a [`SynthConfig`](crate::SynthConfig) into the netlist: the dataflow lowering emits
-/// every auto-inserted buffer with a placeholder kind, and
-/// [`MebSubstitution::auto`] retargets them in one sweep — no per-call-site
-/// buffer-kind plumbing.
+/// This pass is how buffer choice reaches the netlist: the dataflow
+/// builder and the processor constructor mark the buffers they insert
+/// `auto`, and [`MebSubstitution::auto`] retargets them in one sweep — no
+/// per-call-site buffer-kind plumbing.
 pub struct MebSubstitution {
     target: MebTarget,
     kind: MebKind,
@@ -357,7 +363,7 @@ impl MebSubstitution {
         }
     }
 
-    /// Rewrite only policy-inserted MEBs to `kind`.
+    /// Rewrite only constructor-inserted (`auto`) MEBs to `kind`.
     pub fn auto(kind: MebKind) -> Self {
         Self {
             target: MebTarget::Auto,

@@ -1,7 +1,11 @@
 //! End-to-end tests of the dataflow-to-elastic synthesis flow.
 
-use elastic_core::MebKind;
-use elastic_synth::{BufferPolicy, DataflowBuilder, OpLatency, RunError, SynthConfig, SynthError};
+use elastic_core::{ArbiterKind, MebKind};
+use elastic_sim::ProtocolError;
+use elastic_synth::{
+    DataflowBuilder, ElasticIr, IrError, IrNodeKind, MebSubstitution, OpLatency, Pass, PassError,
+    RunError, SynthCircuit, SynthError, TransformSpec,
+};
 use proptest::prelude::*;
 
 fn software_gcd(mut a: u64, mut b: u64) -> u64 {
@@ -15,8 +19,8 @@ fn software_gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
-/// Builds the iterative GCD circuit over `threads` threads.
-fn gcd_circuit(threads: usize, config: SynthConfig) -> elastic_synth::SynthCircuit<(u64, u64)> {
+/// The iterative GCD graph over `threads` threads.
+fn gcd_graph(threads: usize) -> DataflowBuilder<(u64, u64)> {
     let mut g = DataflowBuilder::<(u64, u64)>::new(threads);
     let fresh = g.input("pairs");
     let looped = g.input("loop");
@@ -31,12 +35,17 @@ fn gcd_circuit(threads: usize, config: SynthConfig) -> elastic_synth::SynthCircu
         }
     });
     g.loopback("loop", step).expect("loop closes");
-    g.elaborate(config).expect("gcd elaborates")
+    g
+}
+
+/// The iterative GCD circuit over `threads` threads.
+fn gcd_circuit(threads: usize) -> SynthCircuit<(u64, u64)> {
+    gcd_graph(threads).elaborate().expect("gcd elaborates")
 }
 
 #[test]
 fn gcd_multithreaded_matches_software() {
-    let mut s = gcd_circuit(4, SynthConfig::default());
+    let mut s = gcd_circuit(4);
     let pairs = [(48u64, 36u64), (81, 54), (17, 5), (1000, 35)];
     for (t, &(a, b)) in pairs.iter().enumerate() {
         s.push("pairs", t, (a, b)).expect("port exists");
@@ -55,7 +64,7 @@ fn gcd_streams_multiple_problems_per_thread() {
     // flight; problems that converge in fewer iterations exit first, so
     // completion order within a thread is not FIFO (see the crate docs).
     // Completion is compared as a multiset.
-    let mut s = gcd_circuit(2, SynthConfig::default());
+    let mut s = gcd_circuit(2);
     let per_thread: [Vec<(u64, u64)>; 2] =
         [vec![(12, 8), (100, 75), (7, 7)], vec![(9, 27), (14, 21)]];
     for (t, list) in per_thread.iter().enumerate() {
@@ -81,13 +90,11 @@ fn full_and_reduced_synthesis_agree() {
     let pairs = [(250u64, 35u64), (13, 39)];
     let mut results = Vec::new();
     for meb in [MebKind::Full, MebKind::Reduced] {
-        let mut s = gcd_circuit(
-            2,
-            SynthConfig {
-                meb,
-                ..SynthConfig::default()
-            },
-        );
+        let mut synth = gcd_graph(2).build_ir().expect("gcd builds");
+        MebSubstitution::auto(meb)
+            .run(&mut synth.ir)
+            .expect("auto-buffers retarget");
+        let mut s = synth.elaborate().expect("gcd elaborates");
         for (t, &(a, b)) in pairs.iter().enumerate() {
             s.push("pairs", t, (a, b)).expect("push");
         }
@@ -95,6 +102,25 @@ fn full_and_reduced_synthesis_agree() {
         results.push((s.collected("gcd", 0), s.collected("gcd", 1)));
     }
     assert_eq!(results[0], results[1]);
+}
+
+/// `run_until_outputs` counts at the sink even after a pass splices a
+/// buffer in front of it (the sink then reads the buffer's new channel).
+#[test]
+fn outputs_follow_a_buffer_spliced_before_the_sink() {
+    let mut synth = gcd_graph(2).build_ir().expect("gcd builds");
+    TransformSpec::InsertSlack {
+        channel: "w3:done?.0".into(),
+        kind: MebKind::Fifo { depth: 1 },
+    }
+    .apply(&mut synth.ir)
+    .expect("slack inserts before the sink");
+    let mut s = synth.elaborate().expect("gcd elaborates");
+    s.push("pairs", 0, (48, 36)).expect("push");
+    s.push("pairs", 1, (81, 54)).expect("push");
+    s.run_until_outputs("gcd", 2, 2_000).expect("completes");
+    assert_eq!(s.collected("gcd", 0), vec![(12, 12)]);
+    assert_eq!(s.collected("gcd", 1), vec![(27, 27)]);
 }
 
 /// A diamond: fork → two ops → join — exercises fan-out plus
@@ -119,7 +145,7 @@ fn diamond_fork_join() {
         a + b
     });
     g.output("y", sum);
-    let mut s = g.elaborate(SynthConfig::default()).expect("elaborates");
+    let mut s = g.elaborate().expect("elaborates");
     for t in 0..2 {
         for v in 1..=10u64 {
             s.push("x", t, v).expect("push");
@@ -141,7 +167,7 @@ fn barrier_node_synchronizes_threads() {
     let x = g.input("x");
     let synced = g.barrier("sync", x);
     g.output("y", synced);
-    let mut s = g.elaborate(SynthConfig::default()).expect("elaborates");
+    let mut s = g.elaborate().expect("elaborates");
     s.push_at("x", 0, 0, 1).expect("push");
     s.push_at("x", 1, 5, 2).expect("push");
     s.push_at("x", 2, 15, 3).expect("push");
@@ -173,7 +199,7 @@ fn accumulator_loop_with_initial_tokens() {
     );
     g.loopback("acc", seeded).expect("loop closes");
 
-    let mut s = g.elaborate(SynthConfig::default()).expect("elaborates");
+    let mut s = g.elaborate().expect("elaborates");
     let streams: [Vec<u64>; 3] = [vec![1, 2, 3, 4], vec![10, 20], vec![5, 5, 5]];
     for (t, stream) in streams.iter().enumerate() {
         for &v in stream {
@@ -193,8 +219,119 @@ fn unconsumed_wire_is_rejected() {
     let mut g = DataflowBuilder::<u64>::new(1);
     let x = g.input("x");
     let _dangling = g.op1("inc", OpLatency::Combinational, x, |v| v + 1);
-    let err = g.elaborate(SynthConfig::default()).unwrap_err();
-    assert!(matches!(err, SynthError::UnconsumedWire { .. }), "{err}");
+    let err = g.elaborate().unwrap_err();
+    assert!(
+        matches!(&err, SynthError::Lint(PassError::NoReader { channel }) if channel == "w1:inc.0:buf"),
+        "{err}"
+    );
+}
+
+#[test]
+fn fan_out_without_a_fork_is_a_lint_error() {
+    let mut g = DataflowBuilder::<u64>::new(1);
+    let x = g.input("x");
+    g.output("a", x);
+    g.output("b", x);
+    match g.build_ir() {
+        Err(SynthError::Lint(PassError::MultipleReaders { channel, readers })) => {
+            assert_eq!(channel, "w0:x.0");
+            assert_eq!(readers, ["out:a", "out:b"]);
+        }
+        other => panic!("{:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn one_input_merge_is_a_lint_error() {
+    let mut g = DataflowBuilder::<u64>::new(1);
+    let x = g.input("x");
+    let m = g.merge("m", &[x]);
+    g.output("y", m);
+    match g.build_ir() {
+        Err(SynthError::Lint(PassError::BadArity {
+            node,
+            inputs: 1,
+            outputs: 1,
+        })) => assert_eq!(node, "m"),
+        other => panic!("{:?}", other.map(|_| ())),
+    }
+}
+
+/// A reduced MEB holds one initial token per thread; a second one is the
+/// typed protocol error of elaboration, not a panic or a string.
+#[test]
+fn excess_initial_tokens_are_a_typed_elaboration_error() {
+    let mut g = DataflowBuilder::<u64>::new(2);
+    let x = g.input("x");
+    let held = g.buffer_with_initial("held", x, MebKind::Reduced, vec![(0, 1), (0, 2)]);
+    g.output("y", held);
+    match g.elaborate() {
+        Err(SynthError::Elaborate(IrError::Protocol(ProtocolError::ExcessInitialTokens {
+            thread: 0,
+            capacity: 1,
+        }))) => {}
+        other => panic!("{:?}", other.map(|_| ())),
+    }
+}
+
+/// The `auto` flag decides what `MebSubstitution::auto` touches: every
+/// buffer the builder inserted, never one placed with `buffer()`.
+#[test]
+fn auto_substitution_rewrites_only_the_inserted_buffers() {
+    let mut g = DataflowBuilder::<u64>::new(2);
+    let x = g.input("x");
+    let y = g.input("y");
+    let placed = g.buffer("placed", x, MebKind::Fifo { depth: 2 });
+    let sum = g.op2("add", OpLatency::Fixed(1), placed, y, |a, b| a + b);
+    let doubled = g.op1("double", OpLatency::Combinational, sum, |v| v * 2);
+    g.output("z", doubled);
+    let mut synth = g.build_ir().expect("builds");
+    let mebs = |ir: &ElasticIr<u64>| -> Vec<(String, MebKind, ArbiterKind, bool)> {
+        ir.nodes()
+            .filter_map(|n| match n.kind() {
+                IrNodeKind::Meb {
+                    kind,
+                    arbiter,
+                    auto,
+                    ..
+                } => Some((n.name().to_string(), *kind, *arbiter, *auto)),
+                _ => None,
+            })
+            .collect()
+    };
+    let (rr, fixed) = (ArbiterKind::RoundRobin, ArbiterKind::Fixed);
+    let fifo = MebKind::Fifo { depth: 2 };
+    assert_eq!(
+        mebs(&synth.ir),
+        [
+            ("autobuf:w3".to_string(), MebKind::Reduced, rr, true),
+            ("autobuf:w4".to_string(), MebKind::Reduced, rr, true),
+            ("placed".to_string(), fifo, rr, false),
+        ]
+    );
+
+    let report = MebSubstitution::auto(MebKind::Full)
+        .with_arbiter(fixed)
+        .run(&mut synth.ir)
+        .expect("substitutes");
+    assert_eq!(report.deltas.len(), 2, "{report:?}");
+    assert_eq!(
+        mebs(&synth.ir),
+        [
+            ("autobuf:w3".to_string(), MebKind::Full, fixed, true),
+            ("autobuf:w4".to_string(), MebKind::Full, fixed, true),
+            ("placed".to_string(), fifo, rr, false),
+        ]
+    );
+
+    let mut s = synth.elaborate().expect("elaborates");
+    for t in 0..2 {
+        s.push("x", t, 10 * t as u64).expect("push");
+        s.push("y", t, 1).expect("push");
+    }
+    s.run_until_outputs("z", 2, 1_000).expect("completes");
+    assert_eq!(s.collected("z", 0), vec![2]);
+    assert_eq!(s.collected("z", 1), vec![22]);
 }
 
 #[test]
@@ -207,13 +344,15 @@ fn dataflow_dot_export_shows_the_loop() -> Result<(), SynthError> {
     g.output("gcd", done);
     let step = g.op1("step", OpLatency::Combinational, cont, |&p| p);
     g.loopback("loop", step).expect("closes");
-    let dot = g.build_ir(SynthConfig::default())?.ir.to_dot();
+    let synth = g.build_ir()?;
+    // The closed placeholder and its wire are gone from the IR.
+    assert!(synth.ir.node_named("in:loop").is_none());
+    assert!(synth.ir.channel_named("w1:loop.0").is_none());
+    let dot = synth.ir.to_dot();
     assert!(dot.starts_with("digraph elastic {"), "{dot}");
     assert!(dot.contains("shape=diamond"), "{dot}");
     assert!(dot.contains("entry"));
-    // The dead placeholder input is gone; the buffered loop edge runs
-    // back into the entry merge.
-    assert!(!dot.contains("\"loop\""), "{dot}");
+    // The buffered loop edge runs back into the entry merge.
     let entry = dot
         .lines()
         .find_map(|l| l.trim().strip_suffix(" [label=\"entry\", shape=diamond];"))
@@ -229,20 +368,50 @@ fn dataflow_dot_export_shows_the_loop() -> Result<(), SynthError> {
 #[test]
 fn empty_graph_is_rejected() {
     let g = DataflowBuilder::<u64>::new(1);
-    assert!(matches!(
-        g.elaborate(SynthConfig::default()),
-        Err(SynthError::EmptyGraph)
-    ));
+    assert!(matches!(g.elaborate(), Err(SynthError::EmptyGraph)));
 }
 
 #[test]
 fn bad_loopback_targets_are_rejected() {
     let mut g = DataflowBuilder::<u64>::new(1);
     let x = g.input("x");
-    g.output("y", x);
+    let looped = g.input("loop");
+    let _unread = g.input("unread");
+    let sum = g.op2("add", OpLatency::Combinational, x, looped, |a, b| a + b);
+    let copies = g.fork("dup", sum, 2);
+    g.output("y", copies[0]);
     // No such port.
-    let err = g.loopback("nope", x).unwrap_err();
+    let err = g.loopback("nope", copies[1]).unwrap_err();
+    assert!(
+        matches!(&err, SynthError::NoSuchInput { port } if port == "nope"),
+        "{err}"
+    );
     assert!(err.to_string().contains("no input port"), "{err}");
+    // A placeholder nothing reads yet.
+    let err = g.loopback("unread", copies[1]).unwrap_err();
+    assert!(
+        matches!(&err, SynthError::PlaceholderUnread { port } if port == "unread"),
+        "{err}"
+    );
+    // A wire that already feeds the output.
+    let err = g.loopback("loop", copies[0]).unwrap_err();
+    assert!(
+        matches!(&err, SynthError::WireConsumed { port, channel }
+            if port == "loop" && channel == "w4:dup.0"),
+        "{err}"
+    );
+    // The failures changed nothing: the loop still closes, a closed port
+    // is no longer an input, and the unread placeholder still dangles.
+    g.loopback("loop", copies[1]).expect("loop closes");
+    assert!(matches!(
+        g.loopback("loop", copies[1]),
+        Err(SynthError::NoSuchInput { .. })
+    ));
+    let err = g.build_ir().unwrap_err();
+    assert!(
+        matches!(&err, SynthError::Lint(PassError::NoReader { channel }) if channel == "w2:unread.0"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -251,7 +420,7 @@ fn unknown_ports_are_reported_with_alternatives() {
     let x = g.input("x");
     let y = g.op1("inc", OpLatency::Combinational, x, |v| v + 1);
     g.output("y", y);
-    let mut s = g.elaborate(SynthConfig::default()).expect("elaborates");
+    let mut s = g.elaborate().expect("elaborates");
     let err = s.push("z", 0, 1).unwrap_err();
     match err {
         RunError::UnknownPort(e) => {
@@ -262,40 +431,7 @@ fn unknown_ports_are_reported_with_alternatives() {
     }
 }
 
-/// Manual buffer policy on a loop with no explicit buffers: the build-time
-/// rank schedule rejects the illegal circuit (naming the components on the
-/// strict cycle) instead of simulating garbage — the error now surfaces at
-/// elaboration, before a single cycle runs.
-#[test]
-fn unbuffered_loop_is_detected_at_elaboration() {
-    let mut g = DataflowBuilder::<(u64, u64)>::new(1);
-    let fresh = g.input("pairs");
-    let looped = g.input("loop");
-    let head = g.merge("entry", &[fresh, looped]);
-    let (done, cont) = g.branch("done?", head, |&(a, b): &(u64, u64)| a == b);
-    g.output("gcd", done);
-    let step = g.op1("step", OpLatency::Combinational, cont, |&(a, b)| {
-        if a > b {
-            (a - b, b)
-        } else {
-            (a, b - a)
-        }
-    });
-    g.loopback("loop", step).expect("loop closes");
-    let err = g
-        .elaborate(SynthConfig {
-            buffers: BufferPolicy::Manual,
-            ..SynthConfig::default()
-        })
-        .expect_err("unbuffered loop must be rejected at elaboration");
-    let text = err.to_string();
-    assert!(text.contains("combinational loop"), "{text}");
-    // The offending components are named in the report.
-    assert!(text.contains("entry"), "{text}");
-    assert!(text.contains("step"), "{text}");
-}
-
-/// The same loop with one *explicit* buffer under manual policy is legal.
+/// A loop with an explicit buffer next to the inserted ones works.
 #[test]
 fn manually_buffered_loop_works() {
     let mut g = DataflowBuilder::<(u64, u64)>::new(1);
@@ -313,12 +449,7 @@ fn manually_buffered_loop_works() {
         }
     });
     g.loopback("loop", step).expect("loop closes");
-    let mut s = g
-        .elaborate(SynthConfig {
-            buffers: BufferPolicy::Manual,
-            ..SynthConfig::default()
-        })
-        .expect("elaborates");
+    let mut s = g.elaborate().expect("elaborates");
     s.push("pairs", 0, (48, 18)).expect("push");
     s.run_until_outputs("gcd", 1, 5_000).expect("completes");
     assert_eq!(s.collected("gcd", 0), vec![(6, 6)]);
@@ -333,7 +464,7 @@ proptest! {
         pairs in prop::collection::vec((1u64..500, 1u64..500), 1..6),
     ) {
         let threads = pairs.len();
-        let mut s = gcd_circuit(threads, SynthConfig::default());
+        let mut s = gcd_circuit(threads);
         for (t, &(a, b)) in pairs.iter().enumerate() {
             s.push("pairs", t, (a, b)).expect("push");
         }

@@ -1,7 +1,7 @@
 //! Automated synthesis demo (the paper's conclusion: the primitives
 //! "enable the automated synthesis of complex algorithms to their
-//! multithreaded elastic equivalent circuits"): describe Euclid's GCD as
-//! a dataflow graph, lower it to the structural elastic IR, and let that
+//! multithreaded elastic equivalent circuits"): write Euclid's GCD as a
+//! dataflow graph straight into the structural elastic IR, and let that
 //! ONE description feed all three consumers — the Graphviz netlist, the
 //! Table I cost model, and the simulated circuit that four hardware
 //! threads time-multiplex.
@@ -11,7 +11,7 @@
 //! ```
 
 use mt_elastic::cost::Inventory;
-use mt_elastic::synth::{DataflowBuilder, OpLatency, PassManager, SynthConfig};
+use mt_elastic::synth::{DataflowBuilder, OpLatency};
 
 fn software_gcd(mut a: u64, mut b: u64) -> u64 {
     while a != b {
@@ -47,14 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     g.loopback("loop", step)?;
 
-    // Stage 1 — lower to the structural IR: merges/ops get reduced MEBs
-    // automatically, so the loop is legal elastic hardware and inherently
-    // multithreaded. The IR is the single source of truth for everything
-    // that follows.
-    let mut synth_ir = g.build_ir(SynthConfig::default())?;
+    // Stage 1 — finish the structural IR the builder wrote: merges/ops
+    // got reduced MEBs automatically, so the loop is legal elastic
+    // hardware and inherently multithreaded, and `build_ir` has run the
+    // protocol and cycle-cover lints. The IR is the single source of
+    // truth for everything that follows.
+    let mut synth_ir = g.build_ir()?;
 
-    // Consumer 1: static checks + the Graphviz netlist (no simulation).
-    PassManager::lint_suite().run(&mut synth_ir.ir)?;
+    // Consumer 1: the Graphviz netlist (no simulation).
     println!(
         "netlist (render with `dot -Tsvg`):\n{}",
         synth_ir.ir.to_dot()

@@ -19,7 +19,7 @@ use mt_elastic::sim::{
     Circuit, CircuitBuilder, EvalMode, LatencyModel, ReadyPolicy, Sink, Source, Transform,
     VarLatency,
 };
-use mt_elastic::synth::{DataflowBuilder, OpLatency, SynthConfig};
+use mt_elastic::synth::{DataflowBuilder, OpLatency};
 
 /// Debug-formatted capture digest of a sink: every `(cycle, token)` pair
 /// for every thread, in arrival order.
@@ -55,9 +55,7 @@ fn gcd_via_ir(threads: usize) -> Circuit<Pair> {
         }
     });
     g.loopback("loop", step).expect("loop closes");
-    g.elaborate(SynthConfig::default())
-        .expect("gcd elaborates")
-        .circuit
+    g.elaborate().expect("gcd elaborates").circuit
 }
 
 /// The pre-refactor elaboration of the GCD graph, wire by wire: channel
