@@ -13,13 +13,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use elastic_bench::gcd_ir;
 use elastic_core::MebKind;
 use elastic_md5::Md5Circuit;
 use elastic_proc::Cpu;
 use elastic_sim::Token;
 use elastic_synth::{
-    dot_with_deltas, DataflowBuilder, ElasticIr, MebSubstitution, OpLatency, Pass, PassManager,
-    PassReport, TransformSpec,
+    dot_with_deltas, ElasticIr, MebSubstitution, Pass, PassManager, PassReport, TransformSpec,
 };
 
 /// Repo-relative path of the committed golden DOT file.
@@ -29,25 +29,6 @@ const GOLDEN_DELTAS: &str = "golden/gcd_deltas.dot";
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
-}
-
-/// The GCD loop of `examples/gcd_synthesis.rs`, stopped at the IR stage.
-fn gcd_ir(threads: usize) -> ElasticIr<(u64, u64)> {
-    let mut g = DataflowBuilder::<(u64, u64)>::new(threads);
-    let fresh = g.input("pairs");
-    let looped = g.input("loop");
-    let head = g.merge("entry", &[fresh, looped]);
-    let (done, cont) = g.branch("done?", head, |&(a, b)| a == b);
-    g.output("gcd", done);
-    let step = g.op1("step", OpLatency::Fixed(1), cont, |&(a, b)| {
-        if a > b {
-            (a - b, b)
-        } else {
-            (a, b - a)
-        }
-    });
-    g.loopback("loop", step).expect("loop closes");
-    g.build_ir().expect("gcd graph builds").ir
 }
 
 /// Applies a canonical transform set to the linted GCD IR and renders the

@@ -1,99 +1,43 @@
 //! Regenerates the paper's **Table I** ("FPGA implementation results of
 //! the 8-thread design examples") from the structural cost model, with
 //! the paper's reported numbers side by side, plus the 16-thread
-//! extension behind the paper's ">22 % savings" remark.
-//!
-//! The per-thread-count sections are independent, so the sweep runs as
-//! [`run_sweep`] jobs — results come back in submission order, making
-//! the concatenated table byte-identical to the serial
-//! [`elastic_cost::render`] output (asserted below).
+//! extension behind the paper's ">22 % savings" remark. Every area is
+//! `Inventory::from_ir` of the design's own IR (see
+//! [`elastic_bench::table1`]).
 //!
 //! With `--inventory`, also prints the itemized LE breakdown of every
 //! design/buffer combination.
 //!
 //! ```text
-//! cargo run --release --bin table1_fpga [--inventory]
+//! cargo run --release -p elastic-bench --bin table1_fpga [-- --inventory]
 //! ```
 
-use elastic_core::MebKind;
-use elastic_cost::{
-    frequency_mhz, gcd_design, md5_design, processor_design, render, render_header, render_section,
-    BufferKind, Inventory,
-};
-use elastic_md5::Md5Circuit;
-use elastic_proc::Cpu;
-use elastic_sim::{run_sweep, SimJob};
-use elastic_synth::{MebSubstitution, Pass};
-
-const THREAD_COUNTS: [usize; 2] = [8, 16];
+use elastic_bench::table1::{render, KINDS};
+use elastic_bench::Design;
 
 fn main() {
     let inventory = std::env::args().any(|a| a == "--inventory");
 
-    let jobs: Vec<SimJob<String>> = THREAD_COUNTS
-        .iter()
-        .map(|&s| SimJob::new(format!("table1 S={s}"), move || Ok(render_section(s))))
-        .collect();
-    let sections = run_sweep(jobs).unwrap_all();
-    let table = format!("{}{}", render_header(), sections.concat());
-    assert_eq!(
-        table,
-        render(&THREAD_COUNTS),
-        "sweep-assembled Table I diverged from the serial render"
-    );
-    print!("{table}");
+    print!("{}", render(&[8, 16]));
 
     // Extension: the same model applied to the circuit synthesized by the
     // elastic-synth flow (examples/gcd_synthesis.rs).
     println!("extension — synthesized GCD loop (not in the paper):");
-    let gcd = gcd_design();
-    for kind in [BufferKind::Full, BufferKind::Reduced] {
-        let area = gcd.area_les(kind, 8);
+    for (kind, label) in KINDS {
+        let area = Design::Gcd.area_les(kind, 8);
         println!(
-            "  {:<12} 8 threads: {:>6} LEs @ {:>5.1} MHz",
-            kind.to_string(),
+            "  {label:<12} 8 threads: {:>6} LEs @ {:>5.1} MHz",
             area,
-            frequency_mhz(gcd.logic_levels, area)
+            Design::Gcd.freq_mhz(area)
         );
     }
     println!();
 
-    // Cross-check: the same totals, derived structurally from each
-    // design's elastic IR instead of the hand-written spec. One circuit
-    // description feeds simulation, DOT *and* cost.
-    println!("IR cross-check (Inventory::from_ir vs hand-written spec):");
-    for s in THREAD_COUNTS {
-        for (meb, kind) in [
-            (MebKind::Full, BufferKind::Full),
-            (MebKind::Reduced, BufferKind::Reduced),
-        ] {
-            let mut md5 = Md5Circuit::ir(s, s, 1);
-            MebSubstitution::all(meb)
-                .run(&mut md5.ir)
-                .expect("rewrites");
-            let md5_ir = Inventory::from_ir(&md5.ir).total_les();
-            assert_eq!(md5_ir, md5_design().area_les(kind, s));
-
-            let mut cpu = Cpu::cost_ir(s);
-            MebSubstitution::all(meb)
-                .run(&mut cpu.ir)
-                .expect("rewrites");
-            let cpu_ir = Inventory::from_ir(&cpu.ir).total_les();
-            assert_eq!(cpu_ir, processor_design().area_les(kind, s));
-
-            println!(
-                "  S={s:<2} {:<12} md5 {md5_ir:>6} LEs, processor {cpu_ir:>6} LEs — both match",
-                kind.to_string()
-            );
-        }
-    }
-    println!();
-
     if inventory {
-        for spec in [md5_design(), processor_design()] {
-            for kind in [BufferKind::Full, BufferKind::Reduced] {
-                println!("\n=== {} — {} (8 threads) ===", spec.name, kind);
-                print!("{}", spec.inventory(kind, 8).render());
+        for design in Design::TABLE1 {
+            for (kind, label) in KINDS {
+                println!("\n=== {} — {label} (8 threads) ===", design.name());
+                print!("{}", design.inventory(kind, 8).render());
             }
         }
     } else {

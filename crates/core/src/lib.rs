@@ -17,7 +17,6 @@
 //!   [`Merge`] — instantiated on multithreaded channels they are the
 //!   M-Join / M-Fork / M-Branch / M-Merge of Fig. 7;
 //! * the sense-reversing thread [`Barrier`] (Fig. 8);
-//! * [`rtl`] — parameterized SystemVerilog emitters for every primitive;
 //! * [`pipeline`] helpers to assemble MEB pipelines like the one in the
 //!   paper's Fig. 5.
 //!
@@ -49,7 +48,6 @@ pub mod eb;
 pub mod meb;
 pub mod ops;
 pub mod pipeline;
-pub mod rtl;
 mod select;
 
 pub use arbiter::{Arbiter, ArbiterKind, CoarseGrained, FixedPriority, LeastRecent, RoundRobin};

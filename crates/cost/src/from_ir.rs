@@ -1,34 +1,51 @@
 //! Deriving an area inventory from a structural [`ElasticIr`] netlist.
 //!
 //! [`Inventory::from_ir`] walks the same circuit description that feeds
-//! the simulator and the DOT renderer, so the cost model no longer needs
-//! a hand-maintained parallel description: every MEB (and EB, and
-//! barrier) is costed from its node and the width annotation of its
-//! channels, and the combinational payload the structure cannot see
-//! (ALUs, unrolled hash steps, decoders) comes from the
+//! the simulator and the DOT renderer, so the cost model needs no
+//! parallel description of a design: every MEB (and EB, and barrier) is
+//! costed from its node and the width annotation of its channels, and
+//! the combinational payload the structure cannot see (ALUs, unrolled
+//! hash steps, decoders) comes from the
 //! [`CostHint`](elastic_synth::CostHint)s attached to the nodes.
-//!
-//! The hand-written [`DesignSpec`](crate::DesignSpec) inventories remain
-//! as the calibration reference; `tests/cost_consistency.rs` (repo root)
-//! asserts the two agree LE-for-LE on every Table I configuration.
 
-use crate::design::{meb_inventory, BufferKind};
-use crate::primitives::{barrier, eb_control, register, Inventory};
+use crate::primitives::{arbiter, barrier, eb_control, mux, register, shared_gate, Inventory};
 use elastic_core::MebKind;
 use elastic_sim::Token;
 use elastic_synth::{ElasticIr, IrNodeTag, PassDelta};
 
-/// Itemized area of a `width`-bit, `threads`-thread FIFO-MEB ablation
-/// (`depth` slots per thread). Not a Table I configuration — costed as
-/// `S·depth` registers plus the shared output mux, per-thread control and
-/// arbiter, i.e. the full-MEB structure with resized storage.
-pub fn fifo_meb_inventory(depth: usize, threads: usize, width: usize) -> Inventory {
+/// Itemized area of one `width`-bit, `threads`-thread MEB.
+///
+/// Every kind has the S-way output multiplexer, a control FSM per thread
+/// and the arbiter. The full and reduced MEBs (Table I's column pairs)
+/// also put a 2:1 refill mux in front of each thread's main register
+/// (`data_in` vs the auxiliary slot); they differ in storage (`2S` vs
+/// `S+1` registers) and in the reduced variant's shared-buffer FSM and
+/// HALF→FULL gate. The FIFO ablation, which has no Table I row, stores
+/// `S·depth` registers and has no refill muxes.
+pub fn meb_inventory(kind: MebKind, threads: usize, width: usize) -> Inventory {
     let s = threads;
     let mut inv = Inventory::new();
-    inv.push("fifo registers", s * depth, register(width));
-    inv.push("output mux", 1, crate::primitives::mux(width, s));
+    match kind {
+        MebKind::Full => {
+            inv.push("main+aux registers", 2 * s, register(width));
+        }
+        MebKind::Reduced => {
+            inv.push("main registers", s, register(width));
+            inv.push("shared register", 1, register(width));
+        }
+        MebKind::Fifo { depth } => {
+            inv.push("fifo registers", s * depth, register(width));
+        }
+    }
+    if !matches!(kind, MebKind::Fifo { .. }) {
+        inv.push("refill muxes", s, mux(width, 2));
+    }
+    inv.push("output mux", 1, mux(width, s));
     inv.push("EB control FSMs", s, eb_control());
-    inv.push("arbiter", 1, crate::primitives::arbiter(s));
+    if kind == MebKind::Reduced {
+        inv.push("shared-buffer gate", 1, shared_gate(s));
+    }
+    inv.push("arbiter", 1, arbiter(s));
     inv
 }
 
@@ -37,9 +54,7 @@ pub fn fifo_meb_inventory(depth: usize, threads: usize, width: usize) -> Invento
 /// of [`Inventory::from_ir`] exactly).
 fn buffer_les(kind: Option<MebKind>, threads: usize, width: usize) -> i64 {
     let les = match kind {
-        Some(MebKind::Full) => meb_inventory(BufferKind::Full, threads, width).total_les(),
-        Some(MebKind::Reduced) => meb_inventory(BufferKind::Reduced, threads, width).total_les(),
-        Some(MebKind::Fifo { depth }) => fifo_meb_inventory(depth, threads, width).total_les(),
+        Some(kind) => meb_inventory(kind, threads, width).total_les(),
         None => 2 * register(width) + eb_control(),
     };
     les as i64
@@ -98,9 +113,8 @@ impl Inventory {
     ///
     /// Structural rows:
     ///
-    /// * every [`Meb`](IrNodeTag::Meb) node costs
-    ///   [`meb_inventory`] (or [`fifo_meb_inventory`] for the FIFO
-    ///   ablation) at the node's thread count and channel width;
+    /// * every [`Meb`](IrNodeTag::Meb) node costs [`meb_inventory`] of
+    ///   its kind at the node's thread count and channel width;
     /// * every [`Eb`](IrNodeTag::Eb) node costs two registers plus one
     ///   EB control FSM (the baseline two-slot buffer of paper Sec. II);
     /// * every [`Barrier`](IrNodeTag::Barrier) node costs
@@ -112,47 +126,29 @@ impl Inventory {
     /// and transform/latency payloads are design logic the hints
     /// describe).
     ///
-    /// A node's width comes from its first width-annotated channel
-    /// (outputs first, then inputs); an unannotated buffer costs its
-    /// control but zero datapath bits, so annotate widths on every
-    /// MEB-adjacent channel you want accounted.
+    /// A node's width is [`ElasticIr::node_width`], its first
+    /// width-annotated channel (outputs first, then inputs), and its
+    /// thread count is [`ElasticIr::node_threads`], its first input's (a
+    /// source's first output's). An unannotated buffer costs its control
+    /// but zero datapath bits, so annotate widths on every MEB-adjacent
+    /// channel you want accounted.
     pub fn from_ir<T: Token>(ir: &ElasticIr<T>) -> Inventory {
         let mut inv = Inventory::new();
-        for (i, node) in ir.nodes().enumerate() {
-            let id = ir.node_named(node.name()).filter(|n| n.index() == i);
-            // Unique names are the norm; fall back to positional lookup
-            // via the iteration index when a name repeats.
-            let (width, threads) = match id {
-                Some(id) => (ir.node_width(id), ir.node_threads(id)),
-                None => {
-                    let first = node.outputs().iter().chain(node.inputs()).copied().next();
-                    let width = node
-                        .outputs()
-                        .iter()
-                        .chain(node.inputs())
-                        .find_map(|&ch| ir.channel_info(ch).width)
-                        .unwrap_or(0);
-                    let threads = first.map(|ch| ir.channel_info(ch).threads).unwrap_or(1);
-                    (width, threads)
-                }
-            };
+        for id in ir.node_ids() {
+            let node = ir.node(id);
+            let (width, threads) = (ir.node_width(id), ir.node_threads(id));
             match node.tag() {
                 IrNodeTag::Meb(kind) => {
-                    let (sub, label) = match kind {
-                        MebKind::Full => (
-                            meb_inventory(BufferKind::Full, threads, width),
-                            format!("MEB `{}` ({width}b, {})", node.name(), BufferKind::Full),
-                        ),
-                        MebKind::Reduced => (
-                            meb_inventory(BufferKind::Reduced, threads, width),
-                            format!("MEB `{}` ({width}b, {})", node.name(), BufferKind::Reduced),
-                        ),
-                        MebKind::Fifo { depth } => (
-                            fifo_meb_inventory(depth, threads, width),
-                            format!("MEB `{}` ({width}b, FIFO x{depth})", node.name()),
-                        ),
+                    let label = match kind {
+                        MebKind::Full => "Full MEB".to_string(),
+                        MebKind::Reduced => "Reduced MEB".to_string(),
+                        MebKind::Fifo { depth } => format!("FIFO x{depth}"),
                     };
-                    inv.push(label, 1, sub.total_les());
+                    inv.push(
+                        format!("MEB `{}` ({width}b, {label})", node.name()),
+                        1,
+                        meb_inventory(kind, threads, width).total_les(),
+                    );
                 }
                 IrNodeTag::Eb => {
                     inv.push(
@@ -221,19 +217,68 @@ mod tests {
     }
 
     #[test]
+    fn meb_slot_counts_match_the_paper() {
+        // Register LEs dominate; full stores 2S tokens, reduced S+1.
+        let full = meb_inventory(MebKind::Full, 8, 100);
+        let reduced = meb_inventory(MebKind::Reduced, 8, 100);
+        let full_regs: usize = full.items[0].total();
+        let reduced_regs: usize = reduced.items[0].total() + reduced.items[1].total();
+        assert_eq!(full_regs, 16 * 100);
+        assert_eq!(reduced_regs, 9 * 100);
+        assert!(full.total_les() > reduced.total_les());
+    }
+
+    #[test]
     fn meb_rows_match_the_hand_formula() {
-        for (kind, bk) in [
-            (MebKind::Full, BufferKind::Full),
-            (MebKind::Reduced, BufferKind::Reduced),
-        ] {
+        for kind in [MebKind::Full, MebKind::Reduced] {
             let inv = Inventory::from_ir(&pipeline_ir(kind));
             let meb_row = inv
                 .items
                 .iter()
                 .find(|i| i.name.contains("MEB `buf`"))
                 .expect("meb row");
-            assert_eq!(meb_row.total(), meb_inventory(bk, 4, 32).total_les());
+            assert_eq!(meb_row.total(), meb_inventory(kind, 4, 32).total_les());
         }
+    }
+
+    #[test]
+    fn same_named_mebs_are_costed_at_their_own_width() {
+        let mut ir = ElasticIr::<u64>::new();
+        let a = ir.channel_with_width("a", 4, 8);
+        let b = ir.channel_with_width("b", 4, 8);
+        let c = ir.channel_with_width("c", 4, 64);
+        ir.add("src", IrNodeKind::Source, vec![], vec![a]);
+        for (input, output) in [(a, b), (b, c)] {
+            let meb = IrNodeKind::Meb {
+                kind: MebKind::Reduced,
+                arbiter: ArbiterKind::RoundRobin,
+                initial: Vec::new(),
+                auto: false,
+            };
+            ir.add("buf", meb, vec![input], vec![output]);
+        }
+        ir.add(
+            "snk",
+            IrNodeKind::Sink {
+                capture: false,
+                policy: ReadyPolicy::Always,
+            },
+            vec![c],
+            vec![],
+        );
+        let rows: Vec<(String, usize)> = Inventory::from_ir(&ir)
+            .items
+            .into_iter()
+            .map(|item| (item.name.clone(), item.total()))
+            .collect();
+        let reduced = |width| meb_inventory(MebKind::Reduced, 4, width).total_les();
+        assert_eq!(
+            rows,
+            vec![
+                ("MEB `buf` (8b, Reduced MEB)".to_string(), reduced(8)),
+                ("MEB `buf` (64b, Reduced MEB)".to_string(), reduced(64)),
+            ]
+        );
     }
 
     #[test]
@@ -242,7 +287,7 @@ mod tests {
         assert!(inv.items.iter().any(|i| i.name == "barrier `sync`"));
         let hint = inv.items.iter().find(|i| i.name == "control glue").unwrap();
         assert_eq!(hint.total(), 10);
-        let expected = meb_inventory(BufferKind::Reduced, 4, 32).total_les() + barrier(4) + 10;
+        let expected = meb_inventory(MebKind::Reduced, 4, 32).total_les() + barrier(4) + 10;
         assert_eq!(inv.total_les(), expected);
     }
 
@@ -316,9 +361,14 @@ mod tests {
 
     #[test]
     fn fifo_ablation_scales_with_depth() {
-        let d2 = fifo_meb_inventory(2, 4, 32).total_les();
-        let d8 = fifo_meb_inventory(8, 4, 32).total_les();
-        assert!(d8 > d2);
-        assert_eq!(d8 - d2, (8 - 2) * 4 * register(32));
+        let fifo = |depth, threads| meb_inventory(MebKind::Fifo { depth }, threads, 32).total_les();
+        assert_eq!(fifo(8, 4) - fifo(2, 4), (8 - 2) * 4 * register(32));
+        // No Table I row to match; a 4-deep FIFO bank is not absurdly
+        // cheap against a full MEB of the same shape.
+        for threads in [2, 4, 8, 16] {
+            assert!(fifo(4, threads) > fifo(1, threads), "S={threads}");
+            let full = meb_inventory(MebKind::Full, threads, 32).total_les();
+            assert!(2 * fifo(4, threads) > full, "S={threads}");
+        }
     }
 }

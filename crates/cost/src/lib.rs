@@ -1,40 +1,34 @@
-//! # elastic-cost — structural FPGA area/frequency model
+//! # elastic-cost — structural FPGA area model
 //!
-//! Regenerates the paper's Table I ("FPGA implementation results of the
-//! 8-thread design examples") without a synthesis flow: a structural
-//! logic-element model over the *same component inventory* as the
-//! simulated circuits, plus a delay model whose routing term grows with
-//! area. See `DESIGN.md` for the substitution rationale: Table I compares
-//! *relative* cost of full vs reduced MEBs, which a structural model over
-//! identical inventories preserves (who wins, by roughly what factor, and
-//! how the gap grows with the thread count).
+//! The area half of the paper's Table I ("FPGA implementation results of
+//! the 8-thread design examples") without a synthesis flow: per-primitive
+//! logic-element formulas ([`primitives`]) summed over a design's
+//! structural IR by [`Inventory::from_ir`] — the same netlist the
+//! simulator elaborates. See `DESIGN.md` for the substitution rationale:
+//! Table I compares *relative* cost of full vs reduced MEBs, which a
+//! structural model over identical inventories preserves (who wins, by
+//! roughly what factor, and how the gap grows with the thread count).
+//!
+//! The table itself, with the delay model and the paper's reference
+//! numbers, is generated by `elastic-bench` (`table1_fpga`): the design
+//! crates depend on this one for the formulas, so it cannot see them.
 //!
 //! # Example
 //!
 //! ```
-//! use elastic_cost::{average_savings, table1_rows, BufferKind};
+//! use elastic_core::MebKind;
+//! use elastic_cost::meb_inventory;
 //!
-//! let rows = table1_rows(8);
-//! assert_eq!(rows.len(), 4); // 2 designs × 2 buffer kinds
-//! let md5_full = &rows[0];
-//! assert_eq!(md5_full.kind, BufferKind::Full);
-//! // The paper's headline: reduced MEBs save ~15 % on average at S = 8.
-//! assert!(average_savings(8) > 0.10);
+//! // A reduced MEB stores S + 1 tokens instead of 2·S.
+//! let full = meb_inventory(MebKind::Full, 8, 128).total_les();
+//! let reduced = meb_inventory(MebKind::Reduced, 8, 128).total_les();
+//! assert_eq!((full, reduced), (4024, 3138));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod design;
 pub mod from_ir;
 pub mod primitives;
-pub mod table1;
 
-pub use design::{
-    frequency_mhz, gcd_design, md5_design, meb_inventory, processor_design, BufferKind, DesignSpec,
-};
-pub use from_ir::{expected_les_delta, fifo_meb_inventory};
+pub use from_ir::{expected_les_delta, meb_inventory};
 pub use primitives::{CostItem, Inventory};
-pub use table1::{
-    average_savings, paper_reference, render, render_header, render_section, savings_fraction,
-    table1_rows, Table1Row,
-};

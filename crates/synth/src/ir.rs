@@ -53,10 +53,6 @@ impl IrChannelId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct IrNodeId(pub(crate) usize);
 
-pub(crate) fn node_id(index: usize) -> IrNodeId {
-    IrNodeId(index)
-}
-
 impl IrNodeId {
     /// Raw index into the IR's node list.
     pub fn index(self) -> usize {
@@ -689,6 +685,11 @@ impl<T: Token> ElasticIr<T> {
     /// Iterates over all nodes (index order = [`IrNodeId::index`]).
     pub fn nodes(&self) -> impl Iterator<Item = &IrNode<T>> {
         self.nodes.iter()
+    }
+
+    /// The handles of all nodes, in index order.
+    pub fn node_ids(&self) -> impl Iterator<Item = IrNodeId> {
+        (0..self.nodes.len()).map(IrNodeId)
     }
 
     /// Finds a node by instance name.

@@ -92,8 +92,7 @@ impl<T: Token> Pass<T> for MebDepthSizing {
     fn run(&mut self, ir: &mut ElasticIr<T>) -> Result<PassReport, PassError> {
         let mut plan: Vec<(IrNodeId, MebKind, MebKind)> = Vec::new();
         let mut checked = 0;
-        for index in 0..ir.node_count() {
-            let id = crate::ir::node_id(index);
+        for id in ir.node_ids() {
             let IrNodeTag::Meb(kind) = ir.node(id).tag() else {
                 continue;
             };
@@ -236,8 +235,7 @@ impl<T: Token> Pass<T> for SlackMatching {
         let mut plan: Vec<(IrChannelId, usize)> = Vec::new();
         let mut checked = 0;
         let mut budget = self.limit;
-        for index in 0..ir.node_count() {
-            let id = crate::ir::node_id(index);
+        for id in ir.node_ids() {
             if ir.node(id).tag() != IrNodeTag::Fork {
                 continue;
             }

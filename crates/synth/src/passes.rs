@@ -404,7 +404,7 @@ impl<T: Token> Pass<T> for MebSubstitution {
                 }
                 vec![id]
             }
-            _ => (0..ir.node_count()).map(crate::ir::node_id).collect(),
+            _ => ir.node_ids().collect(),
         };
         let mut changed = 0;
         let mut checked = 0;
@@ -617,7 +617,7 @@ impl<T: Token> Pass<T> for CycleCoverLint {
                             let start = path.iter().position(|&p| p == v).unwrap_or(0);
                             let mut nodes: Vec<String> = path[start..]
                                 .iter()
-                                .map(|&p| ir.node(crate::ir::node_id(p)).name().to_string())
+                                .map(|&p| ir.node(IrNodeId(p)).name().to_string())
                                 .collect();
                             nodes.push(nodes[0].clone()); // close the loop visually
                             return Err(PassError::UnbufferedCycle { nodes });

@@ -9,10 +9,10 @@
 //! ```
 
 use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
-use mt_elastic::cost::{
-    average_savings, md5_design, processor_design, savings_fraction, BufferKind,
-};
 use mt_elastic::sim::ReadyPolicy;
+
+use elastic_bench::table1::average_savings;
+use elastic_bench::Design;
 
 fn measure(kind: MebKind, blocked: bool) -> (f64, u64) {
     const THREADS: usize = 4;
@@ -54,15 +54,12 @@ fn main() {
     }
 
     println!("\nreduced vs full MEB — silicon (structural cost model, Table I)\n");
-    for (spec, label) in [
-        (md5_design(), "MD5 hash"),
-        (processor_design(), "processor"),
-    ] {
+    for (design, label) in [(Design::Md5, "MD5 hash"), (Design::Processor, "processor")] {
         println!(
             "  {label:<10} 8 threads: full {:>6} LEs, reduced {:>6} LEs  (saves {:.1}%)",
-            spec.area_les(BufferKind::Full, 8),
-            spec.area_les(BufferKind::Reduced, 8),
-            100.0 * savings_fraction(&spec, 8)
+            design.area_les(MebKind::Full, 8),
+            design.area_les(MebKind::Reduced, 8),
+            100.0 * design.savings_fraction(8)
         );
     }
     println!(

@@ -6,7 +6,6 @@
 //! cargo run --example waveforms
 //! gtkwave target/fig5_reduced.vcd     # if you have GTKWave
 //! dot -Tsvg target/fig5_netlist.dot -o fig5.svg
-//! cat target/elastic_primitives.v     # generated SystemVerilog
 //! ```
 
 use std::fs::File;
@@ -62,10 +61,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nthread B's tail latency reflects its scripted stall (cycles {}..{}).",
         setup.stall_from, setup.stall_to
     );
-
-    // 4. The primitives as parameterized SystemVerilog.
-    let rtl_path = "target/elastic_primitives.v";
-    std::fs::write(rtl_path, mt_elastic::core::rtl::rtl_package())?;
-    println!("\nwrote {rtl_path} — EB, arbiter, full/reduced MEB and barrier modules");
     Ok(())
 }

@@ -15,8 +15,9 @@
 //!   circuit with barrier-synchronized rounds);
 //! * [`proc`] — the multithreaded elastic processor (DTU-RISC ISA,
 //!   assembler, MEB pipeline);
-//! * [`cost`] — the structural FPGA area/frequency model regenerating
-//!   Table I;
+//! * [`cost`] — the structural FPGA area model: per-primitive LE
+//!   formulas and `Inventory::from_ir`, which costs a design from its IR
+//!   (Table I itself is printed by `elastic-bench`'s `table1_fpga`);
 //! * [`synth`] — dataflow graphs elaborated into multithreaded elastic
 //!   circuits (the conclusion's "automated synthesis" flow).
 //!

@@ -1,51 +1,41 @@
-//! Cost consistency — `Inventory::from_ir` over the *structural IR* must
-//! agree with the hand-written Table I inventories in `elastic-cost` for
-//! every configuration the paper reports: both designs, S ∈ {2, 4, 8, 16},
-//! full and reduced MEBs.
+//! Cost consistency — Table I is `Inventory::from_ir` over each design's
+//! own structural IR, so these tests pin what that derivation yields:
+//! every LE total the table reports, for both designs and the GCD
+//! extension row, S ∈ {2, 4, 8, 16}, full and reduced MEBs.
 //!
-//! This is the "one circuit description feeds the cost model" guarantee:
-//! the MEB/EB/barrier rows are derived structurally from the IR nodes and
-//! channel widths, the combinational payload from the IR's cost hints, and
-//! the totals must equal `DesignSpec::area_les` exactly.
+//! An MEB channel that loses its width annotation costs zero datapath
+//! bits in `from_ir`; the pinned totals are what notices.
 
 use mt_elastic::core::MebKind;
-use mt_elastic::cost::{fifo_meb_inventory, processor_design};
-use mt_elastic::cost::{md5_design, meb_inventory, BufferKind, DesignSpec, Inventory};
+use mt_elastic::cost::Inventory;
 use mt_elastic::md5::Md5Circuit;
-use mt_elastic::proc::Cpu;
-use mt_elastic::sim::Token;
-use mt_elastic::synth::{ElasticIr, MebSubstitution, Pass};
 
-const THREAD_SWEEP: [usize; 4] = [2, 4, 8, 16];
-
-fn retarget<T: Token>(ir: &mut ElasticIr<T>, kind: MebKind) {
-    MebSubstitution::all(kind)
-        .run(ir)
-        .expect("substitution applies");
-}
-
-fn check(design: &DesignSpec, ir_inventory: &Inventory, kind: BufferKind, threads: usize) {
-    let expect = design.area_les(kind, threads);
-    let got = ir_inventory.total_les();
-    assert_eq!(
-        got, expect,
-        "{} S={threads} {kind}: IR-derived {got} LEs vs hand-written {expect} LEs\n\
-         IR inventory:\n{ir_inventory:?}",
-        design.name
-    );
-}
+use elastic_bench::Design;
 
 #[test]
-fn md5_ir_inventory_matches_table1_spec() {
-    let design = md5_design();
-    for threads in THREAD_SWEEP {
-        for (meb, buf) in [
-            (MebKind::Full, BufferKind::Full),
-            (MebKind::Reduced, BufferKind::Reduced),
-        ] {
-            let mut md5 = Md5Circuit::ir(threads, threads, 1);
-            retarget(&mut md5.ir, meb);
-            check(&design, &Inventory::from_ir(&md5.ir), buf, threads);
+fn table1_totals_are_pinned() {
+    // (Full, Reduced) LEs at S = 2, 4, 8, 16.
+    let golden = [
+        (
+            Design::Md5,
+            [(6526, 6278), (8611, 7855), (12780, 11008), (21117, 17313)],
+        ),
+        (
+            Design::Processor,
+            [(1982, 1822), (3604, 3094), (6848, 5638), (13336, 10726)],
+        ),
+        (
+            Design::Gcd,
+            [(2256, 2004), (4364, 3596), (8580, 6780), (17012, 13148)],
+        ),
+    ];
+    for (design, totals) in golden {
+        for (threads, (full, reduced)) in [2, 4, 8, 16].into_iter().zip(totals) {
+            let got = (
+                design.area_les(MebKind::Full, threads),
+                design.area_les(MebKind::Reduced, threads),
+            );
+            assert_eq!(got, (full, reduced), "{} S={threads}", design.name());
         }
     }
 }
@@ -68,38 +58,5 @@ fn md5_ir_inventory_is_stage_count_invariant() {
     assert!(one > 0);
     for stages in [2, 4, 8, 16] {
         assert_eq!(comb_total(stages), one, "at {stages} stages");
-    }
-}
-
-#[test]
-fn processor_ir_inventory_matches_table1_spec() {
-    let design = processor_design();
-    for threads in THREAD_SWEEP {
-        for (meb, buf) in [
-            (MebKind::Full, BufferKind::Full),
-            (MebKind::Reduced, BufferKind::Reduced),
-        ] {
-            let mut cpu = Cpu::cost_ir(threads);
-            retarget(&mut cpu.ir, meb);
-            check(&design, &Inventory::from_ir(&cpu.ir), buf, threads);
-        }
-    }
-}
-
-#[test]
-fn fifo_ablation_inventory_scales_with_depth() {
-    // The FIFO ablation buffer (S independent FIFOs) has no Table I row;
-    // sanity-check the structural model directly: registers scale with
-    // depth, and depth 1 costs at least as much as a full MEB of the same
-    // shape (a 1-deep FIFO per thread is a degenerate EB per thread).
-    for threads in THREAD_SWEEP {
-        let d1 = fifo_meb_inventory(1, threads, 32).total_les();
-        let d4 = fifo_meb_inventory(4, threads, 32).total_les();
-        assert!(d4 > d1, "S={threads}: depth 4 must cost more than depth 1");
-        let full = meb_inventory(BufferKind::Full, threads, 32).total_les();
-        assert!(
-            2 * d4 > full,
-            "S={threads}: a 4-deep FIFO bank is not absurdly cheap vs a full MEB"
-        );
     }
 }
