@@ -44,8 +44,8 @@ impl EbState {
     ///
     /// Returns a [`ProtocolError`] on violations — enqueueing into FULL or
     /// dequeueing from EMPTY (the surrounding control must never let these
-    /// fire). Inside a running circuit the buffer latches the error and
-    /// the kernel surfaces it as
+    /// fire). Inside a running circuit the buffer reports the error
+    /// through [`TickCtx::fault`] and the kernel surfaces it as
     /// [`SimError::Component`](elastic_sim::SimError::Component).
     pub fn advance(self, enq: bool, deq: bool) -> Result<EbState, ProtocolError> {
         match (self, enq, deq) {
@@ -99,8 +99,6 @@ pub struct ElasticBuffer<T: Token> {
     main: Option<T>,
     /// Second item, used only while FULL.
     aux: Option<T>,
-    /// Protocol fault latched at a clock edge, collected by the kernel.
-    fault: Option<ProtocolError>,
 }
 
 impl<T: Token> ElasticBuffer<T> {
@@ -113,7 +111,6 @@ impl<T: Token> ElasticBuffer<T> {
             state: EbState::Empty,
             main: None,
             aux: None,
-            fault: None,
         }
     }
 
@@ -183,7 +180,7 @@ impl<T: Token> Component<T> for ElasticBuffer<T> {
         match self.state.advance(enq, deq) {
             Ok(next) => self.state = next,
             Err(e) => {
-                self.fault = Some(e);
+                ctx.fault(e);
                 return;
             }
         }
@@ -194,15 +191,10 @@ impl<T: Token> Component<T> for ElasticBuffer<T> {
         );
     }
 
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.fault.take()
-    }
-
     fn reset(&mut self) -> bool {
         self.state = EbState::Empty;
         self.main = None;
         self.aux = None;
-        self.fault = None;
         true
     }
 

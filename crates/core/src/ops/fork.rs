@@ -73,8 +73,6 @@ pub struct Fork<T: Token> {
     /// The invalid route mask returned for the token offered at the last
     /// evaluation, latched as a fault at the clock edge.
     bad_route: Option<u64>,
-    /// A fault latched at the clock edge, taken by the kernel.
-    fault: Option<ProtocolError>,
     /// Scratch words of the word-level eager evaluation.
     word: ThreadMask,
     ready: ThreadMask,
@@ -127,7 +125,6 @@ impl<T: Token> Fork<T> {
             done: vec![ThreadMask::new(threads); n],
             route: None,
             bad_route: None,
-            fault: None,
             word: ThreadMask::new(threads),
             ready: ThreadMask::new(threads),
             _marker: std::marker::PhantomData,
@@ -370,7 +367,7 @@ impl<T: Token> Component<T> for Fork<T> {
             return;
         };
         if let Some(mask) = self.bad_route {
-            self.fault = Some(ProtocolError::InvalidRoute {
+            ctx.fault(ProtocolError::InvalidRoute {
                 mask,
                 outputs: self.outputs.len(),
             });
@@ -394,16 +391,11 @@ impl<T: Token> Component<T> for Fork<T> {
         NextEvent::Idle
     }
 
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.fault.take()
-    }
-
     fn reset(&mut self) -> bool {
         for d in &mut self.done {
             d.clear();
         }
         self.bad_route = None;
-        self.fault = None;
         true
     }
 

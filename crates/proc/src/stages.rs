@@ -136,8 +136,6 @@ pub struct Fetcher {
     /// Cycle-cache stamp for `has` (and the redirect `ready` commit):
     /// `cycle + 1` when built this cycle, 0 = invalid.
     stamp: u64,
-    /// Undecodable word fetched at the last clock edge.
-    fault: Option<ProtocolError>,
 }
 
 impl Fetcher {
@@ -176,7 +174,6 @@ impl Fetcher {
             spec: None,
             squashed: vec![0; threads],
             stamp: 0,
-            fault: None,
         }
     }
 
@@ -320,7 +317,7 @@ impl Component<ProcToken> for Fetcher {
                 // An undecodable word stops the thread and faults.
                 Err(_) => {
                     self.status[t] = ThreadStatus::Halted;
-                    self.fault = Some(ProtocolError::InvalidInstruction { pc, word });
+                    ctx.fault(ProtocolError::InvalidInstruction { pc, word });
                 }
                 Ok(Instr::Halt) => self.status[t] = ThreadStatus::Halted,
                 // Direct jumps: under speculation the target is known at
@@ -405,12 +402,7 @@ impl Component<ProcToken> for Fetcher {
             spec.reset();
         }
         self.stamp = 0;
-        self.fault = None;
         true
-    }
-
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.fault.take()
     }
 
     fn slots(&self) -> Vec<SlotView> {
@@ -456,8 +448,6 @@ pub struct RegUnit {
     /// Cycle-cache stamp for `idle` (and the writeback `ready` commit):
     /// `cycle + 1` when built this cycle, 0 = invalid.
     stamp: u64,
-    /// Undecodable word dropped at the last clock edge.
-    fault: Option<ProtocolError>,
 }
 
 impl RegUnit {
@@ -486,7 +476,6 @@ impl RegUnit {
             wb_ready,
             issue_ready: ThreadMask::new(threads),
             stamp: 0,
-            fault: None,
         }
     }
 
@@ -766,7 +755,7 @@ impl Component<ProcToken> for RegUnit {
                 }
             }
         } else if let Some((_, &ProcToken::Fetched { pc, word, .. })) = ctx.fired_any(self.id_in) {
-            self.fault = Some(ProtocolError::InvalidInstruction { pc, word });
+            ctx.fault(ProtocolError::InvalidInstruction { pc, word });
         }
     }
 
@@ -779,12 +768,7 @@ impl Component<ProcToken> for RegUnit {
             spec.reset();
         }
         self.stamp = 0;
-        self.fault = None;
         true
-    }
-
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.fault.take()
     }
 
     impl_as_any!();
@@ -905,8 +889,6 @@ pub struct MemUnit {
     /// Cycle-cache stamp for `ready`, `has` and `head_idx`: `cycle + 1`
     /// when built this cycle, 0 = invalid.
     stamp: u64,
-    /// Out-of-range access taken at the last clock edge.
-    fault: Option<ProtocolError>,
 }
 
 impl MemUnit {
@@ -948,7 +930,6 @@ impl MemUnit {
             ready: ThreadMask::new(threads),
             spec: None,
             stamp: 0,
-            fault: None,
         }
     }
 
@@ -1102,7 +1083,7 @@ impl Component<ProcToken> for MemUnit {
                     _ if stale => 1, // squashed: no side effects, no service time
                     Instr::Lw { .. } | Instr::Sw { .. } if !in_range => {
                         // Faulting access: no side effects, no service time.
-                        self.fault = Some(ProtocolError::AddressOutOfRange {
+                        ctx.fault(ProtocolError::AddressOutOfRange {
                             addr: *addr,
                             words: self.mem.len(),
                         });
@@ -1137,12 +1118,7 @@ impl Component<ProcToken> for MemUnit {
             spec.reset();
         }
         self.stamp = 0;
-        self.fault = None;
         true
-    }
-
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.fault.take()
     }
 
     fn slots(&self) -> Vec<SlotView> {

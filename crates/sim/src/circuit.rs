@@ -19,9 +19,10 @@
 //!    unless cut by an elastic buffer; the runtime
 //!    [`SimError::CombinationalLoop`] cap survives only as a safety net
 //!    for damped feedback loops.
-//! 2. **Clock edge** — the settled signals determine which transfers fire
-//!    (`valid(i) && ready(i)`); every component's
-//!    [`tick`](crate::Component::tick) then updates its registers.
+//! 2. **Clock edge** — one pass over the channels checks the protocol
+//!    invariants and counts which transfers fire (`valid(i) && ready(i)`);
+//!    every component's [`tick`](crate::Component::tick) then updates its
+//!    registers, reporting any fault through [`TickCtx::fault`].
 //!
 //! Two fast-paths keep the event-driven kernel cheap (see
 //! `docs/kernel.md`): a cycle that converges after its single full sweep
@@ -35,12 +36,15 @@
 //! signal setters, and the batch drivers [`Circuit::run`] /
 //! [`Circuit::run_until`] skip transfer-record collection entirely.
 
+use std::cell::Cell;
+use std::collections::VecDeque;
+
 use crate::channel::{ChannelId, ChannelState};
 use crate::component::{Component, FusedOpKind, NextEvent};
-use crate::error::SimError;
+use crate::error::{ProtocolError, SimError};
 use crate::mask::ThreadMask;
 use crate::rank::Schedule;
-use crate::stats::Stats;
+use crate::stats::{StallStreak, Stats};
 use crate::token::Token;
 use crate::trace::{ChannelTrace, CycleTrace, TraceRecorder};
 
@@ -90,6 +94,7 @@ pub struct EvalCtx<'a, T: Token> {
 
 impl<'a, T: Token> EvalCtx<'a, T> {
     /// Index of the cycle currently being evaluated (0-based).
+    #[inline]
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -105,42 +110,50 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// so the selection must be damped to converge; on a DAG channel the
     /// guard is unnecessary and disabling it keeps the evaluation a pure
     /// function of its inputs (hence order-independent).
+    #[inline]
     pub fn in_feedback(&self, ch: ChannelId) -> bool {
         self.feedback[ch.0]
     }
 
     /// Thread count of channel `ch`.
+    #[inline]
     pub fn threads(&self, ch: ChannelId) -> usize {
         self.channels[ch.0].spec.threads
     }
 
     /// Current `valid(thread)` on `ch`.
+    #[inline]
     pub fn valid(&self, ch: ChannelId, thread: usize) -> bool {
         self.channels[ch.0].valid.get(thread)
     }
 
     /// Current `ready(thread)` on `ch`.
+    #[inline]
     pub fn ready(&self, ch: ChannelId, thread: usize) -> bool {
         self.channels[ch.0].ready.get(thread)
     }
 
     /// The packed `valid` mask of `ch` (all threads at once).
+    #[inline]
     pub fn valid_mask(&self, ch: ChannelId) -> &ThreadMask {
         &self.channels[ch.0].valid
     }
 
     /// The packed `ready` mask of `ch` (all threads at once).
+    #[inline]
     pub fn ready_mask(&self, ch: ChannelId) -> &ThreadMask {
         &self.channels[ch.0].ready
     }
 
     /// Current data word on `ch` (driven by the producer).
+    #[inline]
     pub fn data(&self, ch: ChannelId) -> Option<&T> {
         self.channels[ch.0].data.as_ref()
     }
 
     /// The single asserted thread and its data, if exactly one `valid(i)`
     /// is high and data is present.
+    #[inline]
     pub fn incoming(&self, ch: ChannelId) -> Option<(usize, &T)> {
         let st = &self.channels[ch.0];
         let t = st.single_valid()?;
@@ -202,6 +215,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered driver of
     /// `ch` — this is a component-implementation bug.
+    #[inline]
     pub fn set_valid(&mut self, ch: ChannelId, thread: usize, value: bool) {
         self.assert_drives(ch, "valid");
         if self.channels[ch.0].valid.set(thread, value) {
@@ -216,6 +230,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// # Panics
     ///
     /// Panics if the calling component is not the registered driver of `ch`.
+    #[inline]
     pub fn set_valid_only(&mut self, ch: ChannelId, thread: usize) {
         self.assert_drives(ch, "valid");
         if self.channels[ch.0].valid.set_only(thread) {
@@ -232,6 +247,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// # Panics
     ///
     /// Panics if the calling component is not the registered driver of `ch`.
+    #[inline]
     pub fn set_data(&mut self, ch: ChannelId, value: Option<T>) {
         self.assert_drives(ch, "data");
         let slot = &mut self.channels[ch.0].data;
@@ -250,6 +266,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// # Panics
     ///
     /// Panics if the calling component is not the registered driver of `ch`.
+    #[inline]
     pub fn set_data_ref(&mut self, ch: ChannelId, value: Option<&T>) {
         self.assert_drives(ch, "data");
         let slot = &mut self.channels[ch.0].data;
@@ -267,6 +284,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered driver of
     /// `to`, or if `from == to`.
+    #[inline]
     pub fn forward_data(&mut self, from: ChannelId, to: ChannelId) {
         self.assert_drives(to, "data");
         let (src, dst) = self.pair(from, to);
@@ -286,6 +304,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered driver of
     /// `to`, if `from == to`, or if the channel and gate widths differ.
+    #[inline]
     pub fn forward_valid(&mut self, from: ChannelId, to: ChannelId, gate: Option<&ThreadMask>) {
         self.assert_drives(to, "valid");
         let (src, dst) = self.pair(from, to);
@@ -306,6 +325,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered reader of
     /// `to`, if `from == to`, or if the channel and gate widths differ.
+    #[inline]
     pub fn forward_ready(&mut self, from: ChannelId, to: ChannelId, gate: Option<&ThreadMask>) {
         self.assert_reads(to);
         let (src, dst) = self.pair(from, to);
@@ -319,6 +339,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     }
 
     /// Shared access to channel `from` next to exclusive access to `to`.
+    #[inline]
     fn pair(&mut self, from: ChannelId, to: ChannelId) -> (&ChannelState<T>, &mut ChannelState<T>) {
         assert_ne!(
             from, to,
@@ -338,6 +359,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// # Panics
     ///
     /// Panics if the calling component is not the registered reader of `ch`.
+    #[inline]
     pub fn set_ready(&mut self, ch: ChannelId, thread: usize, value: bool) {
         self.assert_reads(ch);
         if self.channels[ch.0].ready.set(thread, value) {
@@ -351,6 +373,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// # Panics
     ///
     /// Panics if the calling component is not the registered reader of `ch`.
+    #[inline]
     pub fn set_ready_only(&mut self, ch: ChannelId, thread: usize) {
         self.assert_reads(ch);
         if self.channels[ch.0].ready.set_only(thread) {
@@ -369,6 +392,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered driver of
     /// `ch`, or if the mask width differs from the channel's.
+    #[inline]
     pub fn set_valid_mask(&mut self, ch: ChannelId, mask: &ThreadMask) {
         self.assert_drives(ch, "valid");
         if self.channels[ch.0].valid.assign(mask) {
@@ -384,6 +408,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     ///
     /// Panics if the calling component is not the registered reader of
     /// `ch`, or if the mask width differs from the channel's.
+    #[inline]
     pub fn set_ready_mask(&mut self, ch: ChannelId, mask: &ThreadMask) {
         self.assert_reads(ch);
         if self.channels[ch.0].ready.assign(mask) {
@@ -394,6 +419,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// Convenience: drives all `valid` bits low and clears data on an
     /// output channel (an idle producer). Word-level: one clear per mask
     /// word instead of a per-thread loop.
+    #[inline]
     pub fn drive_idle(&mut self, ch: ChannelId) {
         self.assert_drives(ch, "valid");
         if self.channels[ch.0].valid.clear() {
@@ -404,6 +430,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 
     /// Convenience: asserts `valid(thread)` with `data`, deasserting every
     /// other thread's valid bit (the MT channel invariant).
+    #[inline]
     pub fn drive_token(&mut self, ch: ChannelId, thread: usize, data: T) {
         self.set_valid_only(ch, thread);
         self.set_data(ch, Some(data));
@@ -412,6 +439,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     /// [`drive_token`](Self::drive_token) for a stored token, cloned only
     /// when it differs from the slot (see
     /// [`set_data_ref`](Self::set_data_ref)).
+    #[inline]
     pub fn drive_token_ref(&mut self, ch: ChannelId, thread: usize, data: &T) {
         self.set_valid_only(ch, thread);
         self.set_data_ref(ch, Some(data));
@@ -419,6 +447,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 
     /// Convenience: drives every `ready` bit of an input channel low.
     /// Word-level: one clear per mask word instead of a per-thread loop.
+    #[inline]
     pub fn drive_unready(&mut self, ch: ChannelId) {
         self.assert_reads(ch);
         if self.channels[ch.0].ready.clear() {
@@ -429,54 +458,105 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 
 /// Clock-edge view of the circuit handed to
 /// [`Component::tick`](crate::Component::tick): read-only access to the
-/// settled signals of the finishing cycle.
+/// settled signals of the finishing cycle, plus
+/// [`fault`](TickCtx::fault) to report a fault found at the edge.
 pub struct TickCtx<'a, T: Token> {
     pub(crate) channels: &'a [ChannelState<T>],
     pub(crate) cycle: u64,
+    /// Whether the component being ticked called [`fault`](Self::fault):
+    /// the one flag the kernel reads after every `tick`.
+    faulted: Cell<bool>,
+    fault: Cell<Option<ProtocolError>>,
 }
 
 impl<'a, T: Token> TickCtx<'a, T> {
+    fn new(channels: &'a [ChannelState<T>], cycle: u64) -> Self {
+        Self {
+            channels,
+            cycle,
+            faulted: Cell::new(false),
+            fault: Cell::new(None),
+        }
+    }
+
+    /// Latches a fault found while processing this clock edge: a
+    /// protocol violation, or a token the component cannot process. The
+    /// kernel turns it into [`SimError::Component`] naming the component,
+    /// once every component has ticked. A component reports at most one
+    /// fault per edge; a second call in the same `tick` is ignored.
+    #[cold]
+    pub fn fault(&self, error: ProtocolError) {
+        if !self.faulted.replace(true) {
+            self.fault.set(Some(error));
+        }
+    }
+
+    /// Moves the latched fault out as the error of component
+    /// `component`, re-arming the context for the next component's
+    /// `tick`.
+    #[cold]
+    fn take_error(&self, component: &str) -> SimError {
+        self.faulted.set(false);
+        SimError::Component {
+            cycle: self.cycle,
+            component: component.to_string(),
+            error: self
+                .fault
+                .take()
+                .expect("a raised fault flag has its fault"),
+        }
+    }
+
     /// Index of the cycle whose clock edge is being processed.
+    #[inline]
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
     /// Thread count of channel `ch`.
+    #[inline]
     pub fn threads(&self, ch: ChannelId) -> usize {
         self.channels[ch.0].spec.threads
     }
 
     /// Settled `valid(thread)`.
+    #[inline]
     pub fn valid(&self, ch: ChannelId, thread: usize) -> bool {
         self.channels[ch.0].valid.get(thread)
     }
 
     /// Settled `ready(thread)`.
+    #[inline]
     pub fn ready(&self, ch: ChannelId, thread: usize) -> bool {
         self.channels[ch.0].ready.get(thread)
     }
 
     /// The settled packed `valid` mask of `ch`.
+    #[inline]
     pub fn valid_mask(&self, ch: ChannelId) -> &ThreadMask {
         &self.channels[ch.0].valid
     }
 
     /// The settled packed `ready` mask of `ch`.
+    #[inline]
     pub fn ready_mask(&self, ch: ChannelId) -> &ThreadMask {
         &self.channels[ch.0].ready
     }
 
     /// Settled data word.
+    #[inline]
     pub fn data(&self, ch: ChannelId) -> Option<&T> {
         self.channels[ch.0].data.as_ref()
     }
 
     /// Whether thread `t`'s transfer fired on `ch` this cycle.
+    #[inline]
     pub fn fired(&self, ch: ChannelId, thread: usize) -> bool {
         self.channels[ch.0].fires(thread)
     }
 
     /// The thread and token of the transfer that fired on `ch`, if any.
+    #[inline]
     pub fn fired_any(&self, ch: ChannelId) -> Option<(usize, &T)> {
         let st = &self.channels[ch.0];
         let t = st.single_valid()?;
@@ -554,6 +634,14 @@ pub struct Circuit<T: Token> {
     idle_cycles: u64,
     /// Cycle of the most recent fired transfer, for watchdog reports.
     last_progress: Option<u64>,
+    /// Faults latched at the last clock edge and not yet returned, in
+    /// evaluation order: each [`step`](Circuit::step) returns the next
+    /// one before it simulates anything.
+    faults: VecDeque<SimError>,
+    /// Per channel: its backpressure streak before this cycle's stall,
+    /// so a cycle that fails its channel checks can take back the
+    /// statistics it already wrote.
+    streak_undo: Vec<StallStreak>,
     /// Accumulate settle-phase wall time into
     /// [`KernelStats::settle_nanos`] (off by default: two clock reads per
     /// cycle are pure overhead outside kernel-ablation runs).
@@ -575,6 +663,7 @@ impl<T: Token> Circuit<T> {
         );
         let woke = ThreadMask::new(components.len());
         let op_kinds = components.iter().map(|c| c.op_kind()).collect();
+        let streak_undo = vec![StallStreak::NONE; channels.len()];
         Self {
             components,
             op_kinds,
@@ -594,6 +683,8 @@ impl<T: Token> Circuit<T> {
             watchdog: None,
             idle_cycles: 0,
             last_progress: None,
+            faults: VecDeque::new(),
+            streak_undo,
             time_settle: false,
         }
     }
@@ -636,7 +727,8 @@ impl<T: Token> Circuit<T> {
     /// ([`SimJob::on_circuit`](crate::SimJob::on_circuit)) instead of
     /// paying `build()` per job. The structure (components, channels,
     /// compiled rank schedule), the eval mode and any armed watchdog
-    /// persist; recorded traces are dropped and tracing is switched off
+    /// persist; recorded traces and faults not yet returned by
+    /// [`step`](Circuit::step) are dropped, and tracing is switched off
     /// (call [`enable_trace`](Circuit::enable_trace) again if needed).
     ///
     /// # Errors
@@ -665,6 +757,7 @@ impl<T: Token> Circuit<T> {
         self.recorder = None;
         self.idle_cycles = 0;
         self.last_progress = None;
+        self.faults.clear();
         Ok(())
     }
 
@@ -809,9 +902,12 @@ impl<T: Token> Circuit<T> {
     /// * [`SimError::ChannelInvariant`] — two threads asserted valid on the
     ///   same channel in the same cycle;
     /// * [`SimError::MissingData`] — a producer asserted valid without data;
-    /// * [`SimError::Component`] — a component latched a protocol fault at
-    ///   the clock edge (the edge has happened, so the cycle counter has
-    ///   advanced past it);
+    /// * [`SimError::Component`] — a component latched a fault at the
+    ///   clock edge through [`TickCtx::fault`] (the edge has happened, so
+    ///   the cycle counter has advanced past it). When several components
+    ///   fault at one edge, the first in evaluation order is returned and
+    ///   each following `step` returns the next one, with the same cycle,
+    ///   without simulating;
     /// * [`SimError::Deadlock`] — the watchdog fired (if armed).
     pub fn step(&mut self) -> Result<CycleReport, SimError> {
         self.step_collect(true)
@@ -824,6 +920,10 @@ impl<T: Token> Circuit<T> {
     /// they discard the report anyway. Statistics, traces, invariant
     /// checks and the watchdog behave identically either way.
     fn step_collect(&mut self, collect: bool) -> Result<CycleReport, SimError> {
+        // Later faults of the last clock edge come out one per step.
+        if let Some(error) = self.faults.pop_front() {
+            return Err(error);
+        }
         // Phase 1: combinational fixed point. Signals are *warm-started*
         // from the previous cycle's settled values: every component
         // re-drives all signals it owns whenever it is evaluated (the
@@ -930,47 +1030,45 @@ impl<T: Token> Circuit<T> {
             *acc += *delta;
         }
 
-        // Phase 2: protocol invariant checks — word-level popcounts; the
-        // per-thread index list is materialised only on the error path.
-        for ch in &self.channels {
-            match ch.valid.count_ones() {
-                0 | 1 => {}
-                _ => {
-                    return Err(SimError::ChannelInvariant {
-                        cycle: self.cycle,
-                        channel: ch.spec.name.clone(),
-                        threads: ch.valid.iter_ones().collect(),
-                    });
-                }
-            }
-            if let Some(t) = ch.valid.first_one() {
-                if ch.data.is_none() {
-                    return Err(SimError::MissingData {
-                        cycle: self.cycle,
-                        channel: ch.spec.name.clone(),
-                        thread: t,
-                    });
-                }
-            }
-        }
-
-        // Phase 3: collect transfers, statistics, trace. After phase 2,
-        // `valid.any()` implies exactly one asserted thread.
+        // Phase 2: one pass over the channels. Each channel is checked
+        // against the protocol invariants (one `valid` thread, data
+        // present) before its statistics are written; idle channels are
+        // not touched at all, because a backpressure streak ends by
+        // itself when the channel does not stall the next cycle. A
+        // failing channel takes back what the channels before it wrote,
+        // so an erroring cycle leaves the statistics as they were.
+        let cycle = self.cycle;
         let mut transfers = Vec::new();
         let mut fired = 0usize;
         let mut any_valid = false;
         for (ci, ch) in self.channels.iter().enumerate() {
-            let cs = self.stats.channel_mut(ChannelId(ci));
-            let Some(t) = ch.valid.first_one() else {
-                // An idle cycle ends any backpressure streak in progress.
-                cs.stall_streak = 0;
+            if !ch.valid.any() {
                 continue;
+            }
+            let t = match ch.valid.single() {
+                Some(t) if ch.data.is_some() => t,
+                single => {
+                    Self::unwind_stats(&self.channels[..ci], &mut self.stats, &self.streak_undo);
+                    let channel = ch.spec.name.clone();
+                    return Err(match single {
+                        None => SimError::ChannelInvariant {
+                            cycle,
+                            channel,
+                            threads: ch.valid.iter_ones().collect(),
+                        },
+                        Some(thread) => SimError::MissingData {
+                            cycle,
+                            channel,
+                            thread,
+                        },
+                    });
+                }
             };
             any_valid = true;
+            let cs = self.stats.channel_mut(ChannelId(ci));
             cs.busy_cycles += 1;
             if ch.ready.get(t) {
                 cs.transfers[t] += 1;
-                cs.stall_streak = 0;
                 fired += 1;
                 if collect {
                     transfers.push(Transfer {
@@ -979,8 +1077,9 @@ impl<T: Token> Circuit<T> {
                     });
                 }
             } else {
+                self.streak_undo[ci] = cs.streak;
                 cs.stall_cycles[t] += 1;
-                cs.record_stall_occupancy();
+                cs.record_stall_occupancy(cycle);
             }
         }
         self.stats.record_cycle();
@@ -1009,7 +1108,7 @@ impl<T: Token> Circuit<T> {
                 }
             }
             let record = CycleTrace {
-                cycle: self.cycle,
+                cycle,
                 channels,
                 slots,
             };
@@ -1021,7 +1120,7 @@ impl<T: Token> Circuit<T> {
         // no valid tokens at all is quiescent, not deadlocked.
         self.quiescent = fired == 0 && !any_valid;
         if fired > 0 {
-            self.last_progress = Some(self.cycle);
+            self.last_progress = Some(cycle);
         }
         if fired == 0 && any_valid {
             self.idle_cycles += 1;
@@ -1044,7 +1143,7 @@ impl<T: Token> Circuit<T> {
                     })
                     .collect();
                 return Err(SimError::Deadlock {
-                    cycle: self.cycle,
+                    cycle,
                     idle_cycles: self.idle_cycles,
                     last_progress: self.last_progress,
                     stalled,
@@ -1052,29 +1151,22 @@ impl<T: Token> Circuit<T> {
             }
         }
 
-        // Phase 4: clock edge, then collect any fault a component latched
-        // while processing it (the typed replacement for in-component
-        // panics).
-        let tick_ctx = TickCtx {
-            channels: &self.channels,
-            cycle: self.cycle,
-        };
+        // Phase 3: the clock edge. A component that finds a fault at its
+        // edge latches it through `TickCtx::fault`; the kernel collects
+        // the faults in evaluation order and returns the first.
+        let tick_ctx = TickCtx::new(&self.channels, cycle);
         for c in &mut self.components {
             c.tick(&tick_ctx);
+            if tick_ctx.faulted.get() {
+                self.faults.push_back(tick_ctx.take_error(c.name()));
+            }
         }
         // The edge has happened, so the cycle advances even when it
         // faulted: stepping on resumes from the post-edge state instead of
         // replaying this cycle over it.
-        let cycle = self.cycle;
         self.cycle += 1;
-        for c in &mut self.components {
-            if let Some(error) = c.take_fault() {
-                return Err(SimError::Component {
-                    cycle,
-                    component: c.name().to_string(),
-                    error,
-                });
-            }
+        if let Some(error) = self.faults.pop_front() {
+            return Err(error);
         }
 
         Ok(CycleReport {
@@ -1083,6 +1175,26 @@ impl<T: Token> Circuit<T> {
             settle_iterations: rounds,
             evals,
         })
+    }
+
+    /// Takes back the statistics that the channel pass of this cycle
+    /// wrote for `channels` (the channels before the one that failed its
+    /// checks, each with one valid thread and data).
+    #[cold]
+    fn unwind_stats(channels: &[ChannelState<T>], stats: &mut Stats, streak_undo: &[StallStreak]) {
+        for (ci, ch) in channels.iter().enumerate() {
+            let Some(t) = ch.valid.first_one() else {
+                continue;
+            };
+            let cs = stats.channel_mut(ChannelId(ci));
+            cs.busy_cycles -= 1;
+            if ch.ready.get(t) {
+                cs.transfers[t] -= 1;
+            } else {
+                cs.stall_cycles[t] -= 1;
+                cs.unrecord_stall_occupancy(streak_undo[ci]);
+            }
+        }
     }
 
     /// True when the last stepped cycle completed with no transfer and no

@@ -22,7 +22,6 @@
 
 use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
-use crate::error::ProtocolError;
 use crate::token::Token;
 
 /// A component's next self-scheduled activity, reported through
@@ -320,7 +319,11 @@ pub trait Component<T: Token>: Send {
     }
 
     /// Rising clock edge: observe the settled handshakes and update
-    /// internal registers.
+    /// internal registers. A fault found here (a protocol violation, a
+    /// token the component cannot process) is reported with
+    /// [`TickCtx::fault`], which the kernel turns into
+    /// [`SimError::Component`](crate::SimError::Component) — the typed
+    /// path replacing in-component `panic!`s.
     fn tick(&mut self, ctx: &TickCtx<'_, T>);
 
     /// Rewinds the component to its freshly built *empty* state so an
@@ -356,15 +359,6 @@ pub trait Component<T: Token>: Send {
     /// ones should report their next deadline with [`NextEvent::At`].
     fn next_event(&self, _now: u64) -> NextEvent {
         NextEvent::EveryCycle
-    }
-
-    /// Takes a protocol fault latched during [`tick`](Component::tick),
-    /// if any. The kernel polls this after every clock edge and converts
-    /// a latched fault into
-    /// [`SimError::Component`](crate::SimError::Component) — the typed
-    /// path replacing in-component `panic!`s.
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        None
     }
 
     /// Structural class for netlist extraction and DOT rendering (see

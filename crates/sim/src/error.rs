@@ -118,9 +118,9 @@ impl Error for BuildError {}
 ///
 /// Construction-time checks (e.g. seeding a buffer with more initial
 /// tokens than it can hold) return this directly; run-time faults are
-/// latched by the component, collected by the kernel through
-/// [`Component::take_fault`](crate::Component::take_fault) and surfaced
-/// as [`SimError::Component`].
+/// reported at the clock edge through
+/// [`TickCtx::fault`](crate::TickCtx::fault) and surfaced as
+/// [`SimError::Component`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProtocolError {
     /// A dequeue fired while the buffer was empty.

@@ -240,6 +240,13 @@ mod kernel_tests {
         circuit.set_deadlock_watchdog(Some(5));
         let err = circuit.run(100).expect_err("watchdog must fire");
         assert!(matches!(err, SimError::Deadlock { .. }));
+        let hist = |c: &Circuit<u64>| c.stats().channel(a).occupancy_hist;
+        assert_eq!(hist(&circuit), [1, 1, 1, 1, 1, 0, 0, 0]);
+        // Stepping on runs the stuck cycle again, and the backpressure
+        // streak goes on instead of starting over.
+        let err = circuit.step().expect_err("still stuck");
+        assert!(matches!(err, SimError::Deadlock { cycle: 4, .. }));
+        assert_eq!(hist(&circuit), [1, 1, 1, 1, 1, 1, 0, 0]);
     }
 
     /// Tracing records fired transfers with labels.

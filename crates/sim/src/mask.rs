@@ -71,6 +71,7 @@ impl ThreadMask {
     }
 
     /// Number of thread slots.
+    #[inline]
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -127,7 +128,18 @@ impl ThreadMask {
     }
 
     /// Clears every bit; returns `true` iff any bit was set.
+    #[inline]
     pub fn clear(&mut self) -> bool {
+        if self.rest.is_some() {
+            return self.clear_wide();
+        }
+        let had = self.head != 0;
+        self.head = 0;
+        had
+    }
+
+    #[inline(never)]
+    fn clear_wide(&mut self) -> bool {
         let had = self.any();
         self.head = 0;
         if let Some(r) = self.rest.as_mut() {
@@ -139,8 +151,20 @@ impl ThreadMask {
     /// Sets bit `t` and clears every other bit in one word-level pass;
     /// returns `true` iff the mask changed. This is the "drive exactly
     /// one thread's valid" idiom of the settle loop.
+    #[inline]
     pub fn set_only(&mut self, t: usize) -> bool {
         assert!(t < self.threads, "thread {t} out of range {}", self.threads);
+        if self.rest.is_some() {
+            return self.set_only_wide(t);
+        }
+        let want = 1u64 << t;
+        let changed = self.head != want;
+        self.head = want;
+        changed
+    }
+
+    #[inline(never)]
+    fn set_only_wide(&mut self, t: usize) -> bool {
         let target_word = t / 64;
         let target = 1u64 << (t % 64);
         let mut changed = false;
@@ -167,19 +191,39 @@ impl ThreadMask {
     }
 
     /// Number of set bits.
+    #[inline]
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        let mut n = self.head.count_ones() as usize;
-        if let Some(r) = self.rest.as_ref() {
-            n += r.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if self.rest.is_some() {
+            return self.count_ones_wide();
         }
-        n
+        self.head.count_ones() as usize
+    }
+
+    #[inline(never)]
+    fn count_ones_wide(&self) -> usize {
+        (0..self.word_count())
+            .map(|idx| self.word(idx).count_ones() as usize)
+            .sum()
     }
 
     /// If exactly one bit is set, its index; otherwise `None`. This is
     /// the protocol invariant probe ("at most one valid thread").
+    #[inline]
     #[must_use]
     pub fn single(&self) -> Option<usize> {
+        if self.rest.is_some() {
+            return self.single_wide();
+        }
+        // One word: exactly one bit is set iff clearing the lowest set
+        // bit leaves nothing (no popcount, which the baseline x86-64
+        // target has no instruction for).
+        let w = self.head;
+        (w != 0 && w & (w - 1) == 0).then(|| w.trailing_zeros() as usize)
+    }
+
+    #[inline(never)]
+    fn single_wide(&self) -> Option<usize> {
         if self.count_ones() == 1 {
             self.first_one()
         } else {
@@ -188,8 +232,17 @@ impl ThreadMask {
     }
 
     /// Index of the lowest set bit, if any.
+    #[inline]
     #[must_use]
     pub fn first_one(&self) -> Option<usize> {
+        if self.rest.is_some() {
+            return self.first_one_wide();
+        }
+        (self.head != 0).then(|| self.head.trailing_zeros() as usize)
+    }
+
+    #[inline(never)]
+    fn first_one_wide(&self) -> Option<usize> {
         for idx in 0..self.word_count() {
             let w = self.word(idx);
             if w != 0 {
@@ -208,46 +261,33 @@ impl ThreadMask {
         (found != 0).then(|| found.trailing_zeros() as usize)
     }
 
+    /// `start` folded into `0..threads` (`None` for a zero-width mask).
+    /// `start == threads` (treated as 0) is the only common overshoot,
+    /// so the division stays off the hot path.
+    #[inline]
+    fn wrap_start(&self, start: usize) -> Option<usize> {
+        if start < self.threads {
+            Some(start)
+        } else if self.threads == 0 {
+            None
+        } else {
+            Some(start % self.threads)
+        }
+    }
+
     /// First set bit at index ≥ `start`, wrapping past the end — the
     /// round-robin rotation search shared by arbiters and stall
     /// pointers. `start` may equal `threads` (treated as 0).
+    #[inline]
     #[must_use]
     pub fn next_one_wrapping(&self, start: usize) -> Option<usize> {
-        if self.threads == 0 {
-            return None;
+        let start = self.wrap_start(start)?;
+        if self.rest.is_some() {
+            return self.scan_wrapping_wide(None, start);
         }
-        // `start == threads` (treated as 0) is the only common overshoot;
-        // keep the division off the hot path.
-        let start = if start >= self.threads {
-            start % self.threads
-        } else {
-            start
-        };
-        if self.rest.is_none() {
-            // Single-word fast path (S ≤ 64): the rotation is two masked
-            // scans of the inline word, no division, no loop.
-            return Self::rotate_word(self.head, start);
-        }
-        // Scan [start, end) word-by-word, masking off bits below
-        // `start` in the first word, then wrap to [0, start).
-        let first_word = start / 64;
-        for step in 0..=self.word_count() {
-            let idx = (first_word + step) % self.word_count();
-            let mut w = self.word(idx);
-            if step == 0 {
-                w &= !0u64 << (start % 64);
-            } else if step == self.word_count() {
-                // Wrapped fully around: only bits below `start` remain.
-                if start.is_multiple_of(64) {
-                    break;
-                }
-                w &= !(!0u64 << (start % 64));
-            }
-            if w != 0 {
-                return Some(idx * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+        // Single-word fast path (S ≤ 64): the rotation is two masked
+        // scans of the inline word, no division, no loop.
+        Self::rotate_word(self.head, start)
     }
 
     /// First bit set in **both** `self` and `other` at index ≥ `start`,
@@ -261,28 +301,36 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     #[must_use]
     pub fn next_one_wrapping_and(&self, other: &Self, start: usize) -> Option<usize> {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
-        if self.threads == 0 {
-            return None;
+        let start = self.wrap_start(start)?;
+        if self.rest.is_some() {
+            return self.scan_wrapping_wide(Some(other), start);
         }
-        let start = if start >= self.threads {
-            start % self.threads
-        } else {
-            start
-        };
-        if self.rest.is_none() {
-            // Equal widths, so `other` is single-word too.
-            return Self::rotate_word(self.head & other.head, start);
-        }
+        // Equal widths, so `other` is single-word too.
+        Self::rotate_word(self.head & other.head, start)
+    }
+
+    /// The multi-word rotation scan of [`next_one_wrapping`] and
+    /// [`next_one_wrapping_and`] (`other` absent: no intersection):
+    /// [start, end) word by word, masking off bits below `start` in the
+    /// first word, then wrapping to [0, start).
+    ///
+    /// [`next_one_wrapping`]: ThreadMask::next_one_wrapping
+    /// [`next_one_wrapping_and`]: ThreadMask::next_one_wrapping_and
+    #[inline(never)]
+    fn scan_wrapping_wide(&self, other: Option<&Self>, start: usize) -> Option<usize> {
+        let words = self.word_count();
         let first_word = start / 64;
-        for step in 0..=self.word_count() {
-            let idx = (first_word + step) % self.word_count();
-            let mut w = self.word(idx) & other.word(idx);
+        for step in 0..=words {
+            let idx = (first_word + step) % words;
+            let mut w = self.word(idx) & other.map_or(!0, |o| o.word(idx));
             if step == 0 {
                 w &= !0u64 << (start % 64);
-            } else if step == self.word_count() {
+            } else if step == words {
+                // Wrapped fully around: only bits below `start` remain.
                 if start.is_multiple_of(64) {
                     break;
                 }
@@ -309,18 +357,18 @@ impl ThreadMask {
 
     /// Sets every thread's bit in one word-level pass (bits at or above
     /// [`threads`](ThreadMask::threads) stay zero).
+    #[inline]
     pub fn fill(&mut self) {
         self.head = self.tail_mask(0);
-        if let Some(r) = self.rest.as_mut() {
-            let threads = self.threads;
-            for (i, w) in r.iter_mut().enumerate() {
-                let used = threads - (i + 1) * 64;
-                *w = if used >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << used) - 1
-                };
-            }
+        if self.rest.is_some() {
+            self.fill_rest();
+        }
+    }
+
+    #[inline(never)]
+    fn fill_rest(&mut self) {
+        for idx in 1..self.word_count() {
+            *self.word_mut(idx) = self.tail_mask(idx);
         }
     }
 
@@ -330,20 +378,19 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     pub fn assign_not(&mut self, other: &Self) {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
         self.head = !other.head & self.tail_mask(0);
-        if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
-            let threads = self.threads;
-            for (i, (d, s)) in dst.iter_mut().zip(src.iter()).enumerate() {
-                let used = threads - (i + 1) * 64;
-                let tail = if used >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << used) - 1
-                };
-                *d = !*s & tail;
-            }
+        if self.rest.is_some() {
+            self.assign_not_rest(other);
+        }
+    }
+
+    #[inline(never)]
+    fn assign_not_rest(&mut self, other: &Self) {
+        for idx in 1..self.word_count() {
+            *self.word_mut(idx) = !other.word(idx) & self.tail_mask(idx);
         }
     }
 
@@ -352,11 +399,12 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     pub fn copy_from(&mut self, other: &Self) {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
         self.head = other.head;
         if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
-            dst.copy_from_slice(src);
+            Self::zip_rest(dst, src, src, |_, s, _| s);
         }
     }
 
@@ -369,15 +417,13 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     pub fn assign(&mut self, other: &Self) -> bool {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
         let mut changed = self.head != other.head;
         self.head = other.head;
         if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                changed |= *d != *s;
-                *d = *s;
-            }
+            changed |= Self::zip_rest(dst, src, src, |_, s, _| s);
         }
         changed
     }
@@ -389,6 +435,7 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the three masks do not all have the same thread count.
+    #[inline]
     pub fn assign_and(&mut self, a: &Self, b: &Self) -> bool {
         assert_eq!(self.threads, a.threads, "mask width mismatch");
         assert_eq!(self.threads, b.threads, "mask width mismatch");
@@ -398,10 +445,7 @@ impl ThreadMask {
         if let (Some(dst), Some(x), Some(y)) =
             (self.rest.as_mut(), a.rest.as_ref(), b.rest.as_ref())
         {
-            for ((d, x), y) in dst.iter_mut().zip(x.iter()).zip(y.iter()) {
-                changed |= *d != *x & *y;
-                *d = *x & *y;
-            }
+            changed |= Self::zip_rest(dst, x, y, |_, x, y| x & y);
         }
         changed
     }
@@ -411,13 +455,12 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     pub fn and_with(&mut self, other: &Self) {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
         self.head &= other.head;
         if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d &= *s;
-            }
+            Self::zip_rest(dst, src, src, |d, s, _| d & s);
         }
     }
 
@@ -426,17 +469,30 @@ impl ThreadMask {
     /// # Panics
     ///
     /// Panics if the masks have different thread counts.
+    #[inline]
     pub fn or_with(&mut self, other: &Self) {
         assert_eq!(self.threads, other.threads, "mask width mismatch");
         self.head |= other.head;
         if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d |= *s;
-            }
+            Self::zip_rest(dst, src, src, |d, s, _| d | s);
         }
     }
 
+    /// The spillover words of the two-operand ops: `dst[i] = f(dst[i],
+    /// x[i], y[i])`, reporting whether any word changed.
+    #[inline(never)]
+    fn zip_rest(dst: &mut [u64], x: &[u64], y: &[u64], f: impl Fn(u64, u64, u64) -> u64) -> bool {
+        let mut changed = false;
+        for ((d, &x), &y) in dst.iter_mut().zip(x).zip(y) {
+            let w = f(*d, x, y);
+            changed |= *d != w;
+            *d = w;
+        }
+        changed
+    }
+
     /// Allocation-free iterator over the set bit indices, ascending.
+    #[inline]
     #[must_use]
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -459,6 +515,7 @@ pub struct Ones<'a> {
 impl Iterator for Ones<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.current != 0 {
@@ -623,85 +680,122 @@ mod tests {
         assert_eq!(format!("{m:?}"), "{0, 2}");
     }
 
-    // Satellite: the S = 64/65 word-boundary equivalence campaign. Every
-    // mask operation is checked against the Vec<bool> reference model at
-    // widths straddling the inline-word limit.
+    /// Checks every mask operation on the pattern `bits` against the
+    /// `Vec<bool>` reference model, change flags included.
+    fn check_against_vec_bool(bits: &[bool], seed: u64, start: usize) {
+        let s = bits.len();
+        let m = ThreadMask::from_bools(bits);
+        let ones = |bits: &[bool]| bits.iter().filter(|&&b| b).count();
+
+        // Point reads and aggregates.
+        for (t, &b) in bits.iter().enumerate() {
+            assert_eq!(m.get(t), b);
+        }
+        assert_eq!(m.any(), bits.iter().any(|&b| b));
+        assert_eq!(m.count_ones(), ones(bits));
+        assert_eq!(m.first_one(), bits.iter().position(|&b| b));
+        let expect_single = if ones(bits) == 1 {
+            bits.iter().position(|&b| b)
+        } else {
+            None
+        };
+        assert_eq!(m.single(), expect_single);
+        assert_eq!(
+            m.iter_ones().collect::<Vec<_>>(),
+            bits.iter()
+                .enumerate()
+                .filter(|(_, &b)| b)
+                .map(|(t, _)| t)
+                .collect::<Vec<_>>()
+        );
+
+        // Rotation search from an arbitrary start point.
+        let start = start % (s + 1);
+        assert_eq!(
+            m.next_one_wrapping(start),
+            ref_next_one_wrapping(bits, start)
+        );
+
+        // Mutation: set_only at a seed-derived position, and clear.
+        let t = (seed as usize).wrapping_mul(31) % s;
+        let mut only = m.clone();
+        let mut ref_only = vec![false; s];
+        ref_only[t] = true;
+        assert_eq!(only.set_only(t), bits != ref_only.as_slice());
+        assert_eq!(only, ThreadMask::from_bools(&ref_only));
+        let mut cleared = m.clone();
+        assert_eq!(cleared.clear(), ones(bits) > 0);
+        assert_eq!(cleared, ThreadMask::new(s));
+
+        // Intersection against a shifted copy of the same pattern.
+        let other_bits: Vec<bool> = (0..s).map(|i| bits[(i + 1) % s]).collect();
+        let other = ThreadMask::from_bools(&other_bits);
+        let mut anded = m.clone();
+        anded.and_with(&other);
+        let ref_and: Vec<bool> = bits
+            .iter()
+            .zip(&other_bits)
+            .map(|(&a, &b)| a && b)
+            .collect();
+        assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
+        let mut gated = m.clone();
+        assert_eq!(gated.assign_and(&m, &other), bits != ref_and.as_slice());
+        assert_eq!(&gated, &anded);
+        let mut ored = m.clone();
+        ored.or_with(&other);
+        let ref_or: Vec<bool> = bits
+            .iter()
+            .zip(&other_bits)
+            .map(|(&a, &b)| a || b)
+            .collect();
+        assert_eq!(&ored, &ThreadMask::from_bools(&ref_or));
+
+        // Whole-mask copies: `copy_from` and the change-reporting `assign`.
+        let mut copied = other.clone();
+        copied.copy_from(&m);
+        assert_eq!(&copied, &m);
+        let mut assigned = other.clone();
+        assert_eq!(assigned.assign(&m), bits != other_bits.as_slice());
+        assert_eq!(&assigned, &m);
+        assert!(!assigned.assign(&m), "assigning the same bits again");
+
+        // The rotate-over-intersection scan agrees with materialising
+        // the intersection first.
+        assert_eq!(
+            m.next_one_wrapping_and(&other, start),
+            ref_next_one_wrapping(&ref_and, start)
+        );
+
+        // Word-level fill and complement respect the tail clamp.
+        let mut full = m.clone();
+        full.fill();
+        assert_eq!(&full, &ThreadMask::from_bools(&vec![true; s]));
+        assert_eq!(full.count_ones(), s);
+        let mut inv = ThreadMask::new(s);
+        inv.assign_not(&m);
+        let ref_not: Vec<bool> = bits.iter().map(|&b| !b).collect();
+        assert_eq!(&inv, &ThreadMask::from_bools(&ref_not));
+    }
+
+    // The word-boundary equivalence campaign: every mask operation is
+    // checked against the Vec<bool> reference model at widths that run
+    // the one-word bodies (1, 63, 64) and the multi-word helpers (65,
+    // 128, 129), on a seeded pattern and on a one-bit pattern.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn mask_ops_match_vec_bool_reference(
-            width in 0usize..4,
+            width in 0usize..6,
             seed in any::<u64>(),
-            start in 0usize..66,
+            start in 0usize..130,
         ) {
-            let s = [63usize, 64, 65, 100][width];
+            let s = [1usize, 63, 64, 65, 128, 129][width];
             let bits: Vec<bool> = (0..s).map(|t| (seed >> (t % 64)) & 1 != 0 && t % 7 != 3).collect();
-            let m = ThreadMask::from_bools(&bits);
-
-            // Point reads and aggregates.
-            for (t, &b) in bits.iter().enumerate() {
-                prop_assert_eq!(m.get(t), b);
-            }
-            prop_assert_eq!(m.any(), bits.iter().any(|&b| b));
-            prop_assert_eq!(m.count_ones(), bits.iter().filter(|&&b| b).count());
-            prop_assert_eq!(m.first_one(), bits.iter().position(|&b| b));
-            let expect_single = if bits.iter().filter(|&&b| b).count() == 1 {
-                bits.iter().position(|&b| b)
-            } else {
-                None
-            };
-            prop_assert_eq!(m.single(), expect_single);
-            prop_assert_eq!(
-                m.iter_ones().collect::<Vec<_>>(),
-                bits.iter().enumerate().filter(|(_, &b)| b).map(|(t, _)| t).collect::<Vec<_>>()
-            );
-
-            // Rotation search from an arbitrary start point.
-            let start = start % (s + 1);
-            prop_assert_eq!(m.next_one_wrapping(start), ref_next_one_wrapping(&bits, start));
-
-            // Mutation: set_only at a seed-derived position.
-            let t = (seed as usize).wrapping_mul(31) % s;
-            let mut only = m.clone();
-            only.set_only(t);
-            let mut ref_only = vec![false; s];
-            ref_only[t] = true;
-            prop_assert_eq!(only, ThreadMask::from_bools(&ref_only));
-
-            // Intersection against a shifted copy of the same pattern.
-            let other_bits: Vec<bool> = (0..s).map(|i| bits[(i + 1) % s]).collect();
-            let other = ThreadMask::from_bools(&other_bits);
-            let mut anded = m.clone();
-            anded.and_with(&other);
-            let ref_and: Vec<bool> =
-                bits.iter().zip(&other_bits).map(|(&a, &b)| a && b).collect();
-            prop_assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
-            let mut gated = ThreadMask::new(s);
-            gated.assign_and(&m, &other);
-            prop_assert_eq!(&gated, &anded);
-            let mut ored = m.clone();
-            ored.or_with(&other);
-            let ref_or: Vec<bool> =
-                bits.iter().zip(&other_bits).map(|(&a, &b)| a || b).collect();
-            prop_assert_eq!(&ored, &ThreadMask::from_bools(&ref_or));
-
-            // The rotate-over-intersection scan agrees with
-            // materialising the intersection first.
-            prop_assert_eq!(
-                m.next_one_wrapping_and(&other, start),
-                ref_next_one_wrapping(&ref_and, start)
-            );
-
-            // Word-level fill and complement respect the tail clamp.
-            let mut full = m.clone();
-            full.fill();
-            prop_assert_eq!(&full, &ThreadMask::from_bools(&vec![true; s]));
-            prop_assert_eq!(full.count_ones(), s);
-            let mut inv = ThreadMask::new(s);
-            inv.assign_not(&m);
-            let ref_not: Vec<bool> = bits.iter().map(|&b| !b).collect();
-            prop_assert_eq!(&inv, &ThreadMask::from_bools(&ref_not));
+            check_against_vec_bool(&bits, seed, start);
+            let one = (seed >> 32) as usize % s;
+            let one_bit: Vec<bool> = (0..s).map(|t| t == one).collect();
+            check_against_vec_bool(&one_bit, seed, start);
         }
     }
 }

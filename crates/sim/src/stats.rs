@@ -37,9 +37,27 @@ pub struct ChannelStats {
     /// which is exactly the signal the data-driven depth-sizing pass
     /// consumes via [`Stats::feedback_profile`].
     pub occupancy_hist: [u64; OCCUPANCY_BUCKETS],
-    /// Length of the backpressure streak currently in progress (internal
-    /// recording state for `occupancy_hist`).
-    pub(crate) stall_streak: u64,
+    /// The latest backpressure streak (internal recording state for
+    /// `occupancy_hist`).
+    pub(crate) streak: StallStreak,
+}
+
+/// A channel's latest backpressure streak: its length and the cycle it
+/// last stalled. A stall extends the streak only if the channel stalled
+/// the cycle before, so a cycle in which the channel idles or fires ends
+/// the streak without writing anything.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct StallStreak {
+    len: u64,
+    last: u64,
+}
+
+impl StallStreak {
+    /// No stall recorded yet.
+    pub(crate) const NONE: Self = Self {
+        len: 0,
+        last: u64::MAX,
+    };
 }
 
 impl ChannelStats {
@@ -50,7 +68,7 @@ impl ChannelStats {
             busy_cycles: 0,
             stall_cycles: vec![0; threads],
             occupancy_hist: [0; OCCUPANCY_BUCKETS],
-            stall_streak: 0,
+            streak: StallStreak::NONE,
         }
     }
 
@@ -65,12 +83,36 @@ impl ChannelStats {
         self.stall_cycles.iter().sum()
     }
 
-    /// Records one stalled cycle (valid without ready): extends the
-    /// current backpressure streak and banks it in the histogram.
-    pub(crate) fn record_stall_occupancy(&mut self) {
-        self.stall_streak += 1;
-        let bucket = (self.stall_streak as usize).min(OCCUPANCY_BUCKETS) - 1;
-        self.occupancy_hist[bucket] += 1;
+    /// Records a stall (valid without ready) at `cycle` and banks the
+    /// streak depth in the histogram. The streak goes on if the channel
+    /// stalled the cycle before — or at this same cycle, when a step that
+    /// reported a deadlock is stepped again — and starts over otherwise.
+    #[inline]
+    pub(crate) fn record_stall_occupancy(&mut self, cycle: u64) {
+        // `last` starts at `u64::MAX`, which wraps to "stalled before
+        // cycle 0" with a zero length: the first stall is depth 1 either way.
+        let len = if self.streak.last.wrapping_add(1) >= cycle {
+            self.streak.len + 1
+        } else {
+            1
+        };
+        self.streak = StallStreak { len, last: cycle };
+        self.occupancy_hist[Self::bucket(len)] += 1;
+    }
+
+    /// Takes back the last [`record_stall_occupancy`] of a step that then
+    /// failed, restoring the streak `before` it.
+    ///
+    /// [`record_stall_occupancy`]: ChannelStats::record_stall_occupancy
+    pub(crate) fn unrecord_stall_occupancy(&mut self, before: StallStreak) {
+        self.occupancy_hist[Self::bucket(self.streak.len)] -= 1;
+        self.streak = before;
+    }
+
+    /// Histogram bucket of a streak of depth `len` (≥ 1).
+    #[inline]
+    fn bucket(len: u64) -> usize {
+        (len as usize).min(OCCUPANCY_BUCKETS) - 1
     }
 
     /// Mean backlog depth over the channel's stalled cycles (0.0 when the
@@ -258,6 +300,7 @@ impl Stats {
         &self.kernel
     }
 
+    #[inline]
     pub(crate) fn channel_mut(&mut self, ch: ChannelId) -> &mut ChannelStats {
         &mut self.channels[ch.index()]
     }
@@ -357,7 +400,7 @@ impl Stats {
             c.busy_cycles = 0;
             c.stall_cycles.iter_mut().for_each(|s| *s = 0);
             c.occupancy_hist = [0; OCCUPANCY_BUCKETS];
-            c.stall_streak = 0;
+            c.streak = StallStreak::NONE;
         }
     }
 
@@ -488,7 +531,7 @@ mod tests {
         s.channel_mut(ChannelId(1)).transfers[0] = 3;
         s.channel_mut(ChannelId(1)).busy_cycles = 4;
         s.channel_mut(ChannelId(0)).stall_cycles[1] = 2;
-        s.channel_mut(ChannelId(0)).record_stall_occupancy();
+        s.channel_mut(ChannelId(0)).record_stall_occupancy(0);
         s.kernel_mut().component_evals = 9;
         s.reset();
         assert_eq!(s.cycles(), 0);
@@ -499,7 +542,7 @@ mod tests {
             s.channel(ChannelId(0)).occupancy_hist,
             [0; OCCUPANCY_BUCKETS]
         );
-        assert_eq!(s.channel(ChannelId(0)).stall_streak, 0);
+        assert_eq!(s.channel(ChannelId(0)).streak, StallStreak::NONE);
         assert_eq!(s.kernel().component_evals, 0);
     }
 
@@ -508,20 +551,27 @@ mod tests {
         let mut s = stats();
         let ch = s.channel_mut(ChannelId(0));
         // A 3-cycle backpressure streak visits depths 1, 2, 3…
-        for _ in 0..3 {
-            ch.record_stall_occupancy();
+        for cycle in 0..3 {
+            ch.record_stall_occupancy(cycle);
         }
         assert_eq!(&ch.occupancy_hist[..3], &[1, 1, 1]);
         assert_eq!(ch.peak_backlog(), 3);
         // (1 + 2 + 3) / 3
         assert!((ch.mean_backlog() - 2.0).abs() < 1e-12);
-        // …a transfer/idle cycle ends it, and the next streak restarts at 1.
-        ch.stall_streak = 0;
-        ch.record_stall_occupancy();
+        // …a transfer/idle cycle (3) ends it, and the next streak
+        // restarts at 1.
+        ch.record_stall_occupancy(4);
         assert_eq!(ch.occupancy_hist[0], 2);
+        // Taking a stall back restores the streak before it.
+        let before = ch.streak;
+        ch.record_stall_occupancy(5);
+        ch.unrecord_stall_occupancy(before);
+        assert_eq!(ch.occupancy_hist[1], 1);
+        assert_eq!(ch.streak, before);
         // Depths beyond the bucket range collapse into the last bucket.
-        ch.stall_streak = 100;
-        ch.record_stall_occupancy();
+        for cycle in 5..4 + OCCUPANCY_BUCKETS as u64 {
+            ch.record_stall_occupancy(cycle);
+        }
         assert_eq!(ch.occupancy_hist[OCCUPANCY_BUCKETS - 1], 1);
         assert_eq!(ch.peak_backlog(), OCCUPANCY_BUCKETS);
     }
@@ -536,8 +586,8 @@ mod tests {
         a.transfers[0] = 4;
         a.busy_cycles = 6;
         a.stall_cycles[1] = 2;
-        a.record_stall_occupancy();
-        a.record_stall_occupancy();
+        a.record_stall_occupancy(0);
+        a.record_stall_occupancy(1);
 
         let profile = s.feedback_profile();
         assert_eq!(profile.cycles, 10);

@@ -12,8 +12,8 @@ use std::any::Any;
 
 use mt_elastic::core::{Barrier, Branch, FifoMeb, Fork, Merge, ReducedMeb};
 use mt_elastic::sim::{
-    Circuit, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent, Ports,
-    ProtocolError, Sink, SlotView, Source, TickCtx, Token, Transform, VarLatency,
+    Circuit, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent, Ports, Sink,
+    SlotView, Source, TickCtx, Token, Transform, VarLatency,
 };
 
 /// A primitive with a per-thread reference evaluation.
@@ -84,9 +84,6 @@ impl<T: Token> Component<T> for Reference<T> {
     }
     fn next_event(&self, now: u64) -> NextEvent {
         self.unit.next_event(now)
-    }
-    fn take_fault(&mut self) -> Option<ProtocolError> {
-        self.unit.take_fault()
     }
     fn netlist_kind(&self) -> NetlistNodeKind {
         self.unit.netlist_kind()

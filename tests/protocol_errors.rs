@@ -2,8 +2,8 @@
 //! circuits must be *reported*, not mis-simulated.
 
 use mt_elastic::sim::{
-    impl_as_any, BuildError, ChannelId, CircuitBuilder, Component, EvalCtx, Ports, ProtocolError,
-    ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
+    impl_as_any, BuildError, ChannelId, Circuit, CircuitBuilder, Component, EvalCtx, Ports,
+    ProtocolError, ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
 };
 
 /// A misbehaving producer that asserts two valids at once.
@@ -175,43 +175,61 @@ fn driving_a_foreign_channel_panics() {
     assert!(r.is_err(), "ownership assertion must panic");
 }
 
-/// A component that latches a protocol fault at its clock edge is
-/// reported as a typed [`SimError::Component`] by the kernel — no panic,
-/// no `catch_unwind`.
-#[test]
-fn latched_component_fault_is_surfaced_as_typed_error() {
-    struct Faulty {
-        out: ChannelId,
-        fault: Option<ProtocolError>,
+/// Drives nothing, and reports `errors` through `TickCtx::fault`, in
+/// order, at the clock edge of cycle `at`.
+struct FaultAt {
+    name: &'static str,
+    out: ChannelId,
+    at: u64,
+    errors: Vec<ProtocolError>,
+}
+
+impl Component<u64> for FaultAt {
+    fn name(&self) -> &str {
+        self.name
     }
-    impl Component<u64> for Faulty {
-        fn name(&self) -> &str {
-            "faulty_eb"
-        }
-        fn ports(&self) -> Ports {
-            Ports::new([], [self.out])
-        }
-        fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
-            ctx.drive_idle(self.out);
-        }
-        fn tick(&mut self, ctx: &TickCtx<'_, u64>) {
-            if ctx.cycle() == 2 {
-                self.fault = Some(ProtocolError::BufferUnderflow);
+    fn ports(&self) -> Ports {
+        Ports::new([], [self.out])
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+        ctx.drive_idle(self.out);
+    }
+    fn tick(&mut self, ctx: &TickCtx<'_, u64>) {
+        if ctx.cycle() == self.at {
+            for error in &self.errors {
+                ctx.fault(error.clone());
             }
         }
-        fn take_fault(&mut self) -> Option<ProtocolError> {
-            self.fault.take()
-        }
-        impl_as_any!();
     }
+    fn reset(&mut self) -> bool {
+        true
+    }
+    impl_as_any!();
+}
+
+/// A circuit of one [`FaultAt`] per `(name, errors)`, each faulting at
+/// cycle 2, in that evaluation order.
+fn faulting_at_cycle_2(units: &[(&'static str, &[ProtocolError])]) -> Circuit<u64> {
     let mut b = CircuitBuilder::<u64>::new();
-    let ch = b.channel("bus", 1);
-    b.add(Faulty {
-        out: ch,
-        fault: None,
-    });
-    b.add(Sink::new("snk", ch, 1, ReadyPolicy::Always));
-    let mut circuit = b.build().expect("structurally valid");
+    for &(name, errors) in units {
+        let ch = b.channel(format!("{name}_out"), 1);
+        b.add(FaultAt {
+            name,
+            out: ch,
+            at: 2,
+            errors: errors.to_vec(),
+        });
+        b.add(Sink::new(format!("{name}_snk"), ch, 1, ReadyPolicy::Always));
+    }
+    b.build().expect("structurally valid")
+}
+
+/// A component that reports a fault at its clock edge is surfaced as a
+/// typed [`SimError::Component`] by the kernel — no panic, no
+/// `catch_unwind`.
+#[test]
+fn latched_component_fault_is_surfaced_as_typed_error() {
+    let mut circuit = faulting_at_cycle_2(&[("faulty_eb", &[ProtocolError::BufferUnderflow])]);
     let err = circuit.run(10).expect_err("fault must surface");
     match err {
         SimError::Component {
@@ -224,6 +242,173 @@ fn latched_component_fault_is_surfaced_as_typed_error() {
             assert_eq!(error, ProtocolError::BufferUnderflow);
         }
         other => panic!("unexpected: {other}"),
+    }
+}
+
+/// Two components that fault at the same clock edge are both reported
+/// with that edge's cycle, in evaluation order: the second comes out of
+/// the next `step`, which simulates nothing. A component's second fault
+/// in the same `tick` is dropped, and `Circuit::reset` drops a fault not
+/// yet returned.
+#[test]
+fn two_faults_at_one_edge_keep_their_cycle() {
+    let fault = |component: &str, error| SimError::Component {
+        cycle: 2,
+        component: component.to_string(),
+        error,
+    };
+    let mut circuit = faulting_at_cycle_2(&[
+        ("a", &[ProtocolError::BufferUnderflow]),
+        (
+            "b",
+            &[
+                ProtocolError::BufferOverflow,
+                ProtocolError::BufferUnderflow,
+            ],
+        ),
+    ]);
+    let first = circuit.run(10).expect_err("the first fault surfaces");
+    assert_eq!(first, fault("a", ProtocolError::BufferUnderflow));
+    let (cycle, stats) = (circuit.cycle(), circuit.stats().clone());
+    assert_eq!(cycle, 3, "the faulted edge has happened");
+    let second = circuit.step().expect_err("the second fault surfaces");
+    assert_eq!(second, fault("b", ProtocolError::BufferOverflow));
+    assert_eq!(circuit.cycle(), cycle, "no cycle was simulated");
+    assert_eq!(circuit.stats(), &stats);
+    let report = circuit.step().expect("both faults are reported");
+    assert_eq!(report.cycle, 3);
+
+    circuit.reset().expect("every component resets");
+    assert_eq!(
+        circuit.run(10).expect_err("the first fault again"),
+        fault("a", ProtocolError::BufferUnderflow)
+    );
+    circuit.reset().expect("every component resets");
+    assert_eq!(circuit.step().expect("no stale fault").cycle, 0);
+}
+
+/// Offers the same token on thread 0 every cycle, fired or not.
+struct Offer {
+    name: &'static str,
+    out: ChannelId,
+}
+
+impl Component<u64> for Offer {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn ports(&self) -> Ports {
+        Ports::new([], [self.out])
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+        ctx.drive_token(self.out, 0, 7);
+    }
+    fn tick(&mut self, _ctx: &TickCtx<'_, u64>) {}
+    impl_as_any!();
+}
+
+/// Idle until cycle `from`, then offers two valid threads at once (or,
+/// with `data` false, one valid thread without data).
+struct BreaksAt {
+    out: ChannelId,
+    from: u64,
+    data: bool,
+}
+
+impl Component<u64> for BreaksAt {
+    fn name(&self) -> &str {
+        "breaks"
+    }
+    fn ports(&self) -> Ports {
+        Ports::new([], [self.out])
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+        if ctx.cycle() < self.from {
+            ctx.drive_idle(self.out);
+        } else if self.data {
+            ctx.set_valid(self.out, 0, true);
+            ctx.set_valid(self.out, 1, true);
+            ctx.set_data(self.out, Some(1));
+        } else {
+            ctx.set_valid(self.out, 0, true);
+            ctx.set_data(self.out, None);
+        }
+    }
+    fn tick(&mut self, _ctx: &TickCtx<'_, u64>) {}
+    impl_as_any!();
+}
+
+/// A cycle that fails a channel check leaves every channel statistic and
+/// the cycle count as they were, including those of the channels checked
+/// before the failing one: an early channel that fires and one that
+/// stalls, whose backpressure streak starts fresh (cycle 0), goes on
+/// (`Never`), or starts again after a transfer (`Period`).
+#[test]
+fn failed_channel_check_leaves_the_statistics_untouched() {
+    for (fail_at, stall) in [
+        (0, ReadyPolicy::Never),
+        (3, ReadyPolicy::Never),
+        // Stalls at cycles 0 and 1, fires at 2, stalls again at 3.
+        (
+            3,
+            ReadyPolicy::Period {
+                on: 1,
+                off: 2,
+                phase: 1,
+            },
+        ),
+    ] {
+        for data in [true, false] {
+            let mut b = CircuitBuilder::<u64>::new();
+            let early = b.channel("early", 1);
+            let stalled = b.channel("stalled", 1);
+            let bad = b.channel("bad", 2);
+            b.add(Offer {
+                name: "fires",
+                out: early,
+            });
+            b.add(Sink::new("early_snk", early, 1, ReadyPolicy::Always));
+            b.add(Offer {
+                name: "stalls",
+                out: stalled,
+            });
+            b.add(Sink::new("stalled_snk", stalled, 1, stall.clone()));
+            b.add(BreaksAt {
+                out: bad,
+                from: fail_at,
+                data,
+            });
+            b.add(Sink::new("bad_snk", bad, 2, ReadyPolicy::Always));
+            let mut circuit = b.build().expect("structurally valid");
+            circuit.run(fail_at).expect("healthy until the bad cycle");
+            let before = circuit.stats().clone();
+            let err = circuit.step().expect_err("the bad channel trips");
+            let expected = if data {
+                SimError::ChannelInvariant {
+                    cycle: fail_at,
+                    channel: "bad".to_string(),
+                    threads: vec![0, 1],
+                }
+            } else {
+                SimError::MissingData {
+                    cycle: fail_at,
+                    channel: "bad".to_string(),
+                    thread: 0,
+                }
+            };
+            assert_eq!(err, expected);
+            // The settle of the failing cycle did run, so only the
+            // kernel counters move.
+            let after = circuit.stats();
+            assert_eq!(
+                after.iter().collect::<Vec<_>>(),
+                before.iter().collect::<Vec<_>>(),
+                "fail at {fail_at}, {stall:?}"
+            );
+            assert_eq!(after.cycles(), before.cycles());
+            assert_eq!(before.channel(early).total_transfers(), fail_at);
+            assert!(before.channel(stalled).total_transfers() <= 1);
+        }
     }
 }
 
