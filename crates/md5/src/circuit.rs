@@ -21,7 +21,7 @@
 //! this is the synchronization property the barrier exists to guarantee.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use elastic_core::{ArbiterKind, MebKind};
 use elastic_cost::primitives::{adder, lut_layer, mux};
@@ -84,6 +84,14 @@ pub enum Md5Error {
         /// Threads available.
         threads: usize,
     },
+    /// [`Md5Circuit::hash`] got a message count other than the
+    /// participant count the circuit was built for.
+    WrongMessageCount {
+        /// Messages supplied.
+        given: usize,
+        /// Participating threads of the circuit.
+        participants: usize,
+    },
     /// The underlying simulation failed (protocol violation or deadlock —
     /// either would indicate a bug in the circuit).
     Sim(SimError),
@@ -100,6 +108,13 @@ impl std::fmt::Display for Md5Error {
             Md5Error::TooManyMessages { given, threads } => {
                 write!(f, "{given} messages exceed the circuit's {threads} threads")
             }
+            Md5Error::WrongMessageCount {
+                given,
+                participants,
+            } => write!(
+                f,
+                "{given} messages for a circuit built for {participants} participants"
+            ),
             Md5Error::Sim(e) => write!(f, "simulation error: {e}"),
             Md5Error::Timeout { max_cycles } => {
                 write!(f, "md5 circuit did not finish within {max_cycles} cycles")
@@ -421,26 +436,41 @@ impl Md5Circuit {
         self.participants
     }
 
+    /// Rewinds the loop to its freshly built state without elaborating it
+    /// again: [`Circuit::reset`] plus the global round counter back to 0.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Circuit::reset`].
+    pub fn reset(&mut self) -> Result<(), SimError> {
+        self.circuit.reset()?;
+        self.round_counter.store(0, Ordering::SeqCst);
+        Ok(())
+    }
+
     /// Hashes `messages`, one per participating thread, on this freshly
-    /// built circuit and returns the digests, the cycles used and the
-    /// kernel's counters — the loop behind
+    /// built or [reset](Self::reset) circuit and returns the digests, the
+    /// cycles used and the kernel's counters — the loop behind
     /// [`Md5Hasher::hash_messages_instrumented`], open so tests can run it
     /// on a circuit whose components they have wrapped.
     ///
     /// # Errors
     ///
-    /// Same as [`Md5Hasher::hash_messages`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is exactly one message per participant.
+    /// * [`Md5Error::WrongMessageCount`] unless there is exactly one
+    ///   message per participant (the circuit is left untouched);
+    /// * otherwise the errors of [`Md5Hasher::hash_messages`].
     #[doc(hidden)]
     pub fn hash(
         &mut self,
         messages: &[&[u8]],
     ) -> Result<(Vec<[u8; 16]>, u64, KernelStats), Md5Error> {
         let participants = self.participants;
-        assert_eq!(messages.len(), participants, "one message per participant");
+        if messages.len() != participants {
+            return Err(Md5Error::WrongMessageCount {
+                given: messages.len(),
+                participants,
+            });
+        }
         let blocks: Vec<Vec<[u32; 16]>> = messages.iter().map(|m| pad_blocks(m)).collect();
         let waves = blocks.iter().map(Vec::len).max().unwrap_or(0);
         let circuit = &mut self.circuit;
@@ -516,12 +546,37 @@ impl Md5Circuit {
 /// Drives an [`Md5Circuit`] to hash one message per thread, cycle by
 /// cycle, handling multi-block chaining and length equalization with
 /// phantom blocks.
-#[derive(Debug)]
+///
+/// The hasher keeps the circuit of its last successful call and rewinds
+/// it with [`Md5Circuit::reset`] when the next call has as many
+/// messages, so only a call with a new message count pays for
+/// elaboration. Results are the same as from a fresh circuit.
 pub struct Md5Hasher {
     threads: usize,
     kind: MebKind,
     stages: usize,
     eval_mode: EvalMode,
+    /// The circuit of the last successful call, taken out for the length
+    /// of a call so concurrent calls never wait on each other.
+    spare: Mutex<Option<Md5Circuit>>,
+}
+
+// The kept circuit sits behind a `Mutex`, so a hasher can still be shared
+// across threads.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Md5Hasher>();
+};
+
+impl std::fmt::Debug for Md5Hasher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Md5Hasher")
+            .field("threads", &self.threads)
+            .field("kind", &self.kind)
+            .field("stages", &self.stages)
+            .field("eval_mode", &self.eval_mode)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Md5Hasher {
@@ -538,6 +593,7 @@ impl Md5Hasher {
             kind,
             stages: 1,
             eval_mode: EvalMode::default(),
+            spare: Mutex::new(None),
         }
     }
 
@@ -547,6 +603,8 @@ impl Md5Hasher {
     #[must_use]
     pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
         self.eval_mode = mode;
+        // A kept circuit runs the old mode.
+        self.spare = Mutex::new(None);
         self
     }
 
@@ -563,6 +621,8 @@ impl Md5Hasher {
             "round stages must divide 16"
         );
         self.stages = stages;
+        // A kept circuit has the old round unit.
+        self.spare = Mutex::new(None);
         self
     }
 
@@ -600,9 +660,28 @@ impl Md5Hasher {
                 threads: self.threads,
             });
         }
-        let mut md5 = Md5Circuit::with_stages(self.threads, messages.len(), self.kind, self.stages);
-        md5.circuit.set_eval_mode(self.eval_mode);
-        md5.hash(messages)
+        let participants = messages.len();
+        let spare = self
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let mut md5 = match spare {
+            Some(mut md5) if md5.participants == participants => {
+                md5.reset()?;
+                md5
+            }
+            _ => {
+                let mut md5 =
+                    Md5Circuit::with_stages(self.threads, participants, self.kind, self.stages);
+                md5.circuit.set_eval_mode(self.eval_mode);
+                md5
+            }
+        };
+        // A failed call returns here and drops its circuit.
+        let result = md5.hash(messages)?;
+        *self.spare.lock().unwrap_or_else(PoisonError::into_inner) = Some(md5);
+        Ok(result)
     }
 }
 

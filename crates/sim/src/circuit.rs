@@ -89,6 +89,10 @@ pub struct EvalCtx<'a, T: Token> {
     pub(crate) listen_ready: &'a [bool],
     /// Per-channel: `valid` and `ready` share a combinational SCC.
     pub(crate) feedback: &'a [bool],
+    /// Per-channel: a `valid`/`data` change re-wakes the driver itself.
+    pub(crate) self_wake_valid: &'a [bool],
+    /// Per-channel: a `ready` change re-wakes the reader itself.
+    pub(crate) self_wake_ready: &'a [bool],
     pub(crate) cycle: u64,
 }
 
@@ -162,31 +166,35 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 
     /// Marks the channel's reader dirty — but only if it declared a path
     /// triggered by this channel's `valid`/`data`; an unlistened signal
-    /// provably cannot change the reader's eval. On a feedback channel
-    /// the current component also self-wakes: hysteretic selection reads
-    /// its own driven signals, so its eval must re-run until it is a
-    /// no-op — the oracle's convergence condition. On DAG channels the
-    /// guards are disabled and evals are pure, so no self-wake is needed.
+    /// provably cannot change the reader's eval. The current component
+    /// (the driver) also self-wakes when the channel is on a feedback
+    /// cycle and the driver declared a damped arc: hysteretic selection
+    /// reads its own driven `valid`, so its eval must re-run until it is
+    /// a no-op — the oracle's convergence condition. Every other eval is
+    /// a function of registered state and its declared inputs, so
+    /// re-running it on its own write would change nothing.
     #[inline]
     fn wake_reader(&mut self, ch: usize) {
         *self.changed = true;
         if self.listen_valid[ch] {
             self.woke.set(self.reader[ch], true);
         }
-        if self.feedback[ch] {
+        if self.self_wake_valid[ch] {
             self.woke.set(self.current, true);
         }
     }
 
     /// Marks the channel's driver dirty (same filtering as
-    /// [`wake_reader`](Self::wake_reader), for `ready` changes).
+    /// [`wake_reader`](Self::wake_reader), for `ready` changes; the
+    /// current component is the reader, and self-wakes by the same
+    /// rule).
     #[inline]
     fn wake_driver(&mut self, ch: usize) {
         *self.changed = true;
         if self.listen_ready[ch] {
             self.woke.set(self.driver[ch], true);
         }
-        if self.feedback[ch] {
+        if self.self_wake_ready[ch] {
             self.woke.set(self.current, true);
         }
     }
@@ -620,6 +628,10 @@ pub struct Circuit<T: Token> {
     listen_ready: Vec<bool>,
     /// Per-channel: part of a (damped) combinational feedback cycle.
     feedback: Vec<bool>,
+    /// Per-channel: a `valid`/`data` change re-wakes its driver.
+    self_wake_valid: Vec<bool>,
+    /// Per-channel: a `ready` change re-wakes its reader.
+    self_wake_ready: Vec<bool>,
     /// Widest rank level of the compiled schedule.
     rank_width: u64,
     mode: EvalMode,
@@ -673,6 +685,8 @@ impl<T: Token> Circuit<T> {
             listen_valid: schedule.listen_valid,
             listen_ready: schedule.listen_ready,
             feedback: schedule.feedback,
+            self_wake_valid: schedule.self_wake_valid,
+            self_wake_ready: schedule.self_wake_ready,
             rank_width: schedule.rank_width,
             mode: EvalMode::default(),
             woke,
@@ -965,6 +979,8 @@ impl<T: Token> Circuit<T> {
                 listen_valid: &self.listen_valid,
                 listen_ready: &self.listen_ready,
                 feedback: &self.feedback,
+                self_wake_valid: &self.self_wake_valid,
+                self_wake_ready: &self.self_wake_ready,
                 cycle: self.cycle,
             };
             for (i, comp) in self.components.iter_mut().enumerate() {

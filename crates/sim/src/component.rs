@@ -122,6 +122,9 @@ pub enum CombPath {
     /// previous choice (monotone within a cycle). Cycles through a damped
     /// path converge under the kernel's iteration cap and are therefore
     /// legal; cycles whose every edge is strict are rejected at build time.
+    /// A component whose `eval` reads a signal it drives must declare a
+    /// damped arc: on feedback channels the kernel re-evaluates a
+    /// component after its own writes only if it declared one.
     ReadyToValid {
         /// Output channel whose ready is read.
         from: ChannelId,

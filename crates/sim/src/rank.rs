@@ -17,8 +17,10 @@
 //!    longer the detector, just a safety net for damped hysteretic loops.
 //! 3. Tarjan SCC over *all* edges marks `feedback` channels (those whose
 //!    `valid` and `ready` take part in one combinational cycle); only
-//!    those channels keep the kernel's self-wake and the arbiters'
-//!    anti-swap guards.
+//!    those channels keep the arbiters' anti-swap guards, and only there
+//!    does a signal change re-wake the component that wrote it — and
+//!    only if that component declared a damped arc, because only a
+//!    hysteretic `eval` reads a signal it drives.
 //! 4. The component-level condensation of the graph is levelized, and the
 //!    evaluation order is permuted to rank order: every component is
 //!    evaluated after everything it combinationally depends on, so the
@@ -42,8 +44,15 @@ pub(crate) struct Schedule {
     /// channel's `ready` — a change must wake it.
     pub listen_ready: Vec<bool>,
     /// Per-channel: `valid` and `ready` belong to one combinational SCC,
-    /// so hysteretic selection on it must keep its guard and self-wake.
+    /// so hysteretic selection on it must keep its anti-swap guard.
     pub feedback: Vec<bool>,
+    /// Per-channel: a `valid`/`data` change re-wakes the channel's
+    /// driver — the channel is `feedback` and the driver declared a
+    /// damped arc, so its `eval` reads what it drives.
+    pub self_wake_valid: Vec<bool>,
+    /// Per-channel: a `ready` change re-wakes the channel's reader (the
+    /// same rule, for the reader).
+    pub self_wake_ready: Vec<bool>,
     /// Largest number of components sharing one rank level.
     pub rank_width: u64,
 }
@@ -247,8 +256,8 @@ pub(crate) fn compute_schedule<T: Token>(
 
     // 2. Feedback channels: valid and ready of the channel share an SCC
     // of the full (strict + damped) signal graph. Such a channel is part
-    // of a legal hysteretic loop — its selection guards and self-wake
-    // must stay active.
+    // of a legal hysteretic loop — its selection guards, and the
+    // self-wake of a damped writer (step 3), must stay active.
     let mut full_adj: Vec<Vec<usize>> = vec![Vec::new(); 2 * n_ch];
     for e in &edges {
         full_adj[e.from].push(e.to);
@@ -262,13 +271,23 @@ pub(crate) fn compute_schedule<T: Token>(
     // component that declared a path triggered by that signal.
     let mut listen_valid = vec![false; n_ch];
     let mut listen_ready = vec![false; n_ch];
+    let mut damped_owner = vec![false; n];
     for e in &edges {
         if e.from % 2 == 0 {
             listen_valid[e.from / 2] = true;
         } else {
             listen_ready[e.from / 2] = true;
         }
+        damped_owner[e.owner] |= e.damped;
     }
+    // Self-wake only where an `eval` may read what it drives: on a
+    // feedback channel, for a writer that declared a damped arc.
+    let self_wake_valid = (0..n_ch)
+        .map(|ch| feedback[ch] && damped_owner[driver[ch]])
+        .collect();
+    let self_wake_ready = (0..n_ch)
+        .map(|ch| feedback[ch] && damped_owner[reader[ch]])
+        .collect();
 
     // 4. Component-level levelization. An edge `a -> b` means component
     // b's eval reads a signal that component a drives, so a must come
@@ -318,6 +337,8 @@ pub(crate) fn compute_schedule<T: Token>(
         listen_valid,
         listen_ready,
         feedback,
+        self_wake_valid,
+        self_wake_ready,
         rank_width,
     })
 }
@@ -410,6 +431,8 @@ mod tests {
         assert_eq!(s.order, vec![2, 1, 0]);
         assert_eq!(s.rank_width, 1);
         assert_eq!(s.feedback, vec![false, false]);
+        assert_eq!(s.self_wake_valid, vec![false, false]);
+        assert_eq!(s.self_wake_ready, vec![false, false]);
         assert_eq!(s.listen_valid, vec![false, false]);
         assert_eq!(s.listen_ready, vec![true, true]);
     }
@@ -477,6 +500,11 @@ mod tests {
         // R(b) -> V(b) (damped) -> V(a) -> R(a) -> R(b): one SCC touching
         // both signals of both channels.
         assert_eq!(s.feedback, vec![true, true]);
+        // Only `sel` declared a damped arc, so only its writes re-wake
+        // the writer: `valid(b)`, which it drives, and `ready(a)`, which
+        // it asserts. `join`'s writes never wake `join`.
+        assert_eq!(s.self_wake_valid, vec![false, true]);
+        assert_eq!(s.self_wake_ready, vec![true, false]);
         // Both components sit in one component-level SCC: same rank, kept
         // in insertion order.
         assert_eq!(s.order, vec![0, 1]);

@@ -643,6 +643,7 @@ mod tests {
         let listen_valid = vec![false];
         let listen_ready = vec![true];
         let feedback = vec![false];
+        let self_wake = vec![false];
         let mut woke = crate::ThreadMask::new(1);
         let mut sweep = |src: &mut Source<u64>, channels: &mut Vec<ChannelState<u64>>| {
             let mut changed = false;
@@ -656,6 +657,8 @@ mod tests {
                 listen_valid: &listen_valid,
                 listen_ready: &listen_ready,
                 feedback: &feedback,
+                self_wake_valid: &self_wake,
+                self_wake_ready: &self_wake,
                 cycle: 4,
             };
             src.eval(&mut ctx);

@@ -1,6 +1,8 @@
 //! The paper's first design example end to end: hash eight messages on
 //! the 8-thread multithreaded elastic MD5 circuit and verify against the
-//! software reference (paper, Sec. V-A).
+//! software reference (paper, Sec. V-A). Each hasher then hashes the same
+//! messages a second time on the circuit it kept from the first call,
+//! which must give the same digests in the same number of cycles.
 //!
 //! ```text
 //! cargo run --example md5_pipeline
@@ -40,6 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             assert_eq!(*digest, reference, "circuit must match RFC 1321");
         }
+        let (again, cycles_again) = hasher.hash_messages(&refs)?;
+        assert_eq!(
+            again, digests,
+            "a reused circuit must give the same digests"
+        );
+        assert_eq!(
+            cycles_again, cycles,
+            "a reused circuit must take as many cycles"
+        );
+        println!("  second call on the kept circuit: same digests, {cycles_again} cycles");
         println!();
     }
     println!(

@@ -1,10 +1,11 @@
-//! The reference-evaluation wrapper shared by the fast-path tests.
+//! The evaluation-hook wrapper shared by the fast-path and kernel tests.
 //!
 //! Every primitive with a word-level `eval` keeps its per-thread
-//! evaluation as a `#[doc(hidden)]` `eval_reference`. [`Reference`] runs a
-//! primitive with it, for any token type, so a test can run the same
-//! circuit with the fast and with the reference evaluations and compare
-//! what they observe.
+//! evaluation as a `#[doc(hidden)]` `eval_reference`.
+//! [`Hooked::reference`] runs a primitive with it, for any token type, so
+//! a test can run the same circuit with the fast and with the reference
+//! evaluations and compare what they observe. [`Hooked::new`] runs any
+//! other hook around a primitive's `eval`, such as a recorder.
 
 #![allow(dead_code)]
 
@@ -35,32 +36,41 @@ has_reference!(
     ReducedMeb, FifoMeb, Source, Sink, Fork, VarLatency, Barrier, Branch, Merge, Transform,
 );
 
-/// Calls `C::eval_reference` on a type-erased primitive.
-fn reference_eval<T: Token, C: HasReference<T>>(unit: &mut dyn Any, ctx: &mut EvalCtx<'_, T>) {
-    unit.downcast_mut::<C>()
-        .expect("the wrapped primitive has the wrapper's type")
-        .eval_reference(ctx);
-}
+/// How a [`Hooked`] primitive is evaluated, given the primitive.
+type EvalHook<T> = Box<dyn FnMut(&mut dyn Component<T>, &mut EvalCtx<'_, T>) + Send>;
 
-/// Runs the wrapped primitive with its reference `eval`. Every other
-/// method, the typed-access upcasts included, delegates to the primitive,
-/// so `Circuit::get` still finds it.
-pub struct Reference<T: Token> {
+/// Runs the wrapped primitive's `eval` through a hook. Every other method,
+/// the typed-access upcasts included, delegates to the primitive, so
+/// `Circuit::get` still finds it.
+pub struct Hooked<T: Token> {
     unit: Box<dyn Component<T>>,
-    eval: fn(&mut dyn Any, &mut EvalCtx<'_, T>),
+    eval: EvalHook<T>,
 }
 
-impl<T: Token> Reference<T> {
-    /// Wraps `unit`, a `C`.
-    pub fn new<C: HasReference<T>>(unit: Box<dyn Component<T>>) -> Self {
+impl<T: Token> Hooked<T> {
+    /// Wraps `unit`, evaluated by `eval`.
+    pub fn new(
+        unit: Box<dyn Component<T>>,
+        eval: impl FnMut(&mut dyn Component<T>, &mut EvalCtx<'_, T>) + Send + 'static,
+    ) -> Self {
         Self {
             unit,
-            eval: reference_eval::<T, C>,
+            eval: Box::new(eval),
         }
+    }
+
+    /// Wraps `unit`, a `C`, to run its reference `eval`.
+    pub fn reference<C: HasReference<T>>(unit: Box<dyn Component<T>>) -> Self {
+        Self::new(unit, |unit, ctx| {
+            unit.as_any_mut()
+                .downcast_mut::<C>()
+                .expect("the wrapped primitive has the wrapper's type")
+                .eval_reference(ctx);
+        })
     }
 }
 
-impl<T: Token> Component<T> for Reference<T> {
+impl<T: Token> Component<T> for Hooked<T> {
     fn name(&self) -> &str {
         self.unit.name()
     }
@@ -71,7 +81,7 @@ impl<T: Token> Component<T> for Reference<T> {
         self.unit.comb_paths()
     }
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        (self.eval)(self.unit.as_any_mut(), ctx);
+        (self.eval)(self.unit.as_mut(), ctx);
     }
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         self.unit.tick(ctx);
@@ -110,13 +120,13 @@ pub enum Model {
 pub fn boxed<T: Token, C: HasReference<T>>(c: C, model: Model) -> Box<dyn Component<T>> {
     match model {
         Model::Fast => Box::new(c),
-        Model::Reference => Box::new(Reference::new::<C>(Box::new(c))),
+        Model::Reference => Box::new(Hooked::reference::<C>(Box::new(c))),
     }
 }
 
 /// Wraps the built circuit's `C` named `name` so it runs its reference
 /// `eval`.
 pub fn wrap<T: Token, C: HasReference<T>>(c: &mut Circuit<T>, name: &str) {
-    let wrapped = c.wrap_component(name, |unit| Box::new(Reference::new::<C>(unit)));
+    let wrapped = c.wrap_component(name, |unit| Box::new(Hooked::reference::<C>(unit)));
     assert!(wrapped, "the circuit has a component named `{name}`");
 }

@@ -2,7 +2,8 @@
 //! thread counts, MEB kinds and arbitrary messages (property-based).
 
 use mt_elastic::core::MebKind;
-use mt_elastic::md5::{algo, Md5Hasher};
+use mt_elastic::md5::{algo, Md5Circuit, Md5Error, Md5Hasher};
+use mt_elastic::sim::EvalMode;
 use proptest::prelude::*;
 
 /// RFC 1321 appendix suite through the 8-thread circuit, both MEB kinds.
@@ -72,6 +73,97 @@ fn cycles_scale_sublinearly_with_threads() {
         (cycles_8 as f64) < 5.0 * cycles_1 as f64,
         "8 threads x same work took {cycles_8} cycles vs {cycles_1} for one"
     );
+}
+
+/// `count` messages of 1–4 blocks (after padding), distinct per `salt`.
+fn batch(count: usize, salt: u8) -> Vec<Vec<u8>> {
+    (0..count)
+        .map(|i| {
+            let len = [20, 70, 130, 190][(i + usize::from(salt)) % 4] + usize::from(salt);
+            (0..len).map(|b| (b as u8) ^ salt ^ (i as u8)).collect()
+        })
+        .collect()
+}
+
+/// One hasher serves a sequence of calls of different sizes, with an
+/// empty call and a failing call in between, and returns for each call
+/// what a fresh hasher returns: digests, cycles and kernel counters. It
+/// keeps doing so after `with_eval_mode` and `with_stages` change the
+/// circuit it would reuse.
+#[test]
+fn a_reused_hasher_matches_a_fresh_hasher_per_call() {
+    const THREADS: usize = 8;
+    // Message counts of the calls; 9 exceeds the thread count and fails.
+    // The sequence ends with the count it starts with, so a circuit kept
+    // across `with_eval_mode` or `with_stages` would be reused.
+    let counts = [1usize, 8, 8, 3, 0, 3, 9, 8, 1, 1];
+    let run = |hasher: &Md5Hasher, fresh: &dyn Fn() -> Md5Hasher, label: &str| {
+        for (call, &count) in counts.iter().enumerate() {
+            let messages = batch(count, call as u8);
+            let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            match hasher.hash_messages_instrumented(&refs) {
+                Ok(got) => {
+                    let want = fresh()
+                        .hash_messages_instrumented(&refs)
+                        .expect("a fresh hasher hashes");
+                    assert_eq!(got, want, "{label}, call {call} ({count} messages)");
+                    for (digest, m) in got.0.iter().zip(&refs) {
+                        assert_eq!(*digest, algo::md5(m), "{label}, call {call}");
+                    }
+                }
+                Err(e) => assert!(
+                    matches!(
+                        e,
+                        Md5Error::TooManyMessages {
+                            given: 9,
+                            threads: THREADS
+                        }
+                    ),
+                    "{label}, call {call}: {e}"
+                ),
+            }
+        }
+    };
+    let new = |mode: EvalMode, stages: usize| {
+        Md5Hasher::new(THREADS, MebKind::Reduced)
+            .with_eval_mode(mode)
+            .with_stages(stages)
+    };
+    let hasher = new(EvalMode::EventDriven, 1);
+    run(&hasher, &|| new(EvalMode::EventDriven, 1), "event-driven");
+    let hasher = hasher.with_eval_mode(EvalMode::Exhaustive);
+    run(&hasher, &|| new(EvalMode::Exhaustive, 1), "exhaustive");
+    let hasher = hasher.with_stages(4);
+    run(
+        &hasher,
+        &|| new(EvalMode::Exhaustive, 4),
+        "exhaustive, 4 stages",
+    );
+}
+
+/// A message count other than the participant count is a typed error
+/// that leaves the circuit as it was; the circuit then hashes, and
+/// hashes again identically after `Md5Circuit::reset`.
+#[test]
+fn wrong_message_count_is_a_typed_error() {
+    let mut md5 = Md5Circuit::new(4, 2, MebKind::Reduced);
+    for given in [1usize, 3] {
+        let messages = batch(given, 1);
+        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let err = md5.hash(&refs).expect_err("wrong message count");
+        assert!(
+            matches!(err, Md5Error::WrongMessageCount { given: g, participants: 2 } if g == given),
+            "{err}"
+        );
+    }
+    let messages = batch(2, 2);
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    let first = md5.hash(&refs).expect("the circuit still hashes");
+    for (digest, m) in first.0.iter().zip(&refs) {
+        assert_eq!(*digest, algo::md5(m));
+    }
+    md5.reset().expect("the loop resets");
+    assert_eq!(md5.hash(&refs).expect("hashes after reset"), first);
 }
 
 proptest! {
