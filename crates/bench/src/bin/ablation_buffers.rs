@@ -10,7 +10,7 @@
 //! their rows as [`run_sweep`] jobs (submission order = row order).
 //!
 //! ```text
-//! cargo run --release --bin ablation_buffers
+//! cargo run --release -p elastic-bench --bin ablation_buffers
 //! ```
 
 use elastic_bench::{measure_throughput, reduced_worstcase};

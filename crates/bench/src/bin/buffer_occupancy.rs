@@ -9,7 +9,7 @@
 //! and execute as [`run_sweep`] jobs in submission order.
 //!
 //! ```text
-//! cargo run --release --bin buffer_occupancy
+//! cargo run --release -p elastic-bench --bin buffer_occupancy
 //! ```
 
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};

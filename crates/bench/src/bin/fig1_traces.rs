@@ -9,7 +9,7 @@
 //! those slots with an independent thread B.
 //!
 //! ```text
-//! cargo run --release --bin fig1_traces
+//! cargo run --release -p elastic-bench --bin fig1_traces
 //! ```
 
 use elastic_core::{ArbiterKind, MebKind};

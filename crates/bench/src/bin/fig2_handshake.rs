@@ -4,7 +4,7 @@
 //! stall).
 //!
 //! ```text
-//! cargo run --release --bin fig2_handshake
+//! cargo run --release -p elastic-bench --bin fig2_handshake
 //! ```
 
 use elastic_core::ElasticBuffer;

@@ -8,7 +8,7 @@
 //! active thread: ~100 % with full MEBs, ~50 % with reduced ones.
 //!
 //! ```text
-//! cargo run --release --bin fig5_pipeline_trace [--long]
+//! cargo run --release -p elastic-bench --bin fig5_pipeline_trace [-- --long]
 //! ```
 
 use elastic_bench::{fig5_harness, fig5_rows, reduced_worstcase, Fig5Setup};

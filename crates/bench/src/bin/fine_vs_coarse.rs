@@ -12,7 +12,7 @@
 //!    make *other* threads' tokens wait, fattening the latency tail.
 //!
 //! ```text
-//! cargo run --release --bin fine_vs_coarse
+//! cargo run --release -p elastic-bench --bin fine_vs_coarse
 //! ```
 
 use elastic_core::{ArbiterKind, MebKind};

@@ -8,7 +8,7 @@
 //! sweeps thread count × speculation for the branchy workloads.
 //!
 //! ```text
-//! cargo run --release --bin speculation_vs_multithreading
+//! cargo run --release -p elastic-bench --bin speculation_vs_multithreading
 //! ```
 
 use elastic_proc::{programs, Cpu, CpuConfig};

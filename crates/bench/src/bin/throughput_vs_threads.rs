@@ -8,7 +8,7 @@
 //! results keep the table layout identical to the old serial loop.
 //!
 //! ```text
-//! cargo run --release --bin throughput_vs_threads
+//! cargo run --release -p elastic-bench --bin throughput_vs_threads
 //! ```
 
 use elastic_bench::{measure_throughput, ThroughputPoint};

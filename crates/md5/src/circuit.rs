@@ -642,7 +642,8 @@ impl Md5Hasher {
 
     /// Like [`hash_messages`](Self::hash_messages) but additionally
     /// returns the simulation kernel's counters for the run — the
-    /// instrumentation behind the `kernel_ablation` comparison.
+    /// instrumentation behind the eval counts pinned in
+    /// `tests/ranked_schedule.rs`.
     ///
     /// # Errors
     ///

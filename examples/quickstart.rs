@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * circuit.stats().utilization(computed),
         100.0 * circuit.stats().stall_rate(computed)
     );
-    println!("\nnext stops: DESIGN.md, `cargo run --bin fig5_pipeline_trace`, `cargo run --example md5_pipeline`");
+    println!("\nnext stops: DESIGN.md, `cargo run -p elastic-bench --bin fig5_pipeline_trace`, `cargo run --example md5_pipeline`");
     assert_eq!(snk.consumed_total(), 30);
     let _ = MebKind::Full; // see `reduced_vs_full` for the comparison
     Ok(())

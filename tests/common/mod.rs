@@ -1,4 +1,5 @@
-//! The evaluation-hook wrapper shared by the fast-path and kernel tests.
+//! The evaluation-hook wrapper shared by the fast-path and kernel tests,
+//! and the random topology their properties run ([`random_net`]).
 //!
 //! Every primitive with a word-level `eval` keeps its per-thread
 //! evaluation as a `#[doc(hidden)]` `eval_reference`.
@@ -8,6 +9,8 @@
 //! other hook around a primitive's `eval`, such as a recorder.
 
 #![allow(dead_code)]
+
+pub mod random_net;
 
 use std::any::Any;
 

@@ -15,9 +15,9 @@
 //! 1. identical per-thread sink captures (digests, for the MD5 loop);
 //! 2. identical `Component::eval` counts and settle-round counts — the
 //!    fast paths save work inside an evaluation, never evaluations;
-//! 3. on random topologies, the event-driven kernel still matches the
-//!    exhaustive oracle, and builder insertion order does not leak through
-//!    on signal-acyclic nets.
+//! 3. on random topologies (`common::random_net`), bars 1 and 2 hold
+//!    under two shuffled builder insertion orders. The kernel's own bars
+//!    on those nets are in `tests/ranked_schedule.rs`.
 //!
 //! Beyond the random topologies, deterministic cases cover the cache
 //! invalidation paths: timed `push_at` releases, a push into the past
@@ -29,15 +29,13 @@
 
 mod common;
 
+use common::random_net::{meb, meb_kind_strategy, observe, run_net, NetParams, Obs};
 use common::{boxed, wrap, Model};
-use mt_elastic::core::{
-    ArbiterKind, Barrier, BarrierState, Branch, FifoMeb, Fork, ForkMode, FullMeb, Join, MebKind,
-    Merge, ReducedMeb,
-};
+use mt_elastic::core::{Barrier, BarrierState, Branch, Fork, ForkMode, MebKind, Merge, ReducedMeb};
 use mt_elastic::md5::{algo, Md5Circuit, Md5Token};
 use mt_elastic::sim::{
-    Circuit, CircuitBuilder, Component, EvalMode, KernelStats, LatencyModel, ReadyPolicy, Sink,
-    Source, Tagged, Transform, VarLatency,
+    Circuit, CircuitBuilder, Component, EvalMode, KernelStats, ReadyPolicy, Sink, Source, Tagged,
+    Transform,
 };
 use proptest::prelude::*;
 
@@ -52,209 +50,14 @@ fn part_mut<'a, C: Component<Tagged> + 'static>(
     c.get_mut::<C>(name).expect("component exists")
 }
 
-/// A round-robin MEB of `kind` running the `model` evaluation. `FullMeb`
-/// has a single, per-thread evaluation and is never wrapped.
-fn meb(
-    kind: MebKind,
-    name: impl Into<String>,
-    inp: mt_elastic::sim::ChannelId,
-    out: mt_elastic::sim::ChannelId,
-    threads: usize,
-    model: Model,
-) -> Box<dyn Component<Tagged>> {
-    let arbiter = ArbiterKind::RoundRobin.build();
-    match kind {
-        MebKind::Reduced => boxed(ReducedMeb::new(name, inp, out, threads, arbiter), model),
-        MebKind::Full => Box::new(FullMeb::new(name, inp, out, threads, arbiter)),
-        MebKind::Fifo { depth } => {
-            boxed(FifoMeb::new(name, inp, out, threads, depth, arbiter), model)
-        }
-    }
-}
-
-/// Per-thread `(cycle, seq)` captures, eval count and settle-round count.
-type Obs = (Vec<Vec<(u64, u64)>>, u64, u64);
-
-fn observe(c: &Circuit<Tagged>) -> Obs {
-    let snk: &Sink<Tagged> = part(c, "snk");
-    let threads = c.channel_threads(c.channel_ids()[0]);
-    let captures = (0..threads)
-        .map(|t| {
-            snk.captured(t)
-                .iter()
-                .map(|(cy, tok)| (*cy, tok.seq))
-                .collect()
-        })
-        .collect();
-    let k = c.stats().kernel();
-    (captures, k.component_evals, k.settle_rounds)
-}
-
-fn meb_kind_strategy() -> impl Strategy<Value = MebKind> {
-    prop_oneof![
-        Just(MebKind::Full),
-        Just(MebKind::Reduced),
-        (2usize..4).prop_map(|depth| MebKind::Fifo { depth }),
-    ]
-}
-
-/// Deterministic Fisher–Yates (LCG-driven) over the builder insertion
-/// order, so the same `order_seed` always yields the same permutation.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    for i in (1..items.len()).rev() {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (seed >> 33) as usize % (i + 1);
-        items.swap(i, j);
-    }
-}
-
-/// Randomized topology shared with `ranked_schedule.rs`: source → MEB →
-/// (fork/join diamond over skewed variable-latency arms, or a single
-/// variable-latency unit) → MEB chain → randomly-stalling sink.
-#[derive(Clone, Debug)]
-struct NetParams {
-    threads: usize,
-    tokens: u64,
-    kind: MebKind,
-    diamond: bool,
-    tail_stages: usize,
-    p_ready: f64,
-    seed: u64,
-}
-
-/// Builds and drains the network, adding components in the permutation
-/// selected by `order_seed`.
-fn run_net(p: &NetParams, model: Model, mode: EvalMode, order_seed: u64) -> Obs {
-    let mut b = CircuitBuilder::<Tagged>::new();
-    let src_ch = b.channel("src", p.threads);
-    let work = b.channel("work", p.threads);
-    let mid = b.channel("mid", p.threads);
-    let tail = b.channels("tail", p.threads, p.tail_stages + 1);
-
-    let mut comps: Vec<Box<dyn Component<Tagged>>> = Vec::new();
-    let mut src = Source::new("src", src_ch, p.threads);
-    for t in 0..p.threads {
-        src.extend(t, (0..p.tokens).map(|i| Tagged::new(t, i, i)));
-    }
-    comps.push(boxed(src, model));
-    comps.push(meb(p.kind, "head", src_ch, work, p.threads, model));
-    if p.diamond {
-        let arm_a = b.channel("arm_a", p.threads);
-        let arm_b = b.channel("arm_b", p.threads);
-        let done_a = b.channel("done_a", p.threads);
-        let done_b = b.channel("done_b", p.threads);
-        comps.push(boxed(
-            Fork::new(
-                "split",
-                work,
-                vec![arm_a, arm_b],
-                p.threads,
-                ForkMode::Eager,
-            ),
-            model,
-        ));
-        comps.push(boxed(
-            VarLatency::new(
-                "ua",
-                arm_a,
-                done_a,
-                p.threads,
-                2,
-                LatencyModel::Uniform {
-                    min: 1,
-                    max: 3,
-                    seed: p.seed,
-                },
-            ),
-            model,
-        ));
-        comps.push(boxed(
-            VarLatency::new(
-                "ub",
-                arm_b,
-                done_b,
-                p.threads,
-                2,
-                LatencyModel::Uniform {
-                    min: 1,
-                    max: 2,
-                    seed: p.seed ^ 7,
-                },
-            ),
-            model,
-        ));
-        comps.push(Box::new(Join::new(
-            "pair",
-            vec![done_a, done_b],
-            mid,
-            p.threads,
-            |ins: &[&Tagged]| ins[0].clone(),
-        )));
-    } else {
-        comps.push(boxed(
-            VarLatency::new(
-                "u",
-                work,
-                mid,
-                p.threads,
-                2,
-                LatencyModel::Uniform {
-                    min: 1,
-                    max: 3,
-                    seed: p.seed,
-                },
-            ),
-            model,
-        ));
-    }
-    comps.push(meb(p.kind, "bridge", mid, tail[0], p.threads, model));
-    for i in 0..p.tail_stages {
-        comps.push(meb(
-            p.kind,
-            format!("tail{i}"),
-            tail[i],
-            tail[i + 1],
-            p.threads,
-            model,
-        ));
-    }
-    let out = tail[p.tail_stages];
-    comps.push(boxed(
-        Sink::with_capture(
-            "snk",
-            out,
-            p.threads,
-            ReadyPolicy::Random {
-                p: p.p_ready,
-                seed: p.seed ^ 13,
-            },
-        ),
-        model,
-    ));
-
-    shuffle(&mut comps, order_seed);
-    for c in comps {
-        b.add_boxed(c);
-    }
-    let mut circuit = b.build().expect("random acyclic net is well-formed");
-    circuit.set_eval_mode(mode);
-    circuit.set_deadlock_watchdog(Some(400));
-    let expected = p.tokens * p.threads as u64;
-    let budget = 400 + expected * 24;
-    let done = circuit.run_until(budget, move |c| c.stats().total_transfers(out) >= expected);
-    assert!(matches!(done, Ok(true)), "net did not drain: {done:?}");
-    observe(&circuit)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fast paths match the reference model on random topologies,
-    /// under both settle modes and two shuffled insertion orders (the
-    /// rank sort breaks ties by insertion index, so each order permutes
-    /// the evaluation order inside every rank level).
+    /// under both settle modes and two shuffled insertion orders. The
+    /// kernel bars on the same nets (event-driven against the oracle,
+    /// insertion-order independence, conservation on the diamond) are
+    /// `ranked_schedule.rs`'s `schedules_and_oracle_agree_on_random_topologies`.
     #[test]
     fn fast_paths_match_the_reference_model(
         threads in 1usize..4,
@@ -267,7 +70,6 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
-
         for order in [order_seed, order_seed ^ 0xDEAD_BEEF] {
             for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
                 let fast = run_net(&p, Model::Fast, mode, order);
@@ -277,22 +79,6 @@ proptest! {
                     "order {:#x}/{:?}: fast paths diverged from the reference model", order, mode
                 );
             }
-            // Kernel soundness: the dirty-set kernel matches the oracle.
-            let fast = run_net(&p, Model::Fast, EvalMode::EventDriven, order);
-            let oracle = run_net(&p, Model::Fast, EvalMode::Exhaustive, order);
-            prop_assert_eq!(
-                &fast.0, &oracle.0,
-                "order {:#x}: dirty-set kernel diverged from the oracle", order
-            );
-        }
-
-        // Builder insertion order must not leak on signal-acyclic nets (on
-        // the diamond the damped feedback makes the fixed point
-        // legitimately order-sensitive, exactly as in `ranked_schedule.rs`).
-        if !diamond {
-            let a = run_net(&p, Model::Fast, EvalMode::EventDriven, order_seed);
-            let b = run_net(&p, Model::Fast, EvalMode::EventDriven, order_seed ^ 0xDEAD_BEEF);
-            prop_assert_eq!(&a.0, &b.0, "insertion order leaked through the fast paths");
         }
     }
 }
@@ -641,11 +427,13 @@ fn run_md5(threads: usize, stages: usize, mode: EvalMode, model: Model) -> Md5Ob
 
 /// The MD5 loop — barrier, branch, round transforms and merge included —
 /// gives identical digests, cycles and kernel counters (evals, rounds,
-/// per-op evals) under its fast and its reference evaluations.
+/// per-op evals) under its fast and its reference evaluations, and the
+/// same digests and cycles under both settle modes.
 #[test]
 fn md5_loop_matches_the_reference() {
     for threads in [1usize, 2, 4, 8] {
         for stages in [1usize, 2, 4, 16] {
+            let mut per_mode = Vec::new();
             for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
                 let fast = run_md5(threads, stages, mode, Model::Fast);
                 let reference = run_md5(threads, stages, mode, Model::Reference);
@@ -653,7 +441,13 @@ fn md5_loop_matches_the_reference() {
                     fast, reference,
                     "{threads} threads, {stages} stages, {mode:?}: MD5 fast paths diverged"
                 );
+                per_mode.push((fast.0, fast.1));
             }
+            assert_eq!(
+                per_mode[0], per_mode[1],
+                "{threads} threads, {stages} stages: the event-driven kernel's digests or \
+                 cycles diverged from the oracle's"
+            );
         }
     }
 }

@@ -169,7 +169,7 @@ fn failures_stay_isolated_to_their_job() {
 /// On hosts with ≥ 4 cores the replicated campaign must scale: 4 workers
 /// at least 2× faster than 1. Skipped (trivially green) on smaller
 /// hosts, where there is nothing to measure — `BENCH_parallel_sweep.json`
-/// records the curve for whichever host ran `kernel_ablation --parallel`.
+/// records the curve for whichever host ran `sweep_scaling`.
 #[test]
 fn four_workers_give_at_least_2x_on_a_4_core_host() {
     if available_workers() < 4 {

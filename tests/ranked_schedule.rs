@@ -1,199 +1,72 @@
-//! Tests for the build-time levelized rank schedule.
+//! Tests for the build-time levelized rank schedule and the eval record
+//! of the two settle kernels.
 //!
-//! The rank sort breaks ties by builder insertion index, so shuffling the
-//! insertion order permutes the evaluation order inside every rank level.
-//! Two equivalence bars, in decreasing strength:
+//! * On an 8-thread, 8-stage reduced-MEB pipeline, rank order settles
+//!   every stepped cycle in (essentially) one round, and the
+//!   event-driven kernel matches the exhaustive oracle.
+//! * On the paper's Fig. 5 pipeline, a stalled 4-thread pipeline and the
+//!   Sec. V-A MD5 loop, both kernels deliver the same captures (digests
+//!   and cycles, for MD5), and each kernel's evaluation, settle-round
+//!   and quiesced-cycle counts are pinned. A change that moves a count
+//!   updates its row in [`PINNED`] and says why.
+//! * On random topologies (`common::random_net`), built in shuffled
+//!   builder insertion orders, the kernel bars below hold. The rank sort
+//!   breaks ties by insertion index, so each order permutes the
+//!   evaluation order inside every rank level.
 //!
-//! 1. **Kernel soundness** — for every shuffled builder insertion order,
-//!    the event-driven dirty-set kernel must match the exhaustive oracle
-//!    byte for byte. Holds unconditionally.
-//! 2. **Order independence** — on *signal-acyclic* nets every eval is
-//!    a pure function of the handshake state, the cycle's fixed point is
+//! The random-topology bars, in decreasing strength:
+//!
+//! 1. **Kernel soundness**: for every insertion order, the event-driven
+//!    dirty-set kernel matches the exhaustive oracle byte for byte.
+//! 2. **Order independence**: on *signal-acyclic* nets every eval is a
+//!    pure function of the handshake state, the cycle's fixed point is
 //!    unique, and the captures are identical across insertion orders
-//!    (the purity argument of `docs/kernel.md`).
-//!    The fork/join diamond is deliberately *excluded* from this bar:
-//!    the Join's valid→ready coupling closes a (damped) signal cycle
-//!    through the two variable-latency arms, and on feedback channels
-//!    the anti-swap hysteresis legitimately picks an order-dependent —
-//!    but individually valid — fixed point. There the weaker guarantee
-//!    is token conservation per thread.
+//!    (the purity argument of `docs/kernel.md`). The fork/join diamond is
+//!    excluded: the Join's valid→ready coupling closes a damped signal
+//!    cycle through the two variable-latency arms, and on feedback
+//!    channels the anti-swap hysteresis may pick an order-dependent, but
+//!    individually valid, fixed point. There the bar is token
+//!    conservation per thread.
+//!
+//! The fast-path bars on the same nets are
+//! `tests/fast_path_reference.rs`'s `fast_paths_match_the_reference_model`.
 
-use mt_elastic::core::{
-    ArbiterKind, Fork, ForkMode, Join, MebKind, PipelineConfig, PipelineHarness,
-};
-use mt_elastic::sim::{
-    CircuitBuilder, Component, EvalMode, KernelStats, LatencyModel, ReadyPolicy, Sink, Source,
-    Tagged, VarLatency,
-};
+mod common;
+
+use common::random_net::{meb_kind_strategy, run_net, NetParams};
+use common::Model;
+use elastic_bench::Fig5Setup;
+use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
+use mt_elastic::md5::Md5Hasher;
+use mt_elastic::sim::{EvalMode, KernelStats, ReadyPolicy};
 use proptest::prelude::*;
 
-fn meb_kind_strategy() -> impl Strategy<Value = MebKind> {
-    prop_oneof![
-        Just(MebKind::Full),
-        Just(MebKind::Reduced),
-        (2usize..4).prop_map(|depth| MebKind::Fifo { depth }),
-    ]
-}
+/// Per-thread `(cycle, seq)` captures of a pipeline's sink.
+type Captures = Vec<Vec<(u64, u64)>>;
 
-/// Deterministic Fisher–Yates (LCG-driven) over the builder insertion
-/// order, so the same `order_seed` always yields the same permutation.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    for i in (1..items.len()).rev() {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (seed >> 33) as usize % (i + 1);
-        items.swap(i, j);
-    }
-}
-
-/// Randomized topology: source → MEB → (fork/join diamond over skewed
-/// variable-latency arms, or a single variable-latency unit) → a short
-/// MEB chain → randomly-stalling sink.
-#[derive(Clone, Debug)]
-struct NetParams {
-    threads: usize,
-    tokens: u64,
-    kind: MebKind,
-    diamond: bool,
-    tail_stages: usize,
-    p_ready: f64,
-    seed: u64,
-}
-
-/// Builds and runs the network, adding components in the permutation
-/// selected by `order_seed`, and returns the per-thread captures.
-fn run_net(p: &NetParams, mode: EvalMode, order_seed: u64) -> Vec<Vec<(u64, u64)>> {
-    let mut b = CircuitBuilder::<Tagged>::new();
-    let src_ch = b.channel("src", p.threads);
-    let work = b.channel("work", p.threads);
-    let mid = b.channel("mid", p.threads);
-    let tail = b.channels("tail", p.threads, p.tail_stages + 1);
-
-    let mut comps: Vec<Box<dyn Component<Tagged>>> = Vec::new();
-    let mut src = Source::new("src", src_ch, p.threads);
-    for t in 0..p.threads {
-        src.extend(t, (0..p.tokens).map(|i| Tagged::new(t, i, i)));
-    }
-    comps.push(Box::new(src));
-    comps.push(p.kind.build_with::<Tagged>(
-        "head",
-        src_ch,
-        work,
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    if p.diamond {
-        let arm_a = b.channel("arm_a", p.threads);
-        let arm_b = b.channel("arm_b", p.threads);
-        let done_a = b.channel("done_a", p.threads);
-        let done_b = b.channel("done_b", p.threads);
-        comps.push(Box::new(Fork::new(
-            "split",
-            work,
-            vec![arm_a, arm_b],
-            p.threads,
-            ForkMode::Eager,
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ua",
-            arm_a,
-            done_a,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ub",
-            arm_b,
-            done_b,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 2,
-                seed: p.seed ^ 7,
-            },
-        )));
-        comps.push(Box::new(Join::new(
-            "pair",
-            vec![done_a, done_b],
-            mid,
-            p.threads,
-            |ins: &[&Tagged]| ins[0].clone(),
-        )));
-    } else {
-        comps.push(Box::new(VarLatency::new(
-            "u",
-            work,
-            mid,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-    }
-    comps.push(p.kind.build_with::<Tagged>(
-        "bridge",
-        mid,
-        tail[0],
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    for i in 0..p.tail_stages {
-        comps.push(p.kind.build_with::<Tagged>(
-            format!("tail{i}"),
-            tail[i],
-            tail[i + 1],
-            p.threads,
-            ArbiterKind::RoundRobin,
-        ));
-    }
-    let out = tail[p.tail_stages];
-    comps.push(Box::new(Sink::with_capture(
-        "snk",
-        out,
-        p.threads,
-        ReadyPolicy::Random {
-            p: p.p_ready,
-            seed: p.seed ^ 13,
-        },
-    )));
-
-    shuffle(&mut comps, order_seed);
-    for c in comps {
-        b.add_boxed(c);
-    }
-    let mut circuit = b.build().expect("random acyclic net is well-formed");
-    circuit.set_eval_mode(mode);
-    circuit.set_deadlock_watchdog(Some(400));
-    let expected = p.tokens * p.threads as u64;
-    let budget = 400 + expected * 24;
-    let done = circuit.run_until(budget, move |c| c.stats().total_transfers(out) >= expected);
-    assert!(matches!(done, Ok(true)), "net did not drain: {done:?}");
-    let snk: &Sink<Tagged> = circuit.get("snk").expect("sink");
-    (0..p.threads)
+/// Builds the pipeline `cfg`, runs it for `cycles` and returns its
+/// captures and kernel counters.
+fn run_pipeline(cfg: PipelineConfig, cycles: u64) -> (Captures, KernelStats) {
+    let threads = cfg.threads;
+    let mut h = PipelineHarness::build(cfg);
+    h.circuit.run(cycles).expect("the pipeline runs clean");
+    let captures = (0..threads)
         .map(|t| {
-            snk.captured(t)
+            h.sink()
+                .captured(t)
                 .iter()
                 .map(|(c, tok)| (*c, tok.seq))
                 .collect()
         })
-        .collect()
+        .collect();
+    (captures, *h.circuit.stats().kernel())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both equivalence bars on random topologies, including shuffled
-    /// builder insertion orders.
+    /// Both random-topology bars, under two shuffled builder insertion
+    /// orders.
     #[test]
     fn schedules_and_oracle_agree_on_random_topologies(
         threads in 1usize..4,
@@ -206,36 +79,37 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
-        let orders = [order_seed, order_seed ^ 0xDEAD_BEEF];
-        let reference = run_net(&p, EvalMode::EventDriven, orders[0]);
-
-        for order in orders {
+        let captures = |mode, order| run_net(&p, Model::Fast, mode, order).0;
+        let mut per_order = Vec::new();
+        for order in [order_seed, order_seed ^ 0xDEAD_BEEF] {
             // Bar 1: the dirty-set kernel matches the exhaustive oracle
             // under every insertion order, on every topology.
-            let fast = run_net(&p, EvalMode::EventDriven, order);
-            let oracle = run_net(&p, EvalMode::Exhaustive, order);
+            let fast = captures(EvalMode::EventDriven, order);
+            let oracle = captures(EvalMode::Exhaustive, order);
             prop_assert_eq!(
                 &fast, &oracle,
                 "order {:#x}: event-driven kernel diverged from the exhaustive oracle", order
             );
             if diamond {
-                // Feedback (damped) signal cycle through the join: the
-                // orders may settle on different — individually valid —
-                // arbitration orders, but never lose or forge tokens.
+                // Damped signal cycle through the join: the orders may
+                // settle on different, individually valid, arbitration
+                // orders, but never lose or forge a token.
                 for (t, caps) in fast.iter().enumerate() {
                     let mut seqs: Vec<u64> = caps.iter().map(|&(_, s)| s).collect();
                     seqs.sort_unstable();
                     prop_assert_eq!(&seqs, &(0..tokens).collect::<Vec<_>>(), "thread {}", t);
                 }
-            } else {
-                // Bar 2: signal-acyclic net — the fixed point is unique,
-                // so the builder insertion order is behaviourally
-                // invisible.
-                prop_assert_eq!(
-                    &reference, &fast,
-                    "builder insertion order {:#x} leaked into behaviour", order
-                );
             }
+            per_order.push(fast);
+        }
+
+        // Bar 2: on a signal-acyclic net the fixed point is unique, so the
+        // builder insertion order is invisible.
+        if !diamond {
+            prop_assert_eq!(
+                &per_order[0], &per_order[1],
+                "builder insertion order leaked into behaviour"
+            );
         }
     }
 }
@@ -243,7 +117,7 @@ proptest! {
 /// The S = 8 workload: an 8-thread, 8-stage reduced-MEB pipeline, 64
 /// tokens per thread. `backpressured` adds irregular per-thread sink
 /// stalls so downstream ready keeps changing.
-fn run_pipeline_s8(backpressured: bool, mode: EvalMode) -> (Vec<Vec<(u64, u64)>>, KernelStats) {
+fn run_pipeline_s8(backpressured: bool, mode: EvalMode) -> (Captures, KernelStats) {
     const THREADS: usize = 8;
     const STAGES: usize = 8;
     let mut cfg =
@@ -256,18 +130,7 @@ fn run_pipeline_s8(backpressured: bool, mode: EvalMode) -> (Vec<Vec<(u64, u64)>>
             };
         }
     }
-    let mut h = PipelineHarness::build(cfg);
-    h.circuit.run(1_500).expect("S = 8 pipeline runs clean");
-    let captures = (0..THREADS)
-        .map(|t| {
-            h.sink()
-                .captured(t)
-                .iter()
-                .map(|(c, tok)| (*c, tok.seq))
-                .collect()
-        })
-        .collect();
-    (captures, *h.circuit.stats().kernel())
+    run_pipeline(cfg, 1_500)
 }
 
 /// Rank order makes the round-1 sweep the fixed point: the S = 8
@@ -296,5 +159,107 @@ fn s8_pipeline_settles_in_one_round_and_matches_the_oracle() {
     assert_eq!(
         fast, oracle,
         "backpressured captures diverged from the oracle"
+    );
+}
+
+/// What a workload delivers: sink captures, or MD5 digests with the
+/// cycles the batch took.
+#[derive(Debug, PartialEq)]
+enum Delivered {
+    Captures(Captures),
+    Digests(Vec<[u8; 16]>, u64),
+}
+
+/// One workload run under one settle mode.
+type Run = (Delivered, KernelStats);
+
+/// The paper's Fig. 5 scenario (2 threads, 2 stages, 8 tokens per
+/// thread, thread B's sink stalled over `3..8`, 24 cycles), untraced so
+/// the quiescence fast-forward stays on.
+fn run_fig5(kind: MebKind, mode: EvalMode) -> Run {
+    let setup = Fig5Setup::paper(kind);
+    let cfg = PipelineConfig::free_flowing(2, setup.stages, kind, setup.tokens_per_thread)
+        .with_sink_policy(
+            1,
+            ReadyPolicy::StallWindow {
+                from: setup.stall_from,
+                to: setup.stall_to,
+            },
+        )
+        .with_eval_mode(mode);
+    let (captures, kernel) = run_pipeline(cfg, setup.cycles);
+    (Delivered::Captures(captures), kernel)
+}
+
+/// A 4-thread, 4-stage reduced-MEB pipeline, 64 tokens per thread,
+/// every sink thread stalling at random, 1,200 cycles.
+fn run_stalled(mode: EvalMode) -> Run {
+    let mut cfg = PipelineConfig::free_flowing(4, 4, MebKind::Reduced, 64).with_eval_mode(mode);
+    for t in 0..4 {
+        cfg.sink_policies[t] = ReadyPolicy::Random {
+            p: 0.4,
+            seed: 0xA5A5 ^ t as u64,
+        };
+    }
+    let (captures, kernel) = run_pipeline(cfg, 1_200);
+    (Delivered::Captures(captures), kernel)
+}
+
+/// The Sec. V-A MD5 loop on 8 threads with reduced MEBs, one message
+/// per thread.
+fn run_md5(mode: EvalMode) -> Run {
+    let messages: Vec<Vec<u8>> = (0..8)
+        .map(|i| format!("kernel ablation message {i}").into_bytes())
+        .collect();
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    let (digests, cycles, kernel) = Md5Hasher::new(8, MebKind::Reduced)
+        .with_eval_mode(mode)
+        .hash_messages_instrumented(&refs)
+        .expect("the MD5 loop hashes");
+    (Delivered::Digests(digests, cycles), kernel)
+}
+
+/// `(component_evals, settle_rounds, quiesced_cycles)` of one run.
+/// `components_skipped` follows from the evaluations and rounds.
+fn counts(k: &KernelStats) -> [u64; 3] {
+    [k.component_evals, k.settle_rounds, k.quiesced_cycles]
+}
+
+/// The eval record: each workload's counts under the exhaustive oracle
+/// and under the event-driven kernel.
+const PINNED: [(&str, [u64; 3], [u64; 3]); 4] = [
+    ("Fig. 5, full MEBs", [176, 44, 2], [88, 22, 2]),
+    ("Fig. 5, reduced MEBs", [176, 44, 2], [88, 22, 2]),
+    ("4 threads, 4 stages", [3804, 634, 883], [1902, 317, 883]),
+    ("MD5, 8 threads", [1672, 209, 0], [820, 197, 0]),
+];
+
+/// Both settle kernels deliver the same captures, digests and cycles on
+/// the paper's workloads, with the evaluation, round and quiesced-cycle
+/// counts of [`PINNED`].
+#[test]
+fn kernels_agree_and_keep_their_pinned_eval_counts() {
+    let workloads: [fn(EvalMode) -> Run; 4] = [
+        |mode| run_fig5(MebKind::Full, mode),
+        |mode| run_fig5(MebKind::Reduced, mode),
+        run_stalled,
+        run_md5,
+    ];
+    let measured: Vec<(&str, [u64; 3], [u64; 3])> = PINNED
+        .iter()
+        .zip(workloads)
+        .map(|(&(row, ..), run)| {
+            let (oracle, exhaustive) = run(EvalMode::Exhaustive);
+            let (fast, event_driven) = run(EvalMode::EventDriven);
+            assert_eq!(
+                fast, oracle,
+                "{row}: the event-driven kernel diverged from the oracle"
+            );
+            (row, counts(&exhaustive), counts(&event_driven))
+        })
+        .collect();
+    assert_eq!(
+        measured, PINNED,
+        "eval counts moved: update PINNED and say why"
     );
 }
