@@ -327,10 +327,10 @@ fn main() {
     let cache_workers = host.max(2);
     let service: SweepService<String> = SweepService::new(cache_workers);
     let first = service.run(scaling_jobs(true));
-    assert_eq!(first.memoized_jobs, 0, "cold cache must not memoize");
+    assert_eq!(first.cache_hits, 0, "cold cache must not memoize");
     let second = service.run(scaling_jobs(true));
     let cache_jobs = second.jobs.len();
-    let memoized = second.memoized_jobs;
+    let memoized = second.cache_hits;
     let hit_rate = memoized as f64 / cache_jobs as f64;
     assert!(
         hit_rate >= 0.9,

@@ -15,8 +15,8 @@
 //! realized in elastic handshake logic.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, SlotView,
+    ThreadMask, TickCtx, Token,
 };
 
 /// Per-thread barrier FSM state (paper, Fig. 8).
@@ -189,10 +189,6 @@ impl<T: Token> Barrier<T> {
 }
 
 impl<T: Token> Component<T> for Barrier<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Sync
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Barrier
     }

@@ -7,8 +7,8 @@
 //! the paper's Fig. 6: EMPTY, HALF (one item) and FULL (two items).
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, Ports,
-    ProtocolError, SlotView, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, ProtocolError,
+    SlotView, TickCtx, Token,
 };
 
 /// Occupancy state of a (per-thread) elastic buffer control FSM.
@@ -126,10 +126,6 @@ impl<T: Token> ElasticBuffer<T> {
 }
 
 impl<T: Token> Component<T> for ElasticBuffer<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Buffer
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Eb
     }

@@ -10,8 +10,8 @@
 use std::collections::VecDeque;
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
+    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -156,10 +156,6 @@ impl<T: Token> FifoMeb<T> {
 }
 
 impl<T: Token> Component<T> for FifoMeb<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Buffer
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::MebFifo
     }

@@ -8,8 +8,8 @@
 //! which the reduced MEB eliminates.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
+    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -133,10 +133,6 @@ impl<T: Token> FullMeb<T> {
 }
 
 impl<T: Token> Component<T> for FullMeb<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Buffer
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::MebFull
     }

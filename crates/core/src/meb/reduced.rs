@@ -19,8 +19,8 @@
 //! thread sees only one slot per stage and tops out at 50 % throughput.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
+    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -242,10 +242,6 @@ impl<T: Token> ReducedMeb<T> {
 }
 
 impl<T: Token> Component<T> for ReducedMeb<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Buffer
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::MebReduced
     }

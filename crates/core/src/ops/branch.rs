@@ -7,8 +7,8 @@
 //! each thread's token self-selects its path.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
+    ThreadMask, TickCtx, Token,
 };
 
 /// A two-way conditional router.
@@ -103,10 +103,6 @@ impl<T: Token> Branch<T> {
 }
 
 impl<T: Token> Component<T> for Branch<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Route
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Branch
     }

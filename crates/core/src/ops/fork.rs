@@ -14,8 +14,8 @@
 //! fork; the `done` state is therefore indexed by thread as well.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, ProtocolError, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
+    ProtocolError, ThreadMask, TickCtx, Token,
 };
 
 /// Per-token output-routing function (see [`Fork::with_route`]): bit `o`
@@ -249,10 +249,6 @@ impl<T: Token> Fork<T> {
 }
 
 impl<T: Token> Component<T> for Fork<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Route
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Fork
     }

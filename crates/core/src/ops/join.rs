@@ -8,8 +8,8 @@
 //! condition thread-wise over multithreaded channels.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, TickCtx,
+    Token,
 };
 
 /// An N-input join with a combine function.
@@ -84,10 +84,6 @@ impl<T: Token> Join<T> {
 }
 
 impl<T: Token> Component<T> for Join<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Route
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Join
     }

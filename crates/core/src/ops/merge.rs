@@ -13,8 +13,8 @@
 //! This clarification is recorded in `DESIGN.md`.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NetlistNodeKind, NextEvent,
-    Ports, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, TickCtx,
+    Token,
 };
 
 /// An N-input merge onto one channel.
@@ -142,10 +142,6 @@ impl<T: Token> Merge<T> {
 }
 
 impl<T: Token> Component<T> for Merge<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Route
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Merge
     }

@@ -597,11 +597,6 @@ pub struct CycleReport {
     pub cycle: u64,
     /// All transfers that fired.
     pub transfers: Vec<Transfer>,
-    /// Number of settle rounds the combinational phase needed (the full
-    /// sweep counts as round one).
-    pub settle_iterations: usize,
-    /// Number of `Component::eval` invocations the settle phase performed.
-    pub evals: usize,
 }
 
 /// A fully wired synchronous elastic circuit.
@@ -614,7 +609,7 @@ pub struct Circuit<T: Token> {
     /// Per-component op class ([`Component::op_kind`]), read once at
     /// build time so the settle loop tallies per-op evals without a
     /// virtual call.
-    op_kinds: Vec<FusedOpKind>,
+    pub(crate) op_kinds: Vec<FusedOpKind>,
     pub(crate) channels: Vec<ChannelState<T>>,
     /// Per-channel driving component — doubles as the `ready`-change wake
     /// map of the event-driven kernel.
@@ -782,13 +777,6 @@ impl<T: Token> Circuit<T> {
         self.recorder = Some(r);
     }
 
-    /// Starts recording cycle traces, keeping at most `limit` cycles.
-    pub fn enable_trace_limited(&mut self, limit: usize) {
-        let mut r = TraceRecorder::with_limit(limit);
-        r.set_names(self.component_names());
-        self.recorder = Some(r);
-    }
-
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&TraceRecorder> {
         self.recorder.as_ref()
@@ -872,12 +860,6 @@ impl<T: Token> Circuit<T> {
             .iter()
             .map(|c| c.name().to_string())
             .collect()
-    }
-
-    /// Structural class of every component, in evaluation order (see
-    /// [`Component::netlist_kind`]).
-    pub fn component_kinds(&self) -> Vec<crate::netlist::NetlistNodeKind> {
-        self.components.iter().map(|c| c.netlist_kind()).collect()
     }
 
     /// Name of channel `ch`.
@@ -994,17 +976,6 @@ impl<T: Token> Circuit<T> {
                 op_evals[self.op_kinds[i] as usize] += 1;
             }
             rounds += 1;
-            // The cheap round-count test goes first: it is false on every
-            // healthy cycle, so the (comparatively expensive) environment
-            // lookup never runs on the hot path.
-            if rounds + 6 >= max_rounds && std::env::var_os("ELASTIC_SIM_DEBUG_SETTLE").is_some() {
-                let dump: Vec<String> = self
-                    .channels
-                    .iter()
-                    .map(|ch| format!("{}:v{:?}r{:?}", ch.spec.name, ch.valid, ch.ready))
-                    .collect();
-                eprintln!("settle round {rounds}: {}", dump.join(" "));
-            }
             // Convergence: the oracle stops when a sweep changes nothing
             // (the historical criterion); the dirty-set kernel stops as
             // soon as the worklist is empty — every component whose
@@ -1035,13 +1006,9 @@ impl<T: Token> Circuit<T> {
         kernel.settle_rounds += rounds as u64;
         kernel.components_skipped += (rounds * n - evals) as u64;
         kernel.stepped_cycles += 1;
-        if rounds == 1 {
-            kernel.single_sweep_cycles += 1;
-        }
         // Re-stamped every cycle (rather than once at construction) so it
         // survives `reset_stats` after a warm-up window.
         kernel.rank_width = kernel.rank_width.max(self.rank_width);
-        kernel.settle_round_hist[rounds.min(8) - 1] += 1;
         for (acc, delta) in kernel.fused_op_evals.iter_mut().zip(op_evals.iter()) {
             *acc += *delta;
         }
@@ -1185,12 +1152,7 @@ impl<T: Token> Circuit<T> {
             return Err(error);
         }
 
-        Ok(CycleReport {
-            cycle,
-            transfers,
-            settle_iterations: rounds,
-            evals,
-        })
+        Ok(CycleReport { cycle, transfers })
     }
 
     /// Takes back the statistics that the channel pass of this cycle

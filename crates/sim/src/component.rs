@@ -208,10 +208,11 @@ impl SlotView {
     }
 }
 
-/// Dense label for one primitive op class — the axis of the per-op eval
-/// counters in [`KernelStats`](crate::KernelStats), reported by
-/// [`Component::op_kind`]. One variant per `IrNodeKind` primitive;
-/// `Custom` covers every other component.
+/// Dense label for one primitive op class, reported by
+/// [`Component::op_kind`]: the axis of the per-op eval counters in
+/// [`KernelStats`](crate::KernelStats) and the node class of a
+/// [`NetlistGraph`](crate::NetlistGraph). One variant per `IrNodeKind`
+/// primitive; `Custom` covers every other component.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FusedOpKind {
     /// Token source.
@@ -283,6 +284,24 @@ impl FusedOpKind {
             FusedOpKind::VarLatency => "varlat",
             FusedOpKind::Transform => "transform",
             FusedOpKind::Custom => "custom",
+        }
+    }
+
+    /// The Graphviz shape this class renders with: storage as a
+    /// cylinder, routing as a diamond, synchronization as an octagon,
+    /// testbench endpoints as ellipses and everything else as a box.
+    pub fn dot_shape(self) -> &'static str {
+        match self {
+            FusedOpKind::Source | FusedOpKind::Sink => "ellipse",
+            FusedOpKind::Eb
+            | FusedOpKind::MebFull
+            | FusedOpKind::MebReduced
+            | FusedOpKind::MebFifo => "cylinder",
+            FusedOpKind::Fork | FusedOpKind::Join | FusedOpKind::Branch | FusedOpKind::Merge => {
+                "diamond"
+            }
+            FusedOpKind::Barrier => "octagon",
+            FusedOpKind::VarLatency | FusedOpKind::Transform | FusedOpKind::Custom => "box",
         }
     }
 }
@@ -364,20 +383,12 @@ pub trait Component<T: Token>: Send {
         NextEvent::EveryCycle
     }
 
-    /// Structural class for netlist extraction and DOT rendering (see
-    /// [`NetlistNodeKind`](crate::netlist::NetlistNodeKind)). The default
-    /// is the unclassified box shape; primitives override this so an
-    /// extracted graph draws buffers as cylinders, routing as diamonds,
-    /// barriers as octagons and endpoints as ellipses.
-    fn netlist_kind(&self) -> crate::netlist::NetlistNodeKind {
-        crate::netlist::NetlistNodeKind::default()
-    }
-
     /// Op class under which the settle loop tallies this component's
-    /// evaluations ([`KernelStats::fused_op_evals`](crate::KernelStats)).
-    /// Read once at [`build`](crate::CircuitBuilder::build); the shipped
-    /// primitives override it, everything else counts as
-    /// [`FusedOpKind::Custom`].
+    /// evaluations ([`KernelStats::fused_op_evals`](crate::KernelStats)),
+    /// and which picks its shape in an extracted netlist
+    /// ([`FusedOpKind::dot_shape`]). Read once at
+    /// [`build`](crate::CircuitBuilder::build); the shipped primitives
+    /// override it, everything else counts as [`FusedOpKind::Custom`].
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Custom
     }

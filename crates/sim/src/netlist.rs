@@ -2,53 +2,13 @@
 //!
 //! A built [`Circuit`] knows every channel's driver and reader; this
 //! module turns that into an inspectable graph — render it with
-//! `dot -Tsvg` to *see* the elaborated elastic circuit, or use the degree
-//! statistics in tests and reports.
+//! `dot -Tsvg` to *see* the elaborated elastic circuit.
 
 use std::fmt::Write as _;
 
 use crate::circuit::Circuit;
+use crate::component::FusedOpKind;
 use crate::token::Token;
-
-/// Coarse structural class of a netlist node, used to pick a Graphviz
-/// shape: storage draws as a cylinder, routing as a diamond,
-/// synchronization as an octagon, testbench endpoints as ellipses and
-/// everything else as a box.
-///
-/// Components report their class through
-/// [`Component::netlist_kind`](crate::Component::netlist_kind); graphs
-/// extracted from an IR (`elastic-synth`) carry the same classification
-/// so both render identically.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum NetlistNodeKind {
-    /// Token entry/exit (sources and sinks).
-    Endpoint,
-    /// Elastic storage (EBs and MEBs) — a legal cut point for feedback
-    /// loops.
-    Buffer,
-    /// Token routing (fork, join, branch, merge).
-    Route,
-    /// Thread synchronization (barrier).
-    Sync,
-    /// Functional/latency unit (transform, variable-latency server).
-    Unit,
-    /// Unclassified component.
-    #[default]
-    Other,
-}
-
-impl NetlistNodeKind {
-    /// The Graphviz shape this class renders with.
-    pub fn dot_shape(self) -> &'static str {
-        match self {
-            NetlistNodeKind::Endpoint => "ellipse",
-            NetlistNodeKind::Buffer => "cylinder",
-            NetlistNodeKind::Route => "diamond",
-            NetlistNodeKind::Sync => "octagon",
-            NetlistNodeKind::Unit | NetlistNodeKind::Other => "box",
-        }
-    }
-}
 
 /// One channel edge of the netlist.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -68,9 +28,9 @@ pub struct NetlistEdge {
 pub struct NetlistGraph {
     /// Component instance names, in evaluation order.
     pub components: Vec<String>,
-    /// Structural class of each component (same order as
+    /// Op class of each component (same order as
     /// [`components`](NetlistGraph::components)).
-    pub kinds: Vec<NetlistNodeKind>,
+    pub kinds: Vec<FusedOpKind>,
     /// Channel edges.
     pub edges: Vec<NetlistEdge>,
 }
@@ -84,53 +44,6 @@ impl NetlistGraph {
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Out-degree (channels driven) of component `i`.
-    pub fn fan_out(&self, i: usize) -> usize {
-        self.edges.iter().filter(|e| e.from == i).count()
-    }
-
-    /// In-degree (channels read) of component `i`.
-    pub fn fan_in(&self, i: usize) -> usize {
-        self.edges.iter().filter(|e| e.to == i).count()
-    }
-
-    /// Components with no inputs (sources) and no outputs (sinks).
-    pub fn endpoints(&self) -> (Vec<usize>, Vec<usize>) {
-        let sources = (0..self.components.len())
-            .filter(|&i| self.fan_in(i) == 0)
-            .collect();
-        let sinks = (0..self.components.len())
-            .filter(|&i| self.fan_out(i) == 0)
-            .collect();
-        (sources, sinks)
-    }
-
-    /// The components woken when component `i`'s signals change — the
-    /// readers of its output channels (reached by `valid`/`data` changes)
-    /// plus the drivers of its input channels (reached by `ready`
-    /// changes), sorted and deduplicated, excluding `i` itself. This is
-    /// the static neighbourhood the event-driven kernel's dirty set walks
-    /// (see `docs/kernel.md`).
-    pub fn wake_set(&self, i: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .edges
-            .iter()
-            .filter_map(|e| {
-                if e.from == i {
-                    Some(e.to)
-                } else if e.to == i {
-                    Some(e.from)
-                } else {
-                    None
-                }
-            })
-            .filter(|&j| j != i)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Whether the graph contains a directed cycle (a feedback loop
@@ -180,7 +93,7 @@ impl NetlistGraph {
 
     /// Renders the graph in Graphviz DOT syntax. Multithreaded channels
     /// are labelled with their thread count; node shapes follow
-    /// [`NetlistNodeKind::dot_shape`] (buffers as cylinders, routing as
+    /// [`FusedOpKind::dot_shape`] (buffers as cylinders, routing as
     /// diamonds, barriers as octagons, endpoints as ellipses).
     pub fn to_dot(&self) -> String {
         self.to_dot_styled(&[])
@@ -197,7 +110,7 @@ impl NetlistGraph {
             "digraph elastic {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n",
         );
         for (i, name) in self.components.iter().enumerate() {
-            let kind = self.kinds.get(i).copied().unwrap_or_default();
+            let kind = self.kinds.get(i).copied().unwrap_or(FusedOpKind::Custom);
             let shape = kind.dot_shape();
             let mut attrs = format!("label=\"{}\"", name.replace('"', "'"));
             if shape != "box" {
@@ -255,7 +168,7 @@ impl<T: Token> Circuit<T> {
     /// Extracts the structural netlist of this circuit.
     pub fn netlist(&self) -> NetlistGraph {
         let components = self.component_names();
-        let kinds = self.component_kinds();
+        let kinds = self.op_kinds.clone();
         let edges = self
             .channel_ids()
             .into_iter()
@@ -303,23 +216,11 @@ mod tests {
         // form one SCC (src's damped ready→valid closes their loop) and
         // keep their relative insertion order at the next level.
         assert_eq!(g.components, vec!["snk", "src", "double"]);
-        assert_eq!(g.fan_out(1), 1, "src drives one channel");
-        assert_eq!(g.fan_in(0), 1, "snk reads one channel");
-        let (sources, sinks) = g.endpoints();
-        assert_eq!(sources, vec![1]);
-        assert_eq!(sinks, vec![0]);
+        // `a`: src → double, `c`: double → snk. src drives one channel and
+        // reads none; snk reads one and drives none.
+        let ends: Vec<(usize, usize)> = g.edges.iter().map(|e| (e.from, e.to)).collect();
+        assert_eq!(ends, vec![(1, 2), (2, 0)]);
         assert!(!g.has_cycle());
-    }
-
-    #[test]
-    fn wake_set_is_the_channel_neighbourhood() {
-        let g = pipeline().netlist();
-        // Indices follow rank order: 0 = snk, 1 = src, 2 = double. src's
-        // only neighbour is the transform (reader of `a`); the transform
-        // is woken by both endpoints.
-        assert_eq!(g.wake_set(1), vec![2]);
-        assert_eq!(g.wake_set(2), vec![0, 1]);
-        assert_eq!(g.wake_set(0), vec![2]);
     }
 
     #[test]
@@ -354,9 +255,9 @@ mod tests {
         assert_eq!(
             g.kinds,
             vec![
-                NetlistNodeKind::Endpoint,
-                NetlistNodeKind::Endpoint,
-                NetlistNodeKind::Unit
+                FusedOpKind::Sink,
+                FusedOpKind::Source,
+                FusedOpKind::Transform
             ]
         );
     }
@@ -366,7 +267,7 @@ mod tests {
         // Manually constructed graph with a loop.
         let g = NetlistGraph {
             components: vec!["a".into(), "b".into(), "c".into()],
-            kinds: vec![NetlistNodeKind::Other; 3],
+            kinds: vec![FusedOpKind::Custom; 3],
             edges: vec![
                 NetlistEdge {
                     channel: "x".into(),

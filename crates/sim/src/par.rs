@@ -314,12 +314,8 @@ pub struct SweepReport<R> {
     pub wall: Duration,
     /// Kernel counters merged over all successful jobs.
     pub kernel: KernelStats,
-    /// Jobs answered from a [`SweepService`](crate::SweepService)
+    /// Keyed jobs answered from a [`SweepService`](crate::SweepService)
     /// campaign cache (always 0 for the plain [`run_sweep_on`] path).
-    pub memoized_jobs: usize,
-    /// Keyed jobs whose result was found in the campaign cache (equals
-    /// `memoized_jobs`; kept as an explicit counter so the hit/miss
-    /// arithmetic reads off the report directly).
     pub cache_hits: u64,
     /// Keyed jobs whose key was *not* in the campaign cache and had to
     /// execute. Untagged jobs count as neither hit nor miss.
@@ -571,7 +567,6 @@ pub fn run_sweep_on<R: Send>(jobs: Vec<SimJob<R>>, workers: usize) -> SweepRepor
         workers_used,
         wall: start.elapsed(),
         kernel,
-        memoized_jobs: 0,
         cache_hits: 0,
         cache_misses: 0,
         cache_evictions: 0,

@@ -6,7 +6,6 @@ use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
 use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports};
 use crate::mask::ThreadMask;
-use crate::netlist::NetlistNodeKind;
 use crate::token::Token;
 
 /// Deterministic 64-bit mix (splitmix64 finalizer). Used to derive
@@ -235,10 +234,6 @@ impl<T: Token> Source<T> {
 }
 
 impl<T: Token> Component<T> for Source<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Endpoint
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Source
     }
@@ -450,10 +445,6 @@ impl<T: Token> Sink<T> {
 }
 
 impl<T: Token> Component<T> for Sink<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Endpoint
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Sink
     }

@@ -114,33 +114,6 @@ impl ChannelStats {
     fn bucket(len: u64) -> usize {
         (len as usize).min(OCCUPANCY_BUCKETS) - 1
     }
-
-    /// Mean backlog depth over the channel's stalled cycles (0.0 when the
-    /// channel never stalled): the expected streak position of a stalled
-    /// cycle, weighting each histogram bucket by its depth.
-    pub fn mean_backlog(&self) -> f64 {
-        let total: u64 = self.occupancy_hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .occupancy_hist
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| (k as u64 + 1) * n)
-            .sum();
-        weighted as f64 / total as f64
-    }
-
-    /// Deepest backlog ever observed, in buckets: `0` when the channel
-    /// never stalled, otherwise the 1-based index of the highest
-    /// non-empty histogram bucket (capped at [`OCCUPANCY_BUCKETS`]).
-    pub fn peak_backlog(&self) -> usize {
-        self.occupancy_hist
-            .iter()
-            .rposition(|&n| n > 0)
-            .map_or(0, |k| k + 1)
-    }
 }
 
 /// Counters for the evaluation kernel itself: how much combinational
@@ -156,9 +129,6 @@ pub struct KernelStats {
     /// Evaluations avoided relative to an exhaustive kernel performing
     /// the same number of rounds (`rounds × components − evals`).
     pub components_skipped: u64,
-    /// Cycles whose settle phase converged after the single full sweep,
-    /// going straight to the clock edge.
-    pub single_sweep_cycles: u64,
     /// Cycles skipped wholesale by the quiescence fast-path (no token
     /// anywhere; the clock jumped to the next scheduled event).
     pub quiesced_cycles: u64,
@@ -168,10 +138,6 @@ pub struct KernelStats {
     /// number of components sharing one dependency level (1 for a pure
     /// chain; merged across jobs by `max`).
     pub rank_width: u64,
-    /// Histogram of settle rounds per stepped cycle: bucket `i` counts
-    /// cycles that settled in `i + 1` rounds; the last bucket collects
-    /// everything at `8` rounds or more.
-    pub settle_round_hist: [u64; 8],
     /// Evaluations per op class ([`Component::op_kind`]), indexed by
     /// [`FusedOpKind::ALL`](crate::FusedOpKind::ALL) order. Sums to
     /// [`component_evals`](Self::component_evals).
@@ -216,19 +182,11 @@ impl KernelStats {
         self.component_evals += other.component_evals;
         self.settle_rounds += other.settle_rounds;
         self.components_skipped += other.components_skipped;
-        self.single_sweep_cycles += other.single_sweep_cycles;
         self.quiesced_cycles += other.quiesced_cycles;
         self.stepped_cycles += other.stepped_cycles;
         // Rank width is a property of each circuit, not a tally: the
         // aggregate reports the widest schedule seen across the jobs.
         self.rank_width = self.rank_width.max(other.rank_width);
-        for (h, o) in self
-            .settle_round_hist
-            .iter_mut()
-            .zip(other.settle_round_hist)
-        {
-            *h += o;
-        }
         for (h, o) in self.fused_op_evals.iter_mut().zip(other.fused_op_evals) {
             *h += o;
         }
@@ -375,16 +333,6 @@ impl Stats {
         self.channels[ch.index()].stall_cycles[thread]
     }
 
-    /// Fraction of cycles in which `thread` was stalled on `ch` — the
-    /// per-thread backpressure figure of the paper's Sec. III-A analysis.
-    pub fn thread_stall_rate(&self, ch: ChannelId, thread: usize) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.stall_cycles(ch, thread) as f64 / self.cycles as f64
-        }
-    }
-
     /// Iterates over all channel counters in channel-id order.
     pub fn iter(&self) -> impl Iterator<Item = &ChannelStats> {
         self.channels.iter()
@@ -452,8 +400,9 @@ pub struct ChannelFeedback {
 }
 
 impl ChannelFeedback {
-    /// Mean backlog depth over stalled cycles (see
-    /// [`ChannelStats::mean_backlog`]).
+    /// Mean backlog depth over the channel's stalled cycles (0.0 when the
+    /// channel never stalled): the expected streak position of a stalled
+    /// cycle, weighting each histogram bucket by its depth.
     pub fn mean_backlog(&self) -> f64 {
         let total: u64 = self.occupancy_hist.iter().sum();
         if total == 0 {
@@ -466,15 +415,6 @@ impl ChannelFeedback {
             .map(|(k, &n)| (k as u64 + 1) * n)
             .sum();
         weighted as f64 / total as f64
-    }
-
-    /// Deepest backlog observed, in buckets (see
-    /// [`ChannelStats::peak_backlog`]).
-    pub fn peak_backlog(&self) -> usize {
-        self.occupancy_hist
-            .iter()
-            .rposition(|&n| n > 0)
-            .map_or(0, |k| k + 1)
     }
 }
 
@@ -550,14 +490,13 @@ mod tests {
     fn occupancy_histogram_banks_streak_depths() {
         let mut s = stats();
         let ch = s.channel_mut(ChannelId(0));
-        // A 3-cycle backpressure streak visits depths 1, 2, 3…
+        // A 3-cycle backpressure streak visits depths 1, 2, 3 and no
+        // deeper…
         for cycle in 0..3 {
             ch.record_stall_occupancy(cycle);
         }
         assert_eq!(&ch.occupancy_hist[..3], &[1, 1, 1]);
-        assert_eq!(ch.peak_backlog(), 3);
-        // (1 + 2 + 3) / 3
-        assert!((ch.mean_backlog() - 2.0).abs() < 1e-12);
+        assert!(ch.occupancy_hist[3..].iter().all(|&n| n == 0));
         // …a transfer/idle cycle (3) ends it, and the next streak
         // restarts at 1.
         ch.record_stall_occupancy(4);
@@ -573,7 +512,6 @@ mod tests {
             ch.record_stall_occupancy(cycle);
         }
         assert_eq!(ch.occupancy_hist[OCCUPANCY_BUCKETS - 1], 1);
-        assert_eq!(ch.peak_backlog(), OCCUPANCY_BUCKETS);
     }
 
     #[test]
@@ -600,11 +538,10 @@ mod tests {
         assert!((fa.stall_rate - 0.2).abs() < 1e-12);
         assert_eq!(fa.occupancy_hist[0], 1);
         assert_eq!(fa.occupancy_hist[1], 1);
+        // (1 + 2) / 2
         assert!((fa.mean_backlog() - 1.5).abs() < 1e-12);
-        assert_eq!(fa.peak_backlog(), 2);
         let fb = profile.channel("b").expect("channel b");
         assert_eq!(fb.mean_backlog(), 0.0);
-        assert_eq!(fb.peak_backlog(), 0);
         assert!(profile.channel("nope").is_none());
     }
 
@@ -621,8 +558,6 @@ mod tests {
         assert_eq!(s.stall_cycles(ChannelId(0), 0), 4);
         assert_eq!(s.stall_cycles(ChannelId(0), 1), 1);
         assert_eq!(s.channel(ChannelId(0)).total_stall_cycles(), 5);
-        assert_eq!(s.thread_stall_rate(ChannelId(0), 0), 0.4);
-        assert_eq!(s.thread_stall_rate(ChannelId(0), 1), 0.1);
         assert_eq!(s.stall_rate(ChannelId(0)), 0.5);
     }
 
@@ -637,11 +572,9 @@ mod tests {
             component_evals: 10,
             settle_rounds: 4,
             components_skipped: 6,
-            single_sweep_cycles: 2,
             quiesced_cycles: 1,
             stepped_cycles: 3,
             rank_width: 2,
-            settle_round_hist: [2, 1, 0, 0, 0, 0, 0, 0],
             fused_op_evals: fused_a,
             settle_nanos: 40,
         };
@@ -649,11 +582,9 @@ mod tests {
             component_evals: 5,
             settle_rounds: 2,
             components_skipped: 3,
-            single_sweep_cycles: 1,
             quiesced_cycles: 9,
             stepped_cycles: 2,
             rank_width: 5,
-            settle_round_hist: [1, 0, 1, 0, 0, 0, 0, 0],
             fused_op_evals: fused_b,
             settle_nanos: 2,
         };
@@ -661,12 +592,10 @@ mod tests {
         assert_eq!(a.component_evals, 15);
         assert_eq!(a.settle_rounds, 6);
         assert_eq!(a.components_skipped, 9);
-        assert_eq!(a.single_sweep_cycles, 3);
         assert_eq!(a.quiesced_cycles, 10);
         assert_eq!(a.stepped_cycles, 5);
         assert_eq!(a.settle_nanos, 42);
-        // Histogram buckets add; rank width takes the max, not the sum.
-        assert_eq!(a.settle_round_hist, [3, 1, 1, 0, 0, 0, 0, 0]);
+        // Rank width takes the max, not the sum.
         assert_eq!(a.rank_width, 5);
         // Per-op counters add elementwise.
         assert_eq!(a.fused_op_evals[0], 4);

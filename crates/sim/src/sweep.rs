@@ -185,7 +185,7 @@ impl<R: Clone + Send> SweepService<R> {
         let start = Instant::now();
         let mut slots: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
         let mut misses: Vec<(usize, SimJob<R>)> = Vec::new();
-        let mut memoized_jobs = 0usize;
+        let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
         let mut cache_evictions = 0u64;
 
@@ -204,7 +204,7 @@ impl<R: Clone + Send> SweepService<R> {
                             wall: Duration::ZERO,
                             memoized: true,
                         };
-                        memoized_jobs += 1;
+                        cache_hits += 1;
                         on_report(&report);
                         slots[index] = Some(report);
                     }
@@ -246,8 +246,7 @@ impl<R: Clone + Send> SweepService<R> {
             workers_used,
             wall: start.elapsed(),
             kernel,
-            memoized_jobs,
-            cache_hits: memoized_jobs as u64,
+            cache_hits,
             cache_misses,
             cache_evictions,
         }
@@ -286,12 +285,12 @@ mod tests {
     fn second_submission_is_fully_memoized() {
         let service = SweepService::new(2);
         let first = service.run((0..8).map(keyed_job).collect());
-        assert_eq!(first.memoized_jobs, 0);
+        assert_eq!(first.cache_hits, 0);
         assert_eq!(first.ok_count(), 8);
         assert_eq!(service.cached_results(), 8);
 
         let second = service.run((0..8).map(keyed_job).collect());
-        assert_eq!(second.memoized_jobs, 8);
+        assert_eq!(second.cache_hits, 8);
         assert!(second.jobs.iter().all(|j| j.memoized));
         assert!(second.jobs.iter().all(|j| j.wall == Duration::ZERO));
         let a: Vec<_> = first.values().collect();
@@ -307,7 +306,7 @@ mod tests {
         let service = SweepService::new(2);
         service.run((0..4).map(keyed_job).collect());
         let report = service.run((0..6).map(keyed_job).collect());
-        assert_eq!(report.memoized_jobs, 4);
+        assert_eq!(report.cache_hits, 4);
         assert_eq!(report.ok_count(), 6);
         for j in &report.jobs {
             assert_eq!(j.memoized, j.index < 4, "job {} memoization", j.index);
@@ -331,10 +330,10 @@ mod tests {
             ]
         };
         let first = service.run(jobs());
-        assert_eq!(first.memoized_jobs, 0);
+        assert_eq!(first.cache_hits, 0);
         assert_eq!(service.cached_results(), 0);
         let second = service.run(jobs());
-        assert_eq!(second.memoized_jobs, 0, "nothing eligible was cached");
+        assert_eq!(second.cache_hits, 0, "nothing eligible was cached");
     }
 
     #[test]
@@ -345,7 +344,7 @@ mod tests {
         let report = service.run_streaming((0..4).map(keyed_job).collect(), |j| {
             order.push((j.index, j.memoized));
         });
-        assert_eq!(report.memoized_jobs, 2);
+        assert_eq!(report.cache_hits, 2);
         assert_eq!(order.len(), 4);
         assert_eq!(&order[..2], &[(0, true), (1, true)]);
         assert!(order[2..].iter().all(|&(i, m)| i >= 2 && !m));
@@ -377,7 +376,6 @@ mod tests {
         let second = service.run((0..TOTAL).map(tiny_job).collect());
         assert!(second.cache_hits as usize <= CAP);
         assert_eq!(second.cache_hits + second.cache_misses, TOTAL);
-        assert!(second.memoized_jobs <= CAP);
         assert_eq!(service.cached_results(), CAP);
     }
 

@@ -50,26 +50,15 @@ pub struct CycleTrace {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct TraceRecorder {
     records: Vec<CycleTrace>,
-    limit: Option<usize>,
     /// Component names in evaluation order — the table that resolves the
     /// index-keyed [`CycleTrace::slots`] entries at render time.
     names: Vec<String>,
 }
 
 impl TraceRecorder {
-    /// A recorder without a record limit.
+    /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A recorder that keeps only the first `limit` cycles (older runs of
-    /// millions of cycles would otherwise exhaust memory).
-    pub fn with_limit(limit: usize) -> Self {
-        Self {
-            records: Vec::new(),
-            limit: Some(limit),
-            names: Vec::new(),
-        }
     }
 
     /// Installs the component-name table (evaluation order). Set once by
@@ -84,9 +73,7 @@ impl TraceRecorder {
     }
 
     pub(crate) fn push(&mut self, record: CycleTrace) {
-        if self.limit.is_none_or(|l| self.records.len() < l) {
-            self.records.push(record);
-        }
+        self.records.push(record);
     }
 
     /// All recorded cycles, oldest first.
@@ -374,15 +361,6 @@ mod tests {
         rec.push(record(2, Some("A1"), true));
         let t = rec.transfers_on(ChannelId(0));
         assert_eq!(t, vec![(0, 0, "A0".into()), (2, 0, "A1".into())]);
-    }
-
-    #[test]
-    fn limit_caps_recording() {
-        let mut rec = TraceRecorder::with_limit(2);
-        for c in 0..5 {
-            rec.push(record(c, None, false));
-        }
-        assert_eq!(rec.records().len(), 2);
     }
 
     #[test]

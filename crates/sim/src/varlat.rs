@@ -17,7 +17,6 @@ use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
 use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView};
 use crate::mask::ThreadMask;
-use crate::netlist::NetlistNodeKind;
 use crate::token::Token;
 
 /// Per-token latency function (see [`LatencyModel::PerToken`]).
@@ -325,10 +324,6 @@ impl<T: Token> VarLatency<T> {
 }
 
 impl<T: Token> Component<T> for VarLatency<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Unit
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::VarLatency
     }
@@ -504,10 +499,6 @@ impl<T: Token> Transform<T> {
 }
 
 impl<T: Token> Component<T> for Transform<T> {
-    fn netlist_kind(&self) -> NetlistNodeKind {
-        NetlistNodeKind::Unit
-    }
-
     fn op_kind(&self) -> FusedOpKind {
         FusedOpKind::Transform
     }

@@ -32,8 +32,8 @@ use elastic_core::{
     ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, ForkMode, Join, MebKind, Merge,
 };
 use elastic_sim::{
-    BuildError, ChannelId, Circuit, CircuitBuilder, Component, Fnv1a, LatencyModel, NetlistEdge,
-    NetlistGraph, NetlistNodeKind, ProtocolError, ReadyPolicy, Sink, Source, Token, Transform,
+    BuildError, ChannelId, Circuit, CircuitBuilder, Component, Fnv1a, FusedOpKind, LatencyModel,
+    NetlistEdge, NetlistGraph, ProtocolError, ReadyPolicy, Sink, Source, Token, Transform,
     VarLatency,
 };
 
@@ -238,17 +238,25 @@ impl IrNodeTag {
         )
     }
 
-    /// The structural class this node renders as in DOT.
-    pub fn netlist_kind(self) -> NetlistNodeKind {
+    /// The op class of the component this node elaborates to
+    /// ([`Component::op_kind`]), which is also the class it renders as
+    /// in DOT.
+    pub fn op_kind(self) -> FusedOpKind {
         match self {
-            IrNodeTag::Source | IrNodeTag::Sink => NetlistNodeKind::Endpoint,
-            IrNodeTag::Eb | IrNodeTag::Meb(_) => NetlistNodeKind::Buffer,
-            IrNodeTag::Fork | IrNodeTag::Join | IrNodeTag::Branch | IrNodeTag::Merge => {
-                NetlistNodeKind::Route
-            }
-            IrNodeTag::Barrier => NetlistNodeKind::Sync,
-            IrNodeTag::VarLatency | IrNodeTag::Transform => NetlistNodeKind::Unit,
-            IrNodeTag::Custom { .. } => NetlistNodeKind::Other,
+            IrNodeTag::Source => FusedOpKind::Source,
+            IrNodeTag::Sink => FusedOpKind::Sink,
+            IrNodeTag::Eb => FusedOpKind::Eb,
+            IrNodeTag::Meb(MebKind::Full) => FusedOpKind::MebFull,
+            IrNodeTag::Meb(MebKind::Reduced) => FusedOpKind::MebReduced,
+            IrNodeTag::Meb(MebKind::Fifo { .. }) => FusedOpKind::MebFifo,
+            IrNodeTag::Fork => FusedOpKind::Fork,
+            IrNodeTag::Join => FusedOpKind::Join,
+            IrNodeTag::Branch => FusedOpKind::Branch,
+            IrNodeTag::Merge => FusedOpKind::Merge,
+            IrNodeTag::Barrier => FusedOpKind::Barrier,
+            IrNodeTag::VarLatency => FusedOpKind::VarLatency,
+            IrNodeTag::Transform => FusedOpKind::Transform,
+            IrNodeTag::Custom { .. } => FusedOpKind::Custom,
         }
     }
 }
@@ -784,7 +792,7 @@ impl<T: Token> ElasticIr<T> {
             }
         }
         let components = self.nodes.iter().map(|n| n.name.clone()).collect();
-        let kinds = self.nodes.iter().map(|n| n.tag().netlist_kind()).collect();
+        let kinds = self.nodes.iter().map(|n| n.tag().op_kind()).collect();
         let edges = self
             .channels
             .iter()
@@ -1298,9 +1306,9 @@ mod tests {
         assert_eq!(
             pre.kinds,
             vec![
-                NetlistNodeKind::Endpoint,
-                NetlistNodeKind::Buffer,
-                NetlistNodeKind::Endpoint
+                FusedOpKind::Source,
+                FusedOpKind::MebReduced,
+                FusedOpKind::Sink
             ]
         );
         assert_eq!(pre.channel_count(), 2);

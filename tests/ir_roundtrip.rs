@@ -7,6 +7,8 @@
 //! construction, preserved here verbatim. Both are driven with identical
 //! stimuli under the exhaustive settle oracle and must produce identical
 //! capture digests — every `(cycle, token)` pair, in order, per thread.
+//! The same designs' IR node classes must also match the op classes of
+//! the components they elaborate to.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,10 +18,10 @@ use mt_elastic::md5::algo::{apply_steps, pad_blocks, MD5_IV};
 use mt_elastic::md5::{Md5Circuit, Md5Token};
 use mt_elastic::proc::{assemble, programs, Cpu, CpuConfig, RegUnit, NUM_REGS};
 use mt_elastic::sim::{
-    Circuit, CircuitBuilder, EvalMode, LatencyModel, ReadyPolicy, Sink, Source, Transform,
-    VarLatency,
+    Circuit, CircuitBuilder, EvalMode, FusedOpKind, LatencyModel, NetlistGraph, ReadyPolicy, Sink,
+    Source, Token, Transform, VarLatency,
 };
-use mt_elastic::synth::{DataflowBuilder, OpLatency};
+use mt_elastic::synth::{DataflowBuilder, ElasticIr, MebSubstitution, OpLatency, Pass};
 
 /// Debug-formatted capture digest of a sink: every `(cycle, token)` pair
 /// for every thread, in arrival order.
@@ -469,4 +471,37 @@ fn processor_ir_path_matches_direct_path() {
         }
     }
     assert!(executed_anything, "sanity: the program actually ran");
+}
+
+// ---------------------------------------------------------------------
+// Node classes: IR tags vs the elaborated components' `op_kind`s
+// ---------------------------------------------------------------------
+
+/// The `(name, class)` pairs of a netlist, sorted by name: the circuit
+/// lists its components in rank order, the IR in insertion order.
+fn node_classes(g: &NetlistGraph) -> Vec<(String, FusedOpKind)> {
+    let mut pairs: Vec<_> = g.components.iter().cloned().zip(g.kinds.clone()).collect();
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs
+}
+
+fn assert_classes_agree<T: Token>(design: &str, ir: ElasticIr<T>) {
+    let declared = node_classes(&ir.to_netlist());
+    let built = node_classes(&ir.elaborate().expect("design elaborates").circuit.netlist());
+    assert_eq!(declared, built, "{design}: IR and circuit classes differ");
+}
+
+#[test]
+fn ir_and_circuit_agree_on_every_node_class() {
+    assert_classes_agree("gcd", elastic_bench::gcd_ir(2));
+    for stages in [1, 4] {
+        for kind in [MebKind::Full, MebKind::Reduced, MebKind::Fifo { depth: 2 }] {
+            let mut ir = Md5Circuit::ir(4, 4, stages).ir;
+            MebSubstitution::all(kind)
+                .run(&mut ir)
+                .expect("substitution applies");
+            assert_classes_agree(&format!("md5, {stages} stages, {kind} MEBs"), ir);
+        }
+    }
+    assert_classes_agree("processor", Cpu::cost_ir(2).ir);
 }

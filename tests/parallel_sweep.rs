@@ -356,14 +356,14 @@ fn sweep_service_memoizes_repeat_campaigns() {
     };
     let service = SweepService::new(2);
     let first = service.run(keyed());
-    assert_eq!(first.memoized_jobs, 0, "cold cache must not memoize");
+    assert_eq!(first.cache_hits, 0, "cold cache must not memoize");
     assert_eq!(first.ok_count(), 8);
 
     let second = service.run(keyed());
     assert!(
-        second.memoized_jobs * 10 >= second.jobs.len() * 9,
+        second.cache_hits * 10 >= second.jobs.len() as u64 * 9,
         "second identical campaign memoized only {}/{} jobs",
-        second.memoized_jobs,
+        second.cache_hits,
         second.jobs.len()
     );
     assert_eq!(rendered(&second), rendered(&first));
