@@ -239,7 +239,6 @@ impl<T: Token> Component<T> for FifoMeb<T> {
         self.select.reset();
         self.has.clear();
         self.full.clear();
-        self.cache.invalidate();
         true
     }
 

@@ -380,7 +380,6 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         self.arbiter.reset();
         self.select.reset();
         self.has.clear();
-        self.cache.invalidate();
         true
     }
 

@@ -48,7 +48,6 @@ pub fn select_output_thread<T: Token>(
     has_data: &ThreadMask,
     ready_requests: &ThreadMask,
     stall_start: usize,
-    fresh: bool,
 ) -> Option<usize> {
     let threads = has_data.threads();
     debug_assert_eq!(threads, ctx.threads(out));
@@ -58,22 +57,22 @@ pub fn select_output_thread<T: Token>(
         let pick = arbiter
             .choose(ready_requests)
             .expect("non-empty request set");
-        // Anti-swap guard — settle-phase damping only (`fresh == false`),
-        // and only on feedback channels: when this module is already
-        // offering a thread that still has data but is not ready, it may
-        // abandon that offer for a ready thread only in the direction of
-        // the global rotating priority. Two modules feeding an M-Join
-        // otherwise chase each other's offers forever (each one's
-        // downstream ready(i) is the other's valid(i)); the shared
-        // priority makes exactly one of them yield, so the pairing
+        // Anti-swap guard — settle-phase damping only (not on the step's
+        // first evaluation), and only on feedback channels: when this
+        // module is already offering a thread that still has data but is
+        // not ready, it may abandon that offer for a ready thread only in
+        // the direction of the global rotating priority. Two modules
+        // feeding an M-Join otherwise chase each other's offers forever
+        // (each one's downstream ready(i) is the other's valid(i)); the
+        // shared priority makes exactly one of them yield, so the pairing
         // converges within a bounded number of switches. On the first
-        // evaluation of a cycle the decision is fresh — the previous
-        // cycle's (possibly stalled) offer holds no claim. Off feedback
-        // cycles the rank schedule evaluates the consumer first, so the
-        // first evaluation already sees final ready bits and the pure
-        // ready-first pick is kept: selection stays a function of the
-        // inputs alone, independent of evaluation order.
-        if !fresh && ctx.in_feedback(out) {
+        // evaluation of a step (`EvalCtx::first_eval`) the decision is
+        // fresh — the previous cycle's (possibly stalled) offer holds no
+        // claim. Off feedback cycles the rank schedule evaluates the
+        // consumer first, so the first evaluation already sees final ready
+        // bits and the pure ready-first pick is kept: selection stays a
+        // function of the inputs alone, independent of evaluation order.
+        if !ctx.first_eval() && ctx.in_feedback(out) {
             let current = ctx.valid_mask(out).first_one();
             if let Some(c) = current {
                 if has_data.get(c) && !ctx.ready(out, c) {
@@ -99,9 +98,7 @@ pub fn select_output_thread<T: Token>(
 }
 
 /// Stateful wrapper around [`select_output_thread`] /
-/// [`advance_stall_pointer`]: tracks the stalled-offer rotation pointer
-/// and whether the current evaluation is the first of its cycle (the
-/// settle loop calls `eval` several times per cycle).
+/// [`advance_stall_pointer`]: tracks the stalled-offer rotation pointer.
 ///
 /// Embed one per driven multithreaded output channel; call
 /// [`select`](SelectState::select) from `eval` and
@@ -109,7 +106,6 @@ pub fn select_output_thread<T: Token>(
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SelectState {
     stall: usize,
-    last_cycle: Option<u64>,
     /// Scratch for `has_data ∩ ready`, sized lazily on first use and
     /// reused every evaluation thereafter (zero steady-state allocation).
     requests: ThreadMask,
@@ -129,22 +125,12 @@ impl SelectState {
         arbiter: &dyn Arbiter,
         has_data: &ThreadMask,
     ) -> Option<usize> {
-        let fresh = self.last_cycle != Some(ctx.cycle());
-        self.last_cycle = Some(ctx.cycle());
         if self.requests.threads() != has_data.threads() {
             self.requests = ThreadMask::new(has_data.threads());
         }
         self.requests.copy_from(has_data);
         self.requests.and_with(ctx.ready_mask(out));
-        select_output_thread(
-            ctx,
-            out,
-            arbiter,
-            has_data,
-            &self.requests,
-            self.stall,
-            fresh,
-        )
+        select_output_thread(ctx, out, arbiter, has_data, &self.requests, self.stall)
     }
 
     /// [`select`](SelectState::select) for an arbiter whose
@@ -198,43 +184,38 @@ impl SelectState {
     }
 
     /// Rewinds to the freshly constructed state (stall pointer at thread
-    /// 0, no cycle seen). The scratch request mask is kept — it is sized
-    /// storage, not state.
+    /// 0). The scratch request mask is kept — it is sized storage, not
+    /// state.
     pub fn reset(&mut self) {
         self.stall = 0;
-        self.last_cycle = None;
     }
 }
 
 /// The once-per-cycle half of a buffer's word-level `eval`: the upstream
 /// `ready` word and the arbiter's rotation hint, for a buffer where both
 /// depend only on registered state, which changes only at the clock edge.
-/// The first evaluation of a cycle builds them and commits the word; every
-/// settle re-evaluation of that cycle reuses them.
+/// The step's first evaluation ([`EvalCtx::first_eval`]) builds them and
+/// commits the word; every settle re-evaluation of that step reuses them.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ReadyCache {
     /// The upstream ready word last committed.
     ready: ThreadMask,
     /// [`Arbiter::rotation_hint`] as of the current cycle.
     hint: Option<usize>,
-    /// `cycle + 1` when `ready` and `hint` were built this cycle, 0 =
-    /// invalid.
-    stamp: u64,
 }
 
 impl ReadyCache {
-    /// An invalid cache for a `threads`-wide input.
+    /// A cache for a `threads`-wide input.
     pub fn new(threads: usize) -> Self {
         Self {
             ready: ThreadMask::new(threads),
             hint: None,
-            stamp: 0,
         }
     }
 
-    /// On the first call of a cycle: rebuilds the ready word with `build`,
-    /// caches `arbiter`'s rotation hint and commits the word to
-    /// `ready(inp)`. Later calls in the same cycle do nothing: the buffer
+    /// On the step's first evaluation: rebuilds the ready word with
+    /// `build`, caches `arbiter`'s rotation hint and commits the word to
+    /// `ready(inp)`. Later calls in the same step do nothing: the buffer
     /// is the only driver of `ready(inp)` and the word cannot have
     /// changed, so a re-commit would be a no-op under the word-level
     /// change test.
@@ -246,26 +227,17 @@ impl ReadyCache {
         arbiter: &dyn Arbiter,
         build: impl FnOnce(&mut ThreadMask),
     ) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
             build(&mut self.ready);
             self.hint = arbiter.rotation_hint();
-            self.stamp = cycle + 1;
             ctx.set_ready_mask(inp, &self.ready);
         }
     }
 
-    /// The rotation hint cached by this cycle's [`commit`](Self::commit).
+    /// The rotation hint cached by this step's [`commit`](Self::commit).
     #[inline]
     pub fn hint(&self) -> Option<usize> {
         self.hint
-    }
-
-    /// Forgets the cycle's build. Call it wherever registered state
-    /// changes outside the clock edge, such as `reset`, which also
-    /// rewinds the clock.
-    pub fn invalidate(&mut self) {
-        self.stamp = 0;
     }
 }
 

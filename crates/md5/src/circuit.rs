@@ -138,26 +138,6 @@ impl From<SimError> for Md5Error {
     }
 }
 
-/// Channel handles of the MD5 loop, for tracing and statistics.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Md5Channels {
-    /// feeder → merge (fresh blocks).
-    pub fresh: ChannelId,
-    /// branch → merge (blocks with rounds remaining).
-    pub loopback: ChannelId,
-    /// merge → input MEB.
-    pub into_buf: ChannelId,
-    /// input MEB → stage 0, stage boundaries, …, last stage → output MEB
-    /// (length `stages + 1`).
-    pub stages: Vec<ChannelId>,
-    /// output MEB → barrier.
-    pub obuf: ChannelId,
-    /// barrier → branch.
-    pub released: ChannelId,
-    /// branch (finished) → sink.
-    pub done: ChannelId,
-}
-
 /// The structural IR of the MD5 loop, before a buffer microarchitecture
 /// is chosen — the one description behind simulation, cost and DOT (see
 /// [`Md5Circuit::ir`]).
@@ -172,34 +152,19 @@ pub struct Md5Ir {
     pub threads: usize,
     /// Participating thread count.
     pub participants: usize,
-    /// feeder → merge (fresh blocks).
-    pub fresh: IrChannelId,
-    /// branch → merge (blocks with rounds remaining).
-    pub loopback: IrChannelId,
-    /// merge → input MEB.
-    pub into_buf: IrChannelId,
-    /// input MEB → stage 0, …, last stage → output MEB (length
-    /// `stages + 1`).
-    pub stages: Vec<IrChannelId>,
-    /// output MEB → barrier.
-    pub obuf: IrChannelId,
-    /// barrier → branch.
-    pub released: IrChannelId,
-    /// branch (finished) → sink.
-    pub done: IrChannelId,
 }
 
 /// The assembled MD5 circuit plus its global round counter.
 pub struct Md5Circuit {
     /// The simulated netlist.
     pub circuit: Circuit<Md5Token>,
-    /// Channel handles.
-    pub channels: Md5Channels,
     /// The global round-configuration counter (counts barrier releases;
     /// the active round is `counter % 4`).
     pub round_counter: Arc<AtomicUsize>,
     threads: usize,
     participants: usize,
+    /// branch (finished) → sink: a transfer here is a finished block.
+    done: ChannelId,
 }
 
 impl Md5Circuit {
@@ -362,13 +327,6 @@ impl Md5Circuit {
             round_counter,
             threads,
             participants,
-            fresh,
-            loopback,
-            into_buf,
-            stages: stage_chs,
-            obuf,
-            released,
-            done,
         }
     }
 
@@ -387,39 +345,25 @@ impl Md5Circuit {
     /// Panics if `participants == 0`, `participants > threads`, or
     /// `stages` does not divide 16.
     pub fn with_stages(threads: usize, participants: usize, kind: MebKind, stages: usize) -> Self {
-        let built = Self::ir(threads, participants, stages);
         let Md5Ir {
             mut ir,
             round_counter,
             threads,
             participants,
-            fresh,
-            loopback,
-            into_buf,
-            stages: stage_chs,
-            obuf,
-            released,
-            done,
-        } = built;
+        } = Self::ir(threads, participants, stages);
         PassManager::new()
             .with(MebSubstitution::all(kind))
             .with(ProtocolLint)
             .with(CycleCoverLint)
             .run(&mut ir)
             .expect("md5 netlist passes lints");
+        let done = ir
+            .channel_named("done")
+            .expect("the loop has a `done` channel");
         let e = ir.elaborate().expect("md5 netlist is well-formed");
-        let channels = Md5Channels {
-            fresh: e.channel(fresh),
-            loopback: e.channel(loopback),
-            into_buf: e.channel(into_buf),
-            stages: stage_chs.iter().map(|&c| e.channel(c)).collect(),
-            obuf: e.channel(obuf),
-            released: e.channel(released),
-            done: e.channel(done),
-        };
         Self {
+            done: e.channel(done),
             circuit: e.circuit,
-            channels,
             round_counter,
             threads,
             participants,
@@ -497,7 +441,7 @@ impl Md5Circuit {
             // `run(1)` steps one cycle without collecting a transfer list;
             // the sink is looked at only on cycles where `done` fired.
             circuit.run(1)?;
-            let fired = circuit.stats().total_transfers(self.channels.done);
+            let fired = circuit.stats().total_transfers(self.done);
             if fired == delivered {
                 continue;
             }

@@ -32,4 +32,4 @@
 pub mod algo;
 pub mod circuit;
 
-pub use circuit::{Md5Channels, Md5Circuit, Md5Error, Md5Hasher, Md5Ir, Md5Token};
+pub use circuit::{Md5Circuit, Md5Error, Md5Hasher, Md5Ir, Md5Token};

@@ -20,7 +20,7 @@ use elastic_core::{ArbiterKind, ForkMode, MebKind};
 use elastic_cost::primitives::{adder, lut_layer, mux, register};
 use elastic_sim::{ChannelId, Circuit, Component, LatencyModel, SimError};
 use elastic_synth::{
-    CycleCoverLint, ElasticIr, IrChannelId, IrNodeKind, MebSubstitution, PassManager, ProtocolLint,
+    CycleCoverLint, ElasticIr, IrNodeKind, MebSubstitution, PassManager, ProtocolLint,
 };
 
 use crate::isa::Instr;
@@ -106,35 +106,6 @@ impl Default for CpuConfig {
     }
 }
 
-/// Channel handles of the processor pipeline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CpuChannels {
-    /// Fetcher → icache.
-    pub fetch: ChannelId,
-    /// icache → IF/ID MEB.
-    pub fetched: ChannelId,
-    /// IF/ID MEB → decode.
-    pub decode_in: ChannelId,
-    /// decode → ID/EX MEB.
-    pub issued: ChannelId,
-    /// ID/EX MEB → execute.
-    pub ex_in: ChannelId,
-    /// execute → EX/MEM MEB.
-    pub ex_out: ChannelId,
-    /// EX/MEM MEB → router.
-    pub route_in: ChannelId,
-    /// router → memory unit.
-    pub mem_in: ChannelId,
-    /// memory unit → MEM/WB MEB.
-    pub mem_out: ChannelId,
-    /// MEM/WB MEB → writeback.
-    pub wb: ChannelId,
-    /// router → redirect MEB.
-    pub redirect_raw: ChannelId,
-    /// redirect MEB → fetcher.
-    pub redirect: ChannelId,
-}
-
 /// Statistics from a completed run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CpuRunStats {
@@ -206,36 +177,6 @@ pub fn route(tok: &ProcToken) -> u64 {
     u64::from(to_wb) | u64::from(to_redirect) << 1
 }
 
-/// IR-level channel handles of the processor pipeline (same wires as
-/// [`CpuChannels`], before elaboration).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CpuIrChannels {
-    /// Fetcher → icache.
-    pub fetch: IrChannelId,
-    /// icache → IF/ID MEB.
-    pub fetched: IrChannelId,
-    /// IF/ID MEB → decode.
-    pub decode_in: IrChannelId,
-    /// decode → ID/EX MEB.
-    pub issued: IrChannelId,
-    /// ID/EX MEB → execute.
-    pub ex_in: IrChannelId,
-    /// execute → EX/MEM MEB.
-    pub ex_out: IrChannelId,
-    /// EX/MEM MEB → router.
-    pub route_in: IrChannelId,
-    /// router → memory unit.
-    pub mem_in: IrChannelId,
-    /// memory unit → MEM/WB MEB.
-    pub mem_out: IrChannelId,
-    /// MEM/WB MEB → writeback.
-    pub wb: IrChannelId,
-    /// router → redirect MEB.
-    pub redirect_raw: IrChannelId,
-    /// redirect MEB → fetcher.
-    pub redirect: IrChannelId,
-}
-
 /// The structural IR of the processor pipeline — the one description
 /// behind simulation ([`Cpu::new`] elaborates it), the cost model
 /// (`Inventory::from_ir`) and DOT rendering (`ir.to_dot()`).
@@ -244,17 +185,15 @@ pub struct CpuIr {
     /// `auto` nodes with the placeholder `Reduced` kind; [`Cpu::new`]
     /// retargets them with [`MebSubstitution::auto`].
     pub ir: ElasticIr<ProcToken>,
-    /// Channel handles.
-    pub channels: CpuIrChannels,
 }
 
 /// The multithreaded elastic processor.
 pub struct Cpu {
     /// The simulated pipeline netlist.
     pub circuit: Circuit<ProcToken>,
-    /// Channel handles (for statistics and tracing).
-    pub channels: CpuChannels,
     config: CpuConfig,
+    /// execute → EX/MEM MEB: its transfers are the executed instructions.
+    ex_out: ChannelId,
 }
 
 impl Cpu {
@@ -432,23 +371,7 @@ impl Cpu {
         ir.add("meb_wb", meb(), vec![mem_out], vec![wb]);
         ir.add("meb_rd", meb(), vec![redirect_raw], vec![redirect]);
 
-        CpuIr {
-            ir,
-            channels: CpuIrChannels {
-                fetch,
-                fetched,
-                decode_in,
-                issued,
-                ex_in,
-                ex_out,
-                route_in,
-                mem_in,
-                mem_out,
-                wb,
-                redirect_raw,
-                redirect,
-            },
-        }
+        CpuIr { ir }
     }
 
     /// Builds an IR for *cost and rendering only* (a trivial one-word
@@ -470,31 +393,20 @@ impl Cpu {
     /// Panics if `entry_pcs.len() != config.threads` or the program is
     /// empty.
     pub fn new(config: CpuConfig, program: Vec<u32>, entry_pcs: Vec<u32>) -> Self {
-        let CpuIr { mut ir, channels } = Self::ir(&config, program, entry_pcs);
+        let mut ir = Self::ir(&config, program, entry_pcs).ir;
         PassManager::new()
             .with(MebSubstitution::auto(config.meb).with_arbiter(config.arbiter))
             .with(ProtocolLint)
             .with(CycleCoverLint)
             .run(&mut ir)
             .expect("cpu netlist passes lints");
+        let ex_out = ir
+            .channel_named("ex_out")
+            .expect("the pipeline has an `ex_out` channel");
         let e = ir.elaborate().expect("cpu netlist is well-formed");
-        let channels = CpuChannels {
-            fetch: e.channel(channels.fetch),
-            fetched: e.channel(channels.fetched),
-            decode_in: e.channel(channels.decode_in),
-            issued: e.channel(channels.issued),
-            ex_in: e.channel(channels.ex_in),
-            ex_out: e.channel(channels.ex_out),
-            route_in: e.channel(channels.route_in),
-            mem_in: e.channel(channels.mem_in),
-            mem_out: e.channel(channels.mem_out),
-            wb: e.channel(channels.wb),
-            redirect_raw: e.channel(channels.redirect_raw),
-            redirect: e.channel(channels.redirect),
-        };
         Self {
+            ex_out: e.channel(ex_out),
             circuit: e.circuit,
-            channels,
             config,
         }
     }
@@ -591,7 +503,7 @@ impl Cpu {
         }
         let cycles = self.circuit.cycle();
         let executed: Vec<u64> = (0..self.config.threads)
-            .map(|t| self.circuit.stats().transfers(self.channels.ex_out, t))
+            .map(|t| self.circuit.stats().transfers(self.ex_out, t))
             .collect();
         let squashed: Vec<u64> = (0..self.config.threads)
             .map(|t| self.fetcher().squashed(t))

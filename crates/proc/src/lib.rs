@@ -42,7 +42,7 @@ pub mod stages;
 pub mod token;
 
 pub use asm::{assemble, disassemble, AsmError};
-pub use cpu::{Cpu, CpuChannels, CpuConfig, CpuError, CpuIr, CpuIrChannels, CpuRunStats};
+pub use cpu::{Cpu, CpuConfig, CpuError, CpuIr, CpuRunStats};
 pub use isa::{Instr, NUM_REGS};
 pub use stages::{execute, Fetcher, MemUnit, RegUnit, SpecState, ThreadStatus};
 pub use token::ProcToken;

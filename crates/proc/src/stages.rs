@@ -133,9 +133,6 @@ pub struct Fetcher {
     spec: Option<Arc<SpecState>>,
     /// Wrong-path instructions squashed per thread (statistics).
     squashed: Vec<u64>,
-    /// Cycle-cache stamp for `has` (and the redirect `ready` commit):
-    /// `cycle + 1` when built this cycle, 0 = invalid.
-    stamp: u64,
 }
 
 impl Fetcher {
@@ -173,7 +170,6 @@ impl Fetcher {
             speculate: false,
             spec: None,
             squashed: vec![0; threads],
-            stamp: 0,
         }
     }
 
@@ -285,18 +281,16 @@ impl Component<ProcToken> for Fetcher {
 
     /// Word-level evaluation: the redirect `ready` word (constant ones)
     /// and the runnable mask depend only on registered state, so both are
-    /// built and committed once per cycle. The round-robin pick is
+    /// built and committed once per step. The round-robin pick is
     /// [`SelectState::select_with_hint`]: one word scan over
     /// `runnable ∩ ready(out)` on a non-feedback output, as in
     /// `ReducedMeb`.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
             for t in 0..self.threads {
                 let runnable = self.runnable(t);
                 self.has.set(t, runnable);
             }
-            self.stamp = cycle + 1;
             ctx.set_ready_mask(self.redirect, &self.redirect_ready);
         }
         let hint = self.arbiter.rotation_hint();
@@ -401,7 +395,6 @@ impl Component<ProcToken> for Fetcher {
         if let Some(spec) = &self.spec {
             spec.reset();
         }
-        self.stamp = 0;
         true
     }
 
@@ -445,9 +438,6 @@ pub struct RegUnit {
     wb_ready: ThreadMask,
     /// Scratch issue `ready` word.
     issue_ready: ThreadMask,
-    /// Cycle-cache stamp for `idle` (and the writeback `ready` commit):
-    /// `cycle + 1` when built this cycle, 0 = invalid.
-    stamp: u64,
 }
 
 impl RegUnit {
@@ -475,7 +465,6 @@ impl RegUnit {
             idle: ThreadMask::new(threads),
             wb_ready,
             issue_ready: ThreadMask::new(threads),
-            stamp: 0,
         }
     }
 
@@ -655,19 +644,17 @@ impl Component<ProcToken> for RegUnit {
 
     /// Word-level evaluation. The writeback `ready` word (constant ones)
     /// and the per-thread "no in-flight write" mask depend only on
-    /// registered state and are built once per cycle. The offered word is
+    /// registered state and are built once per step. The offered word is
     /// decoded and hazard-checked once — one AND of its register mask
     /// against the thread's busy mask — and the issue `ready` word is that
     /// conservative mask with the offered thread's exact gate, ANDed with
     /// `ready(id_out)` and committed in one masked write. An undecodable
     /// word is taken and dropped; [`tick`](Component::tick) reports it.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
             for t in 0..self.threads {
                 self.idle.set(t, self.busy[t] == 0);
             }
-            self.stamp = cycle + 1;
             ctx.set_ready_mask(self.wb_in, &self.wb_ready);
         }
         let offered = match ctx.incoming(self.id_in) {
@@ -767,7 +754,6 @@ impl Component<ProcToken> for RegUnit {
         if let Some(spec) = &self.spec {
             spec.reset();
         }
-        self.stamp = 0;
         true
     }
 
@@ -886,9 +872,6 @@ pub struct MemUnit {
     /// Squash state (absent when not speculating): wrong-path loads and
     /// stores must not touch memory.
     spec: Option<Arc<SpecState>>,
-    /// Cycle-cache stamp for `ready`, `has` and `head_idx`: `cycle + 1`
-    /// when built this cycle, 0 = invalid.
-    stamp: u64,
 }
 
 impl MemUnit {
@@ -929,7 +912,6 @@ impl MemUnit {
             seen: ThreadMask::new(threads),
             ready: ThreadMask::new(threads),
             spec: None,
-            stamp: 0,
         }
     }
 
@@ -1025,19 +1007,17 @@ impl Component<ProcToken> for MemUnit {
 
     /// Word-level evaluation: the free-slot `ready` word and the
     /// completed-head mask (with each head's entry index) depend only on
-    /// the entries, so they are built and committed once per cycle. The
+    /// the entries, so they are built and committed once per step. The
     /// round-robin pick is [`SelectState::select_with_hint`]: one word
     /// scan over `heads ∩ ready(out)` on a non-feedback output.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
             if self.entries.len() < self.capacity {
                 self.ready.fill();
             } else {
                 self.ready.clear();
             }
-            self.rebuild_heads(cycle);
-            self.stamp = cycle + 1;
+            self.rebuild_heads(ctx.cycle());
             ctx.set_ready_mask(self.inp, &self.ready);
         }
         let hint = self.arbiter.rotation_hint();
@@ -1117,7 +1097,6 @@ impl Component<ProcToken> for MemUnit {
         if let Some(spec) = &self.spec {
             spec.reset();
         }
-        self.stamp = 0;
         true
     }
 

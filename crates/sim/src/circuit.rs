@@ -94,6 +94,9 @@ pub struct EvalCtx<'a, T: Token> {
     /// Per-channel: a `ready` change re-wakes the reader itself.
     pub(crate) self_wake_ready: &'a [bool],
     pub(crate) cycle: u64,
+    /// True during the step's first settle round (see
+    /// [`first_eval`](Self::first_eval)).
+    pub(crate) first: bool,
 }
 
 impl<'a, T: Token> EvalCtx<'a, T> {
@@ -101,6 +104,19 @@ impl<'a, T: Token> EvalCtx<'a, T> {
     #[inline]
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// True when this is the component's first evaluation of the step:
+    /// the step's first settle round, a full sweep that evaluates every
+    /// component exactly once in both [`EvalMode`]s. Registered state
+    /// changes only at the clock edge and between steps, so whatever a
+    /// component derives from it alone (a `ready` word, a mask of heads)
+    /// is built when this is true and reused by every later evaluation
+    /// of the step. It is also what the anti-swap guard reads: the first
+    /// pick of a step is fresh, only later ones are damped.
+    #[inline]
+    pub fn first_eval(&self) -> bool {
+        self.first
     }
 
     /// True when channel `ch` takes part in a combinational feedback
@@ -929,7 +945,9 @@ impl<T: Token> Circuit<T> {
         // leaves the previous cycle's voltages on the wires.
         //
         // Round 1 is always a full sweep (eval may depend on the cycle
-        // number — sink ready policies, source release times). Subsequent
+        // number — sink ready policies, source release times), so it
+        // evaluates every component exactly once; it is the round in which
+        // `EvalCtx::first_eval` is true, in both modes. Subsequent
         // rounds depend on the mode: the exhaustive oracle re-sweeps
         // everything until a sweep changes nothing, the event-driven
         // kernel drains the dirty worklist. Each round claims a
@@ -964,6 +982,7 @@ impl<T: Token> Circuit<T> {
                 self_wake_valid: &self.self_wake_valid,
                 self_wake_ready: &self.self_wake_ready,
                 cycle: self.cycle,
+                first: rounds == 0,
             };
             for (i, comp) in self.components.iter_mut().enumerate() {
                 if !full && !ctx.woke.get(i) {

@@ -94,12 +94,9 @@ pub struct Source<T: Token> {
     injected: Vec<u64>,
     /// Released-head word: bit `t` set iff thread `t`'s queue head is
     /// released this cycle. Queues change only at the clock edge (or
-    /// between cycles via `push*`), so one rebuild per cycle serves every
+    /// between steps via `push*`), so one rebuild per step serves every
     /// settle re-evaluation.
     eligible: ThreadMask,
-    /// Cycle-cache stamp for `eligible`: `cycle + 1` when current,
-    /// 0 = invalid.
-    stamp: u64,
     /// Bit `t` set iff thread `t`'s queue is non-empty, maintained
     /// incrementally on `push*`/tick. While no time-gated token is queued
     /// ([`timed`](Self::timed) is 0) this *is* the eligibility word, so
@@ -122,7 +119,6 @@ impl<T: Token> Source<T> {
             rr: 0,
             injected: vec![0; threads],
             eligible: ThreadMask::new(threads),
-            stamp: 0,
             nonempty: ThreadMask::new(threads),
             timed: 0,
         }
@@ -136,7 +132,6 @@ impl<T: Token> Source<T> {
     pub fn push(&mut self, thread: usize, token: T) {
         self.queues[thread].push_back((0, token));
         self.nonempty.set(thread, true);
-        self.stamp = 0;
     }
 
     /// Queues `token` on `thread`, released no earlier than `cycle`.
@@ -163,7 +158,6 @@ impl<T: Token> Source<T> {
         }
         self.queues[thread].push_back((release, token));
         self.nonempty.set(thread, true);
-        self.stamp = 0;
     }
 
     /// Queues every token from `iter` on `thread`, available immediately.
@@ -264,14 +258,14 @@ impl<T: Token> Component<T> for Source<T> {
     /// "released ∧ downstream-ready" pick is a wrapping word scan instead
     /// of per-thread queue probes.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
             if self.timed == 0 {
                 // No time-gated token anywhere: every non-empty queue's
                 // head is released, so the incrementally maintained
                 // occupancy word is the eligibility word.
                 self.eligible.copy_from(&self.nonempty);
             } else {
+                let cycle = ctx.cycle();
                 for t in 0..self.threads {
                     self.eligible.set(
                         t,
@@ -279,7 +273,6 @@ impl<T: Token> Component<T> for Source<T> {
                     );
                 }
             }
-            self.stamp = cycle + 1;
         }
         // Ready-first in round-robin order, else the round-robin first
         // released thread (valid may precede ready — the offer stalls).
@@ -328,7 +321,6 @@ impl<T: Token> Component<T> for Source<T> {
         }
         self.rr = 0;
         self.injected.iter_mut().for_each(|n| *n = 0);
-        self.stamp = 0;
         self.nonempty.clear();
         self.timed = 0;
         true
@@ -365,10 +357,9 @@ pub struct Sink<T: Token> {
     captured: Vec<Vec<(u64, T)>>,
     counts: Vec<u64>,
     capture: bool,
-    /// Policy-word cache: the ready mask computed for cycle `stamp - 1`
-    /// (`stamp == 0` = invalid).
+    /// Policy word: the ready mask built by the step's first
+    /// evaluation.
     ready: ThreadMask,
-    stamp: u64,
 }
 
 impl<T: Token> Sink<T> {
@@ -387,7 +378,6 @@ impl<T: Token> Sink<T> {
             counts: vec![0; threads],
             capture: false,
             ready: ThreadMask::new(threads),
-            stamp: 0,
         }
     }
 
@@ -410,9 +400,6 @@ impl<T: Token> Sink<T> {
     /// Panics if `thread` is out of range.
     pub fn set_policy(&mut self, thread: usize, policy: ReadyPolicy) {
         self.policies[thread] = policy;
-        // A sweep harness reconfigures policies between runs on a reused
-        // circuit; the cached policy word is stale the moment one changes.
-        self.stamp = 0;
     }
 
     /// Tokens consumed by `thread`, with the cycle at which each arrived.
@@ -466,17 +453,16 @@ impl<T: Token> Component<T> for Sink<T> {
     }
 
     /// Word-level evaluation: the per-thread policy word is computed once
-    /// per *cycle* and cached across settle rounds —
+    /// per *step* and cached across settle rounds —
     /// [`ReadyPolicy::Random`] hashes every thread — and committed with a
     /// single word-level mask write instead of a per-thread setter loop.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
+        if ctx.first_eval() {
+            let cycle = ctx.cycle();
             for (t, policy) in self.policies.iter().enumerate() {
                 self.ready.set(t, policy.is_ready(cycle, t));
             }
-            self.stamp = cycle + 1;
-            // Commit once per cycle: the sink is the only driver of
+            // Commit once per step: the sink is the only driver of
             // `ready(inp)` and the word depends on the cycle number
             // alone, so re-commits on settle re-evaluations would be
             // guaranteed no-ops — skip them.
@@ -495,13 +481,11 @@ impl<T: Token> Component<T> for Sink<T> {
 
     fn reset(&mut self) -> bool {
         // Policies and the capture flag are configuration; only the
-        // recorded consumption rewinds. The policy-word cache is keyed by
-        // cycle, which restarts at 0, so it must be invalidated too.
+        // recorded consumption rewinds.
         for c in &mut self.captured {
             c.clear();
         }
         self.counts.iter_mut().for_each(|n| *n = 0);
-        self.stamp = 0;
         true
     }
 
@@ -636,7 +620,9 @@ mod tests {
         let feedback = vec![false];
         let self_wake = vec![false];
         let mut woke = crate::ThreadMask::new(1);
-        let mut sweep = |src: &mut Source<u64>, channels: &mut Vec<ChannelState<u64>>| {
+        // `first` marks the step's first settle round; the later sweeps
+        // are re-evaluations of the same step.
+        let mut sweep = |src: &mut Source<u64>, channels: &mut Vec<ChannelState<u64>>, first| {
             let mut changed = false;
             let mut ctx = EvalCtx {
                 channels,
@@ -651,15 +637,16 @@ mod tests {
                 self_wake_valid: &self_wake,
                 self_wake_ready: &self_wake,
                 cycle: 4,
+                first,
             };
             src.eval(&mut ctx);
             changed
         };
 
         // Nobody ready: the fallback offer must be stable across sweeps.
-        sweep(&mut src, &mut channels);
+        sweep(&mut src, &mut channels, true);
         let first = (channels[0].valid.clone(), channels[0].data);
-        let changed = sweep(&mut src, &mut channels);
+        let changed = sweep(&mut src, &mut channels, false);
         assert!(
             !changed,
             "second sweep changed signals the first already settled"
@@ -673,9 +660,9 @@ mod tests {
 
         // Downstream becomes ready for thread 2 only: again stable.
         channels[0].ready = crate::ThreadMask::from_bools(&[false, false, true]);
-        sweep(&mut src, &mut channels);
+        sweep(&mut src, &mut channels, false);
         let first = (channels[0].valid.clone(), channels[0].data);
-        let changed = sweep(&mut src, &mut channels);
+        let changed = sweep(&mut src, &mut channels, false);
         assert!(!changed);
         assert_eq!((channels[0].valid.clone(), channels[0].data), first);
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Campaign front-end over the work-stealing sweep pool: submit
-//! thousands of [`SimJob`]s, stream [`JobReport`]s as they finish, and
-//! memoize keyed results across submissions.
+//! thousands of [`SimJob`]s, get one [`JobReport`] per job in submission
+//! order, and memoize keyed results across submissions.
 //!
 //! Experiment binaries often resubmit overlapping campaigns — the same
 //! `(circuit, config, seed)` points appear in a scaling curve, an
@@ -110,12 +110,13 @@ impl<R> CacheState<R> {
 /// and repeat submissions answer from the campaign cache (see the
 /// module-level docs above).
 ///
-/// The cache is **capacity-limited**: at most
-/// [`cache_capacity`](SweepService::cache_capacity) entries are held
-/// (default [`DEFAULT_CACHE_CAPACITY`]), with least-recently-used
-/// eviction — a hit refreshes an entry's recency. Hit/miss/eviction
-/// counts for each submission are surfaced on the returned
-/// [`SweepReport`] (`cache_hits` / `cache_misses` / `cache_evictions`).
+/// The cache is **capacity-limited**: at most [`DEFAULT_CACHE_CAPACITY`]
+/// entries are held (or the cap given to
+/// [`with_cache_capacity`](SweepService::with_cache_capacity)), with
+/// least-recently-used eviction — a hit refreshes an entry's recency.
+/// Hit/miss/eviction counts for each submission are surfaced on the
+/// returned [`SweepReport`] (`cache_hits` / `cache_misses` /
+/// `cache_evictions`).
 ///
 /// The service is `Sync`: submissions from several threads share the
 /// campaign cache (each submission runs its own pool).
@@ -147,11 +148,6 @@ impl<R: Clone + Send> SweepService<R> {
         self
     }
 
-    /// The campaign-cache entry cap.
-    pub fn cache_capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Number of memoized results currently held (≤ the cap).
     pub fn cached_results(&self) -> usize {
         self.cache.lock().expect("cache lock").map.len()
@@ -162,25 +158,8 @@ impl<R: Clone + Send> SweepService<R> {
         self.cache.lock().expect("cache lock").evictions
     }
 
-    /// Drops every memoized result (eviction counters persist).
-    pub fn clear_cache(&self) {
-        self.cache.lock().expect("cache lock").map.clear();
-    }
-
     /// Runs a campaign, returning the submission-ordered report.
     pub fn run(&self, jobs: Vec<SimJob<R>>) -> SweepReport<R> {
-        self.run_streaming(jobs, |_| {})
-    }
-
-    /// Runs a campaign, invoking `on_report` for every job as it
-    /// finishes (cache hits first, then pool completions in completion
-    /// order, all on the calling thread) before returning the
-    /// submission-ordered report.
-    pub fn run_streaming(
-        &self,
-        jobs: Vec<SimJob<R>>,
-        mut on_report: impl FnMut(&JobReport<R>),
-    ) -> SweepReport<R> {
         let n = jobs.len();
         let start = Instant::now();
         let mut slots: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
@@ -205,7 +184,6 @@ impl<R: Clone + Send> SweepService<R> {
                             memoized: true,
                         };
                         cache_hits += 1;
-                        on_report(&report);
                         slots[index] = Some(report);
                     }
                     None => {
@@ -226,7 +204,6 @@ impl<R: Clone + Send> SweepService<R> {
                     let mut cache = self.cache.lock().expect("cache lock");
                     cache_evictions += cache.insert(self.cap, key, value.clone(), report.kernel);
                 }
-                on_report(&report);
                 let index = report.index;
                 slots[index] = Some(report);
             })
@@ -336,20 +313,6 @@ mod tests {
         assert_eq!(second.cache_hits, 0, "nothing eligible was cached");
     }
 
-    #[test]
-    fn streaming_reports_hits_before_misses() {
-        let service = SweepService::new(2);
-        service.run((0..2).map(keyed_job).collect());
-        let mut order: Vec<(usize, bool)> = Vec::new();
-        let report = service.run_streaming((0..4).map(keyed_job).collect(), |j| {
-            order.push((j.index, j.memoized));
-        });
-        assert_eq!(report.cache_hits, 2);
-        assert_eq!(order.len(), 4);
-        assert_eq!(&order[..2], &[(0, true), (1, true)]);
-        assert!(order[2..].iter().all(|&(i, m)| i >= 2 && !m));
-    }
-
     /// A cheap keyed job (no circuit) for cache-policy tests.
     fn tiny_job(seed: u64) -> SimJob<u64> {
         SimJob::new(format!("tiny {seed}"), move || Ok(seed))
@@ -361,7 +324,6 @@ mod tests {
         const TOTAL: u64 = 3000;
         const CAP: usize = 64;
         let service = SweepService::new(4).with_cache_capacity(CAP);
-        assert_eq!(service.cache_capacity(), CAP);
 
         let report = service.run((0..TOTAL).map(tiny_job).collect());
         assert_eq!(report.ok_count(), TOTAL as usize);

@@ -102,9 +102,6 @@ pub struct VarLatency<T: Token> {
     entries: VecDeque<Entry<T>>,
     rng: StdRng,
     rr: usize,
-    /// First-eval-of-cycle detection for the anti-swap guard (see
-    /// `choose`).
-    last_eval_cycle: Option<u64>,
     /// Upstream ready word: all ones while a slot is free, else zero.
     ready: ThreadMask,
     /// Threads whose oldest in-flight entry has completed.
@@ -118,10 +115,6 @@ pub struct VarLatency<T: Token> {
     /// after the transform)`, so settle re-evaluations that offer the
     /// same entry do not re-run the transform.
     emitted: Option<(usize, T)>,
-    /// Cycle-cache stamp for `ready`, `heads`, `head_idx` and `emitted`:
-    /// `cycle + 1` when they were built this cycle, 0 = invalid. All are
-    /// functions of the entries, which change only at the clock edge.
-    stamp: u64,
 }
 
 impl<T: Token> VarLatency<T> {
@@ -154,13 +147,11 @@ impl<T: Token> VarLatency<T> {
             entries: VecDeque::with_capacity(capacity),
             rng: StdRng::seed_from_u64(seed ^ 0xE1A5),
             rr: 0,
-            last_eval_cycle: None,
             ready: ThreadMask::new(threads),
             heads: ThreadMask::new(threads),
             head_idx: vec![0; threads],
             seen: ThreadMask::new(threads),
             emitted: None,
-            stamp: 0,
         }
     }
 
@@ -207,9 +198,7 @@ impl<T: Token> VarLatency<T> {
             ctx.set_ready(self.inp, t, free);
         }
         // Downstream valid: the chosen completed head.
-        let fresh = self.last_eval_cycle != Some(ctx.cycle());
-        self.last_eval_cycle = Some(ctx.cycle());
-        match self.choose(ctx, fresh) {
+        match self.choose(ctx) {
             Some((t, idx)) => {
                 let token = &self.entries[idx].token;
                 let data = match &self.transform {
@@ -249,14 +238,14 @@ impl<T: Token> VarLatency<T> {
     /// [`choose`](Self::choose) over the cached head mask: the same
     /// ready-first pick, anti-swap guard and stalled-offer rotation as
     /// word scans. Returns the thread; its entry is `head_idx[thread]`.
-    fn pick(&self, ctx: &EvalCtx<'_, T>, fresh: bool) -> Option<usize> {
+    fn pick(&self, ctx: &EvalCtx<'_, T>) -> Option<usize> {
         let ready = ctx.ready_mask(self.out);
         let Some(ready_pick) = self.heads.next_one_wrapping_and(ready, self.rr) else {
             return self.heads.next_one_wrapping(self.rr);
         };
         // The anti-swap guard (see `choose`) only runs on a feedback
-        // output, after the first evaluation of the cycle.
-        if !fresh && ctx.in_feedback(self.out) {
+        // output, after the first evaluation of the step.
+        if !ctx.first_eval() && ctx.in_feedback(self.out) {
             if let Some(c) = ctx.valid_mask(self.out).first_one() {
                 if self.heads.get(c) && !ready.get(c) {
                     // The lowest rank among ready heads is the first one
@@ -280,7 +269,7 @@ impl<T: Token> VarLatency<T> {
     /// feeding a join cannot chase each other's offers — the same
     /// convergence argument as `elastic-core`'s `select_output_thread`
     /// (see `docs/kernel.md` §3).
-    fn choose(&self, ctx: &EvalCtx<'_, T>, fresh: bool) -> Option<(usize, usize)> {
+    fn choose(&self, ctx: &EvalCtx<'_, T>) -> Option<(usize, usize)> {
         let heads = self.completed_heads(ctx.cycle());
         if heads.is_empty() {
             return None;
@@ -296,7 +285,7 @@ impl<T: Token> VarLatency<T> {
             // feedback cycle. On a DAG the rank schedule evaluates the
             // consumer first, so the first pass already sees final ready
             // and the pure ready-first pick keeps eval order-independent.
-            if !fresh && ctx.in_feedback(self.out) {
+            if !ctx.first_eval() && ctx.in_feedback(self.out) {
                 let current = ctx.valid_mask(self.out).first_one();
                 if let Some(c) = current {
                     let c_head = heads.iter().find(|(ht, _)| *ht == c).copied();
@@ -350,21 +339,17 @@ impl<T: Token> Component<T> for VarLatency<T> {
 
     /// Word-level evaluation. Upstream `ready` (a free slot) and the
     /// completed-head mask depend only on the entries, so both are built
-    /// once per cycle; `ready` is committed then with one word-level
+    /// once per step; `ready` is committed then with one word-level
     /// [`EvalCtx::set_ready_mask`] (re-commits would be no-ops). The
     /// output pick is a word scan over `heads ∩ ready(out)` from the
     /// round-robin pointer, and the emitted token is transformed once per
-    /// cycle and entry.
+    /// step and entry.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let cycle = ctx.cycle();
-        if self.stamp != cycle + 1 {
-            self.rebuild(cycle);
-            self.stamp = cycle + 1;
+        if ctx.first_eval() {
+            self.rebuild(ctx.cycle());
             ctx.set_ready_mask(self.inp, &self.ready);
         }
-        let fresh = self.last_eval_cycle != Some(cycle);
-        self.last_eval_cycle = Some(cycle);
-        let Some(t) = self.pick(ctx, fresh) else {
+        let Some(t) = self.pick(ctx) else {
             ctx.drive_idle(self.out);
             return;
         };
@@ -413,8 +398,6 @@ impl<T: Token> Component<T> for VarLatency<T> {
         // fresh build (byte-identical campaigns across reuse).
         self.rng = StdRng::seed_from_u64(self.latency.seed() ^ 0xE1A5);
         self.rr = 0;
-        self.last_eval_cycle = None;
-        self.stamp = 0;
         true
     }
 

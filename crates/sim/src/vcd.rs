@@ -133,11 +133,12 @@ fn encode_label(label: &str) -> String {
 }
 
 /// Writes the recorded cycles of `recorder` for the given channels as a
-/// VCD document.
+/// VCD document, and flushes `w`.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `w`.
+/// Propagates I/O errors from `w`, the final flush included: a buffered
+/// writer's last block fails here, not unseen when the writer drops.
 pub fn write_vcd<W: Write>(
     recorder: &TraceRecorder,
     channels: &[VcdChannel],
@@ -207,7 +208,7 @@ pub fn write_vcd<W: Write>(
             }
         }
     }
-    Ok(())
+    w.flush()
 }
 
 impl<T: Token> Circuit<T> {
@@ -290,6 +291,25 @@ mod tests {
         // and fewer than 10 if consecutive cycles were identical.
         let stamps = text.lines().filter(|l| l.starts_with('#')).count();
         assert!((1..=10).contains(&stamps), "{stamps}");
+    }
+
+    /// Takes every write and fails every flush, as a buffered file does
+    /// when its last block cannot be written.
+    struct FailingFlush;
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn a_failing_flush_is_an_error() {
+        let err = traced_circuit().write_vcd(FailingFlush).unwrap_err();
+        assert!(matches!(err, VcdError::Io(_)), "{err:?}");
     }
 
     #[test]

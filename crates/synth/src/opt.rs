@@ -27,11 +27,14 @@ use crate::passes::{Pass, PassDelta, PassError, PassReport, RetimeDirection};
 use elastic_core::{ArbiterKind, MebKind};
 use elastic_sim::{FeedbackProfile, Token};
 
+/// The deepest FIFO [`MebDepthSizing`] sizes a buffer to.
+const MAX_DEPTH: usize = 8;
+
 /// Resizes FIFO-MEB depths from measured backpressure: for every MEB
 /// whose *input* channel appears in the [`FeedbackProfile`], the pass
 /// derives a target depth from the channel's occupancy histogram (the
 /// mean backlog of its backpressure streaks, rounded up and clamped to
-/// `1..=max_depth`) and rewrites `Fifo` MEBs whose depth disagrees.
+/// `1..=8`) and rewrites `Fifo` MEBs whose depth disagrees.
 ///
 /// An input-channel stall means *this* buffer was full while upstream
 /// offered a token, and the streak length bounds the backlog a deeper
@@ -44,7 +47,6 @@ use elastic_sim::{FeedbackProfile, Token};
 /// paper's Table I microarchitectures against measured demand.
 pub struct MebDepthSizing {
     profile: FeedbackProfile,
-    max_depth: usize,
     convert: bool,
 }
 
@@ -54,16 +56,8 @@ impl MebDepthSizing {
     pub fn new(profile: FeedbackProfile) -> Self {
         Self {
             profile,
-            max_depth: 8,
             convert: false,
         }
-    }
-
-    /// Sets the depth clamp (chainable; clamped to ≥ 1).
-    #[must_use]
-    pub fn with_max_depth(mut self, max_depth: usize) -> Self {
-        self.max_depth = max_depth.max(1);
-        self
     }
 
     /// Also convert `Full`/`Reduced` MEBs to sized FIFOs (chainable).
@@ -75,12 +69,11 @@ impl MebDepthSizing {
 
     /// The depth the profile suggests for a buffer fed by `channel`:
     /// `ceil(mean backlog)` of the channel's backpressure streaks,
-    /// clamped to `1..=max_depth`; `None` when the channel was not
-    /// measured.
+    /// clamped to `1..=8`; `None` when the channel was not measured.
     pub fn suggested_depth(&self, channel: &str) -> Option<usize> {
         let fb = self.profile.channel(channel)?;
         let depth = fb.mean_backlog().ceil() as usize;
-        Some(depth.clamp(1, self.max_depth))
+        Some(depth.clamp(1, MAX_DEPTH))
     }
 }
 
@@ -148,33 +141,13 @@ impl<T: Token> Pass<T> for MebDepthSizing {
 /// buffers (the "relax instantly" reorder tolerance) would pipeline.
 pub struct SlackMatching {
     kind: MebKind,
-    arbiter: ArbiterKind,
-    limit: usize,
 }
 
 impl SlackMatching {
-    /// A slack-matching pass inserting buffers of the given
-    /// microarchitecture (round-robin arbitration, no insertion limit).
+    /// A slack-matching pass inserting round-robin buffers of the given
+    /// microarchitecture, as many as the paths are apart.
     pub fn new(kind: MebKind) -> Self {
-        Self {
-            kind,
-            arbiter: ArbiterKind::RoundRobin,
-            limit: usize::MAX,
-        }
-    }
-
-    /// Sets the inserted buffers' arbitration policy (chainable).
-    #[must_use]
-    pub fn with_arbiter(mut self, arbiter: ArbiterKind) -> Self {
-        self.arbiter = arbiter;
-        self
-    }
-
-    /// Caps the total number of inserted buffers (chainable).
-    #[must_use]
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
-        self
+        Self { kind }
     }
 }
 
@@ -234,7 +207,6 @@ impl<T: Token> Pass<T> for SlackMatching {
         // nothing because new nodes/channels append at the end.
         let mut plan: Vec<(IrChannelId, usize)> = Vec::new();
         let mut checked = 0;
-        let mut budget = self.limit;
         for id in ir.node_ids() {
             if ir.node(id).tag() != IrNodeTag::Fork {
                 continue;
@@ -259,13 +231,8 @@ impl<T: Token> Pass<T> for SlackMatching {
                 let reconverges = chains
                     .iter()
                     .any(|o| o.head != chain.head && o.sink == Some(sink));
-                if !reconverges || chain.cuts >= deepest {
-                    continue;
-                }
-                let missing = (deepest - chain.cuts).min(budget);
-                if missing > 0 {
-                    plan.push((chain.head, missing));
-                    budget -= missing;
+                if reconverges && chain.cuts < deepest {
+                    plan.push((chain.head, deepest - chain.cuts));
                 }
             }
         }
@@ -278,7 +245,8 @@ impl<T: Token> Pass<T> for SlackMatching {
                 let node_name = unique_name(format!("slack:{channel_name}"), |n| {
                     ir.node_named(n).is_some()
                 });
-                let (buf, tail) = insert_buffer_on(ir, ch, &node_name, self.kind, self.arbiter)?;
+                let (buf, tail) =
+                    insert_buffer_on(ir, ch, &node_name, self.kind, ArbiterKind::RoundRobin)?;
                 deltas.push(PassDelta::Inserted {
                     node: ir.node(buf).name().to_string(),
                     channel: channel_name,
@@ -713,12 +681,12 @@ mod tests {
     fn depth_sizing_clamps_to_max_depth_and_skips_unmeasured() {
         let mut ir = chain_ir(fifo(2));
         // Streaks deeper than the clamp...
-        let mut pass = MebDepthSizing::new(profile_with("a", 8, 10)).with_max_depth(4);
+        let mut pass = MebDepthSizing::new(profile_with("a", 12, 10));
         Pass::<u64>::run(&mut pass, &mut ir).expect("sizing");
         let buf = ir.node_named("buf").unwrap();
         assert_eq!(
             ir.node(buf).tag(),
-            IrNodeTag::Meb(MebKind::Fifo { depth: 4 })
+            IrNodeTag::Meb(MebKind::Fifo { depth: 8 })
         );
         // ...and a profile that never measured this channel leaves it be.
         let mut blind = MebDepthSizing::new(profile_with("elsewhere", 8, 10));
@@ -820,10 +788,13 @@ mod tests {
     }
 
     #[test]
-    fn slack_matching_respects_the_insertion_limit() {
+    fn slack_matching_names_stay_unique_on_a_reused_head() {
         let mut ir = unbalanced_fork_ir();
-        // Deepen the deep path so two buffers are missing, but only
-        // allow one.
+        let mut pass = SlackMatching::new(MebKind::Reduced);
+        let first = Pass::<u64>::run(&mut pass, &mut ir).expect("slack");
+        assert_eq!(first.changed, 1);
+        // Deepen the deep path by one more buffer, so the next run tops
+        // the shallow path up again from the same head channel.
         let buf = ir.node_named("deep_buf").unwrap();
         let out = ir.node(buf).outputs()[0];
         insert_buffer_on(
@@ -834,15 +805,8 @@ mod tests {
             ArbiterKind::RoundRobin,
         )
         .expect("splice");
-        let mut pass = SlackMatching::new(MebKind::Reduced).with_limit(1);
-        let report = Pass::<u64>::run(&mut pass, &mut ir).expect("slack");
-        assert_eq!(report.changed, 1);
-        // Unlimited picks up the remaining imbalance.
-        let rest =
-            Pass::<u64>::run(&mut SlackMatching::new(MebKind::Reduced), &mut ir).expect("slack");
-        assert_eq!(rest.changed, 1);
-        // Names stay unique even when slack lands on the same head
-        // channel twice.
+        let second = Pass::<u64>::run(&mut pass, &mut ir).expect("slack");
+        assert_eq!(second.changed, 1);
         assert!(ir.node_named("slack:shallow").is_some());
         assert!(ir.node_named("slack:shallow:1").is_some());
     }

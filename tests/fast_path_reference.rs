@@ -19,11 +19,11 @@
 //!    under two shuffled builder insertion orders. The kernel's own bars
 //!    on those nets are in `tests/ranked_schedule.rs`.
 //!
-//! Beyond the random topologies, deterministic cases cover the cache
-//! invalidation paths: timed `push_at` releases, a push into the past
-//! after a quiescent fast-forward, `Sink::set_policy` between runs,
-//! reconfiguration after a deadlock error and `Circuit::reset` loops, on
-//! every MEB kind. The MD5 loop runs on 1–8 threads and 1–16 round
+//! Beyond the random topologies, deterministic cases cover every way the
+//! state behind a cached word changes between steps: timed `push_at`
+//! releases, a push into the past after a quiescent fast-forward,
+//! `Sink::set_policy` between runs, reconfiguration after a deadlock
+//! error and `Circuit::reset` loops, on every MEB kind. The MD5 loop runs on 1–8 threads and 1–16 round
 //! stages, and the barrier's `open` word is checked over random arrival
 //! schedules, participant masks and reset loops.
 
@@ -320,9 +320,9 @@ fn sink_set_policy_between_runs_matches_the_reference() {
 }
 
 /// The deadlock watchdog returns before the clock edge, so the next run
-/// re-evaluates the *same* cycle: a cycle stamp alone would keep serving
-/// the words cached before the error. `set_policy` and `push` must
-/// invalidate them.
+/// re-evaluates the *same* cycle, after `set_policy` and `push` have
+/// changed what the words cached before the error were built from. The
+/// re-step's first round must rebuild them.
 #[test]
 fn reconfiguring_after_a_deadlock_matches_the_reference() {
     check(2, 2, |c| {
@@ -349,10 +349,10 @@ fn reconfiguring_after_a_deadlock_matches_the_reference() {
     });
 }
 
-/// `Circuit::reset` loops: every cached word must be invalidated by the
-/// components' `reset`, since the clock restarts at cycle 0 and the
-/// channel signals are cleared. The one-cycle runs leave a cache stamped
-/// for cycle 0, exactly the cycle the next run starts at.
+/// `Circuit::reset` loops: the clock restarts at cycle 0 and the channel
+/// signals are cleared, so the first round after a reset must rebuild
+/// every cached word. The one-cycle runs leave words built at cycle 0,
+/// exactly the cycle the next run starts at.
 #[test]
 fn reset_loops_match_the_reference() {
     check(3, 2, |c| {

@@ -287,15 +287,12 @@ fn md5_ir_path_matches_direct_path() {
 // ---------------------------------------------------------------------
 
 /// The pre-refactor `Cpu::new` body (no speculation), returning the raw
-/// circuit plus the channels needed for the transfer-count comparison.
+/// circuit.
 fn cpu_direct(
     config: &CpuConfig,
     program: Vec<u32>,
     entry_pcs: Vec<u32>,
-) -> (
-    Circuit<mt_elastic::proc::ProcToken>,
-    Vec<mt_elastic::sim::ChannelId>,
-) {
+) -> Circuit<mt_elastic::proc::ProcToken> {
     use mt_elastic::core::{Fork, ForkMode};
     use mt_elastic::proc::{execute, Fetcher, MemUnit, ProcToken};
 
@@ -395,22 +392,7 @@ fn cpu_direct(
         config.arbiter,
     ));
 
-    let circuit = b.build().expect("cpu direct netlist is well-formed");
-    let channels = vec![
-        fetch,
-        fetched,
-        decode_in,
-        issued,
-        ex_in,
-        ex_out,
-        route_in,
-        mem_in,
-        mem_out,
-        wb,
-        redirect_raw,
-        redirect,
-    ];
-    (circuit, channels)
+    b.build().expect("cpu direct netlist is well-formed")
 }
 
 #[test]
@@ -426,7 +408,7 @@ fn processor_ir_path_matches_direct_path() {
     cpu.circuit.run(CYCLES).expect("ir cpu runs clean");
 
     // Direct path: the pre-refactor construction.
-    let (mut direct, direct_chs) = cpu_direct(&config, program, vec![0; THREADS]);
+    let mut direct = cpu_direct(&config, program, vec![0; THREADS]);
     direct.set_eval_mode(EvalMode::Exhaustive);
     direct.run(CYCLES).expect("direct cpu runs clean");
 
@@ -443,29 +425,43 @@ fn processor_ir_path_matches_direct_path() {
     }
 
     // So must the microarchitectural trace: per-thread transfer counts on
-    // every pipeline channel, in pipeline order.
-    let ir_chs = [
-        cpu.channels.fetch,
-        cpu.channels.fetched,
-        cpu.channels.decode_in,
-        cpu.channels.issued,
-        cpu.channels.ex_in,
-        cpu.channels.ex_out,
-        cpu.channels.route_in,
-        cpu.channels.mem_in,
-        cpu.channels.mem_out,
-        cpu.channels.wb,
-        cpu.channels.redirect_raw,
-        cpu.channels.redirect,
-    ];
+    // all twelve pipeline channels, paired by name.
+    let ir_chs = cpu.circuit.channel_ids();
+    let names: Vec<&str> = ir_chs
+        .iter()
+        .map(|&ch| cpu.circuit.channel_name(ch))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "fetch",
+            "fetched",
+            "decode_in",
+            "issued",
+            "ex_in",
+            "ex_out",
+            "route_in",
+            "mem_in",
+            "mem_out",
+            "wb",
+            "redirect_raw",
+            "redirect",
+        ],
+        "the pipeline's channels, in pipeline order"
+    );
     let mut executed_anything = false;
-    for (a, b) in ir_chs.iter().zip(&direct_chs) {
+    for (&a, name) in ir_chs.iter().zip(&names) {
+        let b = direct
+            .channel_ids()
+            .into_iter()
+            .find(|&b| direct.channel_name(b) == *name)
+            .expect("the direct pipeline has a channel of the same name");
         for t in 0..THREADS {
-            let ir_n = cpu.circuit.stats().transfers(*a, t);
+            let ir_n = cpu.circuit.stats().transfers(a, t);
             assert_eq!(
                 ir_n,
-                direct.stats().transfers(*b, t),
-                "transfers diverge on channel pair ({a:?}, {b:?}) thread {t}"
+                direct.stats().transfers(b, t),
+                "transfers diverge on channel `{name}` thread {t}"
             );
             executed_anything |= ir_n > 0;
         }

@@ -137,7 +137,7 @@ fn fast_paths_match_the_reference_under_speculation() {
 /// `Circuit::reset` rewinds the whole processor: a reset and rerun
 /// reproduces a fresh build's run exactly, whether the reset comes after
 /// a full run, mid-run, or after a single cycle (which leaves every
-/// per-cycle cache stamped for cycle 0, the cycle the rerun starts at).
+/// per-cycle word built at cycle 0, the cycle the rerun starts at).
 #[test]
 fn reset_and_rerun_reproduce_a_fresh_run() {
     for config in [CpuConfig::new(4), CpuConfig::new(4).with_speculation()] {

@@ -1,4 +1,5 @@
-//! The settle kernel's self-wake rule, pinned from both sides.
+//! The settle kernel's self-wake rule, pinned from both sides, and the
+//! first-evaluation flag the re-evaluations are told apart by.
 //!
 //! When a component changes a signal on a feedback channel, the
 //! event-driven kernel re-evaluates that component only if it declared a
@@ -11,14 +12,19 @@
 //! * Every other component evaluates a function of registered state and
 //!   its declared inputs, so re-running it on its own write is a no-op:
 //!   within one cycle it never sees the same inputs twice.
+//! * `EvalCtx::first_eval` is true for exactly one evaluation of every
+//!   component per step, the first, and a fast-forwarded cycle is not
+//!   evaluated at all.
 
 use std::sync::{Arc, Mutex};
 
-use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind};
+use mt_elastic::core::{
+    ArbiterKind, Fork, ForkMode, Join, MebKind, PipelineConfig, PipelineHarness,
+};
 use mt_elastic::md5::{algo, Md5Circuit, Md5Token};
 use mt_elastic::sim::{
-    ChannelId, CircuitBuilder, CombPath, Component, EvalMode, ReadyPolicy, Sink, Source, Tagged,
-    ThreadMask, Token,
+    ChannelId, Circuit, CircuitBuilder, CombPath, Component, EvalMode, ReadyPolicy, SimError, Sink,
+    Source, Tagged, ThreadMask, Token,
 };
 
 mod common;
@@ -36,10 +42,11 @@ enum Trigger {
 /// packed word, with the data word for a `valid` trigger.
 type Inputs<T> = Vec<(ThreadMask, Option<T>)>;
 
-/// `(cycle, inputs)` of every evaluation of one component.
-type EvalLog<T> = Arc<Mutex<Vec<(u64, Inputs<T>)>>>;
+/// `(cycle, first_eval, inputs)` of every evaluation of one component.
+type EvalLog<T> = Arc<Mutex<Vec<(u64, bool, Inputs<T>)>>>;
 
-/// `unit`, logging the inputs of every `eval` into `log` before it runs.
+/// `unit`, logging `first_eval` and the inputs of every `eval` into `log`
+/// before it runs.
 fn recorded<T: Token>(unit: Box<dyn Component<T>>, log: EvalLog<T>) -> Hooked<T> {
     let mut triggers = Vec::new();
     for path in unit.comb_paths() {
@@ -63,7 +70,9 @@ fn recorded<T: Token>(unit: Box<dyn Component<T>>, log: EvalLog<T>) -> Hooked<T>
                 Trigger::Ready(ch) => (ctx.ready_mask(ch).clone(), None),
             })
             .collect();
-        log.lock().expect("log lock").push((ctx.cycle(), inputs));
+        log.lock()
+            .expect("log lock")
+            .push((ctx.cycle(), ctx.first_eval(), inputs));
         unit.eval(ctx);
     })
 }
@@ -72,7 +81,8 @@ fn recorded<T: Token>(unit: Box<dyn Component<T>>, log: EvalLog<T>) -> Hooked<T>
 /// (`exit`) never evaluate twice in one cycle with identical inputs:
 /// every re-evaluation the kernel spends on them follows a change of a
 /// signal they listen to. Re-waking them on their own writes on feedback
-/// channels would fail this.
+/// channels would fail this. Each cycle's first evaluation, and only
+/// that one, sees `first_eval()` true.
 #[test]
 fn undamped_components_never_reevaluate_on_unchanged_inputs() {
     let messages: Vec<Vec<u8>> = (0..8u8)
@@ -103,10 +113,16 @@ fn undamped_components_never_reevaluate_on_unchanged_inputs() {
         for (name, log) in names.iter().zip(&logs) {
             let log = log.lock().expect("log lock");
             let mut reevaluated = 0;
-            for (k, (cycle, inputs)) in log.iter().enumerate() {
-                let earlier = log[..k].iter().rev().take_while(|(c, _)| c == cycle);
-                reevaluated += usize::from(earlier.clone().next().is_some());
-                for (_, seen) in earlier {
+            for (k, (cycle, first, inputs)) in log.iter().enumerate() {
+                let earlier = log[..k].iter().rev().take_while(|(c, ..)| c == cycle);
+                let again = earlier.clone().next().is_some();
+                reevaluated += usize::from(again);
+                assert_eq!(
+                    *first, !again,
+                    "{stages} stages: `{name}` in cycle {cycle}: first_eval() must be \
+                     true on the first evaluation only"
+                );
+                for (.., seen) in earlier {
                     assert_ne!(
                         seen, inputs,
                         "{stages} stages: `{name}` evaluated twice in cycle {cycle} \
@@ -206,4 +222,151 @@ fn damped_self_wake_keeps_the_oracle_captures() {
         fast, oracle,
         "event-driven captures diverged from the exhaustive oracle"
     );
+}
+
+/// `(evaluation-order index, cycle, first_eval)` of every evaluation of
+/// a circuit, in the order the kernel ran them.
+type FirstLog = Arc<Mutex<Vec<(usize, u64, bool)>>>;
+
+/// A 2-thread source, two reduced MEBs and a sink, each wrapped to log
+/// into the returned log.
+fn logged_pipeline(mode: EvalMode) -> (Circuit<Tagged>, FirstLog) {
+    let config = PipelineConfig::free_flowing(2, 2, MebKind::Reduced, 0).with_eval_mode(mode);
+    let mut circuit = PipelineHarness::build(config).circuit;
+    let log = FirstLog::default();
+    for (i, name) in circuit.component_names().iter().enumerate() {
+        let log = Arc::clone(&log);
+        circuit.wrap_component(name, |unit| {
+            Box::new(Hooked::new(unit, move |unit, ctx| {
+                log.lock()
+                    .expect("log lock")
+                    .push((i, ctx.cycle(), ctx.first_eval()));
+                unit.eval(ctx);
+            }))
+        });
+    }
+    (circuit, log)
+}
+
+/// Splits `log` into steps and checks each against the kernel: a step
+/// opens with one evaluation of every component with `first_eval()`
+/// true, in evaluation order and at one cycle, and every later
+/// evaluation of that cycle sees it false. The steps are the kernel's
+/// stepped cycles, and the clock's other cycles, the fast-forwarded
+/// ones, have no evaluation at all. Returns each step's cycle.
+fn steps_of(log: &[(usize, u64, bool)], circuit: &Circuit<Tagged>, label: &str) -> Vec<u64> {
+    let n = circuit.component_names().len();
+    let mut steps: Vec<u64> = Vec::new();
+    let mut k = 0;
+    while k < log.len() {
+        let cycle = log[k].1;
+        let opening = &log[k..log.len().min(k + n)];
+        assert!(
+            opening.len() == n
+                && opening
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &(unit, c, first))| unit == i && c == cycle && first),
+            "{label}: step {} does not open with one first evaluation of every \
+             component at cycle {cycle}: {opening:?}",
+            steps.len()
+        );
+        k += n;
+        while let Some(&(unit, c, _)) = log.get(k).filter(|e| !e.2) {
+            assert_eq!(
+                c, cycle,
+                "{label}: unit {unit} re-evaluated out of its step"
+            );
+            k += 1;
+        }
+        steps.push(cycle);
+    }
+    let kernel = circuit.stats().kernel();
+    assert_eq!(
+        steps.len() as u64,
+        kernel.stepped_cycles,
+        "{label}: one first evaluation per component per stepped cycle"
+    );
+    let mut stepped = steps.clone();
+    stepped.dedup();
+    assert!(
+        stepped.windows(2).all(|w| w[0] < w[1]),
+        "{label}: steps out of order: {steps:?}"
+    );
+    // A step that failed before its clock edge evaluated the cycle the
+    // clock still shows.
+    let unfinished = u64::from(stepped.last() == Some(&circuit.cycle()));
+    assert_eq!(
+        stepped.len() as u64 + kernel.quiesced_cycles,
+        circuit.cycle() + unfinished,
+        "{label}: a fast-forwarded cycle was evaluated"
+    );
+    steps
+}
+
+/// The kernel alone says when a cycle starts. On a small stalled
+/// pipeline, under both settle modes, across a re-step after a
+/// `Deadlock` (the error returns before the clock edge, so the next step
+/// evaluates the same cycle again) and across a `Circuit::reset` loop,
+/// every step evaluates every component exactly once with
+/// `first_eval()` true, before any re-evaluation, and the cycles that
+/// `run` fast-forwards are not evaluated at all.
+#[test]
+fn first_eval_opens_every_step_once_across_deadlocks_and_resets() {
+    for mode in [EvalMode::EventDriven, EvalMode::Exhaustive] {
+        let (mut c, log) = logged_pipeline(mode);
+        for round in 0..3u64 {
+            let label = format!("{mode:?}, round {round}");
+            c.reset().expect("every unit resets");
+            log.lock().expect("log lock").clear();
+            // Each run's evaluations are checked before its outcome.
+            let run = |c: &mut Circuit<Tagged>, cycles| {
+                let outcome = c.run(cycles);
+                steps_of(&log.lock().expect("log lock"), c, &label);
+                outcome
+            };
+            let src: &mut Source<Tagged> = c.get_mut("src").expect("source");
+            src.extend(0, (0..4).map(|i| Tagged::new(0, i, i)));
+            src.extend(1, (0..3 + round).map(|i| Tagged::new(1, i, i)));
+            let snk: &mut Sink<Tagged> = c.get_mut("snk").expect("sink");
+            snk.set_policy(0, ReadyPolicy::Never);
+            c.set_deadlock_watchdog(Some(4));
+            let stuck = run(&mut c, 200).expect_err("the never-ready thread deadlocks");
+            assert!(
+                matches!(stuck, SimError::Deadlock { .. }),
+                "{label}: {stuck:?}"
+            );
+            let deadlocked_at = c.cycle();
+            c.set_deadlock_watchdog(None);
+            let snk: &mut Sink<Tagged> = c.get_mut("snk").expect("sink");
+            snk.set_policy(0, ReadyPolicy::Always);
+            run(&mut c, 20).expect("the released pipeline drains");
+            // A late token leaves a quiescent gap for `run` to skip.
+            let release = c.cycle() + 15 + round;
+            let src: &mut Source<Tagged> = c.get_mut("src").expect("source");
+            src.push_at(1, release, Tagged::new(1, 99, 99));
+            run(&mut c, 40).expect("the late token drains");
+
+            let snk: &Sink<Tagged> = c.get("snk").expect("sink");
+            assert_eq!(snk.consumed_total(), 4 + 3 + round + 1, "{label}");
+            let steps = steps_of(&log.lock().expect("log lock"), &c, &label);
+            // The checks have teeth only if this run re-stepped a cycle,
+            // fast-forwarded others and, under the oracle, re-evaluated.
+            assert_eq!(
+                steps.iter().filter(|&&s| s == deadlocked_at).count(),
+                2,
+                "{label}: the deadlocked cycle is stepped again"
+            );
+            assert!(
+                c.stats().kernel().quiesced_cycles >= 14,
+                "{label}: the gap before cycle {release} was fast-forwarded"
+            );
+            if mode == EvalMode::Exhaustive {
+                assert!(
+                    log.lock().expect("log lock").iter().any(|e| !e.2),
+                    "{label}: the oracle re-evaluates"
+                );
+            }
+        }
+    }
 }
