@@ -3,11 +3,9 @@
 //!
 //! The campaign replicates one workload, a 4-thread, 4-stage reduced-MEB
 //! pipeline whose sinks stall at random, over 24 seeds under both settle
-//! modes (48 jobs). All points share one prototype, so each pool worker
-//! elaborates the pipeline once and rewinds it with [`Circuit::reset`]
-//! between points. The binary asserts that
+//! modes (48 jobs). Each point builds its own pipeline. The binary
+//! asserts that
 //!
-//! * the reset-reused campaign reproduces a fresh build per point;
 //! * every worker count reproduces the serial digests;
 //! * on a 1-core host, 2 workers cost at most 5% over serial, and on a
 //!   host with at least 4 cores, 4 workers reach an efficiency of at
@@ -30,8 +28,8 @@ use std::time::Duration;
 
 use elastic_core::{ArbiterKind, MebKind, PipelineConfig, PipelineHarness};
 use elastic_sim::{
-    available_workers, campaign_key, run_sweep_on, Circuit, EvalMode, KernelStats, ReadyPolicy,
-    SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
+    available_workers, campaign_key, run_sweep_on, EvalMode, KernelStats, ReadyPolicy, SimError,
+    SimJob, Sink, Source, SweepService, Tagged,
 };
 use elastic_synth::{ElasticIr, IrNodeKind};
 
@@ -54,27 +52,17 @@ fn points() -> impl Iterator<Item = (u64, EvalMode)> {
     })
 }
 
-/// The empty scaling pipeline. It is built with zero tokens, so a reset
-/// instance and a fresh build are identical; each point injects its own
-/// tokens and sink policies.
-fn scaling_pipeline() -> Circuit<Tagged> {
-    PipelineHarness::build(PipelineConfig::free_flowing(
+/// Runs one point: builds the scaling pipeline empty, sets the settle
+/// mode, injects the tokens, seeds the sink stalls and runs. Returns a
+/// digest of the captures.
+fn run_point(seed: u64, mode: EvalMode) -> Result<(String, KernelStats), SimError> {
+    let mut c = PipelineHarness::build(PipelineConfig::free_flowing(
         THREADS,
         STAGES,
         MebKind::Reduced,
         0,
     ))
-    .circuit
-}
-
-/// Drives one point on a fresh or reset pipeline: sets the settle mode,
-/// injects the tokens, seeds the sink stalls and runs. Returns a digest
-/// of the captures.
-fn drive_stalled(
-    c: &mut Circuit<Tagged>,
-    seed: u64,
-    mode: EvalMode,
-) -> Result<(String, KernelStats), SimError> {
+    .circuit;
     c.set_eval_mode(mode);
     {
         let src: &mut Source<Tagged> = c.get_mut("src").expect("harness source");
@@ -142,16 +130,14 @@ fn scaling_ir_hash() -> u64 {
     ir.structural_hash()
 }
 
-/// The campaign on one shared prototype, so each pool worker elaborates
-/// the pipeline once and resets it per point; `keyed` additionally tags
-/// every job for the [`SweepService`] campaign cache.
+/// The campaign, one job per point; `keyed` additionally tags every job
+/// for the [`SweepService`] campaign cache.
 fn scaling_jobs(keyed: bool) -> Vec<SimJob<String>> {
-    let proto = SharedCircuit::new(scaling_pipeline);
     let ir_hash = if keyed { scaling_ir_hash() } else { 0 };
     points()
         .map(|(seed, mode)| {
-            let job = SimJob::on_circuit(format!("seed {seed:#x} {mode:?}"), &proto, move |c| {
-                drive_stalled(c, seed, mode)
+            let job = SimJob::instrumented(format!("seed {seed:#x} {mode:?}"), move || {
+                run_point(seed, mode)
             });
             if keyed {
                 // (structure, config, seed): the config axis folds in the
@@ -161,18 +147,6 @@ fn scaling_jobs(keyed: bool) -> Vec<SimJob<String>> {
             } else {
                 job
             }
-        })
-        .collect()
-}
-
-/// The campaign with a fresh build per point, run inline: the reference
-/// the reset-reused campaign must reproduce.
-fn fresh_digests() -> Vec<String> {
-    points()
-        .map(|(seed, mode)| {
-            drive_stalled(&mut scaling_pipeline(), seed, mode)
-                .expect("the scaling pipeline runs clean")
-                .0
         })
         .collect()
 }
@@ -233,14 +207,7 @@ fn main() {
     );
     println!("{}", "-".repeat(62));
 
-    // Reset-reuse sanity: the shared-prototype campaign must reproduce
-    // the fresh-build-per-point campaign bit for bit.
-    let fresh = fresh_digests();
     let (baseline_wall, _, baseline) = best_of(1);
-    assert_eq!(
-        baseline, fresh,
-        "reset-then-rerun diverged from fresh-build-per-point"
-    );
 
     struct Point {
         requested: usize,
@@ -372,7 +339,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"sweep_scaling\",\n  \
          \"campaign\": \"stalled {THREADS}t/{STAGES}s pipeline, \
-         {SEEDS} seeds x 2 kernels, shared prototype per worker\",\n  \
+         {SEEDS} seeds x 2 kernels, one build per point\",\n  \
          \"jobs\": {n_jobs},\n  \"available_parallelism\": {host},\n  \
          \"timing\": \"best of {REPS}\",\n  \
          \"scaling_valid\": {scaling_valid},\n  \

@@ -54,6 +54,6 @@ pub use arbiter::{Arbiter, ArbiterKind, CoarseGrained, FixedPriority, LeastRecen
 pub use barrier::{Barrier, BarrierState};
 pub use eb::{EbState, ElasticBuffer};
 pub use meb::{FifoMeb, FullMeb, MebKind, ReducedMeb};
-pub use ops::{Branch, Fork, ForkMode, Join, Merge};
+pub use ops::{Branch, Fork, Join, Merge};
 pub use pipeline::{build_meb_pipeline, MebPipeline, PipelineConfig, PipelineHarness};
 pub use select::{advance_stall_pointer, select_output_thread, ReadyCache, SelectState};

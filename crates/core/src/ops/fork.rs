@@ -1,14 +1,10 @@
 //! Fork: replication of one channel to several consumers (paper, Fig. 3
 //! and Fig. 7(b)).
 //!
-//! Two classic control disciplines are provided:
-//!
-//! * **lazy** — all outputs must be ready simultaneously; the token is
-//!   delivered to everybody in one cycle;
-//! * **eager** — each output takes the token as soon as it is ready; a
-//!   per-(output, thread) `done` bit remembers partial delivery and the
-//!   input is consumed once every output has been served. Eager forks
-//!   decouple slow consumers and avoid throughput loss.
+//! The fork is **eager**: each output takes the token as soon as it is
+//! ready; a per-(output, thread) `done` bit remembers partial delivery
+//! and the input is consumed once every output has been served. Eager
+//! forks decouple slow consumers and avoid throughput loss.
 //!
 //! The multithreaded M-Fork is the per-thread replication of the baseline
 //! fork; the `done` state is therefore indexed by thread as well.
@@ -22,22 +18,12 @@ use elastic_sim::{
 /// of the returned mask selects output `o`.
 type RouteFn<T> = Box<dyn Fn(&T) -> u64 + Send>;
 
-/// Fork control discipline.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ForkMode {
-    /// All-or-nothing delivery.
-    Lazy,
-    /// Per-output delivery with done bits (the default).
-    #[default]
-    Eager,
-}
-
-/// A 1-to-N fork.
+/// A 1-to-N eager fork.
 ///
 /// # Examples
 ///
 /// ```
-/// use elastic_core::{Fork, ForkMode};
+/// use elastic_core::Fork;
 /// use elastic_sim::{CircuitBuilder, ReadyPolicy, Sink, Source};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +34,7 @@ pub enum ForkMode {
 /// let mut src = Source::new("src", x, 1);
 /// src.extend(0, [5, 6]);
 /// b.add(src);
-/// b.add(Fork::new("f", x, vec![y0, y1], 1, ForkMode::Eager));
+/// b.add(Fork::new("f", x, vec![y0, y1], 1));
 /// b.add(Sink::with_capture("s0", y0, 1, ReadyPolicy::Always));
 /// b.add(Sink::with_capture("s1", y1, 1, ReadyPolicy::Always));
 /// let mut circuit = b.build()?;
@@ -63,9 +49,8 @@ pub struct Fork<T: Token> {
     inp: ChannelId,
     outputs: Vec<ChannelId>,
     threads: usize,
-    mode: ForkMode,
     /// `done[o]` bit `t`: output `o` has already received thread `t`'s
-    /// current token (eager mode only).
+    /// current token.
     done: Vec<ThreadMask>,
     /// Optional per-token routing: outputs whose mask bit is clear do not
     /// receive the token (they are treated as already done).
@@ -73,10 +58,9 @@ pub struct Fork<T: Token> {
     /// The invalid route mask returned for the token offered at the last
     /// evaluation, latched as a fault at the clock edge.
     bad_route: Option<u64>,
-    /// Scratch words of the word-level eager evaluation.
+    /// Scratch words of the word-level evaluation.
     word: ThreadMask,
     ready: ThreadMask,
-    _marker: std::marker::PhantomData<T>,
 }
 
 /// How the offered token is routed, as seen by one evaluation.
@@ -112,7 +96,6 @@ impl<T: Token> Fork<T> {
         inp: ChannelId,
         outputs: Vec<ChannelId>,
         threads: usize,
-        mode: ForkMode,
     ) -> Self {
         assert!(outputs.len() >= 2, "a fork needs at least two outputs");
         let n = outputs.len();
@@ -121,21 +104,18 @@ impl<T: Token> Fork<T> {
             inp,
             outputs,
             threads,
-            mode,
             done: vec![ThreadMask::new(threads); n],
             route: None,
             bad_route: None,
             word: ThreadMask::new(threads),
             ready: ThreadMask::new(threads),
-            _marker: std::marker::PhantomData,
         }
     }
 
     /// Makes the fork *routing*: `f` returns, per token, the bitmask of
     /// outputs that receive it (bit `o` = output `o`). A token routed to
     /// a single output behaves like a demultiplexed branch; a token
-    /// routed to several outputs is replicated to exactly those. Only
-    /// meaningful in [`ForkMode::Eager`].
+    /// routed to several outputs is replicated to exactly those.
     ///
     /// A mask that selects no output, or sets a bit at or above the
     /// output count, leaves the token unconsumed and latches
@@ -153,11 +133,6 @@ impl<T: Token> Fork<T> {
         );
         self.route = Some(Box::new(f));
         self
-    }
-
-    /// The fork's control discipline.
-    pub fn mode(&self) -> ForkMode {
-        self.mode
     }
 
     /// Routing of the currently offered token (`data` on the input).
@@ -182,31 +157,6 @@ impl<T: Token> Fork<T> {
         };
     }
 
-    /// Lazy control: `valid(out_o) = valid(in) ∧ ready(every other
-    /// output)`, `ready(in) = ready(every output)`.
-    fn eval_lazy(&self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let vin = ctx.valid(self.inp, t);
-            for (o, &out) in self.outputs.iter().enumerate() {
-                let others_ready = self
-                    .outputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(p, _)| p != o)
-                    .all(|(_, &q)| ctx.ready(q, t));
-                ctx.set_valid(out, t, vin && others_ready);
-            }
-            let all_ready = self.outputs.iter().all(|&q| ctx.ready(q, t));
-            ctx.set_ready(self.inp, t, all_ready);
-        }
-    }
-
-    fn drive_data(&self, ctx: &mut EvalCtx<'_, T>, data: Option<T>) {
-        for &out in &self.outputs {
-            ctx.set_data(out, data.clone());
-        }
-    }
-
     /// The per-thread reference evaluation [`eval`](Component::eval) is
     /// checked against: drives every `(output, thread)` valid bit and
     /// every thread's ready bit one at a time. Kept so tests can run a
@@ -214,37 +164,33 @@ impl<T: Token> Fork<T> {
     #[doc(hidden)]
     pub fn eval_reference(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let data = ctx.data(self.inp).cloned();
-        match self.mode {
-            ForkMode::Lazy => self.eval_lazy(ctx),
-            ForkMode::Eager => {
-                let routing = self.routing(data.as_ref());
-                self.note_routing(routing);
-                let offered = ctx.valid_mask(self.inp).first_one();
-                for t in 0..self.threads {
-                    let vin = ctx.valid(self.inp, t);
-                    for (o, &out) in self.outputs.iter().enumerate() {
-                        ctx.set_valid(out, t, vin && routing.routed(o) && !self.done[o].get(t));
-                    }
-                    // Input consumed once every (routed) output is done or
-                    // accepting. The mask belongs to the *offered* token;
-                    // for any other thread the data bus does not hold its
-                    // token, so answer conservatively as if it routed to
-                    // every output — a conservative ready can only be
-                    // upgraded once the thread is offered, which keeps the
-                    // upstream selection from chasing a false ready. An
-                    // invalid route is never consumed.
-                    let use_mask = offered == Some(t);
-                    let all_served = !(use_mask && matches!(routing, Routing::Invalid(_)))
-                        && (0..self.outputs.len()).all(|o| {
-                            (use_mask && !routing.routed(o))
-                                || self.done[o].get(t)
-                                || ctx.ready(self.outputs[o], t)
-                        });
-                    ctx.set_ready(self.inp, t, all_served);
-                }
+        let routing = self.routing(data.as_ref());
+        self.note_routing(routing);
+        let offered = ctx.valid_mask(self.inp).first_one();
+        for t in 0..self.threads {
+            let vin = ctx.valid(self.inp, t);
+            for (o, &out) in self.outputs.iter().enumerate() {
+                ctx.set_valid(out, t, vin && routing.routed(o) && !self.done[o].get(t));
             }
+            // Input consumed once every (routed) output is done or
+            // accepting. The mask belongs to the *offered* token; for any
+            // other thread the data bus does not hold its token, so answer
+            // conservatively as if it routed to every output — a
+            // conservative ready can only be upgraded once the thread is
+            // offered, which keeps the upstream selection from chasing a
+            // false ready. An invalid route is never consumed.
+            let use_mask = offered == Some(t);
+            let all_served = !(use_mask && matches!(routing, Routing::Invalid(_)))
+                && (0..self.outputs.len()).all(|o| {
+                    (use_mask && !routing.routed(o))
+                        || self.done[o].get(t)
+                        || ctx.ready(self.outputs[o], t)
+                });
+            ctx.set_ready(self.inp, t, all_served);
         }
-        self.drive_data(ctx, data);
+        for &out in &self.outputs {
+            ctx.set_data(out, data.clone());
+        }
     }
 }
 
@@ -262,68 +208,36 @@ impl<T: Token> Component<T> for Fork<T> {
     }
 
     fn comb_paths(&self) -> Vec<CombPath> {
+        // valid(out_o) = valid(inp) ∧ ¬done; ready(inp) reads the offered
+        // thread (valid(inp) itself, for routing) plus every output's
+        // ready.
         let mut paths = Vec::new();
-        match self.mode {
-            ForkMode::Lazy => {
-                // valid(out_o) = valid(inp) ∧ ready(every other output);
-                // ready(inp) = ready(every output).
-                for (o, &out) in self.outputs.iter().enumerate() {
-                    paths.push(CombPath::ValidToValid {
-                        from: self.inp,
-                        to: out,
-                    });
-                    for (p, &other) in self.outputs.iter().enumerate() {
-                        if p != o {
-                            paths.push(CombPath::ReadyToValid {
-                                from: other,
-                                to: out,
-                                damped: false,
-                            });
-                        }
-                    }
-                    paths.push(CombPath::ReadyToReady {
-                        from: out,
-                        to: self.inp,
-                    });
-                }
-            }
-            ForkMode::Eager => {
-                // valid(out_o) = valid(inp) ∧ ¬done; ready(inp) reads the
-                // offered thread (valid(inp) itself, for routing) plus
-                // every output's ready.
-                for &out in &self.outputs {
-                    paths.push(CombPath::ValidToValid {
-                        from: self.inp,
-                        to: out,
-                    });
-                    paths.push(CombPath::ReadyToReady {
-                        from: out,
-                        to: self.inp,
-                    });
-                }
-                paths.push(CombPath::ValidToReady {
-                    from: self.inp,
-                    to: self.inp,
-                });
-            }
+        for &out in &self.outputs {
+            paths.push(CombPath::ValidToValid {
+                from: self.inp,
+                to: out,
+            });
+            paths.push(CombPath::ReadyToReady {
+                from: out,
+                to: self.inp,
+            });
         }
+        paths.push(CombPath::ValidToReady {
+            from: self.inp,
+            to: self.inp,
+        });
         paths
     }
 
-    /// Eager mode is word-level: each output's `valid` word is
-    /// `valid(in) ∧ ¬done[o]` when the offered token routes to it (zero
-    /// otherwise), and `ready(in)` is the AND over outputs of
-    /// `done[o] ∨ ready(out_o)`, with the offered thread's bit recomputed
-    /// against its token's route. Each word is committed in one masked
-    /// write. Lazy mode keeps the per-thread evaluation.
+    /// Word-level: each output's `valid` word is `valid(in) ∧ ¬done[o]`
+    /// when the offered token routes to it (zero otherwise), and
+    /// `ready(in)` is the AND over outputs of `done[o] ∨ ready(out_o)`,
+    /// with the offered thread's bit recomputed against its token's
+    /// route. Each word is committed in one masked write, and the input
+    /// token is forwarded to every output with
+    /// [`EvalCtx::forward_data`], which compares before it clones.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let data = ctx.data(self.inp).cloned();
-        if self.mode == ForkMode::Lazy {
-            self.eval_lazy(ctx);
-            self.drive_data(ctx, data);
-            return;
-        }
-        let routing = self.routing(data.as_ref());
+        let routing = self.routing(ctx.data(self.inp));
         self.note_routing(routing);
         self.ready.fill();
         for (o, &out) in self.outputs.iter().enumerate() {
@@ -350,13 +264,12 @@ impl<T: Token> Component<T> for Fork<T> {
             }
         }
         ctx.set_ready_mask(self.inp, &self.ready);
-        self.drive_data(ctx, data);
+        for &out in &self.outputs {
+            ctx.forward_data(self.inp, out);
+        }
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
-        if self.mode == ForkMode::Lazy {
-            return;
-        }
         // The kernel has checked the one-valid-thread invariant before
         // the clock edge, so only the offered thread can change state.
         let Some(t) = ctx.valid_mask(self.inp).first_one() else {
@@ -404,7 +317,7 @@ mod tests {
     use crate::eb::ElasticBuffer;
     use elastic_sim::{Circuit, CircuitBuilder, ReadyPolicy, Sink, Source, Tagged};
 
-    fn fork_fixture(mode: ForkMode, p0: ReadyPolicy, p1: ReadyPolicy) -> Circuit<u64> {
+    fn fork_fixture(p0: ReadyPolicy, p1: ReadyPolicy) -> Circuit<u64> {
         let mut b = CircuitBuilder::<u64>::new();
         let x = b.channel("x", 1);
         let y0 = b.channel("y0", 1);
@@ -412,48 +325,15 @@ mod tests {
         let mut src = Source::new("src", x, 1);
         src.extend(0, 0..10u64);
         b.add(src);
-        b.add(Fork::new("f", x, vec![y0, y1], 1, mode));
+        b.add(Fork::new("f", x, vec![y0, y1], 1));
         b.add(Sink::with_capture("s0", y0, 1, p0));
         b.add(Sink::with_capture("s1", y1, 1, p1));
         b.build().expect("valid")
     }
 
     #[test]
-    fn lazy_fork_delivers_to_all_simultaneously() {
-        let mut c = fork_fixture(ForkMode::Lazy, ReadyPolicy::Always, ReadyPolicy::Always);
-        c.run(15).expect("clean");
-        let s0: &Sink<u64> = c.get("s0").expect("s0");
-        let s1: &Sink<u64> = c.get("s1").expect("s1");
-        assert_eq!(s0.consumed(0), 10);
-        assert_eq!(s1.consumed(0), 10);
-        // Same arrival cycles on both branches.
-        let c0: Vec<u64> = s0.captured(0).iter().map(|&(c, _)| c).collect();
-        let c1: Vec<u64> = s1.captured(0).iter().map(|&(c, _)| c).collect();
-        assert_eq!(c0, c1);
-    }
-
-    #[test]
-    fn lazy_fork_is_blocked_by_slowest_branch() {
-        let mut c = fork_fixture(
-            ForkMode::Lazy,
-            ReadyPolicy::Always,
-            ReadyPolicy::Period {
-                on: 1,
-                off: 3,
-                phase: 0,
-            },
-        );
-        c.run(60).expect("clean");
-        let s0: &Sink<u64> = c.get("s0").expect("s0");
-        let s1: &Sink<u64> = c.get("s1").expect("s1");
-        // Both branches advance in lock-step at the slow branch's rate.
-        assert_eq!(s0.consumed(0), s1.consumed(0));
-        assert_eq!(s0.consumed(0), 10);
-    }
-
-    #[test]
     fn eager_fork_lets_fast_branch_run_ahead_by_one_token() {
-        let mut c = fork_fixture(ForkMode::Eager, ReadyPolicy::Always, ReadyPolicy::Never);
+        let mut c = fork_fixture(ReadyPolicy::Always, ReadyPolicy::Never);
         c.run(10).expect("clean");
         let s0: &Sink<u64> = c.get("s0").expect("s0");
         let s1: &Sink<u64> = c.get("s1").expect("s1");
@@ -466,7 +346,6 @@ mod tests {
     #[test]
     fn eager_fork_never_duplicates_or_reorders() {
         let mut c = fork_fixture(
-            ForkMode::Eager,
             ReadyPolicy::Random { p: 0.5, seed: 1 },
             ReadyPolicy::Random { p: 0.3, seed: 2 },
         );
@@ -499,7 +378,7 @@ mod tests {
             2,
             crate::arbiter::ArbiterKind::RoundRobin.build(),
         ));
-        b.add(Fork::new("f", x1, vec![y0, y1], 2, ForkMode::Eager));
+        b.add(Fork::new("f", x1, vec![y0, y1], 2));
         // Branch y1 blocks thread 0 for a while; thread 1 must keep moving
         // on both branches.
         let mut s1 = Sink::with_capture("s1", y1, 2, ReadyPolicy::Always);
@@ -530,17 +409,15 @@ mod tests {
         src.extend(0, 0..9u64);
         b.add(src);
         // Multiples of 3 go to both outputs, even → y0, odd → y1.
-        b.add(
-            Fork::new("f", x, vec![y0, y1], 1, ForkMode::Eager).with_route(|v: &u64| {
-                if v.is_multiple_of(3) {
-                    0b11
-                } else if v.is_multiple_of(2) {
-                    0b01
-                } else {
-                    0b10
-                }
-            }),
-        );
+        b.add(Fork::new("f", x, vec![y0, y1], 1).with_route(|v: &u64| {
+            if v.is_multiple_of(3) {
+                0b11
+            } else if v.is_multiple_of(2) {
+                0b01
+            } else {
+                0b10
+            }
+        }));
         b.add(Sink::with_capture("s0", y0, 1, ReadyPolicy::Always));
         b.add(Sink::with_capture("s1", y1, 1, ReadyPolicy::Always));
         let mut c = b.build().expect("valid");
@@ -554,7 +431,7 @@ mod tests {
     }
 
     /// A fork inside an EB-bounded stage sustains full throughput when
-    /// both branches are free-flowing (eager mode).
+    /// both branches are free-flowing.
     #[test]
     fn eager_fork_full_throughput_between_ebs() {
         let mut b = CircuitBuilder::<u64>::new();
@@ -566,7 +443,7 @@ mod tests {
         src.extend(0, 0..50u64);
         b.add(src);
         b.add(ElasticBuffer::new("eb", a, x));
-        b.add(Fork::new("f", x, vec![y0, y1], 1, ForkMode::Eager));
+        b.add(Fork::new("f", x, vec![y0, y1], 1));
         b.add(Sink::new("s0", y0, 1, ReadyPolicy::Always));
         b.add(Sink::new("s1", y1, 1, ReadyPolicy::Always));
         let mut circuit = b.build().expect("valid");

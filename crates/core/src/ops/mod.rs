@@ -13,6 +13,6 @@ mod join;
 mod merge;
 
 pub use branch::Branch;
-pub use fork::{Fork, ForkMode};
+pub use fork::Fork;
 pub use join::Join;
 pub use merge::Merge;

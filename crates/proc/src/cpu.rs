@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use elastic_core::{ArbiterKind, ForkMode, MebKind};
+use elastic_core::{ArbiterKind, MebKind};
 use elastic_cost::primitives::{adder, lut_layer, mux, register};
 use elastic_sim::{ChannelId, Circuit, Component, LatencyModel, SimError};
 use elastic_synth::{
@@ -332,7 +332,6 @@ impl Cpu {
         ir.add(
             "router",
             IrNodeKind::Fork {
-                mode: ForkMode::Eager,
                 route: Some(Box::new(route)),
             },
             vec![route_in],

@@ -126,10 +126,9 @@ pub struct Fetcher {
     /// advances, kept so evaluation takes no lock.
     epochs: Vec<u32>,
     fetched: Vec<u64>,
-    /// Predict-not-taken speculation for conditional branches; direct
-    /// jumps are taken at predecode; `jr` still stalls.
-    speculate: bool,
-    /// Shared squash state (the hardware's squash broadcast).
+    /// Shared squash state (the hardware's squash broadcast); present
+    /// when the fetcher speculates: predict-not-taken for conditional
+    /// branches, direct jumps taken at predecode, `jr` still stalls.
     spec: Option<Arc<SpecState>>,
     /// Wrong-path instructions squashed per thread (statistics).
     squashed: Vec<u64>,
@@ -167,7 +166,6 @@ impl Fetcher {
             redirect_ready,
             epochs: vec![0; threads],
             fetched: vec![0; threads],
-            speculate: false,
             spec: None,
             squashed: vec![0; threads],
         }
@@ -177,7 +175,6 @@ impl Fetcher {
     /// used by the downstream units to neuter wrong-path instructions.
     #[must_use]
     pub fn with_speculation(mut self, spec: Arc<SpecState>) -> Self {
-        self.speculate = true;
         self.spec = Some(spec);
         self
     }
@@ -307,6 +304,7 @@ impl Component<ProcToken> for Fetcher {
                 unreachable!("fetch output carries Fetched tokens");
             };
             self.fetched[t] += 1;
+            let speculate = self.spec.is_some();
             match Instr::decode(word) {
                 // An undecodable word stops the thread and faults.
                 Err(_) => {
@@ -316,11 +314,11 @@ impl Component<ProcToken> for Fetcher {
                 Ok(Instr::Halt) => self.status[t] = ThreadStatus::Halted,
                 // Direct jumps: under speculation the target is known at
                 // predecode — take it immediately, no stall.
-                Ok(Instr::J { target } | Instr::Jal { target }) if self.speculate => {
+                Ok(Instr::J { target } | Instr::Jal { target }) if speculate => {
                     self.pcs[t] = target;
                 }
                 // Conditional branches: predict not-taken, keep fetching.
-                Ok(Instr::Beq { .. } | Instr::Bne { .. }) if self.speculate => self.pcs[t] += 1,
+                Ok(Instr::Beq { .. } | Instr::Bne { .. }) if speculate => self.pcs[t] += 1,
                 Ok(i) if i.is_control_flow() => self.status[t] = ThreadStatus::WaitControl,
                 Ok(_) => self.pcs[t] += 1,
             }
@@ -340,7 +338,7 @@ impl Component<ProcToken> for Fetcher {
             else {
                 unreachable!("redirect carries Executed tokens");
             };
-            if let Some(spec) = self.spec.as_ref().filter(|_| self.speculate) {
+            if let Some(spec) = &self.spec {
                 match instr {
                     Instr::Halt | Instr::J { .. } | Instr::Jal { .. } => {
                         // Halt handled at predecode; direct jumps already

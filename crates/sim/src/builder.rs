@@ -15,12 +15,10 @@ use crate::token::Token;
 /// constructors), then components are added; [`build`](CircuitBuilder::build)
 /// validates that every channel has exactly one driver and one reader.
 ///
-/// Building is the expensive step (validation plus the levelized rank
-/// schedule), so sweep campaigns that run many points on one structure
-/// should build a single prototype behind [`crate::SharedCircuit`] and
-/// submit [`crate::SimJob::on_circuit`] jobs: each pool worker then
-/// builds once and rewinds the instance with [`Circuit::reset`] between
-/// points instead of re-running the builder.
+/// Building validates the netlist and compiles the levelized rank
+/// schedule. A driver that runs many points on one structure can keep
+/// the built circuit and rewind it with [`Circuit::reset`] between points
+/// instead of re-running the builder.
 ///
 /// # Examples
 ///

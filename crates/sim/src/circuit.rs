@@ -747,12 +747,10 @@ impl<T: Token> Circuit<T> {
     /// ([`Component::reset`]), all channel signals are cleared, and the
     /// clock, statistics, dirty set and watchdog bookkeeping start over.
     ///
-    /// This is what lets the parallel sweep pool reuse one elaborated
-    /// circuit per worker across many sweep points
-    /// ([`SimJob::on_circuit`](crate::SimJob::on_circuit)) instead of
-    /// paying `build()` per job. The structure (components, channels,
-    /// compiled rank schedule), the eval mode and any armed watchdog
-    /// persist; recorded traces and faults not yet returned by
+    /// This lets a driver run many points on one elaborated circuit
+    /// instead of paying `build()` per point. The structure (components,
+    /// channels, compiled rank schedule), the eval mode and any armed
+    /// watchdog persist; recorded traces and faults not yet returned by
     /// [`step`](Circuit::step) are dropped, and tracing is switched off
     /// (call [`enable_trace`](Circuit::enable_trace) again if needed).
     ///
@@ -1084,6 +1082,46 @@ impl<T: Token> Circuit<T> {
                 cs.record_stall_occupancy(cycle);
             }
         }
+
+        // Watchdog: a cycle counts as "stuck" only when some token is
+        // offered (a valid is asserted) yet nothing moves. A circuit with
+        // no valid tokens at all is quiescent, not deadlocked. A deadlock
+        // returns before the cycle is recorded and takes back the channel
+        // pass, like a failed channel check: the statistics, the trace
+        // and the idle count stay as they were, so stepping the cycle
+        // again counts it once.
+        self.quiescent = fired == 0 && !any_valid;
+        if fired > 0 {
+            self.last_progress = Some(cycle);
+        }
+        let idle_cycles = if fired == 0 && any_valid {
+            self.idle_cycles + 1
+        } else {
+            0
+        };
+        if self.watchdog.is_some_and(|limit| idle_cycles >= limit) {
+            Self::unwind_stats(&self.channels, &mut self.stats, &self.streak_undo);
+            // Name the culprits: every (channel, thread) whose token is
+            // being offered (valid high) without acceptance (ready low)
+            // in the settled final cycle.
+            let stalled = self
+                .channels
+                .iter()
+                .flat_map(|ch| {
+                    ch.valid
+                        .iter_ones()
+                        .filter(|&t| !ch.ready.get(t))
+                        .map(|t| (ch.spec.name.clone(), t))
+                })
+                .collect();
+            return Err(SimError::Deadlock {
+                cycle,
+                idle_cycles,
+                last_progress: self.last_progress,
+                stalled,
+            });
+        }
+        self.idle_cycles = idle_cycles;
         self.stats.record_cycle();
 
         if let Some(recorder) = &mut self.recorder {
@@ -1117,42 +1155,6 @@ impl<T: Token> Circuit<T> {
             recorder.push(record);
         }
 
-        // Watchdog: a cycle counts as "stuck" only when some token is
-        // offered (a valid is asserted) yet nothing moves. A circuit with
-        // no valid tokens at all is quiescent, not deadlocked.
-        self.quiescent = fired == 0 && !any_valid;
-        if fired > 0 {
-            self.last_progress = Some(cycle);
-        }
-        if fired == 0 && any_valid {
-            self.idle_cycles += 1;
-        } else {
-            self.idle_cycles = 0;
-        }
-        if let Some(limit) = self.watchdog {
-            if self.idle_cycles >= limit {
-                // Name the culprits: every (channel, thread) whose token
-                // is being offered (valid high) without acceptance
-                // (ready low) in the settled final cycle.
-                let stalled = self
-                    .channels
-                    .iter()
-                    .flat_map(|ch| {
-                        ch.valid
-                            .iter_ones()
-                            .filter(|&t| !ch.ready.get(t))
-                            .map(|t| (ch.spec.name.clone(), t))
-                    })
-                    .collect();
-                return Err(SimError::Deadlock {
-                    cycle,
-                    idle_cycles: self.idle_cycles,
-                    last_progress: self.last_progress,
-                    stalled,
-                });
-            }
-        }
-
         // Phase 3: the clock edge. A component that finds a fault at its
         // edge latches it through `TickCtx::fault`; the kernel collects
         // the faults in evaluation order and returns the first.
@@ -1175,8 +1177,9 @@ impl<T: Token> Circuit<T> {
     }
 
     /// Takes back the statistics that the channel pass of this cycle
-    /// wrote for `channels` (the channels before the one that failed its
-    /// checks, each with one valid thread and data).
+    /// wrote for `channels`: the channels before the one that failed its
+    /// checks, or every channel when the watchdog fires. Each valid one
+    /// has one valid thread and data.
     #[cold]
     fn unwind_stats(channels: &[ChannelState<T>], stats: &mut Stats, streak_undo: &[StallStreak]) {
         for (ci, ch) in channels.iter().enumerate() {

@@ -20,22 +20,15 @@
 //!   only touch a shared lock to rebalance stragglers — the earlier
 //!   design funneled every single job through one `Mutex<Receiver>`
 //!   handoff, which cost more than it saved on short jobs.
-//! * **Circuit reuse** — jobs built with [`SimJob::on_circuit`] share one
-//!   elaborated [`Circuit`] *per worker*: the first such job on a worker
-//!   builds it, later jobs [`Circuit::reset`] and re-drive it, so a
-//!   thousand-point sweep elaborates the netlist `workers` times instead
-//!   of a thousand.
 //! * **Determinism** — each job is a self-contained deterministic
-//!   function ([`Circuit::reset`] rewinds to the freshly built state, so
-//!   reuse does not leak state between points); results are returned
-//!   **in submission order**, so the output of a parallel sweep is
+//!   function that builds its own circuit; results are returned **in
+//!   submission order**, so the output of a parallel sweep is
 //!   byte-identical to the serial (`workers = 1`) path no matter how
 //!   execution interleaves or which worker ran which point.
 //! * **Isolation** — a job that returns [`SimError`] or panics produces a
 //!   per-job [`JobError`]; it does not poison the pool, and every other
-//!   job still completes and reports. A panic inside a shared circuit
-//!   drops that worker's cached instance (its state is suspect), and the
-//!   panic location is captured so the report names `file:line`.
+//!   job still completes and reports. The panic location is captured so
+//!   the report names `file:line`.
 //! * **Aggregation** — per-job [`KernelStats`] are merged into a
 //!   campaign-wide total ([`SweepReport::kernel`]).
 //!
@@ -57,86 +50,19 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once};
+use std::sync::{mpsc, Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::circuit::Circuit;
 use crate::error::SimError;
 use crate::stats::KernelStats;
-use crate::token::Token;
 
-/// A circuit prototype shared by many sweep points: the build closure is
-/// elaborated **once per worker** and every subsequent
-/// [`SimJob::on_circuit`] job on that worker rewinds the instance with
-/// [`Circuit::reset`] instead of rebuilding it.
-///
-/// Cloning the handle is cheap (it shares the build closure); all clones
-/// refer to the same per-worker cache slot.
-pub struct SharedCircuit<T: Token> {
-    key: u64,
-    build: Arc<dyn Fn() -> Circuit<T> + Send + Sync>,
-}
-
-/// Process-unique keys for [`SharedCircuit`] cache slots.
-static NEXT_SHARED_KEY: AtomicU64 = AtomicU64::new(1);
-
-impl<T: Token> SharedCircuit<T> {
-    /// A prototype whose `build` closure elaborates the circuit. The
-    /// closure must be deterministic: a reset instance and a freshly
-    /// built one must be indistinguishable, or reuse would break the
-    /// sweep's bit-identity guarantee.
-    pub fn new(build: impl Fn() -> Circuit<T> + Send + Sync + 'static) -> Self {
-        Self {
-            key: NEXT_SHARED_KEY.fetch_add(1, Ordering::Relaxed),
-            build: Arc::new(build),
-        }
-    }
-
-    /// The process-unique cache key identifying this prototype.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-}
-
-impl<T: Token> Clone for SharedCircuit<T> {
-    fn clone(&self) -> Self {
-        Self {
-            key: self.key,
-            build: Arc::clone(&self.build),
-        }
-    }
-}
-
-/// Per-worker cache of elaborated shared circuits, keyed by
-/// [`SharedCircuit::key`]. Type-erased so one pool handles sweeps over
-/// any token type.
-type CircuitCache = HashMap<u64, Box<dyn Any + Send>>;
-
-/// How a job produces its result.
-enum JobKind<R> {
-    /// The closure owns everything it needs (including any circuit it
-    /// builds) and runs exactly once.
-    Owned(
-        #[allow(clippy::type_complexity)]
-        Box<dyn FnOnce() -> Result<(R, KernelStats), SimError> + Send>,
-    ),
-    /// The job drives a worker-cached [`SharedCircuit`] instance,
-    /// resetting it when it is reused.
-    Shared {
-        key: u64,
-        build: Arc<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>,
-        #[allow(clippy::type_complexity)]
-        run: Box<
-            dyn FnOnce(&mut Box<dyn Any + Send>, bool) -> Result<(R, KernelStats), SimError> + Send,
-        >,
-    },
-}
+/// The body of a [`SimJob`]: runs once and returns the value with the
+/// run's kernel counters.
+type JobFn<R> = Box<dyn FnOnce() -> Result<(R, KernelStats), SimError> + Send>;
 
 /// One independent simulation to execute on the sweep pool.
 ///
@@ -147,7 +73,7 @@ enum JobKind<R> {
 pub struct SimJob<R> {
     label: String,
     cache_key: Option<u64>,
-    kind: JobKind<R>,
+    run: JobFn<R>,
 }
 
 impl<R> SimJob<R> {
@@ -159,7 +85,7 @@ impl<R> SimJob<R> {
         Self {
             label: label.into(),
             cache_key: None,
-            kind: JobKind::Owned(Box::new(move || f().map(|r| (r, KernelStats::default())))),
+            run: Box::new(move || f().map(|r| (r, KernelStats::default()))),
         }
     }
 
@@ -172,43 +98,7 @@ impl<R> SimJob<R> {
         Self {
             label: label.into(),
             cache_key: None,
-            kind: JobKind::Owned(Box::new(f)),
-        }
-    }
-
-    /// A job that drives a [`SharedCircuit`] instance cached on whichever
-    /// worker runs it: the first such job on a worker elaborates the
-    /// prototype, later jobs receive the same instance rewound by
-    /// [`Circuit::reset`]. The closure gets the circuit in its freshly
-    /// built (or equivalently, freshly reset) state and may configure,
-    /// run and inspect it at will.
-    ///
-    /// If the circuit contains a component that does not support reset,
-    /// every reused point fails with
-    /// [`SimError::ResetUnsupported`] — build such sweeps with
-    /// [`SimJob::instrumented`] instead.
-    pub fn on_circuit<T: Token>(
-        label: impl Into<String>,
-        shared: &SharedCircuit<T>,
-        f: impl FnOnce(&mut Circuit<T>) -> Result<(R, KernelStats), SimError> + Send + 'static,
-    ) -> Self {
-        let build = Arc::clone(&shared.build);
-        Self {
-            label: label.into(),
-            cache_key: None,
-            kind: JobKind::Shared {
-                key: shared.key,
-                build: Arc::new(move || Box::new(build()) as Box<dyn Any + Send>),
-                run: Box::new(move |slot, reused| {
-                    let circuit = slot
-                        .downcast_mut::<Circuit<T>>()
-                        .expect("shared-circuit cache slot holds the prototype's circuit type");
-                    if reused {
-                        circuit.reset()?;
-                    }
-                    f(circuit)
-                }),
-            },
+            run: Box::new(f),
         }
     }
 
@@ -399,38 +289,16 @@ fn install_panic_hook() {
     });
 }
 
-fn execute<R>(job: SimJob<R>, index: usize, circuits: &mut CircuitCache) -> JobReport<R> {
+fn execute<R>(job: SimJob<R>, index: usize) -> JobReport<R> {
     let SimJob {
         label,
         cache_key,
-        kind,
+        run,
     } = job;
     install_panic_hook();
     LAST_PANIC_LOCATION.with(|slot| slot.borrow_mut().take());
     let start = Instant::now();
-    let raw = match kind {
-        JobKind::Owned(run) => catch_unwind(AssertUnwindSafe(run)),
-        JobKind::Shared { key, build, run } => {
-            let (mut circuit, reused) = match circuits.remove(&key) {
-                Some(c) => (c, true),
-                None => (build(), false),
-            };
-            match catch_unwind(AssertUnwindSafe(move || {
-                let out = run(&mut circuit, reused);
-                (out, circuit)
-            })) {
-                Ok((out, circuit)) => {
-                    // The instance stays coherent across Ok *and* SimError
-                    // outcomes (errors leave a resettable circuit); only a
-                    // panic poisons it, and then the unwound closure has
-                    // already dropped it.
-                    circuits.insert(key, circuit);
-                    Ok(out)
-                }
-                Err(payload) => Err(payload),
-            }
-        }
-    };
+    let raw = catch_unwind(AssertUnwindSafe(run));
     let wall = start.elapsed();
     let (outcome, kernel) = match raw {
         Ok(Ok((value, kernel))) => (Ok(value), kernel),
@@ -495,17 +363,14 @@ pub(crate) fn run_pool<R: Send>(
     let workers_used = workers.clamp(1, n.max(1));
 
     if workers_used <= 1 {
-        let mut circuits = CircuitCache::new();
         for (index, job) in jobs {
-            on_report(execute(job, index, &mut circuits));
+            on_report(execute(job, index));
         }
         return workers_used;
     }
 
     // Seed each worker's deque with a contiguous chunk of the submission
-    // order: worker w starts on jobs [w·n/W, (w+1)·n/W). Contiguity is
-    // what makes per-worker circuit reuse pay off — neighbouring sweep
-    // points share a prototype, so a chunk usually elaborates once.
+    // order: worker w starts on jobs [w·n/W, (w+1)·n/W).
     let deques: Vec<JobDeque<R>> = (0..workers_used)
         .map(|_| Mutex::new(VecDeque::new()))
         .collect();
@@ -520,11 +385,10 @@ pub(crate) fn run_pool<R: Send>(
         for w in 0..workers_used {
             let result_tx = result_tx.clone();
             scope.spawn(move || {
-                let mut circuits = CircuitCache::new();
                 while let Some((index, job)) = next_job(deques, w) {
                     // A send only fails when the collector hung up, which
                     // cannot happen while this scope is alive.
-                    let _ = result_tx.send(execute(job, index, &mut circuits));
+                    let _ = result_tx.send(execute(job, index));
                 }
             });
         }
@@ -616,48 +480,6 @@ mod tests {
             .collect()
     }
 
-    /// The same campaign expressed over one shared prototype: every
-    /// point reconfigures the sink seed on the reused circuit.
-    fn shared_campaign(mode: EvalMode) -> Vec<SimJob<Vec<(u64, u64)>>> {
-        let proto = SharedCircuit::new(|| {
-            let mut b = CircuitBuilder::<u64>::new();
-            let ch = b.channel("ch", 2);
-            b.add(Source::new("src", ch, 2));
-            b.add(Sink::with_capture(
-                "snk",
-                ch,
-                2,
-                ReadyPolicy::Random { p: 0.6, seed: 0 },
-            ));
-            b.build().expect("valid")
-        });
-        (0..12u64)
-            .map(|seed| {
-                SimJob::on_circuit(format!("pipeline seed {seed}"), &proto, move |c| {
-                    c.set_eval_mode(mode);
-                    {
-                        let src: &mut Source<u64> = c.get_mut("src").expect("source");
-                        src.extend(0, 0..20u64);
-                        src.extend(1, 100..120u64);
-                    }
-                    {
-                        let snk: &mut Sink<u64> = c.get_mut("snk").expect("sink");
-                        for t in 0..2 {
-                            snk.set_policy(t, ReadyPolicy::Random { p: 0.6, seed });
-                        }
-                    }
-                    c.run(200)?;
-                    let snk: &Sink<u64> = c.get("snk").expect("sink");
-                    let mut cap: Vec<(u64, u64)> = Vec::new();
-                    for t in 0..2 {
-                        cap.extend(snk.captured(t).iter().copied());
-                    }
-                    Ok((cap, *c.stats().kernel()))
-                })
-            })
-            .collect()
-    }
-
     #[test]
     fn results_come_back_in_submission_order() {
         let report = run_sweep_on(campaign(EvalMode::EventDriven), 4);
@@ -680,18 +502,6 @@ mod tests {
         // Kernel aggregation is order-independent, so it must agree too.
         assert_eq!(serial.kernel, parallel.kernel);
         assert!(serial.kernel.component_evals > 0);
-    }
-
-    #[test]
-    fn shared_circuit_matches_owned_jobs_bit_for_bit() {
-        let owned = run_sweep_on(campaign(EvalMode::EventDriven), 1);
-        for workers in [1, 2, 4] {
-            let shared = run_sweep_on(shared_campaign(EvalMode::EventDriven), workers);
-            let o: Vec<_> = owned.values().collect();
-            let s: Vec<_> = shared.values().collect();
-            assert_eq!(o, s, "circuit reuse diverged at {workers} workers");
-            assert_eq!(owned.kernel, shared.kernel);
-        }
     }
 
     #[test]
@@ -721,56 +531,6 @@ mod tests {
             failures[0].1.to_string().contains("par.rs"),
             "display must name the panic site: {}",
             failures[0].1
-        );
-    }
-
-    #[test]
-    fn shared_circuit_survives_a_panicking_job() {
-        let proto = SharedCircuit::new(|| {
-            let mut b = CircuitBuilder::<u64>::new();
-            let ch = b.channel("ch", 1);
-            b.add(Source::new("src", ch, 1));
-            b.add(Sink::with_capture("snk", ch, 1, ReadyPolicy::Always));
-            b.build().expect("valid")
-        });
-        let point = |label: &str, tokens: std::ops::Range<u64>| {
-            SimJob::on_circuit(label, &proto, move |c| {
-                {
-                    let src: &mut Source<u64> = c.get_mut("src").expect("source");
-                    src.extend(0, tokens.clone());
-                }
-                c.run(40)?;
-                let snk: &Sink<u64> = c.get("snk").expect("sink");
-                Ok((
-                    snk.captured(0).iter().map(|(_, t)| *t).collect::<Vec<_>>(),
-                    *c.stats().kernel(),
-                ))
-            })
-        };
-        let jobs = vec![
-            point("first", 0..5),
-            SimJob::on_circuit(
-                "explodes",
-                &proto,
-                |_c| -> Result<(Vec<u64>, KernelStats), SimError> { panic!("mid-sweep boom") },
-            ),
-            point("after panic", 5..10),
-        ];
-        // Serial: all three points hit the same worker cache, so the
-        // panicking job's instance must be discarded and rebuilt.
-        let report = run_sweep_on(jobs, 1);
-        assert_eq!(
-            report.jobs[0].outcome.as_ref().ok(),
-            Some(&(0..5).collect::<Vec<u64>>())
-        );
-        assert!(matches!(
-            report.jobs[1].outcome,
-            Err(JobError::Panic { .. })
-        ));
-        assert_eq!(
-            report.jobs[2].outcome.as_ref().ok(),
-            Some(&(5..10).collect::<Vec<u64>>()),
-            "worker must rebuild the poisoned circuit"
         );
     }
 

@@ -85,13 +85,12 @@ impl ChannelStats {
 
     /// Records a stall (valid without ready) at `cycle` and banks the
     /// streak depth in the histogram. The streak goes on if the channel
-    /// stalled the cycle before — or at this same cycle, when a step that
-    /// reported a deadlock is stepped again — and starts over otherwise.
+    /// stalled the cycle before and starts over otherwise.
     #[inline]
     pub(crate) fn record_stall_occupancy(&mut self, cycle: u64) {
         // `last` starts at `u64::MAX`, which wraps to "stalled before
         // cycle 0" with a zero length: the first stall is depth 1 either way.
-        let len = if self.streak.last.wrapping_add(1) >= cycle {
+        let len = if self.streak.last.wrapping_add(1) == cycle {
             self.streak.len + 1
         } else {
             1

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use elastic_core::{ArbiterKind, ForkMode, MebKind};
+use elastic_core::{ArbiterKind, MebKind};
 use elastic_sim::{LatencyModel, ReadyPolicy, Token};
 
 use crate::circuit::SynthCircuit;
@@ -356,10 +356,7 @@ impl<T: Token> DataflowBuilder<T> {
     pub fn fork(&mut self, name: impl Into<String>, input: Wire, n: usize) -> Vec<Wire> {
         let name = name.into();
         let outs: Vec<IrChannelId> = (0..n).map(|port| self.wire(&name, port).1).collect();
-        let kind = IrNodeKind::Fork {
-            mode: ForkMode::Eager,
-            route: None,
-        };
+        let kind = IrNodeKind::Fork { route: None };
         self.ir.add(name, kind, vec![input.0], outs.clone());
         outs.into_iter().map(Wire).collect()
     }

@@ -28,9 +28,7 @@
 //! construction time; run the lint passes in [`crate::passes`] before
 //! elaboration to get typed errors instead of build-time failures.
 
-use elastic_core::{
-    ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, ForkMode, Join, MebKind, Merge,
-};
+use elastic_core::{ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, Join, MebKind, Merge};
 use elastic_sim::{
     BuildError, ChannelId, Circuit, CircuitBuilder, Component, Fnv1a, FusedOpKind, LatencyModel,
     NetlistEdge, NetlistGraph, ProtocolError, ReadyPolicy, Sink, Source, Token, Transform,
@@ -136,10 +134,9 @@ pub enum IrNodeKind<T: Token> {
         /// [`MebTarget::Auto`](crate::passes::MebTarget::Auto).
         auto: bool,
     },
-    /// M-Fork: replicate one input to N outputs. One input, ≥ 2 outputs.
+    /// Eager M-Fork: replicate one input to N outputs. One input, ≥ 2
+    /// outputs.
     Fork {
-        /// Control discipline (eager by default in synthesized designs).
-        mode: ForkMode,
         /// Optional per-token routing mask (a routing fork).
         route: Option<RouteFn<T>>,
     },
@@ -910,10 +907,10 @@ impl<T: Token> ElasticIr<T> {
                         .map_err(IrError::Protocol)?;
                     b.add_boxed(meb);
                 }
-                IrNodeKind::Fork { mode, route } => {
+                IrNodeKind::Fork { route } => {
                     ok(ins.len() == 1 && outs.len() >= 2)?;
                     let threads = threads_of(&node.inputs);
-                    let mut fork = Fork::new(name, ins[0], outs, threads, mode);
+                    let mut fork = Fork::new(name, ins[0], outs, threads);
                     if let Some(f) = route {
                         fork = fork.with_route(f);
                     }

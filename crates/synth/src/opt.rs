@@ -27,14 +27,13 @@ use crate::passes::{Pass, PassDelta, PassError, PassReport, RetimeDirection};
 use elastic_core::{ArbiterKind, MebKind};
 use elastic_sim::{FeedbackProfile, Token};
 
-/// The deepest FIFO [`MebDepthSizing`] sizes a buffer to.
-const MAX_DEPTH: usize = 8;
-
 /// Resizes FIFO-MEB depths from measured backpressure: for every MEB
 /// whose *input* channel appears in the [`FeedbackProfile`], the pass
 /// derives a target depth from the channel's occupancy histogram (the
-/// mean backlog of its backpressure streaks, rounded up and clamped to
-/// `1..=8`) and rewrites `Fifo` MEBs whose depth disagrees.
+/// mean backlog of its backpressure streaks, rounded up, at least 1) and
+/// rewrites `Fifo` MEBs whose depth disagrees. The depth is at most
+/// [`OCCUPANCY_BUCKETS`](elastic_sim::OCCUPANCY_BUCKETS), because the
+/// histogram's last bucket holds every streak of that length or longer.
 ///
 /// An input-channel stall means *this* buffer was full while upstream
 /// offered a token, and the streak length bounds the backlog a deeper
@@ -51,8 +50,9 @@ pub struct MebDepthSizing {
 }
 
 impl MebDepthSizing {
-    /// A sizing pass over `profile`, resizing existing FIFO MEBs only,
-    /// with depths clamped to `1..=8`.
+    /// A sizing pass over `profile`, resizing existing FIFO MEBs only, to
+    /// depths of 1 up to
+    /// [`OCCUPANCY_BUCKETS`](elastic_sim::OCCUPANCY_BUCKETS).
     pub fn new(profile: FeedbackProfile) -> Self {
         Self {
             profile,
@@ -68,12 +68,14 @@ impl MebDepthSizing {
     }
 
     /// The depth the profile suggests for a buffer fed by `channel`:
-    /// `ceil(mean backlog)` of the channel's backpressure streaks,
-    /// clamped to `1..=8`; `None` when the channel was not measured.
+    /// `ceil(mean backlog)` of the channel's backpressure streaks, at
+    /// least 1 and at most
+    /// [`OCCUPANCY_BUCKETS`](elastic_sim::OCCUPANCY_BUCKETS); `None` when
+    /// the channel was not measured.
     pub fn suggested_depth(&self, channel: &str) -> Option<usize> {
         let fb = self.profile.channel(channel)?;
         let depth = fb.mean_backlog().ceil() as usize;
-        Some(depth.clamp(1, MAX_DEPTH))
+        Some(depth.max(1))
     }
 }
 
@@ -585,7 +587,6 @@ pub fn dot_with_deltas<T: Token>(ir: &ElasticIr<T>, deltas: &[PassDelta]) -> Str
 mod tests {
     use super::*;
     use crate::PassManager;
-    use elastic_core::ForkMode;
     use elastic_sim::{ChannelFeedback, ReadyPolicy, OCCUPANCY_BUCKETS};
 
     fn fifo(depth: usize) -> IrNodeKind<u64> {
@@ -680,7 +681,8 @@ mod tests {
     #[test]
     fn depth_sizing_clamps_to_max_depth_and_skips_unmeasured() {
         let mut ir = chain_ir(fifo(2));
-        // Streaks deeper than the clamp...
+        // Streaks deeper than the histogram's last bucket size to its
+        // depth...
         let mut pass = MebDepthSizing::new(profile_with("a", 12, 10));
         Pass::<u64>::run(&mut pass, &mut ir).expect("sizing");
         let buf = ir.node_named("buf").unwrap();
@@ -728,10 +730,7 @@ mod tests {
         ir.add("src", IrNodeKind::Source, vec![], vec![a]);
         ir.add(
             "fork",
-            IrNodeKind::Fork {
-                mode: ForkMode::Eager,
-                route: None,
-            },
+            IrNodeKind::Fork { route: None },
             vec![a],
             vec![deep, shallow],
         );

@@ -769,15 +769,7 @@ mod tests {
         let b = ir.channel("b", 2);
         ir.add("src", IrNodeKind::Source, vec![], vec![a]);
         // A "fork" with a single output is ill-formed.
-        ir.add(
-            "fk",
-            IrNodeKind::Fork {
-                mode: elastic_core::ForkMode::Eager,
-                route: None,
-            },
-            vec![a],
-            vec![b],
-        );
+        ir.add("fk", IrNodeKind::Fork { route: None }, vec![a], vec![b]);
         ir.add(
             "snk",
             IrNodeKind::Sink {

@@ -7,7 +7,7 @@
 //! drains it. The rank sort breaks ties by insertion index, so each
 //! insertion order permutes the evaluation order inside every rank level.
 
-use mt_elastic::core::{ArbiterKind, FifoMeb, Fork, ForkMode, FullMeb, Join, MebKind, ReducedMeb};
+use mt_elastic::core::{ArbiterKind, FifoMeb, Fork, FullMeb, Join, MebKind, ReducedMeb};
 use mt_elastic::sim::{
     ChannelId, Circuit, CircuitBuilder, Component, EvalMode, LatencyModel, ReadyPolicy, Sink,
     Source, Tagged, VarLatency,
@@ -110,13 +110,7 @@ pub fn run_net(p: &NetParams, model: Model, mode: EvalMode, order_seed: u64) -> 
         let done_a = b.channel("done_a", p.threads);
         let done_b = b.channel("done_b", p.threads);
         comps.push(boxed(
-            Fork::new(
-                "split",
-                work,
-                vec![arm_a, arm_b],
-                p.threads,
-                ForkMode::Eager,
-            ),
+            Fork::new("split", work, vec![arm_a, arm_b], p.threads),
             model,
         ));
         comps.push(boxed(

@@ -31,7 +31,7 @@ mod common;
 
 use common::random_net::{meb, meb_kind_strategy, observe, run_net, NetParams, Obs};
 use common::{boxed, wrap, Model};
-use mt_elastic::core::{Barrier, BarrierState, Branch, Fork, ForkMode, MebKind, Merge, ReducedMeb};
+use mt_elastic::core::{Barrier, BarrierState, Branch, Fork, MebKind, Merge, ReducedMeb};
 use mt_elastic::md5::{algo, Md5Circuit, Md5Token};
 use mt_elastic::sim::{
     Circuit, CircuitBuilder, Component, EvalMode, KernelStats, ReadyPolicy, Sink, Source, Tagged,
@@ -109,7 +109,7 @@ fn run_routed(threads: usize, tokens: u64, seed: u64, model: Model, mode: EvalMo
         1 + (h >> 61) % 7
     };
     b.add_boxed(boxed(
-        Fork::new("route", work, outs.clone(), threads, ForkMode::Eager).with_route(route),
+        Fork::new("route", work, outs.clone(), threads).with_route(route),
         model,
     ));
     for (o, &ch) in outs.iter().enumerate() {

@@ -293,7 +293,7 @@ fn cpu_direct(
     program: Vec<u32>,
     entry_pcs: Vec<u32>,
 ) -> Circuit<mt_elastic::proc::ProcToken> {
-    use mt_elastic::core::{Fork, ForkMode};
+    use mt_elastic::core::Fork;
     use mt_elastic::proc::{execute, Fetcher, MemUnit, ProcToken};
 
     let s = config.threads;
@@ -360,14 +360,8 @@ fn cpu_direct(
             .build_with::<ProcToken>("meb_ex", ex_out, route_in, s, config.arbiter),
     );
     b.add(
-        Fork::new(
-            "router",
-            route_in,
-            vec![mem_in, redirect_raw],
-            s,
-            ForkMode::Eager,
-        )
-        .with_route(mt_elastic::proc::cpu::route),
+        Fork::new("router", route_in, vec![mem_in, redirect_raw], s)
+            .with_route(mt_elastic::proc::cpu::route),
     );
     b.add(MemUnit::new(
         "dmem",

@@ -3,7 +3,7 @@
 //! and stall patterns. Token conservation and per-thread pairing must
 //! hold through any composition of the paper's primitives.
 
-use mt_elastic::core::{ArbiterKind, Branch, Fork, ForkMode, Join, MebKind, Merge};
+use mt_elastic::core::{ArbiterKind, Branch, Fork, Join, MebKind, Merge};
 use mt_elastic::sim::{
     CircuitBuilder, LatencyModel, ReadyPolicy, Sink, Source, Tagged, VarLatency,
 };
@@ -47,7 +47,7 @@ proptest! {
         }
         b.add(src);
         b.add_boxed(kind.build_with::<Tagged>("meb", src_ch, buffered, threads, ArbiterKind::RoundRobin));
-        b.add(Fork::new("split", buffered, vec![arm_a, arm_b], threads, ForkMode::Eager));
+        b.add(Fork::new("split", buffered, vec![arm_a, arm_b], threads));
         b.add(VarLatency::new("ua", arm_a, done_a, threads, 2,
             LatencyModel::Uniform { min: 1, max: lat_a.max(1), seed }));
         b.add(VarLatency::new("ub", arm_b, done_b, threads, 2,

@@ -2,8 +2,8 @@
 //! `sim::sweep`): running a realistic simulation campaign — MEB
 //! pipelines plus the MD5 design example — through the work-stealing
 //! pool must be byte-identical to running it serially (whatever the pool
-//! shape, job mix, or panic placement), per-worker circuit reuse via
-//! `Circuit::reset` must be indistinguishable from building fresh,
+//! shape, job mix, or panic placement), a circuit rewound by
+//! `Circuit::reset` must be indistinguishable from a fresh build,
 //! failures must stay isolated to their job, the `SweepService` campaign
 //! cache must answer repeat submissions from memory — while staying
 //! bounded at its capacity cap under autotune-volume key churn and never
@@ -14,7 +14,7 @@ use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
 use mt_elastic::md5::Md5Hasher;
 use mt_elastic::sim::{
     available_workers, campaign_key, run_sweep, run_sweep_on, Circuit, EvalMode, JobError,
-    KernelStats, ReadyPolicy, SharedCircuit, SimError, SimJob, Sink, Source, SweepService, Tagged,
+    KernelStats, ReadyPolicy, SimError, SimJob, Sink, Source, SweepService, Tagged,
 };
 use proptest::prelude::*;
 
@@ -206,21 +206,10 @@ fn four_workers_give_at_least_2x_on_a_4_core_host() {
     );
 }
 
-/// The zero-token prototype of the [`pipeline_digest`] workload: pool
-/// workers elaborate it once, `Circuit::reset` rewinds it between
-/// points, and each point injects its own tokens and stall seeds.
-fn shared_prototype() -> SharedCircuit<Tagged> {
-    SharedCircuit::new(|| {
-        PipelineHarness::build(PipelineConfig::free_flowing(3, 3, MebKind::Reduced, 0)).circuit
-    })
-}
-
-/// Drives one point on a (fresh or reset) prototype instance — the
-/// reused-circuit twin of [`pipeline_digest`].
-fn drive_shared(
-    c: &mut Circuit<Tagged>,
-    seed: u64,
-) -> Result<((String, KernelStats), KernelStats), SimError> {
+/// Drives one [`pipeline_digest`] point on the zero-token pipeline, freshly
+/// built or rewound by `Circuit::reset`: injects the tokens and stall
+/// seeds, then runs.
+fn drive_point(c: &mut Circuit<Tagged>, seed: u64) -> Result<(String, KernelStats), SimError> {
     const THREADS: usize = 3;
     c.set_eval_mode(EvalMode::EventDriven);
     {
@@ -251,15 +240,23 @@ fn drive_shared(
                 .collect()
         })
         .collect();
-    let k = *c.stats().kernel();
-    Ok(((format!("{captures:?}"), k), k))
+    Ok((format!("{captures:?}"), *c.stats().kernel()))
 }
 
-/// A mixed campaign: per seed one fresh-build job and one reset-reuse
-/// job on the shared prototype, with an optional panicking job spliced
-/// in at `panic_at`.
+/// The reset twin of [`pipeline_digest`]: builds the zero-token pipeline,
+/// runs a throwaway point on it, rewinds it with `Circuit::reset` and
+/// reruns `seed`.
+fn reset_twin(seed: u64) -> Result<(String, KernelStats), SimError> {
+    let mut c =
+        PipelineHarness::build(PipelineConfig::free_flowing(3, 3, MebKind::Reduced, 0)).circuit;
+    drive_point(&mut c, !seed)?;
+    c.reset()?;
+    drive_point(&mut c, seed)
+}
+
+/// A mixed campaign: per seed one fresh-build job and its reset twin,
+/// with an optional panicking job spliced in at `panic_at`.
 fn mixed_jobs(seeds: &[u64], panic_at: Option<usize>) -> Vec<SimJob<(String, KernelStats)>> {
-    let proto = shared_prototype();
     let mut jobs = Vec::new();
     for (i, &seed) in seeds.iter().enumerate() {
         if panic_at == Some(i) {
@@ -270,10 +267,12 @@ fn mixed_jobs(seeds: &[u64], panic_at: Option<usize>) -> Vec<SimJob<(String, Ker
         jobs.push(SimJob::new(format!("owned {seed:#x}"), move || {
             pipeline_digest(seed, EvalMode::EventDriven)
         }));
-        jobs.push(SimJob::on_circuit(
-            format!("shared {seed:#x}"),
-            &proto,
-            move |c| drive_shared(c, seed),
+        jobs.push(SimJob::instrumented(
+            format!("reset {seed:#x}"),
+            move || {
+                let (digest, kernel) = reset_twin(seed)?;
+                Ok(((digest, kernel), kernel))
+            },
         ));
     }
     jobs
@@ -297,13 +296,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Pool shape is behaviourally invisible: whatever the worker count
-    /// (and hence chunk seeding and steal pattern), however owned and
-    /// reset-reuse jobs interleave, and wherever a panicking job lands,
-    /// the submission-ordered outcomes — digests, errors *and* the
+    /// (and hence chunk seeding and steal pattern), however owned jobs
+    /// and their reset twins interleave, and wherever a panicking job
+    /// lands, the submission-ordered outcomes — digests, errors *and* the
     /// aggregated kernel counters — are byte-identical to `workers == 1`.
-    /// The per-seed owned/shared pairing additionally proves the
-    /// `Circuit::reset` contract: a rewound instance reproduces a fresh
-    /// build exactly.
+    /// The per-seed pairing additionally checks the `Circuit::reset`
+    /// contract: a rewound instance reproduces a fresh build exactly.
     #[test]
     fn pool_shape_and_circuit_reuse_are_invisible(
         workers in 2usize..7,
@@ -327,14 +325,14 @@ proptest! {
         prop_assert_eq!(par.kernel, serial.kernel, "kernel aggregate diverged");
 
         // Reset-then-rerun == fresh build, point by point: within one
-        // report, each shared job's digest equals its owned twin's.
+        // report, each reset twin's digest equals its owned job's.
         for pair in serial.jobs.chunks(2).filter(|p| p.len() == 2) {
             if !pair[0].label.starts_with("owned") {
                 continue; // the spliced-in panic job offsets one chunk
             }
             let owned = pair[0].outcome.as_ref().expect("owned job runs clean");
-            let shared = pair[1].outcome.as_ref().expect("shared job runs clean");
-            prop_assert_eq!(&owned.0, &shared.0, "reset reuse diverged from fresh build");
+            let twin = pair[1].outcome.as_ref().expect("reset twin runs clean");
+            prop_assert_eq!(&owned.0, &twin.0, "reset-then-rerun diverged from fresh build");
         }
     }
 }

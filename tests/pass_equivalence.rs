@@ -7,7 +7,7 @@
 //! elaborates. The passes may refuse (illegal retime, unknown node) —
 //! refusal must leave the IR untouched, which the digest check catches.
 
-use mt_elastic::core::{ArbiterKind, ForkMode, MebKind};
+use mt_elastic::core::{ArbiterKind, MebKind};
 use mt_elastic::sim::{
     ChannelFeedback, FeedbackProfile, ReadyPolicy, Sink, Source, OCCUPANCY_BUCKETS,
 };
@@ -65,10 +65,7 @@ fn build(t: &Topo) -> ElasticIr<u64> {
         let joined = ir.channel_with_width("joined", t.threads, 32);
         ir.add(
             "fork",
-            IrNodeKind::Fork {
-                mode: ForkMode::Eager,
-                route: None,
-            },
+            IrNodeKind::Fork { route: None },
             vec![cur],
             vec![deep, shallow],
         );

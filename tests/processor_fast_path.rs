@@ -19,7 +19,7 @@ use mt_elastic::proc::{
     assemble, programs, Cpu, CpuConfig, CpuRunStats, Fetcher, MemUnit, ProcToken, RegUnit, NUM_REGS,
 };
 use mt_elastic::sim::{
-    run_sweep_on, EvalCtx, EvalMode, KernelStats, SharedCircuit, SimJob, VarLatency,
+    run_sweep_on, Circuit, EvalCtx, EvalMode, KernelStats, SimError, SimJob, VarLatency,
 };
 
 impl HasReference<ProcToken> for Fetcher {
@@ -167,50 +167,62 @@ fn reset_and_rerun_reproduce_a_fresh_run() {
     }
 }
 
-/// With reset supported, the sweep pool reuses one processor circuit per
-/// worker: every job on the reused instance matches the first.
+/// Seeds the data memory, runs the matrix program to halt and returns the
+/// cycle count, the data memory and the kernel counters.
+fn run_matmul(circuit: &mut Circuit<ProcToken>) -> Result<(u64, Vec<u32>, KernelStats), SimError> {
+    let dmem: &mut MemUnit = circuit.get_mut("dmem").expect("data memory");
+    for a in 0..4 * 64 {
+        dmem.write(a, (a * 7 % 31) as u32);
+    }
+    let mut idle = 0;
+    loop {
+        let cycle = circuit.cycle();
+        circuit.run(1)?;
+        idle = if circuit.last_progress() == Some(cycle) {
+            0
+        } else {
+            idle + 1
+        };
+        let fetch: &Fetcher = circuit.get("fetch").expect("fetcher");
+        if idle >= 64 && fetch.all_halted() {
+            break;
+        }
+    }
+    let dmem: &MemUnit = circuit.get("dmem").expect("data memory");
+    let words: Vec<u32> = (0..4 * 64).map(|a| dmem.read(a)).collect();
+    Ok((circuit.cycle(), words, *circuit.stats().kernel()))
+}
+
+/// With reset supported, a sweep job can rerun its processor: each of
+/// four jobs runs the matrix program, resets its processor and runs it
+/// again. Every rerun matches the first run.
 #[test]
 fn sweep_jobs_reuse_a_reset_processor() {
     let config = CpuConfig::new(4);
     let program = assemble(programs::MATMUL).expect("assembles");
-    let shared = SharedCircuit::new(move || {
-        Cpu::new(config.clone(), program.clone(), vec![0; config.threads]).circuit
-    });
     let jobs = (0..4)
         .map(|i| {
-            SimJob::on_circuit(format!("matmul #{i}"), &shared, |circuit| {
-                let dmem: &mut MemUnit = circuit.get_mut("dmem").expect("data memory");
-                for a in 0..4 * 64 {
-                    dmem.write(a, (a * 7 % 31) as u32);
-                }
-                let mut idle = 0;
-                loop {
-                    let cycle = circuit.cycle();
-                    circuit.run(1)?;
-                    idle = if circuit.last_progress() == Some(cycle) {
-                        0
-                    } else {
-                        idle + 1
-                    };
-                    let fetch: &Fetcher = circuit.get("fetch").expect("fetcher");
-                    if idle >= 64 && fetch.all_halted() {
-                        break;
-                    }
-                }
-                let dmem: &MemUnit = circuit.get("dmem").expect("data memory");
-                let words: Vec<u32> = (0..4 * 64).map(|a| dmem.read(a)).collect();
-                let kernel = *circuit.stats().kernel();
-                Ok(((circuit.cycle(), words, kernel), kernel))
+            let (config, program) = (config.clone(), program.clone());
+            SimJob::instrumented(format!("matmul #{i}"), move || {
+                let threads = config.threads;
+                let mut circuit = Cpu::new(config, program, vec![0; threads]).circuit;
+                let first = run_matmul(&mut circuit)?;
+                circuit.reset()?;
+                let rerun = run_matmul(&mut circuit)?;
+                let kernel = rerun.2;
+                Ok(((first, rerun), kernel))
             })
         })
         .collect();
-    let report = run_sweep_on(jobs, 1);
+    let report = run_sweep_on(jobs, 2);
     let results: Vec<_> = report
         .jobs
         .into_iter()
         .map(|j| j.outcome.expect("job runs clean"))
         .collect();
-    for r in &results[1..] {
-        assert_eq!(r, &results[0], "a reused processor diverged");
+    let first = &results[0].0;
+    for (fresh, rerun) in &results {
+        assert_eq!(fresh, first, "a fresh processor diverged");
+        assert_eq!(rerun, first, "a reset processor diverged");
     }
 }

@@ -412,6 +412,78 @@ fn failed_channel_check_leaves_the_statistics_untouched() {
     }
 }
 
+/// A step that the watchdog stops is not counted either: the deadlocked
+/// cycle leaves the channel statistics, the cycle count, the trace and
+/// the watchdog's idle count as they were. Stepping it again reports the
+/// same deadlock, and once the stall is released every cycle is counted
+/// exactly once.
+#[test]
+fn deadlocked_step_leaves_the_statistics_untouched() {
+    use mt_elastic::core::{ArbiterKind, ReducedMeb};
+    let mut b = CircuitBuilder::<u64>::new();
+    let x = b.channel("x", 1);
+    let y = b.channel("y", 1);
+    let mut src = Source::new("src", x, 1);
+    src.extend(0, 0..4u64);
+    b.add(src);
+    b.add(ReducedMeb::new(
+        "meb",
+        x,
+        y,
+        1,
+        ArbiterKind::RoundRobin.build(),
+    ));
+    b.add(Sink::with_capture("snk", y, 1, ReadyPolicy::Never));
+    let mut circuit = b.build().expect("valid");
+    circuit.enable_trace();
+    circuit.set_deadlock_watchdog(Some(3));
+    let err = circuit.run(100).expect_err("the sink never takes a token");
+    let &SimError::Deadlock {
+        cycle, idle_cycles, ..
+    } = &err
+    else {
+        panic!("expected a deadlock, got {err:?}");
+    };
+    assert_eq!(idle_cycles, 3);
+    assert_eq!(circuit.cycle(), cycle);
+    let traced = |c: &Circuit<u64>| c.trace().expect("tracing is on").records().len() as u64;
+    let before = circuit.stats().clone();
+    assert_eq!(before.cycles(), cycle);
+    assert_eq!(traced(&circuit), cycle);
+
+    // Stepping again runs the stuck cycle again: the same report, and
+    // still nothing counted.
+    assert_eq!(circuit.step().expect_err("still stuck"), err);
+    let after = circuit.stats();
+    assert_eq!(
+        after.iter().collect::<Vec<_>>(),
+        before.iter().collect::<Vec<_>>()
+    );
+    assert_eq!(after.cycles(), cycle);
+    assert_eq!(traced(&circuit), cycle);
+
+    // Released, the pipeline drains, and every cycle is counted once.
+    circuit.set_deadlock_watchdog(None);
+    let snk: &mut Sink<u64> = circuit.get_mut("snk").expect("sink");
+    snk.set_policy(0, ReadyPolicy::Always);
+    circuit.run(10).expect("drains");
+    let snk: &Sink<u64> = circuit.get("snk").expect("sink");
+    assert_eq!(snk.consumed_total(), 4);
+    assert_eq!(circuit.stats().cycles(), circuit.cycle());
+    assert_eq!(traced(&circuit), circuit.cycle());
+    let stalled = circuit
+        .trace()
+        .expect("tracing is on")
+        .records()
+        .iter()
+        .filter(|r| {
+            let ch = &r.channels[y.index()];
+            ch.valid_thread.is_some() && !ch.fired
+        })
+        .count() as u64;
+    assert_eq!(circuit.stats().channel(y).total_stall_cycles(), stalled);
+}
+
 /// The elastic-buffer FSM reports violations as values, and seeding a MEB
 /// beyond its per-thread capacity is a typed error too (these used to be
 /// `panic!`s that tests had to catch as unwinds).
@@ -472,7 +544,7 @@ fn a_buffer_cuts_the_loop() {
 /// the clock edge instead of panicking inside `eval`.
 #[test]
 fn misrouted_fork_reports_a_typed_fault() {
-    use mt_elastic::core::{Fork, ForkMode};
+    use mt_elastic::core::Fork;
     for bad in [0u64, 0b100] {
         let mut b = CircuitBuilder::<u64>::new();
         let x = b.channel("x", 1);
@@ -482,15 +554,15 @@ fn misrouted_fork_reports_a_typed_fault() {
         src.extend(0, 0..4u64);
         b.add(src);
         // Token 2 is mis-routed; the others go to output 0.
-        b.add(
-            Fork::new("router", x, vec![y0, y1], 1, ForkMode::Eager).with_route(move |v: &u64| {
+        b.add(Fork::new("router", x, vec![y0, y1], 1).with_route(
+            move |v: &u64| {
                 if *v == 2 {
                     bad
                 } else {
                     0b01
                 }
-            }),
-        );
+            },
+        ));
         b.add(Sink::with_capture("s0", y0, 1, ReadyPolicy::Always));
         b.add(Sink::with_capture("s1", y1, 1, ReadyPolicy::Always));
         let mut circuit = b.build().expect("structurally valid");

@@ -18,9 +18,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mt_elastic::core::{
-    ArbiterKind, Fork, ForkMode, Join, MebKind, PipelineConfig, PipelineHarness,
-};
+use mt_elastic::core::{ArbiterKind, Fork, Join, MebKind, PipelineConfig, PipelineHarness};
 use mt_elastic::md5::{algo, Md5Circuit, Md5Token};
 use mt_elastic::sim::{
     ChannelId, Circuit, CircuitBuilder, CombPath, Component, EvalMode, ReadyPolicy, SimError, Sink,
@@ -172,7 +170,7 @@ fn run_fork_join(mode: EvalMode) -> Captures {
     b.add(src_b);
     b.add_boxed(meb("ma", sa, a));
     b.add_boxed(meb("mb", sb, bb));
-    b.add(Fork::new("fork", a, vec![o1, o2], THREADS, ForkMode::Eager));
+    b.add(Fork::new("fork", a, vec![o1, o2], THREADS));
     b.add(Join::new(
         "join",
         vec![o1, bb],
