@@ -41,10 +41,13 @@ fn measure(kind: MebKind, stall: bool) -> Result<OccupancyStats, SimError> {
         .clone())
 }
 
+/// Mean busy fraction of the main slots and of the auxiliary/shared
+/// slots. A reduced MEB's main slots are `main[t]`; a full MEB's are the
+/// heads of its private FIFOs, `q[t][0]`.
 fn aux_busy(stats: &OccupancyStats) -> (f64, f64) {
     let (mut main_sum, mut main_n, mut aux_sum, mut aux_n) = (0.0, 0, 0.0, 0);
     for (name, frac) in &stats.per_slot {
-        if name.starts_with("main") {
+        if name.starts_with("main") || name.ends_with("[0]") {
             main_sum += frac;
             main_n += 1;
         } else {

@@ -256,13 +256,16 @@ fn tune<T: Token>(
     }];
     let mut accepted_log: Vec<(String, u64, u64)> = Vec::new();
     let mut tried: HashSet<String> = HashSet::new();
+    // Candidates whose job failed (a simulation error or a panic): a
+    // later netlist does not make them worth another run.
+    let mut failed: HashSet<String> = HashSet::new();
     let mut candidates_tried = 0usize;
     let mut cache_hits = 0u64;
 
     for round in 0..rounds {
         let cands: Vec<TransformSpec> = propose(target, &accepted, &current.profile)
             .into_iter()
-            .filter(|c| tried.insert(c.describe()))
+            .filter(|c| !failed.contains(&c.describe()) && tried.insert(c.describe()))
             .collect();
         if cands.is_empty() {
             break;
@@ -302,6 +305,7 @@ fn tune<T: Token>(
         let mut best: Option<(usize, EvalOut)> = None;
         for (i, job) in report.jobs.iter().enumerate() {
             let Ok(out) = &job.outcome else {
+                failed.insert(job_specs[i].describe());
                 points.push(PointRecord {
                     spec: Some(job_specs[i].describe()),
                     accepted: false,
@@ -361,7 +365,7 @@ fn tune<T: Token>(
         current = out;
         // The netlist changed: candidates rejected against the old
         // structure are worth re-proposing against the new one (the
-        // campaign cache absorbs any true repeats).
+        // campaign cache absorbs any true repeats), failed ones are not.
         tried.clear();
     }
 

@@ -62,6 +62,8 @@ pub fn fig5_harness(setup: &Fig5Setup) -> PipelineHarness {
 
 /// Grid rows matching the paper's figure: input channel, each MEB's
 /// per-thread and shared slots, the inter-stage channels, and the output.
+/// A full MEB's private FIFO slots `q[t][0]` and `q[t][1]` carry the
+/// paper's `main[t]` and `aux[t]` captions.
 pub fn fig5_rows(h: &PipelineHarness, kind: MebKind) -> Vec<RowSpec> {
     let mut rows = vec![RowSpec::channel(h.pipeline.input, "Input")];
     for (i, name) in h.pipeline.meb_names.iter().enumerate() {
@@ -70,12 +72,12 @@ pub fn fig5_rows(h: &PipelineHarness, kind: MebKind) -> Vec<RowSpec> {
                 for t in 0..2 {
                     rows.push(RowSpec::slot(
                         name,
-                        format!("main[{t}]"),
+                        format!("q[{t}][0]"),
                         format!("MEB#{i} main[{t}]"),
                     ));
                     rows.push(RowSpec::slot(
                         name,
-                        format!("aux[{t}]"),
+                        format!("q[{t}][1]"),
                         format!("MEB#{i} aux[{t}]"),
                     ));
                 }

@@ -7,10 +7,11 @@
 //!
 //! * the baseline single-thread [`ElasticBuffer`] with its EMPTY/HALF/FULL
 //!   control FSM (paper Sec. II);
-//! * multithreaded elastic buffers: the [`FullMeb`] (one EB per thread,
-//!   Fig. 4), the paper's key contribution the [`ReducedMeb`] (one main
+//! * multithreaded elastic buffers: the full MEB (one EB per thread,
+//!   Fig. 4), which is [`FifoMeb::full`], a private FIFO of depth 2 per
+//!   thread; the paper's key contribution the [`ReducedMeb`] (one main
 //!   register per thread plus a single dynamically shared auxiliary
-//!   register, Fig. 6), and an ablation [`FifoMeb`];
+//!   register, Fig. 6); and [`FifoMeb`] at other depths as an ablation;
 //! * thread [`Arbiter`]s ([`FixedPriority`], [`RoundRobin`],
 //!   [`LeastRecent`]);
 //! * the elastic control operators [`Join`], [`Fork`], [`Branch`] and
@@ -53,7 +54,7 @@ mod select;
 pub use arbiter::{Arbiter, ArbiterKind, CoarseGrained, FixedPriority, LeastRecent, RoundRobin};
 pub use barrier::{Barrier, BarrierState};
 pub use eb::{EbState, ElasticBuffer};
-pub use meb::{FifoMeb, FullMeb, MebKind, ReducedMeb};
+pub use meb::{FifoMeb, MebKind, ReducedMeb};
 pub use ops::{Branch, Fork, Join, Merge};
 pub use pipeline::{build_meb_pipeline, MebPipeline, PipelineConfig, PipelineHarness};
 pub use select::{advance_stall_pointer, select_output_thread, ReadyCache, SelectState};

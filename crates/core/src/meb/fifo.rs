@@ -1,11 +1,19 @@
-//! A generalized MEB with a private FIFO of configurable depth per thread.
+//! A MEB with a private FIFO of configurable depth per thread.
 //!
-//! Not a primitive from the paper — an *ablation* axis: depth 2 recovers
-//! the full MEB's storage (2·S slots), depth 1 shows what happens without
-//! any auxiliary storage at all (a lone active thread can never exceed
-//! 50 % throughput, because a slot freed this cycle is only visible
-//! upstream on the next), and larger depths quantify how much extra
-//! buffering buys beyond the paper's design points.
+//! At depth 2 it is the paper's *full* MEB (Fig. 4), built by
+//! [`FifoMeb::full`]: one 2-slot EB per thread behind a shared arbiter and
+//! output multiplexer, `2·S` slots in all. Every thread always has its
+//! private second slot, so an active thread keeps 100 % throughput even
+//! when every other thread is blocked. The price is that the storage is
+//! "effectively replicated per thread" (Sec. III), which the reduced MEB
+//! eliminates.
+//!
+//! Other depths are an *ablation* axis, not primitives from the paper:
+//! depth 1 shows what happens without any auxiliary storage at all (a lone
+//! active thread can never exceed 50 % throughput, because a slot freed
+//! this cycle is only visible upstream on the next), and larger depths
+//! quantify how much extra buffering buys beyond the paper's design
+//! points.
 
 use std::collections::VecDeque;
 
@@ -17,9 +25,13 @@ use elastic_sim::{
 use crate::arbiter::Arbiter;
 use crate::select::{ReadyCache, SelectState};
 
-/// A MEB with `depth` private slots per thread and no shared storage.
+/// A MEB with `depth` private slots per thread and no shared storage; at
+/// depth 2, the full MEB.
 pub struct FifoMeb<T: Token> {
     name: String,
+    /// The node class reported: [`FusedOpKind::MebFull`] when built by
+    /// [`full`](Self::full), [`FusedOpKind::MebFifo`] otherwise.
+    op_kind: FusedOpKind,
     inp: ChannelId,
     out: ChannelId,
     threads: usize,
@@ -56,6 +68,7 @@ impl<T: Token> FifoMeb<T> {
         assert!(depth > 0, "per-thread FIFO depth must be at least 1");
         Self {
             name: name.into(),
+            op_kind: FusedOpKind::MebFifo,
             inp,
             out,
             threads,
@@ -68,6 +81,27 @@ impl<T: Token> FifoMeb<T> {
             has: ThreadMask::new(threads),
             full: ThreadMask::new(threads),
             cache: ReadyCache::new(threads),
+        }
+    }
+
+    /// The paper's full MEB (Fig. 4): a private FIFO of depth 2 per
+    /// thread, reported as [`FusedOpKind::MebFull`]. Its slots are
+    /// `q[t][0]`, the head (the EB's main register), and `q[t][1]` (its
+    /// auxiliary register).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn full(
+        name: impl Into<String>,
+        inp: ChannelId,
+        out: ChannelId,
+        threads: usize,
+        arbiter: Box<dyn Arbiter>,
+    ) -> Self {
+        Self {
+            op_kind: FusedOpKind::MebFull,
+            ..Self::new(name, inp, out, threads, 2, arbiter)
         }
     }
 
@@ -157,7 +191,7 @@ impl<T: Token> FifoMeb<T> {
 
 impl<T: Token> Component<T> for FifoMeb<T> {
     fn op_kind(&self) -> FusedOpKind {
-        FusedOpKind::MebFifo
+        self.op_kind
     }
 
     fn name(&self) -> &str {
@@ -249,40 +283,48 @@ impl<T: Token> Component<T> for FifoMeb<T> {
 mod tests {
     use super::*;
     use crate::arbiter::ArbiterKind;
-    use elastic_sim::{CircuitBuilder, ReadyPolicy, Sink, Source};
+    use elastic_sim::{CircuitBuilder, ReadyPolicy, Sink, Source, Tagged};
 
-    fn run_single_thread(depth: usize, cycles: u64) -> f64 {
+    /// Offers `cycles` tokens to a one-thread `meb` feeding an always-ready
+    /// sink for `cycles` cycles; returns the output channel's throughput
+    /// and the delivered tokens.
+    fn run_single_thread(
+        meb: impl FnOnce(ChannelId, ChannelId) -> FifoMeb<u64>,
+        cycles: u64,
+    ) -> (f64, Vec<u64>) {
         let mut b = CircuitBuilder::<u64>::new();
         let a = b.channel("a", 1);
         let c = b.channel("c", 1);
         let mut src = Source::new("src", a, 1);
         src.extend(0, 0..cycles);
         b.add(src);
-        b.add(FifoMeb::new(
-            "meb",
-            a,
-            c,
-            1,
-            depth,
-            ArbiterKind::RoundRobin.build(),
-        ));
-        b.add(Sink::new("snk", c, 1, ReadyPolicy::Always));
+        b.add(meb(a, c));
+        b.add(Sink::with_capture("snk", c, 1, ReadyPolicy::Always));
         let mut circuit = b.build().expect("valid");
         circuit.run(cycles).expect("clean");
-        circuit.stats().channel_throughput(c)
+        let snk: &Sink<u64> = circuit.get("snk").expect("sink");
+        let outs = snk.captured(0).iter().map(|(_, t)| *t).collect();
+        (circuit.stats().channel_throughput(c), outs)
     }
 
     #[test]
-    fn depth_two_sustains_full_throughput() {
-        let thr = run_single_thread(2, 100);
-        assert!(thr > 0.9, "depth-2 throughput {thr}");
+    fn single_thread_full_meb_behaves_like_an_eb() {
+        let (thr, outs) = run_single_thread(
+            |a, c| FifoMeb::full("meb", a, c, 1, ArbiterKind::RoundRobin.build()),
+            100,
+        );
+        assert!(thr > 0.9, "full MEB throughput {thr}");
+        assert_eq!(outs, (0..outs.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn depth_one_halves_single_thread_throughput() {
         // One slot: after each transfer the freed slot is visible upstream
         // only the following cycle — the classic "half-buffer" ceiling.
-        let thr = run_single_thread(1, 100);
+        let (thr, _) = run_single_thread(
+            |a, c| FifoMeb::new("meb", a, c, 1, 1, ArbiterKind::RoundRobin.build()),
+            100,
+        );
         assert!((thr - 0.5).abs() < 0.05, "depth-1 throughput {thr}");
     }
 
@@ -310,5 +352,37 @@ mod tests {
         assert_eq!(meb.occupancy(0), 5);
         assert_eq!(meb.capacity(), 5);
         assert_eq!(meb.depth(), 5);
+    }
+
+    #[test]
+    fn full_meb_blocked_thread_fills_only_its_private_slots() {
+        // Thread 0 blocked at the sink: it accumulates exactly 2 items in
+        // the MEB; thread 1 keeps flowing at full speed past it.
+        let mut b = CircuitBuilder::<Tagged>::new();
+        let a = b.channel("a", 2);
+        let c = b.channel("c", 2);
+        let mut src = Source::new("src", a, 2);
+        for t in 0..2 {
+            src.extend(t, (0..10).map(|i| Tagged::new(t, i, i)));
+        }
+        b.add(src);
+        b.add(FifoMeb::full(
+            "meb",
+            a,
+            c,
+            2,
+            ArbiterKind::RoundRobin.build(),
+        ));
+        let mut sink = Sink::new("snk", c, 2, ReadyPolicy::Always);
+        sink.set_policy(0, ReadyPolicy::Never);
+        b.add(sink);
+        let mut circuit = b.build().expect("valid");
+        circuit.run(30).expect("clean");
+        let meb: &FifoMeb<Tagged> = circuit.get("meb").expect("meb");
+        assert_eq!(meb.occupancy(0), 2, "blocked thread holds its two slots");
+        assert_eq!(meb.capacity(), 4, "two slots per thread");
+        let snk: &Sink<Tagged> = circuit.get("snk").expect("sink");
+        assert_eq!(snk.consumed(0), 0);
+        assert_eq!(snk.consumed(1), 10, "unblocked thread is unaffected");
     }
 }

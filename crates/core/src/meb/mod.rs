@@ -1,20 +1,19 @@
 //! Multithreaded elastic buffers (paper, Sec. III and IV-A).
 //!
 //! Three microarchitectures share the MEB interface (a multithreaded input
-//! channel, a multithreaded output channel, an internal arbiter):
+//! channel, a multithreaded output channel, an internal arbiter). Two
+//! types build them: the full MEB is a [`FifoMeb`] of depth 2.
 //!
-//! | type            | storage        | behaviour                                   |
-//! |-----------------|----------------|---------------------------------------------|
-//! | [`FullMeb`]     | `2·S` slots    | paper Fig. 4 — an EB per thread             |
-//! | [`ReducedMeb`]  | `S + 1` slots  | paper Fig. 6 — shared auxiliary register    |
-//! | [`FifoMeb`]     | `depth·S` slots| ablation — private FIFOs, no shared storage |
+//! | built by           | storage         | behaviour                                   |
+//! |--------------------|-----------------|---------------------------------------------|
+//! | [`FifoMeb::full`]  | `2·S` slots     | paper Fig. 4 — an EB per thread             |
+//! | [`ReducedMeb`]     | `S + 1` slots   | paper Fig. 6 — shared auxiliary register    |
+//! | [`FifoMeb::new`]   | `depth·S` slots | ablation — private FIFOs, no shared storage |
 
 mod fifo;
-mod full;
 mod reduced;
 
 pub use fifo::FifoMeb;
-pub use full::FullMeb;
 pub use reduced::ReducedMeb;
 
 use elastic_sim::{ChannelId, Component, ProtocolError, Token};
@@ -24,7 +23,8 @@ use crate::arbiter::{Arbiter, ArbiterKind};
 /// Selects a MEB microarchitecture by name, for sweeps and builders.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MebKind {
-    /// [`FullMeb`]: one 2-slot EB per thread (paper Fig. 4).
+    /// The full MEB, one 2-slot EB per thread (paper Fig. 4):
+    /// [`FifoMeb::full`], a private FIFO of depth 2 per thread.
     Full,
     /// [`ReducedMeb`]: S main registers + shared auxiliary (paper Fig. 6).
     Reduced,
@@ -46,7 +46,7 @@ impl MebKind {
         arbiter: Box<dyn Arbiter>,
     ) -> Box<dyn Component<T>> {
         match self {
-            MebKind::Full => Box::new(FullMeb::new(name, inp, out, threads, arbiter)),
+            MebKind::Full => Box::new(FifoMeb::full(name, inp, out, threads, arbiter)),
             MebKind::Reduced => Box::new(ReducedMeb::new(name, inp, out, threads, arbiter)),
             MebKind::Fifo { depth } => {
                 Box::new(FifoMeb::new(name, inp, out, threads, depth, arbiter))
@@ -73,7 +73,7 @@ impl MebKind {
     ) -> Result<Box<dyn Component<T>>, ProtocolError> {
         Ok(match self {
             MebKind::Full => {
-                Box::new(FullMeb::new(name, inp, out, threads, arbiter).with_initial(initial)?)
+                Box::new(FifoMeb::full(name, inp, out, threads, arbiter).with_initial(initial)?)
             }
             MebKind::Reduced => {
                 Box::new(ReducedMeb::new(name, inp, out, threads, arbiter).with_initial(initial)?)

@@ -181,7 +181,6 @@ mod tests {
         fn assert_send<X: Send>() {}
         assert_send::<PipelineHarness>();
         assert_send::<crate::ElasticBuffer<Tagged>>();
-        assert_send::<crate::FullMeb<Tagged>>();
         assert_send::<crate::ReducedMeb<Tagged>>();
         assert_send::<crate::FifoMeb<Tagged>>();
         assert_send::<crate::Barrier<Tagged>>();

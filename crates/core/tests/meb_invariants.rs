@@ -8,7 +8,7 @@
 //!   and its shared slot is occupied exactly when some thread is FULL;
 //! * storage never exceeds the architectural capacity (`2S` vs `S+1`).
 
-use elastic_core::{ArbiterKind, FullMeb, MebKind, ReducedMeb};
+use elastic_core::{ArbiterKind, FifoMeb, MebKind, ReducedMeb};
 use elastic_sim::{Circuit, CircuitBuilder, CycleTrace, ReadyPolicy, Sink, Source, Tagged};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -183,8 +183,8 @@ proptest! {
                 .map(|(_, s)| s)
                 .expect("meb snapshots present");
             for t in 0..threads {
-                let main = slots.iter().find(|s| s.name == format!("main[{t}]"));
-                let aux = slots.iter().find(|s| s.name == format!("aux[{t}]"));
+                let main = slots.iter().find(|s| s.name == format!("q[{t}][0]"));
+                let aux = slots.iter().find(|s| s.name == format!("q[{t}][1]"));
                 let main_full = main.is_some_and(|s| s.occupant.is_some());
                 let aux_full = aux.is_some_and(|s| s.occupant.is_some());
                 prop_assert!(
@@ -198,7 +198,7 @@ proptest! {
     }
 }
 
-/// Deterministic cross-check: a FullMeb and a ReducedMeb instance driven
+/// Deterministic cross-check: a full MEB and a ReducedMeb instance driven
 /// by identical always-ready traffic deliver identical schedules (they
 /// only differ under multi-thread stalls).
 #[test]
@@ -233,7 +233,7 @@ fn occupancy_accessors_match_reality() {
     src.extend(0, (0..4).map(|i| Tagged::new(0, i, i)));
     src.extend(1, (0..4).map(|i| Tagged::new(1, i, i)));
     b.add(src);
-    b.add(FullMeb::new(
+    b.add(FifoMeb::full(
         "full",
         input,
         output,
@@ -243,7 +243,7 @@ fn occupancy_accessors_match_reality() {
     b.add(Sink::new("snk", output, 2, ReadyPolicy::Never));
     let mut c = b.build().expect("valid");
     c.run(12).expect("clean");
-    let meb: &FullMeb<Tagged> = c.get("full").expect("meb");
+    let meb: &FifoMeb<Tagged> = c.get("full").expect("meb");
     assert_eq!(meb.occupancy_total(), 4);
     assert_eq!(meb.occupancy(0), 2);
     assert_eq!(meb.occupancy(1), 2);

@@ -56,13 +56,6 @@ pub struct Md5Token {
     pub phantom: bool,
 }
 
-impl Md5Token {
-    /// Completed rounds (each round is 16 steps).
-    pub fn rounds_done(&self) -> u8 {
-        self.steps_done / 16
-    }
-}
-
 impl Token for Md5Token {
     fn label(&self) -> String {
         let tag = thread_letter(self.thread);

@@ -432,14 +432,6 @@ impl Cpu {
         self.regs().reg(thread, r)
     }
 
-    /// Presets a register before running.
-    pub fn set_reg(&mut self, thread: usize, r: usize, value: u32) {
-        self.circuit
-            .get_mut::<RegUnit>("regs")
-            .expect("reg unit exists")
-            .set_reg(thread, r, value);
-    }
-
     /// Reads a data-memory word.
     pub fn mem(&self, addr: usize) -> u32 {
         self.dmem().read(addr)

@@ -481,11 +481,6 @@ impl Instr {
         )
     }
 
-    /// Whether this instruction accesses data memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Instr::Lw { .. } | Instr::Sw { .. })
-    }
-
     /// Whether this instruction uses the long-latency multiplier.
     pub fn is_mul(&self) -> bool {
         matches!(self, Instr::Mul { .. })
@@ -728,12 +723,6 @@ mod tests {
             imm: 0
         }
         .is_control_flow());
-        assert!(Instr::Lw {
-            rt: 1,
-            rs: 2,
-            imm: 0
-        }
-        .is_mem());
         assert!(Instr::Mul {
             rd: 1,
             rs: 2,

@@ -485,17 +485,6 @@ impl RegUnit {
         self.regs[thread][r]
     }
 
-    /// Presets a register before the program starts (test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices; writes to r0 are ignored.
-    pub fn set_reg(&mut self, thread: usize, r: usize, value: u32) {
-        if r != 0 {
-            self.regs[thread][r] = value;
-        }
-    }
-
     /// Instructions written back for `thread` (loads, ALU ops, stores and
     /// nops all pass through writeback; control flow retires at the
     /// fetcher instead).

@@ -181,22 +181,6 @@ impl<T: Token> SynthCircuit<T> {
             .collect()
     }
 
-    /// Total tokens collected on output `port` across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist.
-    pub fn collected_total(&self, port: &str) -> u64 {
-        let (comp, _) = self.outputs.get(port).unwrap_or_else(|| {
-            panic!(
-                "unknown output port `{port}` (available: {:?})",
-                self.output_ports()
-            )
-        });
-        let sink: &Sink<T> = self.circuit.get(comp).expect("output component exists");
-        sink.consumed_total()
-    }
-
     /// Steps the circuit until output `port` has collected `count` tokens
     /// in total, or `max_cycles` elapse.
     ///

@@ -7,7 +7,7 @@
 //! drains it. The rank sort breaks ties by insertion index, so each
 //! insertion order permutes the evaluation order inside every rank level.
 
-use mt_elastic::core::{ArbiterKind, FifoMeb, Fork, FullMeb, Join, MebKind, ReducedMeb};
+use mt_elastic::core::{ArbiterKind, FifoMeb, Fork, Join, MebKind, ReducedMeb};
 use mt_elastic::sim::{
     ChannelId, Circuit, CircuitBuilder, Component, EvalMode, LatencyModel, ReadyPolicy, Sink,
     Source, Tagged, VarLatency,
@@ -16,8 +16,7 @@ use proptest::prelude::*;
 
 use super::{boxed, Model};
 
-/// A round-robin MEB of `kind` running the `model` evaluation. `FullMeb`
-/// has a single, per-thread evaluation and is never wrapped.
+/// A round-robin MEB of `kind` running the `model` evaluation.
 pub fn meb(
     kind: MebKind,
     name: impl Into<String>,
@@ -29,7 +28,7 @@ pub fn meb(
     let arbiter = ArbiterKind::RoundRobin.build();
     match kind {
         MebKind::Reduced => boxed(ReducedMeb::new(name, inp, out, threads, arbiter), model),
-        MebKind::Full => Box::new(FullMeb::new(name, inp, out, threads, arbiter)),
+        MebKind::Full => boxed(FifoMeb::full(name, inp, out, threads, arbiter), model),
         MebKind::Fifo { depth } => {
             boxed(FifoMeb::new(name, inp, out, threads, depth, arbiter), model)
         }

@@ -102,7 +102,8 @@ fn worstcase_separation_scales() {
 
 /// In the reduced trace, the stalled thread's second token sits in the
 /// *shared* register; in the full trace it sits in the thread's private
-/// aux slot — the microarchitectural difference the figure illustrates.
+/// aux slot, the second slot of its FIFO (`q[1][1]`) — the
+/// microarchitectural difference the figure illustrates.
 #[test]
 fn traces_show_where_the_stalled_tokens_live() {
     let setup = Fig5Setup::paper(MebKind::Reduced);
@@ -118,7 +119,7 @@ fn traces_show_where_the_stalled_tokens_live() {
         r.slots.iter().map(|(_, slots)| slots).any(|slots| {
             slots
                 .iter()
-                .any(|s| s.name == "aux[1]" && s.occupant.as_ref().is_some_and(|(t, _)| *t == 1))
+                .any(|s| s.name == "q[1][1]" && s.occupant.as_ref().is_some_and(|(t, _)| *t == 1))
         })
     });
     assert!(b_in_aux, "full MEB never used thread B's private aux slot");
