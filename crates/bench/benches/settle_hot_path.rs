@@ -5,7 +5,7 @@
 //! fused-kernel measurements, `docs/perf.md` §4–5) and the raw cost of
 //! the `ThreadMask` operations the loop is built from. Random sink
 //! readiness keeps every channel's valid/ready masks churning, so the
-//! loop cannot quiesce early. The `processor` group tracks the processor datapath, whose
+//! pipeline cannot drain early. The `processor` group tracks the processor datapath, whose
 //! custom units carry their own word-level `eval`s, and the `md5` group
 //! the paper's MD5 loop (merge, MEBs, round transform, barrier, branch).
 //! See `docs/perf.md` for the full methodology.

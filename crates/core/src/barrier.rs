@@ -15,8 +15,8 @@
 //! realized in elastic handshake logic.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, SlotView,
-    ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, SlotView, ThreadMask,
+    TickCtx, Token,
 };
 
 /// Per-thread barrier FSM state (paper, Fig. 8).
@@ -290,10 +290,6 @@ impl<T: Token> Component<T> for Barrier<T> {
                 }
             })
             .collect()
-    }
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
     }
 
     fn reset(&mut self) -> bool {

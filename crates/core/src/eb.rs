@@ -194,10 +194,6 @@ impl<T: Token> Component<T> for ElasticBuffer<T> {
         true
     }
 
-    fn next_event(&self, _now: u64) -> elastic_sim::NextEvent {
-        elastic_sim::NextEvent::Idle
-    }
-
     fn slots(&self) -> Vec<SlotView> {
         let view = |name: &str, item: &Option<T>| match item {
             Some(t) => SlotView::full(name, 0, t.label()),

@@ -18,8 +18,8 @@
 use std::collections::VecDeque;
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
-    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, ProtocolError,
+    SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -259,10 +259,6 @@ impl<T: Token> Component<T> for FifoMeb<T> {
             }
         }
         out
-    }
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
     }
 
     fn reset(&mut self) -> bool {

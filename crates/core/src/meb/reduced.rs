@@ -19,8 +19,8 @@
 //! thread sees only one slot per stage and tops out at 50 % throughput.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
-    ProtocolError, SlotView, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, ProtocolError,
+    SlotView, ThreadMask, TickCtx, Token,
 };
 
 use crate::arbiter::Arbiter;
@@ -367,10 +367,6 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
             None => SlotView::empty("shared"),
         });
         out
-    }
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
     }
 
     fn reset(&mut self) -> bool {

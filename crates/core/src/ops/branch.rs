@@ -7,8 +7,8 @@
 //! each thread's token self-selects its path.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
-    ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, ThreadMask, TickCtx,
+    Token,
 };
 
 /// A two-way conditional router.
@@ -159,10 +159,6 @@ impl<T: Token> Component<T> for Branch<T> {
     }
 
     fn tick(&mut self, _ctx: &TickCtx<'_, T>) {}
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
-    }
 
     fn reset(&mut self) -> bool {
         true // stateless

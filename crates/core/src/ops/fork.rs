@@ -10,8 +10,8 @@
 //! fork; the `done` state is therefore indexed by thread as well.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports,
-    ProtocolError, ThreadMask, TickCtx, Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, ProtocolError,
+    ThreadMask, TickCtx, Token,
 };
 
 /// Per-token output-routing function (see [`Fork::with_route`]): bit `o`
@@ -294,10 +294,6 @@ impl<T: Token> Component<T> for Fork<T> {
                 }
             }
         }
-    }
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
     }
 
     fn reset(&mut self) -> bool {

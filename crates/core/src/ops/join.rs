@@ -8,8 +8,7 @@
 //! condition thread-wise over multithreaded channels.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, TickCtx,
-    Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, TickCtx, Token,
 };
 
 /// An N-input join with a combine function.
@@ -147,10 +146,6 @@ impl<T: Token> Component<T> for Join<T> {
     }
 
     fn tick(&mut self, _ctx: &TickCtx<'_, T>) {}
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
-    }
 
     fn reset(&mut self) -> bool {
         true // stateless

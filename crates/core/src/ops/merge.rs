@@ -13,8 +13,7 @@
 //! This clarification is recorded in `DESIGN.md`.
 
 use elastic_sim::{
-    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, TickCtx,
-    Token,
+    impl_as_any, ChannelId, CombPath, Component, EvalCtx, FusedOpKind, Ports, TickCtx, Token,
 };
 
 /// An N-input merge onto one channel.
@@ -204,10 +203,6 @@ impl<T: Token> Component<T> for Merge<T> {
         if offered {
             self.prefer = (self.prefer + 1) % self.inputs.len();
         }
-    }
-
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
     }
 
     fn reset(&mut self) -> bool {

@@ -109,7 +109,8 @@ impl Default for CpuConfig {
 /// Statistics from a completed run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CpuRunStats {
-    /// Cycles simulated until quiescence.
+    /// Cycles simulated until every thread halted and the pipeline
+    /// drained.
     pub cycles: u64,
     /// Instructions executed (passed the execute stage) per thread —
     /// includes wrong-path instructions when speculating.
@@ -390,7 +391,11 @@ impl Cpu {
     /// # Panics
     ///
     /// Panics if `entry_pcs.len() != config.threads` or the program is
-    /// empty.
+    /// empty. Panics at build, before any cycle runs, if
+    /// `config.imem_latency` or `config.dmem_latency` is an empty range
+    /// (`min > max`): elaboration rejects the instruction memory's with
+    /// [`IrError::BadLatency`](elastic_synth::IrError::BadLatency), and
+    /// [`MemUnit::new`] the data memory's.
     pub fn new(config: CpuConfig, program: Vec<u32>, entry_pcs: Vec<u32>) -> Self {
         let mut ir = Self::ir(&config, program, entry_pcs).ir;
         PassManager::new()
@@ -477,9 +482,8 @@ impl Cpu {
             if cycle >= max_cycles {
                 return Err(CpuError::Timeout { max_cycles });
             }
-            // One cycle through the batch driver: no transfer records are
-            // collected, and the quiescence fast-forward cannot jump past
-            // the one-cycle window.
+            // One cycle through the batch driver, which collects no
+            // transfer records.
             self.circuit.run(1)?;
             if self.circuit.last_progress() == Some(cycle) {
                 idle = 0;
@@ -725,6 +729,53 @@ mod tests {
         assert_eq!(cpu.mem(0), 42, "wrong-path store leaked to memory");
         assert_eq!(cpu.reg(0, 5), 42);
         assert_eq!(cpu.reg(0, 4), 0, "wrong-path register write leaked");
+
+        // Every taken branch of this loop is followed directly by stores
+        // of a poison word to the thread's own words 100 + tid and
+        // 108 + tid, which only a wrong path reaches. Such a store can
+        // enter the data memory at the clock edge at which its branch
+        // redirects fetch, so `dmem` must see the squash at that edge.
+        let source = "      tid  r1\n\
+                            addi r7, r1, 100\n\
+                            addi r6, r0, 666\n\
+                            addi r2, r0, 12\n\
+                      loop: addi r3, r3, 1\n\
+                            addi r2, r2, -1\n\
+                            beq  r2, r0, done\n\
+                            beq  r0, r0, loop\n\
+                            sw   r6, 0(r7)\n\
+                            sw   r6, 8(r7)\n\
+                            addi r4, r0, 666\n\
+                      done: sw   r3, 200(r1)\n\
+                            halt\n";
+        let mut squashed = 0;
+        for threads in [1usize, 2, 4, 8] {
+            // Single-cycle units, then the default latencies on five seeds.
+            let configs = std::iter::once(CpuConfig::new(threads).deterministic())
+                .chain((1..=5).map(|seed| CpuConfig::new(threads).with_seed(seed)));
+            for config in configs {
+                let label = format!("{threads} threads, {config:?}");
+                let mut base = Cpu::from_asm(config.clone(), source).expect("asm");
+                base.run_to_halt(200_000).expect("halts");
+                let mut spec = Cpu::from_asm(config.with_speculation(), source).expect("asm");
+                let stats = spec.run_to_halt(200_000).expect("halts");
+                squashed += stats.squashed.iter().sum::<u64>();
+                for t in 0..threads {
+                    for addr in [100 + t, 108 + t] {
+                        assert_eq!(
+                            spec.mem(addr),
+                            0,
+                            "{label}: thread {t}'s wrong-path store leaked to {addr}"
+                        );
+                    }
+                    assert_eq!(spec.mem(200 + t), 12, "{label}: thread {t}");
+                    for r in 0..crate::isa::NUM_REGS {
+                        assert_eq!(spec.reg(t, r), base.reg(t, r), "{label}: thread {t}, r{r}");
+                    }
+                }
+            }
+        }
+        assert!(squashed > 0, "no wrong path was fetched");
     }
 
     #[test]

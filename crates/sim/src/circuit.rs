@@ -24,11 +24,10 @@
 //!    every component's [`tick`](crate::Component::tick) then updates its
 //!    registers, reporting any fault through [`TickCtx::fault`].
 //!
-//! Two fast-paths keep the event-driven kernel cheap (see
-//! `docs/kernel.md`): a cycle that converges after its single full sweep
-//! goes straight to the clock edge, and a *quiescent* network (no token
-//! offered anywhere) can be fast-forwarded across empty cycles to the next
-//! self-scheduled component event ([`Component::next_event`]).
+//! A cycle that converges after its single full sweep goes straight to
+//! the clock edge, which keeps the event-driven kernel cheap (see
+//! `docs/kernel.md`). Every cycle is stepped, including cycles with no
+//! token anywhere.
 //!
 //! The hot loop is allocation-free (see `docs/perf.md`): handshake bits
 //! live in packed [`ThreadMask`] words, the dirty set is itself a mask
@@ -40,7 +39,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::channel::{ChannelId, ChannelState};
-use crate::component::{Component, FusedOpKind, NextEvent};
+use crate::component::{Component, FusedOpKind};
 use crate::error::{ProtocolError, SimError};
 use crate::mask::ThreadMask;
 use crate::rank::Schedule;
@@ -648,8 +647,6 @@ pub struct Circuit<T: Token> {
     mode: EvalMode,
     /// Scratch wake flags, one bit per component (the dirty set).
     woke: ThreadMask,
-    /// Whether the last stepped cycle ended with no token anywhere.
-    quiescent: bool,
     cycle: u64,
     stats: Stats,
     recorder: Option<TraceRecorder>,
@@ -701,7 +698,6 @@ impl<T: Token> Circuit<T> {
             rank_width: schedule.rank_width,
             mode: EvalMode::default(),
             woke,
-            quiescent: false,
             cycle: 0,
             stats,
             recorder: None,
@@ -774,7 +770,6 @@ impl<T: Token> Circuit<T> {
             ch.data = None;
         }
         self.woke.clear();
-        self.quiescent = false;
         self.cycle = 0;
         self.stats.reset();
         self.recorder = None;
@@ -1085,12 +1080,11 @@ impl<T: Token> Circuit<T> {
 
         // Watchdog: a cycle counts as "stuck" only when some token is
         // offered (a valid is asserted) yet nothing moves. A circuit with
-        // no valid tokens at all is quiescent, not deadlocked. A deadlock
+        // no valid tokens at all is idle, not deadlocked. A deadlock
         // returns before the cycle is recorded and takes back the channel
         // pass, like a failed channel check: the statistics, the trace
         // and the idle count stay as they were, so stepping the cycle
         // again counts it once.
-        self.quiescent = fired == 0 && !any_valid;
         if fired > 0 {
             self.last_progress = Some(cycle);
         }
@@ -1197,68 +1191,10 @@ impl<T: Token> Circuit<T> {
         }
     }
 
-    /// True when the last stepped cycle completed with no transfer and no
-    /// asserted `valid` anywhere — the network holds no visible token.
-    pub fn is_quiescent(&self) -> bool {
-        self.quiescent
-    }
-
-    /// The earliest future component event: `Some(None)` when every
-    /// component is purely reactive (idle forever), `Some(Some(c))` for
-    /// the earliest scheduled cycle, `None` when some component is
-    /// time-sensitive every cycle and the fast-path must stay off.
-    fn next_component_event(&self) -> Option<Option<u64>> {
-        let mut earliest: Option<u64> = None;
-        for c in &self.components {
-            match c.next_event(self.cycle) {
-                NextEvent::EveryCycle => return None,
-                NextEvent::Idle => {}
-                NextEvent::At(at) => {
-                    earliest = Some(earliest.map_or(at, |e| e.min(at)));
-                }
-            }
-        }
-        Some(earliest)
-    }
-
-    /// Quiescence fast-path: advances the clock directly to the next
-    /// self-scheduled component event — or to `limit` (exclusive end of
-    /// the simulation window) when every component is idle — without
-    /// evaluating anything. A cycle can only be skipped when the network
-    /// is [quiescent](Circuit::is_quiescent): with no `valid` asserted
-    /// anywhere, no transfer can fire and no reactive component can
-    /// change state, so the skipped cycles are provably empty. Skipped
-    /// cycles still count toward [`Stats::cycles`] (and are tallied in
-    /// [`KernelStats::quiesced_cycles`](crate::KernelStats)).
+    /// Simulates `cycles` clock cycles, stepping every one of them.
     ///
-    /// Returns the number of cycles skipped (0 when the last cycle was
-    /// not quiescent, a trace is being recorded, or a component reports
-    /// [`NextEvent::EveryCycle`]).
-    pub fn fast_forward(&mut self, limit: u64) -> u64 {
-        if !self.quiescent || self.recorder.is_some() || self.cycle >= limit {
-            return 0;
-        }
-        let target = match self.next_component_event() {
-            None => return 0,
-            Some(None) => limit,
-            Some(Some(at)) => at.min(limit).max(self.cycle),
-        };
-        let skipped = target - self.cycle;
-        if skipped > 0 {
-            self.cycle = target;
-            self.stats.record_quiesced(skipped);
-        }
-        skipped
-    }
-
-    /// Simulates `cycles` clock cycles.
-    ///
-    /// Quiescent stretches (no token anywhere) are fast-forwarded to the
-    /// next scheduled component event when tracing is off; the skipped
-    /// cycles still count toward the simulated total, so the observable
-    /// end state matches stepping cycle by cycle. Unlike
-    /// [`step`](Circuit::step), no per-transfer records are collected —
-    /// the batch loop allocates nothing per cycle.
+    /// Unlike [`step`](Circuit::step), no per-transfer records are
+    /// collected — the batch loop allocates nothing per cycle.
     ///
     /// # Errors
     ///
@@ -1267,20 +1203,12 @@ impl<T: Token> Circuit<T> {
         let end = self.cycle.saturating_add(cycles);
         while self.cycle < end {
             self.step_collect(false)?;
-            if self.quiescent {
-                self.fast_forward(end);
-            }
         }
         Ok(())
     }
 
     /// Steps until `pred` holds (checked *before* each step) or `max_cycles`
     /// elapse. Returns `true` if the predicate was satisfied.
-    ///
-    /// Quiescent stretches are fast-forwarded exactly as in
-    /// [`run`](Circuit::run); the predicate is re-checked after each jump
-    /// (it cannot change during skipped cycles, which by construction
-    /// move no token and touch no component state).
     ///
     /// # Errors
     ///
@@ -1296,9 +1224,6 @@ impl<T: Token> Circuit<T> {
                 return Ok(true);
             }
             self.step_collect(false)?;
-            if self.quiescent {
-                self.fast_forward(end);
-            }
         }
         Ok(pred(self))
     }

@@ -24,29 +24,6 @@ use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
 use crate::token::Token;
 
-/// A component's next self-scheduled activity, reported through
-/// [`Component::next_event`].
-///
-/// When a cycle ends *quiescent* (no `valid` asserted anywhere, nothing
-/// fired), the kernel's fast-path asks every component when it could next
-/// change its outputs without any input changing first. If every answer is
-/// [`Idle`](NextEvent::Idle) or [`At`](NextEvent::At), the clock jumps
-/// straight to the earliest reported cycle instead of stepping through
-/// provably empty cycles one by one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NextEvent {
-    /// The component may change its outputs on any cycle. This is the
-    /// conservative default; a single `EveryCycle` component disables the
-    /// quiescence fast-path.
-    EveryCycle,
-    /// Purely reactive: the component produces no activity until one of
-    /// its channel signals changes.
-    Idle,
-    /// Spontaneous activity no earlier than the given cycle (a source
-    /// releasing its next timed token, a latency timer expiring).
-    At(u64),
-}
-
 /// The input/output channel sets of a component.
 ///
 /// Used by the builder to check that every channel has exactly one driver
@@ -369,18 +346,6 @@ pub trait Component<T: Token>: Send {
     /// Optional view of internal storage for trace rendering.
     fn slots(&self) -> Vec<SlotView> {
         Vec::new()
-    }
-
-    /// The earliest cycle (strictly after `now`) at which this component
-    /// could spontaneously change its outputs while the network is idle.
-    ///
-    /// Used by the quiescence fast-path; see [`NextEvent`]. The default is
-    /// the conservative [`NextEvent::EveryCycle`], which keeps unknown
-    /// components correct at the cost of disabling the fast-path. Purely
-    /// reactive components should return [`NextEvent::Idle`]; time-driven
-    /// ones should report their next deadline with [`NextEvent::At`].
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::EveryCycle
     }
 
     /// Op class under which the settle loop tallies this component's

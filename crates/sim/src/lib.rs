@@ -27,12 +27,12 @@
 //! The settle phase is **event-driven** by default ([`EvalMode`]): after
 //! one full sweep per cycle, only components woken by a signal change on a
 //! channel they declared sensitivity to ([`Component::comb_paths`]) are
-//! re-evaluated, idle stretches are fast-forwarded to the next scheduled
-//! component event ([`NextEvent`]), and the saved work is reported through
-//! [`KernelStats`]. The builder additionally compiles the declarations
-//! into a **levelized rank schedule** ([`CircuitBuilder::build`]): components are
-//! permuted so each evaluates after everything it combinationally depends
-//! on, making the round-1 sweep the fixed point on acyclic nets, and
+//! re-evaluated, and the saved work is reported through [`KernelStats`].
+//! Every cycle is stepped: the kernel never jumps the clock. The builder
+//! additionally compiles the declarations into a **levelized rank
+//! schedule** ([`CircuitBuilder::build`]): components are permuted so each
+//! evaluates after everything it combinationally depends on, making the
+//! round-1 sweep the fixed point on acyclic nets, and
 //! genuine zero-latency handshake cycles are rejected at build time with
 //! the offending component names ([`BuildError::CombinationalLoop`]). The
 //! exhaustive sweep of the original kernel is kept as an equivalence
@@ -86,9 +86,7 @@ mod vcd;
 pub use builder::CircuitBuilder;
 pub use channel::{ChannelId, ChannelSpec};
 pub use circuit::{Circuit, CycleReport, EvalCtx, EvalMode, TickCtx, Transfer};
-pub use component::{
-    conservative_paths, CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView,
-};
+pub use component::{conservative_paths, CombPath, Component, FusedOpKind, Ports, SlotView};
 pub use error::{BuildError, ProtocolError, SimError};
 pub use fnv::Fnv1a;
 pub use latency::{token_latencies, LatencySummary, TokenLatencies};
@@ -361,45 +359,6 @@ mod kernel_tests {
         assert!(
             k.rounds_per_cycle() < 3.0,
             "rounds per cycle too high: {k:?}"
-        );
-    }
-
-    /// With all source tokens released far in the future, `run` jumps the
-    /// quiescent gap instead of stepping empty cycles, while the end state
-    /// (cycle count, deliveries) matches the exhaustive step-by-step run.
-    #[test]
-    fn quiescence_fast_forward_skips_idle_gap() {
-        let build = || {
-            let mut b = CircuitBuilder::<u64>::new();
-            let a = b.channel("a", 1);
-            let mut src = Source::new("src", a, 1);
-            src.push(0, 7);
-            src.push_at(0, 500, 8);
-            b.add(src);
-            b.add(Sink::with_capture("snk", a, 1, ReadyPolicy::Always));
-            b.build().expect("valid")
-        };
-
-        let mut fast = build();
-        fast.run(520).expect("clean");
-        let k = fast.stats().kernel();
-        assert!(k.quiesced_cycles > 400, "gap not skipped: {k:?}");
-        assert_eq!(k.stepped_cycles + k.quiesced_cycles, 520);
-        assert_eq!(fast.stats().cycles(), 520);
-        assert_eq!(fast.cycle(), 520);
-
-        let mut slow = build();
-        slow.set_eval_mode(EvalMode::Exhaustive);
-        slow.enable_trace(); // tracing disables the fast-path
-        slow.run(520).expect("clean");
-        assert_eq!(slow.stats().kernel().quiesced_cycles, 0);
-
-        let f: &Sink<u64> = fast.get("snk").expect("sink");
-        let s: &Sink<u64> = slow.get("snk").expect("sink");
-        assert_eq!(
-            f.captured(0),
-            s.captured(0),
-            "fast-forward changed delivery"
         );
     }
 

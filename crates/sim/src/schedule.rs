@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
-use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports};
+use crate::component::{CombPath, Component, FusedOpKind, Ports};
 use crate::mask::ThreadMask;
 use crate::token::Token;
 
@@ -137,13 +137,11 @@ impl<T: Token> Source<T> {
     /// Queues `token` on `thread`, released no earlier than `cycle`.
     ///
     /// Release cycles are clamped to stay FIFO-monotonic per thread: a
-    /// `cycle` earlier than the previously queued token's release (e.g. a
-    /// push "in the past" issued mid-run, after the simulation clock — or
-    /// a quiescence fast-forward jump — has already passed `cycle`) makes
-    /// the token eligible at the next cycle the thread's queue head can
-    /// legally release, instead of panicking or wedging the
-    /// [`next_event`](Component::next_event) schedule behind an
-    /// unreachable timestamp.
+    /// `cycle` earlier than the previously queued token's release makes
+    /// the token eligible when its predecessor is, instead of panicking.
+    /// A push "in the past", issued mid-run after the simulation clock
+    /// has already passed `cycle`, releases the token at the next cycle
+    /// the thread's queue head can legally release.
     ///
     /// # Panics
     ///
@@ -326,25 +324,6 @@ impl<T: Token> Component<T> for Source<T> {
         true
     }
 
-    fn next_event(&self, now: u64) -> NextEvent {
-        // An already-released head means the source is (or should be)
-        // asserting valid — report the conservative answer. Otherwise the
-        // earliest future release is the next moment this source can act.
-        let mut earliest: Option<u64> = None;
-        for q in &self.queues {
-            if let Some(&(rel, _)) = q.front() {
-                if rel <= now {
-                    return NextEvent::EveryCycle;
-                }
-                earliest = Some(earliest.map_or(rel, |e| e.min(rel)));
-            }
-        }
-        match earliest {
-            Some(rel) => NextEvent::At(rel),
-            None => NextEvent::Idle,
-        }
-    }
-
     crate::impl_as_any!();
 }
 
@@ -489,15 +468,6 @@ impl<T: Token> Component<T> for Sink<T> {
         true
     }
 
-    fn next_event(&self, _now: u64) -> NextEvent {
-        // Purely reactive. Ready policies do depend on the cycle number,
-        // but while the network is quiescent no token exists for a ready
-        // change to release, and the first stepped cycle after a jump
-        // re-sweeps every component, recomputing the policies at the new
-        // cycle.
-        NextEvent::Idle
-    }
-
     crate::impl_as_any!();
 }
 
@@ -544,7 +514,6 @@ mod tests {
         let mut s = Source::<u64>::new("s", ChannelId(0), 1);
         s.push_at(0, 5, 1);
         s.push_at(0, 3, 2);
-        assert_eq!(s.next_event(0), NextEvent::At(5));
         assert_eq!(
             s.queues[0].iter().map(|(r, _)| *r).collect::<Vec<_>>(),
             vec![5, 5],
@@ -555,9 +524,8 @@ mod tests {
     #[test]
     fn push_in_the_past_mid_run_releases_next_eligible_cycle() {
         // Regression: a token pushed with a release cycle the simulation
-        // clock has already passed (easy to do after a quiescence
-        // fast-forward jump) must flow on the next cycle, not stall and
-        // not corrupt the fast-forward accounting.
+        // clock has already passed must flow on the next cycle, not stall
+        // and not corrupt the cycle accounting.
         use crate::builder::CircuitBuilder;
 
         let mut b = CircuitBuilder::<u64>::new();
@@ -569,20 +537,13 @@ mod tests {
         let mut c = b.build().expect("valid");
 
         // Token 1 is delivered at cycle 0; the rest of the window is
-        // quiescent and fast-forwarded.
+        // empty.
         c.run(40).expect("clean");
         assert_eq!(c.cycle(), 40);
-        assert!(c.is_quiescent());
-        assert!(c.stats().kernel().quiesced_cycles > 0, "gap was stepped");
 
         // Now push "at cycle 3" — 37 cycles in the past.
         let src: &mut Source<u64> = c.get_mut("src").expect("source");
         src.push_at(0, 3, 2);
-        assert_eq!(
-            src.next_event(40),
-            NextEvent::EveryCycle,
-            "released head reports conservative next_event"
-        );
         c.run(5).expect("clean");
 
         let snk: &Sink<u64> = c.get("snk").expect("sink");
@@ -591,7 +552,7 @@ mod tests {
             &[(0, 1), (40, 2)],
             "past-released token must fire on the first cycle after the push"
         );
-        // Cycle accounting stayed consistent across the jump + late push.
+        // Cycle accounting stayed consistent across the late push.
         assert_eq!(c.cycle(), 45);
         assert_eq!(c.stats().cycles(), 45);
     }
@@ -670,16 +631,6 @@ mod tests {
             Some(2),
             "ready request wins over fallback"
         );
-    }
-
-    #[test]
-    fn source_next_event_reports_earliest_release() {
-        let mut s = Source::<u64>::new("s", ChannelId(0), 2);
-        assert_eq!(s.next_event(0), NextEvent::Idle);
-        s.push_at(0, 9, 1);
-        s.push_at(1, 5, 2);
-        assert_eq!(s.next_event(3), NextEvent::At(5));
-        assert_eq!(s.next_event(5), NextEvent::EveryCycle);
     }
 
     #[test]

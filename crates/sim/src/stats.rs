@@ -128,8 +128,8 @@ pub struct KernelStats {
     /// Evaluations avoided relative to an exhaustive kernel performing
     /// the same number of rounds (`rounds × components − evals`).
     pub components_skipped: u64,
-    /// Cycles skipped wholesale by the quiescence fast-path (no token
-    /// anywhere; the clock jumped to the next scheduled event).
+    /// Always 0: the kernel steps every cycle and skips none. Kept only
+    /// because the benchmark package reads it for `sim.quiesced_ratio`.
     pub quiesced_cycles: u64,
     /// Cycles actually stepped through the settle loop.
     pub stepped_cycles: u64,
@@ -242,17 +242,12 @@ impl Stats {
         self.cycles += 1;
     }
 
-    pub(crate) fn record_quiesced(&mut self, cycles: u64) {
-        self.cycles += cycles;
-        self.kernel.quiesced_cycles += cycles;
-    }
-
     pub(crate) fn kernel_mut(&mut self) -> &mut KernelStats {
         &mut self.kernel
     }
 
     /// Evaluation-kernel counters (evals per cycle, settle rounds,
-    /// skipped work, quiesced cycles).
+    /// skipped work).
     pub fn kernel(&self) -> &KernelStats {
         &self.kernel
     }
@@ -618,14 +613,5 @@ mod tests {
         k.stepped_cycles = 10;
         assert_eq!(k.evals_per_cycle(), 3.0);
         assert_eq!(k.rounds_per_cycle(), 1.5);
-    }
-
-    #[test]
-    fn quiesced_cycles_count_toward_total_cycles() {
-        let mut s = stats();
-        s.record_cycle();
-        s.record_quiesced(9);
-        assert_eq!(s.cycles(), 10);
-        assert_eq!(s.kernel().quiesced_cycles, 9);
     }
 }

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::channel::ChannelId;
 use crate::circuit::{EvalCtx, TickCtx};
-use crate::component::{CombPath, Component, FusedOpKind, NextEvent, Ports, SlotView};
+use crate::component::{CombPath, Component, FusedOpKind, Ports, SlotView};
 use crate::mask::ThreadMask;
 use crate::token::Token;
 
@@ -122,7 +122,8 @@ impl<T: Token> VarLatency<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0`, or if `latency` is a
+    /// [`LatencyModel::Uniform`] range with `min > max`.
     pub fn new(
         name: impl Into<String>,
         inp: ChannelId,
@@ -135,6 +136,9 @@ impl<T: Token> VarLatency<T> {
             capacity > 0,
             "a variable-latency unit needs at least one slot"
         );
+        if let LatencyModel::Uniform { min, max, .. } = latency {
+            assert!(min <= max, "empty latency range {min}..={max}");
+        }
         let seed = latency.seed();
         Self {
             name: name.into(),
@@ -410,27 +414,6 @@ impl<T: Token> Component<T> for VarLatency<T> {
             .collect()
     }
 
-    fn next_event(&self, now: u64) -> NextEvent {
-        // The unit acts spontaneously when an in-flight token completes:
-        // the earliest per-thread head deadline is the next event. A head
-        // already complete means valid is (or should be) asserted.
-        let mut seen = ThreadMask::new(self.threads);
-        let mut earliest: Option<u64> = None;
-        for e in &self.entries {
-            if !seen.get(e.thread) {
-                seen.set(e.thread, true);
-                if e.done_at <= now {
-                    return NextEvent::EveryCycle;
-                }
-                earliest = Some(earliest.map_or(e.done_at, |x| x.min(e.done_at)));
-            }
-        }
-        match earliest {
-            Some(at) => NextEvent::At(at),
-            None => NextEvent::Idle,
-        }
-    }
-
     crate::impl_as_any!();
 }
 
@@ -524,10 +507,6 @@ impl<T: Token> Component<T> for Transform<T> {
         true // stateless
     }
 
-    fn next_event(&self, _now: u64) -> NextEvent {
-        NextEvent::Idle
-    }
-
     crate::impl_as_any!();
 }
 
@@ -581,37 +560,6 @@ mod tests {
         // Thread 0's head is not done; its second (done) entry must wait.
         let heads = v.completed_heads(5);
         assert_eq!(heads, vec![(1, 2)]);
-    }
-
-    #[test]
-    fn next_event_tracks_per_thread_head_deadlines() {
-        let mut v = VarLatency::<u64>::new(
-            "v",
-            ChannelId(0),
-            ChannelId(1),
-            2,
-            4,
-            LatencyModel::Fixed(1),
-        );
-        assert_eq!(v.next_event(0), NextEvent::Idle);
-        v.entries.push_back(Entry {
-            thread: 0,
-            token: 1,
-            done_at: 12,
-        });
-        v.entries.push_back(Entry {
-            thread: 1,
-            token: 2,
-            done_at: 8,
-        });
-        // Thread 0's second entry completes earlier but is not the head.
-        v.entries.push_back(Entry {
-            thread: 0,
-            token: 3,
-            done_at: 5,
-        });
-        assert_eq!(v.next_event(3), NextEvent::At(8));
-        assert_eq!(v.next_event(8), NextEvent::EveryCycle);
     }
 
     #[test]

@@ -369,6 +369,16 @@ pub enum IrError {
         /// Participating threads in the mask.
         participants: usize,
     },
+    /// A variable-latency node's uniform latency range is empty
+    /// (`min > max`), so it could never draw a latency.
+    BadLatency {
+        /// Offending node.
+        node: String,
+        /// Lower end of the range.
+        min: u32,
+        /// Upper end of the range.
+        max: u32,
+    },
     /// A MEB's initial tokens exceed its per-thread capacity or name a
     /// thread it does not have.
     Protocol(ProtocolError),
@@ -409,6 +419,10 @@ impl std::fmt::Display for IrError {
                 "barrier `{node}` has {threads} thread(s) but a participant mask of \
                  length {len} with {participants} participant(s)"
             ),
+            IrError::BadLatency { node, min, max } => write!(
+                f,
+                "variable-latency node `{node}` has the empty latency range {min}..={max}"
+            ),
             IrError::Protocol(e) => write!(f, "{e}"),
             IrError::Build(e) => write!(f, "{e}"),
         }
@@ -422,7 +436,8 @@ impl std::error::Error for IrError {
             IrError::Build(e) => Some(e),
             IrError::BadPorts { .. }
             | IrError::ThreadMismatch { .. }
-            | IrError::BadParticipants { .. } => None,
+            | IrError::BadParticipants { .. }
+            | IrError::BadLatency { .. } => None,
         }
     }
 }
@@ -830,7 +845,8 @@ impl<T: Token> ElasticIr<T> {
     /// [`IrError::BadPorts`] when a node's wiring does not fit its kind,
     /// [`IrError::ThreadMismatch`] when a primitive's ports disagree on
     /// the thread count, [`IrError::BadParticipants`] for a barrier mask
-    /// that does not fit, [`IrError::Protocol`] when a MEB's initial
+    /// that does not fit, [`IrError::BadLatency`] for an empty uniform
+    /// latency range, [`IrError::Protocol`] when a MEB's initial
     /// tokens overflow or name a missing thread, and [`IrError::Build`]
     /// for anything the circuit builder rejects (missing
     /// drivers/readers, combinational loops, …). Run the lint passes
@@ -963,6 +979,15 @@ impl<T: Token> ElasticIr<T> {
                     transform,
                 } => {
                     ok(ins.len() == 1 && outs.len() == 1)?;
+                    if let LatencyModel::Uniform { min, max, .. } = model {
+                        if min > max {
+                            return Err(IrError::BadLatency {
+                                node: name,
+                                min,
+                                max,
+                            });
+                        }
+                    }
                     let threads = threads_of(&node.inputs);
                     let mut unit = VarLatency::new(name, ins[0], outs[0], threads, servers, model);
                     if let Some(f) = transform {
@@ -1198,6 +1223,24 @@ mod tests {
                 other => panic!("mask {len}/{participants}: {:?}", other.map(|_| ())),
             }
         }
+    }
+
+    #[test]
+    fn inverted_latency_range_is_a_typed_error() {
+        let uniform = |min, max| IrNodeKind::VarLatency {
+            servers: 2,
+            model: LatencyModel::Uniform { min, max, seed: 1 },
+            transform: None,
+        };
+        match one_node_ir(2, uniform(3, 1)).elaborate() {
+            Err(IrError::BadLatency {
+                node,
+                min: 3,
+                max: 1,
+            }) => assert_eq!(node, "node"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+        assert!(one_node_ir(2, uniform(2, 2)).elaborate().is_ok());
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::any::Any;
 
 use mt_elastic::core::{Barrier, Branch, FifoMeb, Fork, Merge, ReducedMeb};
 use mt_elastic::sim::{
-    Circuit, CombPath, Component, EvalCtx, FusedOpKind, NextEvent, Ports, Sink, SlotView, Source,
-    TickCtx, Token, Transform, VarLatency,
+    Circuit, CombPath, Component, EvalCtx, FusedOpKind, Ports, Sink, SlotView, Source, TickCtx,
+    Token, Transform, VarLatency,
 };
 
 /// A primitive with a per-thread reference evaluation.
@@ -94,9 +94,6 @@ impl<T: Token> Component<T> for Hooked<T> {
     }
     fn slots(&self) -> Vec<SlotView> {
         self.unit.slots()
-    }
-    fn next_event(&self, now: u64) -> NextEvent {
-        self.unit.next_event(now)
     }
     fn op_kind(&self) -> FusedOpKind {
         self.unit.op_kind()

@@ -6,9 +6,9 @@
 //!   event-driven kernel matches the exhaustive oracle.
 //! * On the paper's Fig. 5 pipeline, a stalled 4-thread pipeline and the
 //!   Sec. V-A MD5 loop, both kernels deliver the same captures (digests
-//!   and cycles, for MD5), and each kernel's evaluation, settle-round
-//!   and quiesced-cycle counts are pinned. A change that moves a count
-//!   updates its row in [`PINNED`] and says why.
+//!   and cycles, for MD5), and each kernel's evaluation and settle-round
+//!   counts are pinned. A change that moves a count updates its row in
+//!   [`PINNED`] and says why.
 //! * On random topologies (`common::random_net`), built in shuffled
 //!   builder insertion orders, the kernel bars below hold. The rank sort
 //!   breaks ties by insertion index, so each order permutes the
@@ -174,8 +174,7 @@ enum Delivered {
 type Run = (Delivered, KernelStats);
 
 /// The paper's Fig. 5 scenario (2 threads, 2 stages, 8 tokens per
-/// thread, thread B's sink stalled over `3..8`, 24 cycles), untraced so
-/// the quiescence fast-forward stays on.
+/// thread, thread B's sink stalled over `3..8`, 24 cycles).
 fn run_fig5(kind: MebKind, mode: EvalMode) -> Run {
     let setup = Fig5Setup::paper(kind);
     let cfg = PipelineConfig::free_flowing(2, setup.stages, kind, setup.tokens_per_thread)
@@ -219,24 +218,29 @@ fn run_md5(mode: EvalMode) -> Run {
     (Delivered::Digests(digests, cycles), kernel)
 }
 
-/// `(component_evals, settle_rounds, quiesced_cycles)` of one run.
-/// `components_skipped` follows from the evaluations and rounds.
-fn counts(k: &KernelStats) -> [u64; 3] {
-    [k.component_evals, k.settle_rounds, k.quiesced_cycles]
+/// `(component_evals, settle_rounds)` of one run. `components_skipped`
+/// follows from the evaluations and rounds.
+fn counts(k: &KernelStats) -> [u64; 2] {
+    [k.component_evals, k.settle_rounds]
 }
 
 /// The eval record: each workload's counts under the exhaustive oracle
 /// and under the event-driven kernel.
-const PINNED: [(&str, [u64; 3], [u64; 3]); 4] = [
-    ("Fig. 5, full MEBs", [176, 44, 2], [88, 22, 2]),
-    ("Fig. 5, reduced MEBs", [176, 44, 2], [88, 22, 2]),
-    ("4 threads, 4 stages", [3804, 634, 883], [1902, 317, 883]),
-    ("MD5, 8 threads", [1672, 209, 0], [820, 197, 0]),
+///
+/// The kernel steps every cycle, so the pipeline rows count every cycle
+/// of their window, drained or not: 24 for Fig. 5 and 1,200 for the
+/// stalled pipeline. Both nets are acyclic, so the event-driven kernel
+/// settles each cycle in one sweep of 4 and 6 evaluations.
+const PINNED: [(&str, [u64; 2], [u64; 2]); 4] = [
+    ("Fig. 5, full MEBs", [184, 46], [96, 24]),
+    ("Fig. 5, reduced MEBs", [184, 46], [96, 24]),
+    ("4 threads, 4 stages", [14052, 2342], [7200, 1200]),
+    ("MD5, 8 threads", [1672, 209], [820, 197]),
 ];
 
 /// Both settle kernels deliver the same captures, digests and cycles on
-/// the paper's workloads, with the evaluation, round and quiesced-cycle
-/// counts of [`PINNED`].
+/// the paper's workloads, with the evaluation and round counts of
+/// [`PINNED`].
 #[test]
 fn kernels_agree_and_keep_their_pinned_eval_counts() {
     let workloads: [fn(EvalMode) -> Run; 4] = [
@@ -245,7 +249,7 @@ fn kernels_agree_and_keep_their_pinned_eval_counts() {
         run_stalled,
         run_md5,
     ];
-    let measured: Vec<(&str, [u64; 3], [u64; 3])> = PINNED
+    let measured: Vec<(&str, [u64; 2], [u64; 2])> = PINNED
         .iter()
         .zip(workloads)
         .map(|(&(row, ..), run)| {
