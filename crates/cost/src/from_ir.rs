@@ -13,6 +13,32 @@ use elastic_core::MebKind;
 use elastic_sim::Token;
 use elastic_synth::{ElasticIr, IrNodeTag, PassDelta};
 
+/// The rows of one `width`-bit, `threads`-thread MEB's area, as
+/// `(label, count, LEs each)`; a row the kind does not have is `None`.
+/// The one table behind [`meb_inventory`] and [`meb_les`].
+fn meb_rows(
+    kind: MebKind,
+    threads: usize,
+    width: usize,
+) -> [Option<(&'static str, usize, usize)>; 7] {
+    let s = threads;
+    let reduced = kind == MebKind::Reduced;
+    let storage = match kind {
+        MebKind::Full => ("main+aux registers", 2 * s, register(width)),
+        MebKind::Reduced => ("main registers", s, register(width)),
+        MebKind::Fifo { depth } => ("fifo registers", s * depth, register(width)),
+    };
+    [
+        Some(storage),
+        reduced.then(|| ("shared register", 1, register(width))),
+        (!matches!(kind, MebKind::Fifo { .. })).then(|| ("refill muxes", s, mux(width, 2))),
+        Some(("output mux", 1, mux(width, s))),
+        Some(("EB control FSMs", s, eb_control())),
+        reduced.then(|| ("shared-buffer gate", 1, shared_gate(s))),
+        Some(("arbiter", 1, arbiter(s))),
+    ]
+}
+
 /// Itemized area of one `width`-bit, `threads`-thread MEB.
 ///
 /// Every kind has the S-way output multiplexer, a control FSM per thread
@@ -23,30 +49,21 @@ use elastic_synth::{ElasticIr, IrNodeTag, PassDelta};
 /// HALF→FULL gate. The FIFO ablation, which has no Table I row, stores
 /// `S·depth` registers and has no refill muxes.
 pub fn meb_inventory(kind: MebKind, threads: usize, width: usize) -> Inventory {
-    let s = threads;
     let mut inv = Inventory::new();
-    match kind {
-        MebKind::Full => {
-            inv.push("main+aux registers", 2 * s, register(width));
-        }
-        MebKind::Reduced => {
-            inv.push("main registers", s, register(width));
-            inv.push("shared register", 1, register(width));
-        }
-        MebKind::Fifo { depth } => {
-            inv.push("fifo registers", s * depth, register(width));
-        }
+    for (name, count, les_each) in meb_rows(kind, threads, width).into_iter().flatten() {
+        inv.push(name, count, les_each);
     }
-    if !matches!(kind, MebKind::Fifo { .. }) {
-        inv.push("refill muxes", s, mux(width, 2));
-    }
-    inv.push("output mux", 1, mux(width, s));
-    inv.push("EB control FSMs", s, eb_control());
-    if kind == MebKind::Reduced {
-        inv.push("shared-buffer gate", 1, shared_gate(s));
-    }
-    inv.push("arbiter", 1, arbiter(s));
     inv
+}
+
+/// Total LEs of one MEB, `meb_inventory(kind, threads, width).total_les()`
+/// without building the rows' labels.
+fn meb_les(kind: MebKind, threads: usize, width: usize) -> usize {
+    meb_rows(kind, threads, width)
+        .into_iter()
+        .flatten()
+        .map(|(_, count, les_each)| count * les_each)
+        .sum()
 }
 
 /// Total LEs of one buffer: a MEB of the given microarchitecture, or —
@@ -54,7 +71,7 @@ pub fn meb_inventory(kind: MebKind, threads: usize, width: usize) -> Inventory {
 /// of [`Inventory::from_ir`] exactly).
 fn buffer_les(kind: Option<MebKind>, threads: usize, width: usize) -> i64 {
     let les = match kind {
-        Some(kind) => meb_inventory(kind, threads, width).total_les(),
+        Some(kind) => meb_les(kind, threads, width),
         None => 2 * register(width) + eb_control(),
     };
     les as i64
@@ -139,16 +156,15 @@ impl Inventory {
             let (width, threads) = (ir.node_width(id), ir.node_threads(id));
             match node.tag() {
                 IrNodeTag::Meb(kind) => {
+                    let name = node.name();
                     let label = match kind {
-                        MebKind::Full => "Full MEB".to_string(),
-                        MebKind::Reduced => "Reduced MEB".to_string(),
-                        MebKind::Fifo { depth } => format!("FIFO x{depth}"),
+                        MebKind::Full => format!("MEB `{name}` ({width}b, Full MEB)"),
+                        MebKind::Reduced => format!("MEB `{name}` ({width}b, Reduced MEB)"),
+                        MebKind::Fifo { depth } => {
+                            format!("MEB `{name}` ({width}b, FIFO x{depth})")
+                        }
                     };
-                    inv.push(
-                        format!("MEB `{}` ({width}b, {label})", node.name()),
-                        1,
-                        meb_inventory(kind, threads, width).total_les(),
-                    );
+                    inv.push(label, 1, meb_les(kind, threads, width));
                 }
                 IrNodeTag::Eb => {
                     inv.push(

@@ -1,10 +1,8 @@
 //! Circuit construction and structural validation.
 
-use std::collections::BTreeMap;
-
 use crate::channel::{ChannelId, ChannelSpec, ChannelState};
 use crate::circuit::Circuit;
-use crate::component::Component;
+use crate::component::{Component, Ports};
 use crate::error::BuildError;
 use crate::rank::compute_schedule;
 use crate::token::Token;
@@ -113,70 +111,77 @@ impl<T: Token> CircuitBuilder<T> {
             return Err(BuildError::Empty);
         }
         let n_ch = self.specs.len();
-        let mut drivers: Vec<Vec<usize>> = vec![Vec::new(); n_ch];
-        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n_ch];
-
-        for (i, comp) in self.components.iter().enumerate() {
-            let ports = comp.ports();
-            for ch in ports.outputs {
-                if ch.0 >= n_ch {
-                    return Err(BuildError::UnknownChannel {
-                        component: comp.name().to_string(),
-                    });
+        let ports: Vec<Ports> = self.components.iter().map(|c| c.ports()).collect();
+        // Per channel: (first component listing it, how many listings).
+        let mut drivers = vec![(0usize, 0usize); n_ch];
+        let mut readers = vec![(0usize, 0usize); n_ch];
+        for (i, (comp, ports)) in self.components.iter().zip(&ports).enumerate() {
+            for (list, table) in [
+                (&ports.outputs, &mut drivers),
+                (&ports.inputs, &mut readers),
+            ] {
+                for ch in list {
+                    let Some((first, count)) = table.get_mut(ch.0) else {
+                        return Err(BuildError::UnknownChannel {
+                            component: comp.name().to_string(),
+                        });
+                    };
+                    if *count == 0 {
+                        *first = i;
+                    }
+                    *count += 1;
                 }
-                drivers[ch.0].push(i);
-            }
-            for ch in ports.inputs {
-                if ch.0 >= n_ch {
-                    return Err(BuildError::UnknownChannel {
-                        component: comp.name().to_string(),
-                    });
-                }
-                readers[ch.0].push(i);
             }
         }
 
-        let names: BTreeMap<usize, String> = self
-            .components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.name().to_string()))
-            .collect();
-
+        // Every component listing `ch` in `list`, once per listing, in
+        // insertion order.
+        let listing = |ch: usize, list: fn(&Ports) -> &Vec<ChannelId>| -> Vec<String> {
+            self.components
+                .iter()
+                .zip(&ports)
+                .flat_map(|(comp, ports)| {
+                    list(ports)
+                        .iter()
+                        .filter(move |c| c.0 == ch)
+                        .map(|_| comp.name().to_string())
+                })
+                .collect()
+        };
         let mut driver = Vec::with_capacity(n_ch);
         let mut reader = Vec::with_capacity(n_ch);
         for (ci, spec) in self.specs.iter().enumerate() {
-            match drivers[ci].as_slice() {
-                [] => {
+            match drivers[ci] {
+                (_, 0) => {
                     return Err(BuildError::NoDriver {
                         channel: spec.name.clone(),
                     })
                 }
-                [d] => driver.push(*d),
-                many => {
+                (d, 1) => driver.push(d),
+                _ => {
                     return Err(BuildError::MultipleDrivers {
                         channel: spec.name.clone(),
-                        drivers: many.iter().map(|i| names[i].clone()).collect(),
+                        drivers: listing(ci, |p| &p.outputs),
                     })
                 }
             }
-            match readers[ci].as_slice() {
-                [] => {
+            match readers[ci] {
+                (_, 0) => {
                     return Err(BuildError::NoReader {
                         channel: spec.name.clone(),
                     })
                 }
-                [r] => reader.push(*r),
-                many => {
+                (r, 1) => reader.push(r),
+                _ => {
                     return Err(BuildError::MultipleReaders {
                         channel: spec.name.clone(),
-                        readers: many.iter().map(|i| names[i].clone()).collect(),
+                        readers: listing(ci, |p| &p.inputs),
                     })
                 }
             }
         }
 
-        let schedule = compute_schedule(&self.components, &self.specs, &driver, &reader)?;
+        let schedule = compute_schedule(&self.components, &ports, &self.specs, &driver, &reader)?;
 
         // Permute components into schedule order and remap the wake
         // tables: driver/reader values are component indices, so they are
@@ -208,7 +213,6 @@ impl<T: Token> CircuitBuilder<T> {
 mod tests {
     use super::*;
     use crate::circuit::{EvalCtx, TickCtx};
-    use crate::component::Ports;
 
     struct Stub {
         name: String,
@@ -281,17 +285,19 @@ mod tests {
         );
     }
 
+    /// A shared channel's report names every component listing it, in
+    /// insertion order, once per listing.
     #[test]
     fn double_driver_is_rejected() {
         let mut b = CircuitBuilder::<u64>::new();
         let ch = b.channel("c", 1);
         b.add(stub("p1", vec![], vec![ch]));
-        b.add(stub("p2", vec![], vec![ch]));
         b.add(stub("q", vec![ch], vec![]));
+        b.add(stub("p2", vec![], vec![ch, ch]));
         match b.build().err() {
             Some(BuildError::MultipleDrivers { channel, drivers }) => {
                 assert_eq!(channel, "c");
-                assert_eq!(drivers, vec!["p1".to_string(), "p2".to_string()]);
+                assert_eq!(drivers, ["p1", "p2", "p2"]);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -301,23 +307,32 @@ mod tests {
     fn double_reader_is_rejected() {
         let mut b = CircuitBuilder::<u64>::new();
         let ch = b.channel("c", 1);
+        b.add(stub("q1", vec![ch, ch], vec![]));
         b.add(stub("p", vec![], vec![ch]));
-        b.add(stub("q1", vec![ch], vec![]));
         b.add(stub("q2", vec![ch], vec![]));
-        assert!(matches!(
-            b.build().err(),
-            Some(BuildError::MultipleReaders { .. })
-        ));
+        match b.build().err() {
+            Some(BuildError::MultipleReaders { channel, readers }) => {
+                assert_eq!(channel, "c");
+                assert_eq!(readers, ["q1", "q1", "q2"]);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
+    /// A reference to a channel that does not exist is reported before
+    /// any channel's driver or reader count.
     #[test]
     fn unknown_channel_is_rejected() {
         let mut b = CircuitBuilder::<u64>::new();
+        let ch = b.channel("c", 1);
+        b.add(stub("q", vec![ch], vec![]));
         b.add(stub("p", vec![], vec![ChannelId(5)]));
-        assert!(matches!(
+        assert_eq!(
             b.build().err(),
-            Some(BuildError::UnknownChannel { .. })
-        ));
+            Some(BuildError::UnknownChannel {
+                component: "p".into()
+            })
+        );
     }
 
     #[test]

@@ -666,6 +666,9 @@ pub struct Circuit<T: Token> {
     /// [`KernelStats::settle_nanos`] (off by default: two clock reads per
     /// cycle are pure overhead outside kernel-ablation runs).
     time_settle: bool,
+    /// The transfers [`step`](Circuit::step) collects, kept across cycles
+    /// so that the buffer grows only to the widest cycle's count.
+    transfers: Vec<Transfer>,
 }
 
 impl<T: Token> Circuit<T> {
@@ -707,6 +710,7 @@ impl<T: Token> Circuit<T> {
             faults: VecDeque::new(),
             streak_undo,
             time_settle: false,
+            transfers: Vec::new(),
         }
     }
 
@@ -1033,7 +1037,7 @@ impl<T: Token> Circuit<T> {
         // failing channel takes back what the channels before it wrote,
         // so an erroring cycle leaves the statistics as they were.
         let cycle = self.cycle;
-        let mut transfers = Vec::new();
+        self.transfers.clear();
         let mut fired = 0usize;
         let mut any_valid = false;
         for (ci, ch) in self.channels.iter().enumerate() {
@@ -1066,7 +1070,7 @@ impl<T: Token> Circuit<T> {
                 cs.transfers[t] += 1;
                 fired += 1;
                 if collect {
-                    transfers.push(Transfer {
+                    self.transfers.push(Transfer {
                         channel: ChannelId(ci),
                         thread: t,
                     });
@@ -1167,7 +1171,10 @@ impl<T: Token> Circuit<T> {
             return Err(error);
         }
 
-        Ok(CycleReport { cycle, transfers })
+        Ok(CycleReport {
+            cycle,
+            transfers: self.transfers.clone(),
+        })
     }
 
     /// Takes back the statistics that the channel pass of this cycle

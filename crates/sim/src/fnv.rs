@@ -43,6 +43,17 @@ impl Default for Fnv1a {
     }
 }
 
+/// Folds formatted text in as its UTF-8 bytes, so `write!(h, "{v:?}")`
+/// hashes a rendering without building it as a `String` first. Never
+/// fails.
+impl std::fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

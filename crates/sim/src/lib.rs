@@ -96,6 +96,7 @@ pub use occupancy::{occupancy_stats, OccupancyStats};
 pub use par::{
     available_workers, run_sweep, run_sweep_on, JobError, JobReport, SimJob, SweepReport,
 };
+pub use rank::Adjacency;
 pub use schedule::{ReadyPolicy, Sink, Source};
 pub use stats::{
     ChannelFeedback, ChannelStats, FeedbackProfile, KernelStats, Stats, OCCUPANCY_BUCKETS,

@@ -27,9 +27,68 @@
 //!    round-1 full sweep settles almost every cycle in exactly one pass.
 
 use crate::channel::ChannelSpec;
-use crate::component::{CombPath, Component};
+use crate::component::{CombPath, Component, Ports};
 use crate::error::BuildError;
 use crate::token::Token;
+
+/// A directed graph over nodes `0..n` in compressed sparse row form:
+/// every node's successors in one slice of a single edge array, in the
+/// order their edges were given. Two allocations per graph, however many
+/// nodes and edges it has.
+///
+/// ```
+/// use elastic_sim::Adjacency;
+///
+/// let edges = [(2, 0), (0, 1), (2, 1), (0, 2)];
+/// let g = Adjacency::new(3, || edges.iter().copied());
+/// assert_eq!(g.successors(0), [1, 2]);
+/// assert!(g.successors(1).is_empty());
+/// assert_eq!(g.successors(2), [0, 1]);
+/// ```
+#[derive(Debug)]
+pub struct Adjacency {
+    /// `succ[start[v]..start[v + 1]]` are the successors of `v`.
+    start: Vec<usize>,
+    succ: Vec<usize>,
+}
+
+impl Adjacency {
+    /// The graph over nodes `0..n` with the edges `edges()` yields, as
+    /// `(from, to)` pairs. `edges` is called twice, to count and then to
+    /// place, and must yield the same edges both times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge leaves a node `>= n`.
+    pub fn new<I: Iterator<Item = (usize, usize)>>(n: usize, edges: impl Fn() -> I) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for (u, _) in edges() {
+            start[u + 1] += 1;
+        }
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        let mut succ = vec![0usize; start[n]];
+        for (u, v) in edges() {
+            succ[start[u]] = v;
+            start[u] += 1;
+        }
+        // Each cursor now sits where the next node's edges start.
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Self { start, succ }
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The successors of `v`, in edge order.
+    pub fn successors(&self, v: usize) -> &[usize] {
+        &self.succ[self.start[v]..self.start[v + 1]]
+    }
+}
 
 /// The static schedule computed at build time.
 #[derive(Debug)]
@@ -79,14 +138,15 @@ fn r_node(ch: usize) -> usize {
 /// Iterative Tarjan SCC. Returns the SCC id of every node; ids are
 /// assigned in emission order, which for Tarjan is reverse topological:
 /// if an edge `a -> b` crosses SCCs then `scc[b] < scc[a]`.
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
+fn tarjan(adj: &Adjacency) -> (Vec<usize>, usize) {
     const UNSET: usize = usize::MAX;
+    let n = adj.node_count();
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut scc = vec![UNSET; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut work: Vec<(usize, usize)> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    let mut work: Vec<(usize, usize)> = Vec::with_capacity(n);
     let mut next = 0usize;
     let mut count = 0usize;
     for start in 0..n {
@@ -103,9 +163,8 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if ci < adj[v].len() {
+            if let Some(&w) = adj.successors(v).get(ci) {
                 frame.1 += 1;
-                let w = adj[v][ci];
                 if index[w] == UNSET {
                     work.push((w, 0));
                 } else if on_stack[w] {
@@ -136,11 +195,11 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
 /// declarations into signal-graph edges.
 fn collect_edges<T: Token>(
     components: &[Box<dyn Component<T>>],
+    ports: &[Ports],
     specs: &[ChannelSpec],
 ) -> Result<Vec<SigEdge>, BuildError> {
     let mut edges = Vec::new();
-    for (i, comp) in components.iter().enumerate() {
-        let ports = comp.ports();
+    for (i, (comp, ports)) in components.iter().zip(ports).enumerate() {
         let bad = |ch: crate::channel::ChannelId| BuildError::InvalidCombPath {
             component: comp.name().to_string(),
             channel: specs
@@ -203,29 +262,30 @@ fn collect_edges<T: Token>(
 
 /// Computes the rank schedule for a validated netlist.
 ///
-/// `driver[ch]` / `reader[ch]` are insertion-order component indices (the
-/// builder resolves them before calling this); the returned
-/// [`Schedule::order`] is likewise in insertion indices — the builder
-/// applies the permutation.
+/// `ports[i]` is component `i`'s [`Component::ports`], and `driver[ch]` /
+/// `reader[ch]` are insertion-order component indices (the builder
+/// resolves them before calling this); the returned [`Schedule::order`]
+/// is likewise in insertion indices — the builder applies the
+/// permutation.
 pub(crate) fn compute_schedule<T: Token>(
     components: &[Box<dyn Component<T>>],
+    ports: &[Ports],
     specs: &[ChannelSpec],
     driver: &[usize],
     reader: &[usize],
 ) -> Result<Schedule, BuildError> {
     let n = components.len();
     let n_ch = specs.len();
-    let edges = collect_edges(components, specs)?;
+    let edges = collect_edges(components, ports, specs)?;
 
     // 1. Reject all-strict cycles: any cycle in the strict-edge subgraph
     // can never settle, regardless of evaluation order. Cycles that pass
     // through at least one damped (hysteretic) path converge under the
     // runtime iteration cap and stay legal.
-    let mut strict_adj: Vec<Vec<usize>> = vec![Vec::new(); 2 * n_ch];
-    for e in edges.iter().filter(|e| !e.damped) {
-        strict_adj[e.from].push(e.to);
-    }
-    let (strict_scc, strict_count) = tarjan(2 * n_ch, &strict_adj);
+    let strict_adj = Adjacency::new(2 * n_ch, || {
+        edges.iter().filter(|e| !e.damped).map(|e| (e.from, e.to))
+    });
+    let (strict_scc, strict_count) = tarjan(&strict_adj);
     let mut scc_size = vec![0usize; strict_count];
     for &s in &strict_scc {
         scc_size[s] += 1;
@@ -258,11 +318,9 @@ pub(crate) fn compute_schedule<T: Token>(
     // of the full (strict + damped) signal graph. Such a channel is part
     // of a legal hysteretic loop — its selection guards, and the
     // self-wake of a damped writer (step 3), must stay active.
-    let mut full_adj: Vec<Vec<usize>> = vec![Vec::new(); 2 * n_ch];
-    for e in &edges {
-        full_adj[e.from].push(e.to);
-    }
-    let (full_scc, _) = tarjan(2 * n_ch, &full_adj);
+    let (full_scc, _) = tarjan(&Adjacency::new(2 * n_ch, || {
+        edges.iter().map(|e| (e.from, e.to))
+    }));
     let feedback: Vec<bool> = (0..n_ch)
         .map(|ch| full_scc[v_node(ch)] == full_scc[r_node(ch)])
         .collect();
@@ -293,32 +351,29 @@ pub(crate) fn compute_schedule<T: Token>(
     // b's eval reads a signal that component a drives, so a must come
     // first: the trigger of a forward (`valid`) path is driven by the
     // channel's driver, of a backward (`ready`) path by its reader.
-    let mut comp_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in &edges {
-        let ch = e.from / 2;
-        let src = if e.from % 2 == 0 {
-            driver[ch]
-        } else {
-            reader[ch]
-        };
-        if src != e.owner {
-            comp_adj[src].push(e.owner);
-        }
-    }
-    let (comp_scc, comp_count) = tarjan(n, &comp_adj);
-    let mut cond: Vec<Vec<usize>> = vec![Vec::new(); comp_count];
-    for (a, adj) in comp_adj.iter().enumerate() {
-        for &b in adj {
-            if comp_scc[a] != comp_scc[b] {
-                cond[comp_scc[a]].push(comp_scc[b]);
-            }
-        }
-    }
+    let comp_adj = Adjacency::new(n, || {
+        edges.iter().filter_map(|e| {
+            let ch = e.from / 2;
+            let src = if e.from % 2 == 0 {
+                driver[ch]
+            } else {
+                reader[ch]
+            };
+            (src != e.owner).then_some((src, e.owner))
+        })
+    });
+    let (comp_scc, comp_count) = tarjan(&comp_adj);
+    let (adj, scc) = (&comp_adj, &comp_scc);
+    let cond = Adjacency::new(comp_count, || {
+        (0..n)
+            .flat_map(move |a| adj.successors(a).iter().map(move |&b| (scc[a], scc[b])))
+            .filter(|&(sa, sb)| sa != sb)
+    });
     // Tarjan emits SCCs in reverse topological order, so iterating ids
     // from high to low visits every dependency source before its targets.
     let mut level = vec![0usize; comp_count];
     for s in (0..comp_count).rev() {
-        for &d in &cond[s] {
+        for &d in cond.successors(s) {
             level[d] = level[d].max(level[s] + 1);
         }
     }
@@ -348,7 +403,6 @@ mod tests {
     use super::*;
     use crate::channel::ChannelId;
     use crate::circuit::{EvalCtx, TickCtx};
-    use crate::component::Ports;
 
     /// A declaration-only component for schedule tests.
     struct Decl {
@@ -385,13 +439,21 @@ mod tests {
         })
     }
 
-    fn specs(n: usize) -> Vec<ChannelSpec> {
-        (0..n)
+    /// The schedule of `comps` over `n_ch` one-thread channels `ch0`, `ch1`, ….
+    fn schedule(
+        comps: &[Box<dyn Component<u64>>],
+        n_ch: usize,
+        driver: &[usize],
+        reader: &[usize],
+    ) -> Result<Schedule, BuildError> {
+        let specs: Vec<ChannelSpec> = (0..n_ch)
             .map(|i| ChannelSpec {
                 name: format!("ch{i}"),
                 threads: 1,
             })
-            .collect()
+            .collect();
+        let ports: Vec<Ports> = comps.iter().map(|c| c.ports()).collect();
+        compute_schedule(comps, &ports, &specs, driver, reader)
     }
 
     /// src -(a)-> buf -(b)-> snk, where buf registers both directions
@@ -426,7 +488,7 @@ mod tests {
             ),
             decl("snk", vec![b], vec![], vec![]),
         ];
-        let s = compute_schedule(&comps, &specs(2), &[0, 1], &[1, 2]).expect("acyclic");
+        let s = schedule(&comps, 2, &[0, 1], &[1, 2]).expect("acyclic");
         // Dependencies: snk drives ready(b) -> buf; buf drives ready(a) -> src.
         assert_eq!(s.order, vec![2, 1, 0]);
         assert_eq!(s.rank_width, 1);
@@ -456,7 +518,7 @@ mod tests {
             )
         };
         let comps = vec![passthrough("t1", a, b), passthrough("t2", b, a)];
-        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1]).expect_err("strict ring");
+        let err = schedule(&comps, 2, &[1, 0], &[0, 1]).expect_err("strict ring");
         assert_eq!(
             err,
             BuildError::CombinationalLoop {
@@ -495,8 +557,7 @@ mod tests {
                 ],
             ),
         ];
-        let s =
-            compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1]).expect("damped cycle is legal");
+        let s = schedule(&comps, 2, &[1, 0], &[0, 1]).expect("damped cycle is legal");
         // R(b) -> V(b) (damped) -> V(a) -> R(a) -> R(b): one SCC touching
         // both signals of both channels.
         assert_eq!(s.feedback, vec![true, true]);
@@ -543,7 +604,7 @@ mod tests {
                 ],
             ),
         ];
-        let err = compute_schedule(&comps, &specs(2), &[1, 0], &[0, 1])
+        let err = schedule(&comps, 2, &[1, 0], &[0, 1])
             .expect_err("strict V-ring survives damping elsewhere");
         match err {
             BuildError::CombinationalLoop { components } => {
@@ -566,7 +627,7 @@ mod tests {
             ),
             decl("snk", vec![a], vec![], vec![]),
         ];
-        let err = compute_schedule(&comps, &specs(1), &[0], &[1]).expect_err("bad declaration");
+        let err = schedule(&comps, 1, &[0], &[1]).expect_err("bad declaration");
         assert_eq!(
             err,
             BuildError::InvalidCombPath {
@@ -595,7 +656,7 @@ mod tests {
             pass("r", b, d),
             decl("join", vec![c, d], vec![], vec![]),
         ];
-        let s = compute_schedule(&comps, &specs(4), &[0, 0, 1, 2], &[1, 2, 3, 3]).expect("acyclic");
+        let s = schedule(&comps, 4, &[0, 0, 1, 2], &[1, 2, 3, 3]).expect("acyclic");
         // join drives ready(c)/ready(d) -> l and r depend on it; fork has
         // no declared reads at all.
         assert_eq!(s.rank_width, 2);

@@ -28,6 +28,8 @@
 //! construction time; run the lint passes in [`crate::passes`] before
 //! elaboration to get typed errors instead of build-time failures.
 
+use std::fmt::Write as _;
+
 use elastic_core::{ArbiterKind, Barrier, Branch, ElasticBuffer, Fork, Join, MebKind, Merge};
 use elastic_sim::{
     BuildError, ChannelId, Circuit, CircuitBuilder, Component, Fnv1a, FusedOpKind, LatencyModel,
@@ -379,6 +381,12 @@ pub enum IrError {
         /// Upper end of the range.
         max: u32,
     },
+    /// A variable-latency node has no server slot, so it could never
+    /// accept a token.
+    NoServers {
+        /// Offending node.
+        node: String,
+    },
     /// A MEB's initial tokens exceed its per-thread capacity or name a
     /// thread it does not have.
     Protocol(ProtocolError),
@@ -423,6 +431,9 @@ impl std::fmt::Display for IrError {
                 f,
                 "variable-latency node `{node}` has the empty latency range {min}..={max}"
             ),
+            IrError::NoServers { node } => {
+                write!(f, "variable-latency node `{node}` has no server slot")
+            }
             IrError::Protocol(e) => write!(f, "{e}"),
             IrError::Build(e) => write!(f, "{e}"),
         }
@@ -437,7 +448,8 @@ impl std::error::Error for IrError {
             IrError::BadPorts { .. }
             | IrError::ThreadMismatch { .. }
             | IrError::BadParticipants { .. }
-            | IrError::BadLatency { .. } => None,
+            | IrError::BadLatency { .. }
+            | IrError::NoServers { .. } => None,
         }
     }
 }
@@ -633,7 +645,9 @@ impl<T: Token> ElasticIr<T> {
             h.write(node.name().as_bytes());
             h.write(&[0xFF]);
             // Tag names are part of the public API; Debug is stable here.
-            h.write(format!("{:?}", node.tag()).as_bytes());
+            // `Fnv1a` is a `fmt::Write` that never fails: the renderings
+            // below go straight into the digest, with no `String` built.
+            let _ = write!(h, "{:?}", node.tag());
             h.write(&[0xFF]);
             if let IrNodeKind::Meb {
                 kind,
@@ -650,14 +664,14 @@ impl<T: Token> ElasticIr<T> {
                         h.write_u64(*depth as u64);
                     }
                 }
-                h.write(format!("{arbiter:?}").as_bytes());
+                let _ = write!(h, "{arbiter:?}");
                 h.write(&[0xFF]);
                 h.write_u64(initial.len() as u64);
                 for (thread, token) in initial {
                     h.write_u64(*thread as u64);
                     // Tokens are `Debug`-bounded; their rendering is the
                     // only process-stable identity available for them.
-                    h.write(format!("{token:?}").as_bytes());
+                    let _ = write!(h, "{token:?}");
                     h.write(&[0xFF]);
                 }
             }
@@ -845,8 +859,9 @@ impl<T: Token> ElasticIr<T> {
     /// [`IrError::BadPorts`] when a node's wiring does not fit its kind,
     /// [`IrError::ThreadMismatch`] when a primitive's ports disagree on
     /// the thread count, [`IrError::BadParticipants`] for a barrier mask
-    /// that does not fit, [`IrError::BadLatency`] for an empty uniform
-    /// latency range, [`IrError::Protocol`] when a MEB's initial
+    /// that does not fit, [`IrError::NoServers`] for a variable-latency
+    /// node without a server slot, [`IrError::BadLatency`] for an empty
+    /// uniform latency range, [`IrError::Protocol`] when a MEB's initial
     /// tokens overflow or name a missing thread, and [`IrError::Build`]
     /// for anything the circuit builder rejects (missing
     /// drivers/readers, combinational loops, …). Run the lint passes
@@ -867,18 +882,28 @@ impl<T: Token> ElasticIr<T> {
                 });
             }
         }
+        let Self {
+            mut channels,
+            nodes,
+        } = self;
         let mut b = CircuitBuilder::<T>::new();
-        let channel_ids: Vec<ChannelId> = self
-            .channels
-            .iter()
-            .map(|c| b.channel(c.name.clone(), c.threads))
+        // The names move into the builder; only the thread counts are
+        // read after this.
+        let channel_ids: Vec<ChannelId> = channels
+            .iter_mut()
+            .map(|c| b.channel(std::mem::take(&mut c.name), c.threads))
             .collect();
-        let threads_of = |ports: &[IrChannelId]| self.channels[ports[0].0].threads;
+        let threads_of = |ports: &[IrChannelId]| channels[ports[0].0].threads;
 
-        for node in self.nodes {
+        // Port buffers shared by every node; a primitive that keeps a port
+        // list gets its own exact-size copy.
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        for node in nodes {
             let name = node.name;
-            let ins: Vec<ChannelId> = node.inputs.iter().map(|c| channel_ids[c.0]).collect();
-            let outs: Vec<ChannelId> = node.outputs.iter().map(|c| channel_ids[c.0]).collect();
+            ins.clear();
+            ins.extend(node.inputs.iter().map(|c| channel_ids[c.0]));
+            outs.clear();
+            outs.extend(node.outputs.iter().map(|c| channel_ids[c.0]));
             let bad = |_: &()| IrError::BadPorts {
                 node: name.clone(),
                 inputs: ins.len(),
@@ -926,7 +951,7 @@ impl<T: Token> ElasticIr<T> {
                 IrNodeKind::Fork { route } => {
                     ok(ins.len() == 1 && outs.len() >= 2)?;
                     let threads = threads_of(&node.inputs);
-                    let mut fork = Fork::new(name, ins[0], outs, threads);
+                    let mut fork = Fork::new(name, ins[0], outs.clone(), threads);
                     if let Some(f) = route {
                         fork = fork.with_route(f);
                     }
@@ -935,7 +960,7 @@ impl<T: Token> ElasticIr<T> {
                 IrNodeKind::Join { combine } => {
                     ok(ins.len() >= 2 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
-                    b.add(Join::new(name, ins, outs[0], threads, combine));
+                    b.add(Join::new(name, ins.clone(), outs[0], threads, combine));
                 }
                 IrNodeKind::Branch { cond } => {
                     ok(ins.len() == 1 && outs.len() == 2)?;
@@ -945,7 +970,7 @@ impl<T: Token> ElasticIr<T> {
                 IrNodeKind::Merge => {
                     ok(ins.len() >= 2 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
-                    b.add(Merge::new(name, ins, outs[0], threads));
+                    b.add(Merge::new(name, ins.clone(), outs[0], threads));
                 }
                 IrNodeKind::Barrier {
                     participants,
@@ -979,6 +1004,9 @@ impl<T: Token> ElasticIr<T> {
                     transform,
                 } => {
                     ok(ins.len() == 1 && outs.len() == 1)?;
+                    if servers == 0 {
+                        return Err(IrError::NoServers { node: name });
+                    }
                     if let LatencyModel::Uniform { min, max, .. } = model {
                         if min > max {
                             return Err(IrError::BadLatency {
@@ -1241,6 +1269,20 @@ mod tests {
             other => panic!("{:?}", other.map(|_| ())),
         }
         assert!(one_node_ir(2, uniform(2, 2)).elaborate().is_ok());
+    }
+
+    #[test]
+    fn serverless_latency_unit_is_a_typed_error() {
+        let unit = |servers| IrNodeKind::VarLatency {
+            servers,
+            model: LatencyModel::Fixed(2),
+            transform: None,
+        };
+        match one_node_ir(2, unit(0)).elaborate() {
+            Err(IrError::NoServers { node }) => assert_eq!(node, "node"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+        assert!(one_node_ir(2, unit(1)).elaborate().is_ok());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! buffers are reduced MEBs until a [`MebSubstitution::auto`] says
 //! otherwise.
 
-use crate::ir::{ElasticIr, IrNodeId, IrNodeKind, IrNodeTag};
+use crate::ir::{ElasticIr, IrChannelId, IrNode, IrNodeId, IrNodeKind, IrNodeTag};
 use elastic_core::{ArbiterKind, MebKind};
-use elastic_sim::Token;
+use elastic_sim::{Adjacency, Token};
 
 /// A typed diagnostic from a lint or rewrite pass.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -470,18 +470,31 @@ impl<T: Token> Pass<T> for ProtocolLint {
 
     fn run(&mut self, ir: &mut ElasticIr<T>) -> Result<PassReport, PassError> {
         let n_ch = ir.channel_count();
-        let mut drivers: Vec<Vec<String>> = vec![Vec::new(); n_ch];
-        let mut readers: Vec<Vec<String>> = vec![Vec::new(); n_ch];
+        // Counts per channel; the names are gathered only for a report.
+        let mut drivers = vec![0usize; n_ch];
+        let mut readers = vec![0usize; n_ch];
         for node in ir.nodes() {
             for ch in node.outputs() {
-                drivers[ch.index()].push(node.name().to_string());
+                drivers[ch.index()] += 1;
             }
             for ch in node.inputs() {
-                readers[ch.index()].push(node.name().to_string());
+                readers[ch.index()] += 1;
             }
         }
+        // Every node listing `ch` among `ports`, once per listing, in
+        // node order.
+        let listing = |ch: usize, ports: fn(&IrNode<T>) -> &[IrChannelId]| -> Vec<String> {
+            ir.nodes()
+                .flat_map(|node| {
+                    ports(node)
+                        .iter()
+                        .filter(move |c| c.index() == ch)
+                        .map(|_| node.name().to_string())
+                })
+                .collect()
+        };
         for (i, spec) in ir.channels().enumerate() {
-            match drivers[i].len() {
+            match drivers[i] {
                 0 => {
                     return Err(PassError::NoDriver {
                         channel: spec.name.clone(),
@@ -491,11 +504,11 @@ impl<T: Token> Pass<T> for ProtocolLint {
                 _ => {
                     return Err(PassError::MultipleDrivers {
                         channel: spec.name.clone(),
-                        drivers: drivers[i].clone(),
+                        drivers: listing(i, IrNode::outputs),
                     })
                 }
             }
-            match readers[i].len() {
+            match readers[i] {
                 0 => {
                     return Err(PassError::NoReader {
                         channel: spec.name.clone(),
@@ -505,7 +518,7 @@ impl<T: Token> Pass<T> for ProtocolLint {
                 _ => {
                     return Err(PassError::MultipleReaders {
                         channel: spec.name.clone(),
-                        readers: readers[i].clone(),
+                        readers: listing(i, IrNode::inputs),
                     })
                 }
             }
@@ -575,49 +588,47 @@ impl<T: Token> Pass<T> for CycleCoverLint {
             }
         }
         let cuts: Vec<bool> = ir.nodes().map(|n| n.tag().cuts_cycles()).collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (v, node) in ir.nodes().enumerate() {
-            if cuts[v] {
-                continue;
-            }
-            for ch in node.inputs() {
-                if let Some(u) = driver[ch.index()] {
-                    if !cuts[u] {
-                        adj[u].push(v);
-                    }
-                }
-            }
-        }
+        let (driver, cuts) = (&driver, &cuts);
+        let adj = Adjacency::new(n, || {
+            ir.nodes()
+                .enumerate()
+                .filter(|&(v, _)| !cuts[v])
+                .flat_map(move |(v, node)| {
+                    node.inputs()
+                        .iter()
+                        .filter_map(move |ch| driver[ch.index()])
+                        .filter(move |&u| !cuts[u])
+                        .map(move |u| (u, v))
+                })
+        });
 
-        // Iterative DFS with gray/black colouring; a gray->gray edge is a
-        // back edge, and the gray stack segment from its head is the cycle.
+        // Iterative DFS with gray/black colouring over one stack of
+        // (node, next successor) frames; a gray->gray edge is a back edge,
+        // and the stack segment from its head is the cycle.
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
         let mut color = vec![WHITE; n];
-        let mut path: Vec<usize> = Vec::new();
+        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
         for root in 0..n {
             if color[root] != WHITE || cuts[root] {
                 continue;
             }
-            // (node, next child index) frames.
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
             color[root] = GRAY;
-            path.push(root);
+            stack.push((root, 0));
             while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                if let Some(&v) = adj[u].get(*next) {
+                if let Some(&v) = adj.successors(u).get(*next) {
                     *next += 1;
                     match color[v] {
                         WHITE => {
                             color[v] = GRAY;
-                            path.push(v);
                             stack.push((v, 0));
                         }
                         GRAY => {
-                            let start = path.iter().position(|&p| p == v).unwrap_or(0);
-                            let mut nodes: Vec<String> = path[start..]
+                            let start = stack.iter().position(|&(p, _)| p == v).unwrap_or(0);
+                            let mut nodes: Vec<String> = stack[start..]
                                 .iter()
-                                .map(|&p| ir.node(IrNodeId(p)).name().to_string())
+                                .map(|&(p, _)| ir.node(IrNodeId(p)).name().to_string())
                                 .collect();
                             nodes.push(nodes[0].clone()); // close the loop visually
                             return Err(PassError::UnbufferedCycle { nodes });
@@ -626,7 +637,6 @@ impl<T: Token> Pass<T> for CycleCoverLint {
                     }
                 } else {
                     color[u] = BLACK;
-                    path.pop();
                     stack.pop();
                 }
             }
@@ -729,6 +739,115 @@ mod tests {
         ir.channel("orphan", 2);
         let err = Pass::<u64>::run(&mut ProtocolLint, &mut ir).expect_err("dangling");
         assert!(matches!(err, PassError::NoDriver { ref channel } if channel == "orphan"));
+    }
+
+    /// A shared channel's report names every node listing it, in node
+    /// order, once per listing.
+    #[test]
+    fn protocol_lint_lists_every_driver_and_reader_in_node_order() {
+        let sink = || IrNodeKind::Sink {
+            capture: false,
+            policy: ReadyPolicy::Always,
+        };
+        let mut ir = ElasticIr::<u64>::new();
+        let a = ir.channel("a", 2);
+        let b = ir.channel("b", 2);
+        ir.add("src", IrNodeKind::Source, vec![], vec![a]);
+        ir.add(
+            "twice",
+            IrNodeKind::Fork { route: None },
+            vec![b],
+            vec![a, a],
+        );
+        ir.add("snk", sink(), vec![a], vec![]);
+        ir.add("feed", IrNodeKind::Source, vec![], vec![b]);
+        let err = Pass::<u64>::run(&mut ProtocolLint, &mut ir).expect_err("shared");
+        assert_eq!(
+            err,
+            PassError::MultipleDrivers {
+                channel: "a".into(),
+                drivers: vec!["src".into(), "twice".into(), "twice".into()],
+            }
+        );
+
+        let mut ir = ElasticIr::<u64>::new();
+        let a = ir.channel("a", 2);
+        let b = ir.channel("b", 2);
+        ir.add("src", IrNodeKind::Source, vec![], vec![a]);
+        ir.add("snk", sink(), vec![a], vec![]);
+        ir.add("twice", IrNodeKind::Merge, vec![a, a], vec![b]);
+        ir.add("out", sink(), vec![b], vec![]);
+        let err = Pass::<u64>::run(&mut ProtocolLint, &mut ir).expect_err("shared");
+        assert_eq!(
+            err,
+            PassError::MultipleReaders {
+                channel: "a".into(),
+                readers: vec!["snk".into(), "twice".into(), "twice".into()],
+            }
+        );
+    }
+
+    /// Two separate unbuffered loops behind one fork: the lint names the
+    /// loop its depth-first walk enters first, from where it entered.
+    #[test]
+    fn cycle_cover_names_the_first_loop_it_walks_into() {
+        let mut ir = ElasticIr::<u64>::new();
+        let fresh = ir.channel("fresh", 2);
+        let to_a = ir.channel("to_a", 2);
+        let to_b = ir.channel("to_b", 2);
+        ir.add("src", IrNodeKind::Source, vec![], vec![fresh]);
+        ir.add(
+            "split",
+            IrNodeKind::Fork { route: None },
+            vec![fresh],
+            vec![to_a, to_b],
+        );
+        for (p, entry) in [("b", to_b), ("a", to_a)] {
+            let head = ir.channel(format!("{p}_head"), 2);
+            let stepped = ir.channel(format!("{p}_stepped"), 2);
+            let done = ir.channel(format!("{p}_done"), 2);
+            let back = ir.channel(format!("{p}_back"), 2);
+            ir.add(
+                format!("{p}_out"),
+                IrNodeKind::Sink {
+                    capture: false,
+                    policy: ReadyPolicy::Always,
+                },
+                vec![done],
+                vec![],
+            );
+            ir.add(
+                format!("{p}_exit"),
+                IrNodeKind::Branch {
+                    cond: Box::new(|&v| v > 3),
+                },
+                vec![stepped],
+                vec![done, back],
+            );
+            ir.add(
+                format!("{p}_step"),
+                IrNodeKind::Transform {
+                    f: Box::new(|&v| v + 1),
+                },
+                vec![head],
+                vec![stepped],
+            );
+            ir.add(
+                format!("{p}_entry"),
+                IrNodeKind::Merge,
+                vec![back, entry],
+                vec![head],
+            );
+        }
+        let err = Pass::<u64>::run(&mut CycleCoverLint, &mut ir).expect_err("uncovered");
+        // Successors follow node order, not the fork's port order.
+        let nodes = ["b_entry", "b_step", "b_exit", "b_entry"].map(String::from);
+        assert_eq!(
+            err,
+            PassError::UnbufferedCycle {
+                nodes: nodes.into()
+            }
+        );
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! The processor's per-cycle path allocates nothing on the heap.
+//! What allocates, and what does not.
 //!
-//! A counting global allocator watches `Cpu::run_to_halt` from start to
-//! halt: every `eval` and `tick` of the fetcher, register unit, data
-//! memory, variable-latency units, routing fork and pipeline MEBs, plus
-//! the driver loop itself. However many cycles a program takes, the only
-//! allocations are the two per-thread vectors of the returned
-//! `CpuRunStats`.
+//! A counting global allocator watches two paths:
 //!
-//! Speculative runs are left out on purpose: each misprediction opens a
-//! new epoch in the shared squash table, which grows (amortised) with the
-//! number of mispredictions, not with the cycle count.
+//! * **The processor's cycle loop.** `Cpu::run_to_halt` from start to
+//!   halt: every `eval` and `tick` of the fetcher, register unit, data
+//!   memory, variable-latency units, routing fork and pipeline MEBs, plus
+//!   the driver loop itself. However many cycles a program takes, the
+//!   only allocations are the two per-thread vectors of the returned
+//!   `CpuRunStats`. Speculative runs are left out on purpose: each
+//!   misprediction opens a new epoch in the shared squash table, which
+//!   grows (amortised) with the number of mispredictions, not with the
+//!   cycle count.
+//! * **The checks every autotuner candidate passes.** The lint suite
+//!   allocates per design, not per node or channel: the 16-stage MD5 loop
+//!   costs it as many allocations as the 1-stage one. The structural hash
+//!   allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mt_elastic::md5::Md5Circuit;
 use mt_elastic::proc::{programs, Cpu, CpuConfig};
+use mt_elastic::synth::PassManager;
 
 thread_local! {
     /// Whether allocations on this thread are being counted.
@@ -95,5 +102,29 @@ fn run_to_halt_allocates_only_its_result() {
                 stats.cycles
             );
         }
+    }
+}
+
+#[test]
+fn the_lint_suite_allocates_per_design_not_per_node() {
+    let lint_allocations = |stages| {
+        let mut ir = Md5Circuit::ir(8, 8, stages).ir;
+        let nodes = ir.node_count();
+        let (result, allocations) =
+            counting_allocations(|| PassManager::lint_suite().run(&mut ir).map(drop));
+        result.expect("the MD5 loop lints clean");
+        (nodes, allocations)
+    };
+    let (small, large) = (lint_allocations(1), lint_allocations(16));
+    assert!(large.0 > 4 * small.0, "{small:?} vs {large:?}");
+    assert_eq!(small.1, large.1, "(nodes, allocations)");
+}
+
+#[test]
+fn structural_hash_allocates_nothing() {
+    for stages in [1, 16] {
+        let ir = Md5Circuit::ir(8, 8, stages).ir;
+        let (_, allocations) = counting_allocations(|| ir.structural_hash());
+        assert_eq!(allocations, 0, "{stages} stage(s)");
     }
 }

@@ -508,3 +508,30 @@ fn ir_mutation_changes_the_key_so_no_stale_hit() {
         values[0]
     );
 }
+
+/// Campaign keys are compared across processes and builds, so the
+/// structural hashes of the shipped designs are pinned: the GCD loop of
+/// `design_lint`, the 16-stage MD5 loop and the processor running memcpy
+/// on four threads.
+#[test]
+fn structural_hashes_of_the_shipped_designs_are_pinned() {
+    use mt_elastic::md5::Md5Circuit;
+    use mt_elastic::proc::{assemble, programs, Cpu, CpuConfig};
+
+    let memcpy = assemble(programs::MEMCPY).expect("memcpy assembles");
+    let hashes = [
+        elastic_bench::gcd_ir(4).structural_hash(),
+        Md5Circuit::ir(8, 8, 16).ir.structural_hash(),
+        Cpu::ir(&CpuConfig::new(4), memcpy, vec![0; 4])
+            .ir
+            .structural_hash(),
+    ];
+    assert_eq!(
+        hashes,
+        [
+            0xfd29_e887_04d7_04c5,
+            0x8b88_4c43_e28d_2c57,
+            0xe7c0_92e5_6e31_dd03
+        ]
+    );
+}
