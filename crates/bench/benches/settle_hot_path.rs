@@ -5,16 +5,18 @@
 //! fused-kernel measurements, `docs/perf.md` §4–5) and the raw cost of
 //! the `ThreadMask` operations the loop is built from. Random sink
 //! readiness keeps every channel's valid/ready masks churning, so the
-//! pipeline cannot drain early. The `processor` group tracks the processor datapath, whose
-//! custom units carry their own word-level `eval`s, and the `md5` group
-//! the paper's MD5 loop (merge, MEBs, round transform, barrier, branch).
-//! See `docs/perf.md` for the full methodology.
+//! pipeline cannot drain early. The `sink_word` group isolates the sink's
+//! per-cycle policy word on a bare source → sink channel. The
+//! `processor` group tracks the processor datapath, whose custom units
+//! carry their own word-level `eval`s, and the `md5` group the paper's
+//! MD5 loop (merge, MEBs, round transform, barrier, branch). See
+//! `docs/perf.md` for the full methodology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};
 use elastic_md5::Md5Hasher;
 use elastic_proc::{assemble, programs, Cpu, CpuConfig};
-use elastic_sim::{ReadyPolicy, ThreadMask};
+use elastic_sim::{CircuitBuilder, ReadyPolicy, Sink, Source, ThreadMask};
 
 const CYCLES: u64 = 1_000;
 
@@ -45,6 +47,48 @@ fn bench_settle_loop(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| b.iter(|| run_backpressured(threads, 4)),
+        );
+    }
+    group.finish();
+}
+
+/// A bare source → sink channel: every sink thread on a seeded
+/// `ReadyPolicy::Random`, and twice each thread's round-robin share of
+/// the transfers queued, so the source keeps offering.
+fn run_sink_word(threads: usize) -> u64 {
+    let mut b = CircuitBuilder::<u64>::new();
+    let ch = b.channel("ch", threads);
+    let mut src = Source::new("src", ch, threads);
+    for t in 0..threads {
+        src.extend(t, 0..2 * CYCLES / threads as u64 + 16);
+    }
+    b.add(src);
+    let mut snk = Sink::new("snk", ch, threads, ReadyPolicy::Always);
+    for t in 0..threads {
+        snk.set_policy(
+            t,
+            ReadyPolicy::Random {
+                p: 0.6,
+                seed: 0xC0FF_EE00 ^ t as u64,
+            },
+        );
+    }
+    b.add(snk);
+    let mut c = b.build().expect("source → sink is well-formed");
+    c.run(CYCLES).expect("the channel runs clean");
+    c.get::<Sink<u64>>("snk").expect("sink").consumed_total()
+}
+
+/// The sink's policy word at S = 8, 16 and 64: with one component on
+/// each side of one channel, building it is most of each step.
+fn bench_sink_word(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sink_word");
+    group.throughput(Throughput::Elements(CYCLES));
+    for threads in [8usize, 16, 64] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| b.iter(|| run_sink_word(threads)),
         );
     }
     group.finish();
@@ -110,6 +154,7 @@ fn bench_mask_ops(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_settle_loop,
+    bench_sink_word,
     bench_processor,
     bench_md5,
     bench_mask_ops

@@ -3,19 +3,25 @@
 //!
 //! The campaign replicates one workload, a 4-thread, 4-stage reduced-MEB
 //! pipeline whose sinks stall at random, over 24 seeds under both settle
-//! modes (48 jobs). Each point builds its own pipeline. The binary
-//! asserts that
+//! modes (48 jobs). Each point builds its own pipeline. Every worker
+//! count is timed in [`PAIRS`] pairs, each a serial campaign and an
+//! N-worker campaign run back to back (which one goes first alternates),
+//! so both sides of a speedup see the same host load; the curve records
+//! the median and the range of the per-pair speedups. The binary asserts
+//! that
 //!
-//! * every worker count reproduces the serial digests;
+//! * every campaign, serial or parallel, reproduces the first serial
+//!   digests;
 //! * on a 1-core host, 2 workers cost at most 5% over serial, and on a
 //!   host with at least 4 cores, 4 workers reach an efficiency of at
-//!   least 0.7 (in between, the curve is recorded unasserted);
+//!   least 0.7, both from the median pair (in between, the curve is
+//!   recorded unasserted);
 //! * a second identical keyed campaign through one [`SweepService`] is
 //!   at least 90% memoized, and equals the first and the unkeyed
 //!   baseline.
 //!
-//! The curve always crosses 1 → 2 → 4 workers, then continues to the
-//! host's available parallelism; the cache leg runs on at least 2
+//! The curve always crosses 2 → 4 workers, then continues to the host's
+//! available parallelism; the cache leg runs on at least 2
 //! workers, so both use real threads on any host. Below 4 cores the JSON
 //! is annotated `"scaling_valid": false`: wall-clock speedups measured
 //! there say nothing about the pool.
@@ -41,8 +47,8 @@ const TOKENS: u64 = 64;
 const CYCLES: u64 = 1_200;
 /// Stall seeds; each runs under both settle modes.
 const SEEDS: u64 = 24;
-/// Timed repetitions per worker count; the best one counts.
-const REPS: usize = 5;
+/// Serial/parallel timing pairs per worker count.
+const PAIRS: usize = 11;
 
 /// The campaign's points: `(point seed, settle mode)`, in submission
 /// order.
@@ -151,23 +157,82 @@ fn scaling_jobs(keyed: bool) -> Vec<SimJob<String>> {
         .collect()
 }
 
-/// Best-of-[`REPS`] sweep timing at a fixed worker count, with the
-/// digests and actual pool size of the last repetition.
-fn best_of(workers: usize) -> (Duration, usize, Vec<String>) {
-    let mut best = Duration::MAX;
-    let mut used = 1;
-    let mut digests = Vec::new();
-    for _ in 0..REPS {
-        let rep = run_sweep_on(scaling_jobs(false), workers);
-        best = best.min(rep.wall);
-        used = rep.workers_used;
-        digests = rep.unwrap_all();
-    }
-    (best, used, digests)
+/// One unkeyed campaign on `workers` workers: its wall time, the pool
+/// size actually used and the digests.
+fn campaign(workers: usize) -> (Duration, usize, Vec<String>) {
+    let rep = run_sweep_on(scaling_jobs(false), workers);
+    (rep.wall, rep.workers_used, rep.unwrap_all())
 }
 
-fn one_over(d: Duration, w: Duration) -> f64 {
-    d.as_secs_f64() / w.as_secs_f64().max(1e-9)
+/// The median of `xs`, which must not be empty.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// One worker count timed in pairs against the serial campaign.
+struct Point {
+    requested: usize,
+    used: usize,
+    /// Median wall times of the serial and the parallel campaigns.
+    serial_ms: f64,
+    wall_ms: f64,
+    /// Median, least and greatest serial/parallel wall ratio of a pair.
+    speedup: f64,
+    speedup_min: f64,
+    speedup_max: f64,
+}
+
+impl Point {
+    fn efficiency(&self) -> f64 {
+        self.speedup / self.used as f64
+    }
+
+    fn overhead(&self) -> f64 {
+        1.0 / self.speedup - 1.0
+    }
+}
+
+/// Times `workers` in [`PAIRS`] serial/parallel pairs, asserting that
+/// every campaign reproduces `baseline`.
+fn paired(workers: usize, baseline: &[String]) -> Point {
+    let mut serial = Vec::with_capacity(PAIRS);
+    let mut wall = Vec::with_capacity(PAIRS);
+    let mut ratios = Vec::with_capacity(PAIRS);
+    let mut used = 1;
+    for pair in 0..PAIRS {
+        let run = |w: usize| {
+            let (t, u, digests) = campaign(w);
+            assert_eq!(digests, baseline, "campaign diverged at {w} workers");
+            (t.as_secs_f64() * 1e3, u)
+        };
+        let ((s, _), (p, u)) = if pair % 2 == 0 {
+            (run(1), run(workers))
+        } else {
+            let p = run(workers);
+            (run(1), p)
+        };
+        serial.push(s);
+        wall.push(p);
+        ratios.push(s / p.max(1e-9));
+        used = u;
+    }
+    // `median` sorts, so the range is the sorted ratios' ends.
+    let speedup = median(&mut ratios);
+    Point {
+        requested: workers,
+        used,
+        serial_ms: median(&mut serial),
+        wall_ms: median(&mut wall),
+        speedup,
+        speedup_min: ratios[0],
+        speedup_max: ratios[PAIRS - 1],
+    }
 }
 
 fn main() {
@@ -183,10 +248,10 @@ fn main() {
              (annotating BENCH_parallel_sweep.json with scaling_valid: false)"
         );
     }
-    // Always cross the 1→2→4 worker boundary (even on small hosts, so
-    // the byte-identity assertion below exercises real threads), then
+    // Always cross the 2→4 worker boundary (even on small hosts, so the
+    // byte-identity assertion below exercises real threads), then
     // continue to the host's full width.
-    let mut worker_counts = vec![1usize, 2, 4];
+    let mut worker_counts = vec![2usize, 4];
     for w in [8, 16] {
         if w < host {
             worker_counts.push(w);
@@ -199,87 +264,73 @@ fn main() {
     let n_jobs = points().count();
     println!(
         "parallel sweep scaling — replicated stalled-pipeline campaign \
-         ({n_jobs} jobs, {host} cores available, best of {REPS})\n"
+         ({n_jobs} jobs, {host} cores available, {PAIRS} serial/parallel pairs \
+         per worker count)\n"
     );
     println!(
-        "{:>10} {:>6} {:>10} {:>9} {:>11} {:>10}",
-        "requested", "used", "wall ms", "speedup", "efficiency", "overhead"
+        "{:>10} {:>6} {:>10} {:>10} {:>9} {:>15} {:>11} {:>10}",
+        "requested",
+        "used",
+        "serial ms",
+        "wall ms",
+        "speedup",
+        "pair range",
+        "efficiency",
+        "overhead"
     );
-    println!("{}", "-".repeat(62));
+    println!("{}", "-".repeat(88));
 
-    let (baseline_wall, _, baseline) = best_of(1);
-
-    struct Point {
-        requested: usize,
-        used: usize,
-        wall: Duration,
-        speedup: f64,
-        efficiency: f64,
-        overhead: f64,
-    }
-    let mut curve = Vec::new();
-    for &w in &worker_counts {
-        let (wall, used) = if w == 1 {
-            (baseline_wall, 1)
-        } else {
-            let (wall, used, digests) = best_of(w);
-            assert_eq!(
-                digests, baseline,
-                "parallel campaign diverged at {w} workers"
+    let (_, _, baseline) = campaign(1);
+    let curve: Vec<Point> = worker_counts
+        .iter()
+        .map(|&w| {
+            let p = paired(w, &baseline);
+            println!(
+                "{:>10} {:>6} {:>10.1} {:>10.1} {:>8.2}x {:>6.2}x – {:>5.2}x {:>11.2} {:>9.1}%",
+                p.requested,
+                p.used,
+                p.serial_ms,
+                p.wall_ms,
+                p.speedup,
+                p.speedup_min,
+                p.speedup_max,
+                p.efficiency(),
+                p.overhead() * 100.0
             );
-            (wall, used)
-        };
-        let speedup = one_over(baseline_wall, wall);
-        let efficiency = speedup / used as f64;
-        let overhead = one_over(wall, baseline_wall) - 1.0;
-        println!(
-            "{:>10} {:>6} {:>10.1} {:>8.2}x {:>11.2} {:>9.1}%",
-            w,
-            used,
-            wall.as_secs_f64() * 1e3,
-            speedup,
-            efficiency,
-            overhead * 100.0
-        );
-        curve.push(Point {
-            requested: w,
-            used,
-            wall,
-            speedup,
-            efficiency,
-            overhead,
-        });
-    }
+            p
+        })
+        .collect();
 
-    // Gates: on a single-core host the pool must cost ≤ 5% over serial
-    // at 2 workers; with ≥ 4 cores, 4 workers must reach ≥ 0.7
-    // efficiency. In between neither says anything crisp.
+    // Gates, on the median pair: on a single-core host the pool must
+    // cost ≤ 5% over serial at 2 workers; with ≥ 4 cores, 4 workers
+    // must reach ≥ 0.7 efficiency. In between neither says anything
+    // crisp.
     let at = |w: usize| curve.iter().find(|p| p.requested == w);
     if host == 1 {
         let p2 = at(2).expect("2-worker point always measured");
         assert!(
-            p2.overhead <= 0.05,
+            p2.overhead() <= 0.05,
             "2-worker pool overhead {:.1}% exceeds 5% on a 1-core host \
-             (wall {:.1} ms vs serial {:.1} ms)",
-            p2.overhead * 100.0,
-            p2.wall.as_secs_f64() * 1e3,
-            baseline_wall.as_secs_f64() * 1e3
+             (median wall {:.1} ms vs serial {:.1} ms)",
+            p2.overhead() * 100.0,
+            p2.wall_ms,
+            p2.serial_ms
         );
         println!(
             "\n1-core host: 2-worker overhead {:.1}% (gate: <= 5%); speedup \
              gates skipped (scaling_valid: false).",
-            p2.overhead * 100.0
+            p2.overhead() * 100.0
         );
     } else if scaling_valid {
         let p4 = at(4).expect("4-worker point always measured");
         assert!(
-            p4.efficiency >= 0.7,
+            p4.efficiency() >= 0.7,
             "4-worker efficiency {:.2} below 0.7 on a {host}-core host",
-            p4.efficiency
+            p4.efficiency()
         );
         println!(
             "\n{host}-core host: 4-worker efficiency {:.2} (gate: >= 0.7).",
-            p4.efficiency
+            p4.efficiency()
         );
     } else {
         println!(
@@ -325,14 +376,18 @@ fn main() {
         .map(|p| {
             format!(
                 "    {{\"workers_requested\": {}, \"workers_used\": {}, \
-                 \"wall_ms\": {:.3}, \"speedup\": {:.3}, \"efficiency\": {:.3}, \
+                 \"serial_wall_ms\": {:.3}, \"wall_ms\": {:.3}, \"speedup\": {:.3}, \
+                 \"speedup_min\": {:.3}, \"speedup_max\": {:.3}, \"efficiency\": {:.3}, \
                  \"overhead_vs_serial\": {:.3}}}",
                 p.requested,
                 p.used,
-                p.wall.as_secs_f64() * 1e3,
+                p.serial_ms,
+                p.wall_ms,
                 p.speedup,
-                p.efficiency,
-                p.overhead
+                p.speedup_min,
+                p.speedup_max,
+                p.efficiency(),
+                p.overhead()
             )
         })
         .collect();
@@ -341,7 +396,8 @@ fn main() {
          \"campaign\": \"stalled {THREADS}t/{STAGES}s pipeline, \
          {SEEDS} seeds x 2 kernels, one build per point\",\n  \
          \"jobs\": {n_jobs},\n  \"available_parallelism\": {host},\n  \
-         \"timing\": \"best of {REPS}\",\n  \
+         \"timing\": \"{PAIRS} alternating serial/parallel pairs per point; \
+         median wall times, median and range of the per-pair speedups\",\n  \
          \"scaling_valid\": {scaling_valid},\n  \
          \"digests_identical\": true,\n  \
          \"cache\": {{\"workers\": {cache_workers}, \"second_run_memoized\": {memoized}, \

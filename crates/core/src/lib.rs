@@ -57,4 +57,4 @@ pub use eb::{EbState, ElasticBuffer};
 pub use meb::{FifoMeb, MebKind, ReducedMeb};
 pub use ops::{Branch, Fork, Join, Merge};
 pub use pipeline::{build_meb_pipeline, MebPipeline, PipelineConfig, PipelineHarness};
-pub use select::{advance_stall_pointer, select_output_thread, ReadyCache, SelectState};
+pub use select::{select_output_thread, ReadyCache, SelectState};

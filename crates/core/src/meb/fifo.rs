@@ -235,7 +235,7 @@ impl<T: Token> Component<T> for FifoMeb<T> {
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
-        if let Some((t, _)) = ctx.fired_any(self.out) {
+        if let Some(t) = self.select.on_tick(ctx, self.out) {
             self.queues[t].pop_front();
             self.sync_masks(t);
             self.arbiter.commit(t);
@@ -245,7 +245,6 @@ impl<T: Token> Component<T> for FifoMeb<T> {
             self.queues[t].push_back(data.clone());
             self.sync_masks(t);
         }
-        self.select.on_tick(ctx, self.out);
     }
 
     fn slots(&self) -> Vec<SlotView> {

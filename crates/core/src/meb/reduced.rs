@@ -300,7 +300,7 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
         let mut refilled_shared_this_cycle = false;
 
         // Dequeue first.
-        if let Some((g, _)) = ctx.fired_any(self.out) {
+        if let Some(g) = self.select.on_tick(ctx, self.out) {
             match self.state[g] {
                 EbState::Half => {
                     self.main[g] = None;
@@ -350,7 +350,6 @@ impl<T: Token> Component<T> for ReducedMeb<T> {
             }
         }
 
-        self.select.on_tick(ctx, self.out);
         self.check_invariants();
     }
 

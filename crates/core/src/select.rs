@@ -37,7 +37,7 @@ use crate::arbiter::Arbiter;
 /// — callers keep it in a persistent scratch mask (see
 /// [`SelectState::select`]) so no per-evaluation allocation happens.
 /// `stall_start` is the rotating start index for stalled offers (see
-/// [`advance_stall_pointer`]). Returns `None` when no thread has data.
+/// [`SelectState::on_tick`]). Returns `None` when no thread has data.
 ///
 /// The caller is responsible for calling [`Arbiter::commit`] at the clock
 /// edge if (and only if) the selected transfer fired.
@@ -97,8 +97,8 @@ pub fn select_output_thread<T: Token>(
     has_data.next_one_wrapping(stall_start)
 }
 
-/// Stateful wrapper around [`select_output_thread`] /
-/// [`advance_stall_pointer`]: tracks the stalled-offer rotation pointer.
+/// Stateful wrapper around [`select_output_thread`]: tracks the
+/// stalled-offer rotation pointer.
 ///
 /// Embed one per driven multithreaded output channel; call
 /// [`select`](SelectState::select) from `eval` and
@@ -178,9 +178,29 @@ impl SelectState {
         }
     }
 
-    /// Clock-edge bookkeeping: rotates the stalled-offer pointer.
-    pub fn on_tick<T: Token>(&mut self, ctx: &TickCtx<'_, T>, out: ChannelId) {
-        advance_stall_pointer(ctx, out, &mut self.stall);
+    /// Clock-edge bookkeeping for `out`, reading its offer once: returns
+    /// the thread whose transfer fired, if any. If the module offered a
+    /// thread and the transfer did not fire, the next stalled offer
+    /// starts one past the offered thread instead.
+    ///
+    /// Without this rotation a persistently stalled module would present
+    /// the same thread forever (its arbiter state only advances on fired
+    /// transfers), starving observers — e.g. a closed [`Barrier`] would
+    /// never see the other threads arrive.
+    ///
+    /// [`Barrier`]: crate::Barrier
+    #[inline]
+    pub fn on_tick<T: Token>(&mut self, ctx: &TickCtx<'_, T>, out: ChannelId) -> Option<usize> {
+        // The kernel has checked the MT channel invariant before the
+        // edge: at most one thread is valid.
+        let t = ctx.valid_mask(out).first_one()?;
+        if ctx.ready(out, t) {
+            Some(t)
+        } else {
+            // t < threads: wrap without a division.
+            self.stall = if t + 1 < ctx.threads(out) { t + 1 } else { 0 };
+            None
+        }
     }
 
     /// Rewinds to the freshly constructed state (stall pointer at thread
@@ -241,25 +261,6 @@ impl ReadyCache {
     }
 }
 
-/// Advances a module's stalled-offer pointer at the clock edge: if the
-/// module offered a thread on `out` this cycle and the transfer did not
-/// fire, the next stalled offer starts one past the offered thread.
-///
-/// Without this rotation a persistently stalled module would present the
-/// same thread forever (its arbiter state only advances on fired
-/// transfers), starving observers — e.g. a closed [`Barrier`] would never
-/// see the other threads arrive.
-///
-/// [`Barrier`]: crate::Barrier
-pub fn advance_stall_pointer<T: Token>(ctx: &TickCtx<'_, T>, out: ChannelId, stall: &mut usize) {
-    let threads = ctx.threads(out);
-    if let Some(t) = ctx.valid_mask(out).first_one() {
-        if !ctx.fired(out, t) {
-            *stall = (t + 1) % threads;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,12 +310,9 @@ mod tests {
             }
         }
         fn tick(&mut self, ctx: &TickCtx<'_, u64>) {
-            for t in 0..self.has.threads() {
-                if ctx.fired(self.out, t) {
-                    self.arb.commit(t);
-                }
+            if let Some(t) = self.select.on_tick(ctx, self.out) {
+                self.arb.commit(t);
             }
-            self.select.on_tick(ctx, self.out);
         }
         impl_as_any!();
     }

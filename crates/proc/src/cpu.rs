@@ -135,6 +135,32 @@ pub enum CpuError {
         /// Budget that was exhausted.
         max_cycles: u64,
     },
+    /// [`CpuConfig::threads`] is 0.
+    NoThreads,
+    /// [`CpuConfig::imem_latency`] is an empty range (`min > max`).
+    ImemLatency {
+        /// Lower end of the range.
+        min: u32,
+        /// Upper end of the range.
+        max: u32,
+    },
+    /// [`CpuConfig::dmem_latency`] is an empty range (`min > max`) or
+    /// starts at 0 cycles, which the data memory cannot serve.
+    DmemLatency {
+        /// Lower end of the range.
+        min: u32,
+        /// Upper end of the range.
+        max: u32,
+    },
+    /// The program has no instruction.
+    EmptyProgram,
+    /// The entry-PC list does not hold one PC per thread.
+    EntryPcCount {
+        /// [`CpuConfig::threads`].
+        threads: usize,
+        /// Length of the entry-PC list.
+        entry_pcs: usize,
+    },
 }
 
 impl std::fmt::Display for CpuError {
@@ -144,6 +170,19 @@ impl std::fmt::Display for CpuError {
             CpuError::Timeout { max_cycles } => {
                 write!(f, "program did not halt within {max_cycles} cycles")
             }
+            CpuError::NoThreads => write!(f, "the processor needs at least one thread"),
+            CpuError::ImemLatency { min, max } => {
+                write!(f, "instruction-memory latency range {min}..={max} is empty")
+            }
+            CpuError::DmemLatency { min, max } => write!(
+                f,
+                "data-memory latency range {min}..={max} is empty or starts at 0 cycles"
+            ),
+            CpuError::EmptyProgram => write!(f, "program must contain at least one instruction"),
+            CpuError::EntryPcCount { threads, entry_pcs } => write!(
+                f,
+                "{entry_pcs} entry PCs for {threads} threads (one entry PC per thread)"
+            ),
         }
     }
 }
@@ -152,7 +191,7 @@ impl std::error::Error for CpuError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CpuError::Sim(e) => Some(e),
-            CpuError::Timeout { .. } => None,
+            _ => None,
         }
     }
 }
@@ -388,15 +427,39 @@ impl Cpu {
     /// [`MebSubstitution::auto`]`(config.meb)` → protocol + cycle-cover
     /// lints → elaboration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `entry_pcs.len() != config.threads` or the program is
-    /// empty. Panics at build, before any cycle runs, if
-    /// `config.imem_latency` or `config.dmem_latency` is an empty range
-    /// (`min > max`): elaboration rejects the instruction memory's with
-    /// [`IrError::BadLatency`](elastic_synth::IrError::BadLatency), and
-    /// [`MemUnit::new`] the data memory's.
-    pub fn new(config: CpuConfig, program: Vec<u32>, entry_pcs: Vec<u32>) -> Self {
+    /// Before elaboration, in this order: [`CpuError::NoThreads`] for
+    /// `config.threads == 0`, [`CpuError::ImemLatency`] for an empty
+    /// `config.imem_latency` range, [`CpuError::DmemLatency`]
+    /// for an empty `config.dmem_latency` range or one that starts at 0,
+    /// [`CpuError::EmptyProgram`], and [`CpuError::EntryPcCount`] unless
+    /// `entry_pcs` holds one PC per thread.
+    pub fn try_new(
+        config: CpuConfig,
+        program: Vec<u32>,
+        entry_pcs: Vec<u32>,
+    ) -> Result<Self, CpuError> {
+        if config.threads == 0 {
+            return Err(CpuError::NoThreads);
+        }
+        let (min, max) = config.imem_latency;
+        if min > max {
+            return Err(CpuError::ImemLatency { min, max });
+        }
+        let (min, max) = config.dmem_latency;
+        if min == 0 || min > max {
+            return Err(CpuError::DmemLatency { min, max });
+        }
+        if program.is_empty() {
+            return Err(CpuError::EmptyProgram);
+        }
+        if entry_pcs.len() != config.threads {
+            return Err(CpuError::EntryPcCount {
+                threads: config.threads,
+                entry_pcs: entry_pcs.len(),
+            });
+        }
         let mut ir = Self::ir(&config, program, entry_pcs).ir;
         PassManager::new()
             .with(MebSubstitution::auto(config.meb).with_arbiter(config.arbiter))
@@ -408,11 +471,23 @@ impl Cpu {
             .channel_named("ex_out")
             .expect("the pipeline has an `ex_out` channel");
         let e = ir.elaborate().expect("cpu netlist is well-formed");
-        Self {
+        Ok(Self {
             ex_out: e.channel(ex_out),
             circuit: e.circuit,
             config,
-        }
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for a configuration known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the error's message where [`try_new`](Self::try_new)
+    /// returns one: no thread, an empty `config.imem_latency` range, an
+    /// empty `config.dmem_latency` range or one that starts at 0, an
+    /// empty program, or an entry-PC count other than `config.threads`.
+    pub fn new(config: CpuConfig, program: Vec<u32>, entry_pcs: Vec<u32>) -> Self {
+        Self::try_new(config, program, entry_pcs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Convenience: assembles `source` and starts every thread at PC 0

@@ -299,8 +299,8 @@ impl Component<ProcToken> for Fetcher {
 
     fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
         // A fetch left for the pipeline: advance or block the thread.
-        if let Some((t, tok)) = ctx.fired_any(self.out) {
-            let &ProcToken::Fetched { pc, word, .. } = tok else {
+        if let Some(t) = self.select.on_tick(ctx, self.out) {
+            let Some(&ProcToken::Fetched { pc, word, .. }) = ctx.data(self.out) else {
                 unreachable!("fetch output carries Fetched tokens");
             };
             self.fetched[t] += 1;
@@ -379,7 +379,6 @@ impl Component<ProcToken> for Fetcher {
                 }
             }
         }
-        self.select.on_tick(ctx, self.out);
     }
 
     fn reset(&mut self) -> bool {
@@ -1021,7 +1020,7 @@ impl Component<ProcToken> for MemUnit {
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, ProcToken>) {
-        if let Some((t, _)) = ctx.fired_any(self.out) {
+        if let Some(t) = self.select.on_tick(ctx, self.out) {
             let pos = self
                 .entries
                 .iter()
@@ -1029,8 +1028,6 @@ impl Component<ProcToken> for MemUnit {
                 .expect("emitted thread has an entry");
             self.entries.remove(pos);
             self.arbiter.commit(t);
-        } else {
-            self.select.on_tick(ctx, self.out);
         }
         if let Some((t, tok)) = ctx.fired_any(self.inp) {
             let mut tok = tok.clone();

@@ -77,8 +77,9 @@ impl ThreadMask {
         self.threads
     }
 
+    /// Word `idx`: bits `64 * idx ..` (zero past the last word).
     #[inline]
-    fn word(&self, idx: usize) -> u64 {
+    pub(crate) fn word(&self, idx: usize) -> u64 {
         if idx == 0 {
             self.head
         } else {
@@ -93,6 +94,14 @@ impl ThreadMask {
         } else {
             &mut self.rest.as_mut().expect("spillover words exist")[idx - 1]
         }
+    }
+
+    /// Overwrites word `idx` with `bits`, which must keep the bits at or
+    /// above [`threads`](ThreadMask::threads) zero.
+    #[inline]
+    pub(crate) fn set_word(&mut self, idx: usize, bits: u64) {
+        debug_assert_eq!(bits & !self.tail_mask(idx), 0, "bits past the thread count");
+        *self.word_mut(idx) = bits;
     }
 
     #[inline]

@@ -47,6 +47,17 @@ pub enum ReadyPolicy {
     },
     /// Ready with probability `p` each cycle, deterministically derived
     /// from `seed` (same decision on every settle iteration of a cycle).
+    ///
+    /// Thread `t` is ready at `cycle` iff `(h as f64 / u64::MAX as f64) <
+    /// p`, where `h = mix64(seed ^ cycle·0x5851_f42d_4c95_7f2d ^ t << 48)`
+    /// is a splitmix64 hash. The test is exactly the integer threshold
+    /// `h < limit(p)`, the form [`Sink`] evaluates: `u64::MAX as f64` is
+    /// 2^64, so the test reads `fl(h) < p·2^64`, and rounding `h` to `f64`
+    /// is monotone. `limit(p)` is `⌈p·2^64⌉` up to `p·2^64 = 2^53`; above
+    /// it, the least `h` that rounds (to nearest, ties to even) to
+    /// `p·2^64` or higher. No hash is ready for `p ≤ 0` or NaN, and every
+    /// hash for `p > 1`. `p = 1.0` is not always ready: the hashes from
+    /// 2^64 − 1024 up round to 2^64.
     Random {
         /// Probability of being ready in a given cycle (0.0–1.0).
         p: f64,
@@ -70,12 +81,77 @@ impl ReadyPolicy {
                 (cycle.wrapping_add(phase)) % period < on
             }
             ReadyPolicy::Random { p, seed } => {
-                let h =
-                    mix64(seed ^ cycle.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ (thread as u64) << 48);
+                let h = mix64(seed ^ cycle.wrapping_mul(CYCLE_MIX) ^ (thread as u64) << 48);
                 (h as f64 / u64::MAX as f64) < p
             }
         }
     }
+
+    /// `thread`'s decision in the form the [`Sink`]'s word build
+    /// evaluates.
+    fn lower(&self, thread: usize) -> Lowered {
+        match *self {
+            ReadyPolicy::Always => Lowered::Fixed(true),
+            ReadyPolicy::Never => Lowered::Fixed(false),
+            ReadyPolicy::StallWindow { .. } | ReadyPolicy::Period { .. } => Lowered::Scripted,
+            // `h as f64 / 2^64` lies in [0, 1]: never below a `p` that is
+            // not positive (or NaN), always below a `p` above 1.
+            ReadyPolicy::Random { p, .. } if p.is_nan() || p <= 0.0 => Lowered::Fixed(false),
+            ReadyPolicy::Random { p, .. } if p > 1.0 => Lowered::Fixed(true),
+            ReadyPolicy::Random { p, seed } => Lowered::Hashed {
+                key: seed ^ (thread as u64) << 48,
+                limit: random_limit(p),
+            },
+        }
+    }
+}
+
+/// Odd multiplier that spreads the cycle number over the hash key of
+/// [`ReadyPolicy::Random`].
+const CYCLE_MIX: u64 = 0x5851_f42d_4c95_7f2d;
+
+/// One thread's [`ReadyPolicy`], lowered by the [`Sink`]'s first word
+/// build after the policy is set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Lowered {
+    /// The same bit every cycle.
+    Fixed(bool),
+    /// A `Random` policy: ready iff `mix64(key ^ cycle·CYCLE_MIX) <
+    /// limit`.
+    Hashed { key: u64, limit: u64 },
+    /// `StallWindow` and `Period`: [`ReadyPolicy::is_ready`] every cycle.
+    Scripted,
+}
+
+/// The least hash `h` that fails `Random { p, .. }`'s float test `(h as
+/// f64 / u64::MAX as f64) < p`, for `0 < p ≤ 1`.
+///
+/// `u64::MAX as f64` is exactly 2^64, and scaling by a power of two is
+/// exact, so the test is `fl(h) < t` with `t = p·2^64` in (0, 2^64].
+/// Rounding to `f64` is monotone, so the passing hashes are `0..limit`.
+fn random_limit(p: f64) -> u64 {
+    debug_assert!(p > 0.0 && p <= 1.0, "p = {p} has no finite limit");
+    let t = p * 18_446_744_073_709_551_616.0;
+    if t <= 9_007_199_254_740_992.0 {
+        // Up to 2^53 every integer converts exactly, and a larger one
+        // converts to at least 2^53 ≥ t.
+        return t.ceil() as u64;
+    }
+    // Above 2^53, t = m·2^e with a 53-bit significand m and e ≥ 1. The
+    // hashes that round to t or higher start at the midpoint between t
+    // and the float below it, which lies 2^e below t, or 2^(e−1) when m
+    // is a power of two; at the midpoint the tie goes to the even
+    // significand, which is t's when m is even.
+    let bits = t.to_bits();
+    let e = (bits >> 52) as u32 - 1075;
+    let m = bits & ((1 << 52) - 1) | 1 << 52;
+    let half_gap = if m == 1 << 52 {
+        1 << (e - 2)
+    } else {
+        1 << (e - 1)
+    };
+    let midpoint = (u128::from(m) << e) - half_gap;
+    (midpoint + u128::from(m % 2)) as u64
 }
 
 /// Injects tokens into a multithreaded elastic channel.
@@ -336,6 +412,17 @@ pub struct Sink<T: Token> {
     captured: Vec<Vec<(u64, T)>>,
     counts: Vec<u64>,
     capture: bool,
+    /// Threads whose policy was set after the last word build, which
+    /// lowers them.
+    stale: ThreadMask,
+    /// The lowered policies: the always-ready threads, the threads
+    /// decided by a hash, each thread's `(key, limit)` (a limit of 0,
+    /// never ready, on every other thread), and the threads whose policy
+    /// is evaluated per cycle.
+    fixed: ThreadMask,
+    hashed: ThreadMask,
+    hashes: Vec<(u64, u64)>,
+    scripted: ThreadMask,
     /// Policy word: the ready mask built by the step's first
     /// evaluation.
     ready: ThreadMask,
@@ -349,6 +436,8 @@ impl<T: Token> Sink<T> {
         threads: usize,
         policy: ReadyPolicy,
     ) -> Self {
+        let mut stale = ThreadMask::new(threads);
+        stale.fill();
         Self {
             name: name.into(),
             inp,
@@ -356,6 +445,11 @@ impl<T: Token> Sink<T> {
             captured: (0..threads).map(|_| Vec::new()).collect(),
             counts: vec![0; threads],
             capture: false,
+            stale,
+            fixed: ThreadMask::new(threads),
+            hashed: ThreadMask::new(threads),
+            hashes: vec![(0, 0); threads],
+            scripted: ThreadMask::new(threads),
             ready: ThreadMask::new(threads),
         }
     }
@@ -379,6 +473,7 @@ impl<T: Token> Sink<T> {
     /// Panics if `thread` is out of range.
     pub fn set_policy(&mut self, thread: usize, policy: ReadyPolicy) {
         self.policies[thread] = policy;
+        self.stale.set(thread, true);
     }
 
     /// Tokens consumed by `thread`, with the cycle at which each arrived.
@@ -395,6 +490,51 @@ impl<T: Token> Sink<T> {
     /// Total tokens consumed across threads.
     pub fn consumed_total(&self) -> u64 {
         self.counts.iter().sum()
+    }
+
+    /// Lowers each policy set since the last word build, once.
+    #[cold]
+    fn lower_stale(&mut self) {
+        let mut stale = std::mem::take(&mut self.stale);
+        for t in stale.iter_ones() {
+            let lowered = self.policies[t].lower(t);
+            self.fixed.set(t, lowered == Lowered::Fixed(true));
+            self.scripted.set(t, lowered == Lowered::Scripted);
+            let hash = match lowered {
+                Lowered::Hashed { key, limit } => Some((key, limit)),
+                _ => None,
+            };
+            self.hashed.set(t, hash.is_some());
+            self.hashes[t] = hash.unwrap_or((0, 0));
+        }
+        stale.clear();
+        self.stale = stale;
+    }
+
+    /// Builds the policy word of `cycle` into `ready`, 64 threads at a
+    /// time: the fixed bits, one hash and compare per hashed thread, then
+    /// the scripted threads one by one.
+    fn build_ready(&mut self, cycle: u64) {
+        if self.stale.any() {
+            self.lower_stale();
+        }
+        let mixed = cycle.wrapping_mul(CYCLE_MIX);
+        for (w, hashes) in self.hashes.chunks(64).enumerate() {
+            let mut word = 0;
+            // Words without a hashed thread skip the hashing. The bits
+            // shift in from the word's last thread down, a chain that
+            // keeps the loop scalar: vectorised, each 64-bit multiply of
+            // the hash costs several SSE2 operations on baseline x86-64.
+            if self.hashed.word(w) != 0 {
+                for &(key, limit) in hashes.iter().rev() {
+                    word = word << 1 | u64::from(mix64(key ^ mixed) < limit);
+                }
+            }
+            self.ready.set_word(w, word | self.fixed.word(w));
+        }
+        for t in self.scripted.iter_ones() {
+            self.ready.set(t, self.policies[t].is_ready(cycle, t));
+        }
     }
 
     /// The per-thread reference evaluation [`eval`](Component::eval) is
@@ -431,16 +571,13 @@ impl<T: Token> Component<T> for Sink<T> {
         Vec::new()
     }
 
-    /// Word-level evaluation: the per-thread policy word is computed once
-    /// per *step* and cached across settle rounds —
-    /// [`ReadyPolicy::Random`] hashes every thread — and committed with a
-    /// single word-level mask write instead of a per-thread setter loop.
+    /// Word-level evaluation: the policy word is built once per *step*,
+    /// 64 threads at a time from the lowered policies — the fixed bits,
+    /// one hash and compare per [`ReadyPolicy::Random`] thread — and
+    /// committed with a single word-level mask write.
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         if ctx.first_eval() {
-            let cycle = ctx.cycle();
-            for (t, policy) in self.policies.iter().enumerate() {
-                self.ready.set(t, policy.is_ready(cycle, t));
-            }
+            self.build_ready(ctx.cycle());
             // Commit once per step: the sink is the only driver of
             // `ready(inp)` and the word depends on the cycle number
             // alone, so re-commits on settle re-evaluations would be
@@ -503,6 +640,71 @@ mod tests {
         // Roughly half ready over a long horizon.
         let ready = (0..10_000).filter(|&c| r.is_ready(c, 0)).count();
         assert!((3_000..7_000).contains(&ready), "ready={ready}");
+    }
+
+    /// The lowered sink word is exact: for every probability, on every
+    /// thread of both mask words and at every cycle, the word
+    /// `build_ready` builds equals `ReadyPolicy::is_ready`, and each
+    /// limit sits exactly on the float test's boundary.
+    #[test]
+    fn lowered_random_policies_match_the_float_test() {
+        let float_ready = |h: u64, p: f64| (h as f64 / u64::MAX as f64) < p;
+        let mut ps = vec![
+            f64::NAN,
+            -1.0,
+            -0.0,
+            0.0,
+            5e-324,
+            2f64.powi(-64),
+            0.5,
+            1.0 - 2f64.powi(-53),
+            1.0,
+            1.0 + 2f64.powi(-52),
+            2.0,
+        ];
+        // Half uniform in [0, 1), half uniform over the bit patterns of
+        // [0, 1], which reaches the subnormals and every binade.
+        let mut x = 0x5eed_u64;
+        for i in 0..2_000 {
+            x = mix64(x);
+            ps.push(if i % 2 == 0 {
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            } else {
+                f64::from_bits(x % (1.0f64.to_bits() + 1))
+            });
+        }
+        const THREADS: usize = 70;
+        let mut sink = Sink::<u64>::new("snk", ChannelId(0), THREADS, ReadyPolicy::Always);
+        for &p in &ps {
+            for t in 0..THREADS {
+                x = mix64(x);
+                let policy = ReadyPolicy::Random { p, seed: x };
+                match policy.lower(t) {
+                    Lowered::Fixed(true) => assert!(float_ready(u64::MAX, p), "p = {p:e}"),
+                    Lowered::Fixed(false) => assert!(!float_ready(0, p), "p = {p:e}"),
+                    Lowered::Hashed { limit, .. } => assert!(
+                        float_ready(limit - 1, p) && !float_ready(limit, p),
+                        "p = {p:e}: limit {limit} is off the boundary"
+                    ),
+                    Lowered::Scripted => panic!("a random policy lowers to a hash or a bit"),
+                }
+                sink.set_policy(t, policy);
+            }
+            let first = mix64(x) >> 1;
+            for cycle in first..first + 200 {
+                sink.build_ready(cycle);
+                for (t, policy) in sink.policies.iter().enumerate() {
+                    assert_eq!(
+                        sink.ready.get(t),
+                        policy.is_ready(cycle, t),
+                        "p = {p:e}, thread {t}, cycle {cycle}"
+                    );
+                }
+            }
+        }
+        // `p = 1.0` is not always ready: the top 1024 hashes round to 2^64.
+        assert_eq!(random_limit(1.0), u64::MAX - 1023);
+        assert!(!float_ready(u64::MAX - 1023, 1.0));
     }
 
     #[test]

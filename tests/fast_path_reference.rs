@@ -22,7 +22,8 @@
 //! Beyond the random topologies, deterministic cases cover every way the
 //! state behind a cached word changes between steps: timed `push_at`
 //! releases, a push into the past after an idle stretch,
-//! `Sink::set_policy` between runs, reconfiguration after a deadlock
+//! `Sink::set_policy` between runs (also on a 65-thread sink that mixes
+//! every policy kind), reconfiguration after a deadlock
 //! error and `Circuit::reset` loops, on every MEB kind. The MD5 loop runs on 1–8 threads and 1–16 round
 //! stages, and the barrier's `open` word is checked over random arrival
 //! schedules, participant masks and reset loops.
@@ -310,6 +311,50 @@ fn sink_set_policy_between_runs_matches_the_reference() {
             snk(c).set_policy(round % 4, policy.clone());
             snk(c).set_policy((round + 1) % 4, ReadyPolicy::Never);
             c.run(25).expect("clean");
+            obs.push(observe(c));
+        }
+        obs
+    });
+}
+
+/// A 65-thread sink mixing all five policy kinds, so both words of its
+/// lowered policy word hold fixed, hashed and per-cycle threads, with
+/// `Random` probabilities that lower to a limit, to a fixed-on bit
+/// (`p > 1`) and to a fixed-off bit (`p = 0`, NaN). Between runs
+/// `set_policy` moves a third of the threads to another class.
+#[test]
+fn mixed_sink_policies_across_the_word_boundary_match_the_reference() {
+    const THREADS: usize = 65;
+    let policy = |t: usize, round: usize| {
+        let k = t as u64;
+        match (t + round) % 5 {
+            0 => ReadyPolicy::Always,
+            1 => ReadyPolicy::Never,
+            2 => ReadyPolicy::StallWindow {
+                from: 3 + k % 7,
+                to: 12 + k % 11,
+            },
+            3 => ReadyPolicy::Period {
+                on: 1 + k % 2,
+                off: 1 + k % 3,
+                phase: k,
+            },
+            _ => ReadyPolicy::Random {
+                p: [0.45, 0.7, 1.0, 1.5, 0.0, f64::NAN][(t + round) % 6],
+                seed: 0x5EED ^ k,
+            },
+        }
+    };
+    check(THREADS, 2, |c| {
+        for t in 0..THREADS {
+            src(c).extend(t, (0..12).map(|i| Tagged::new(t, i, i)));
+        }
+        let mut obs = Vec::new();
+        for round in 0..4 {
+            for t in (0..THREADS).filter(|t| round == 0 || t % 3 == round % 3) {
+                snk(c).set_policy(t, policy(t, round));
+            }
+            c.run(60).expect("clean");
             obs.push(observe(c));
         }
         obs

@@ -660,3 +660,85 @@ fn invalid_instruction_reports_a_typed_fault() {
     cpu.run_to_halt(1_000)
         .expect("the faulting thread is halted");
 }
+
+/// `Cpu::try_new` rejects a configuration before elaboration. `Cpu::new`
+/// panics with the same message, so `cpu_build_error` returns both.
+fn cpu_build_error(
+    config: mt_elastic::proc::CpuConfig,
+    program: Vec<u32>,
+    entry_pcs: Vec<u32>,
+) -> (mt_elastic::proc::CpuError, String) {
+    use mt_elastic::proc::Cpu;
+    let error = Cpu::try_new(config.clone(), program.clone(), entry_pcs.clone())
+        .err()
+        .expect("the configuration is rejected");
+    let panic = std::panic::catch_unwind(|| Cpu::new(config, program, entry_pcs))
+        .err()
+        .expect("Cpu::new panics on a rejected configuration");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("the panic carries the error's message")
+        .clone();
+    (error, message)
+}
+
+#[test]
+fn zero_thread_configuration_is_a_typed_error() {
+    use mt_elastic::proc::{CpuConfig, CpuError};
+    let (error, message) = cpu_build_error(CpuConfig::new(0), vec![0], vec![]);
+    assert!(matches!(error, CpuError::NoThreads), "{error:?}");
+    assert_eq!(message, error.to_string());
+}
+
+#[test]
+fn inverted_instruction_memory_latency_is_a_typed_error() {
+    use mt_elastic::proc::{CpuConfig, CpuError};
+    let mut config = CpuConfig::new(2);
+    config.imem_latency = (3, 1);
+    let (error, message) = cpu_build_error(config, vec![0], vec![0; 2]);
+    assert!(
+        matches!(error, CpuError::ImemLatency { min: 3, max: 1 }),
+        "{error:?}"
+    );
+    assert_eq!(message, error.to_string());
+}
+
+#[test]
+fn inverted_or_zero_data_memory_latency_is_a_typed_error() {
+    use mt_elastic::proc::{CpuConfig, CpuError};
+    for (min, max) in [(4, 2), (0, 3)] {
+        let mut config = CpuConfig::new(2);
+        config.dmem_latency = (min, max);
+        let (error, message) = cpu_build_error(config, vec![0], vec![0; 2]);
+        assert!(
+            matches!(error, CpuError::DmemLatency { min: m, max: x } if (m, x) == (min, max)),
+            "{error:?}"
+        );
+        assert_eq!(message, error.to_string());
+    }
+}
+
+#[test]
+fn empty_program_is_a_typed_error() {
+    use mt_elastic::proc::{CpuConfig, CpuError};
+    let (error, message) = cpu_build_error(CpuConfig::new(2), vec![], vec![0; 2]);
+    assert!(matches!(error, CpuError::EmptyProgram), "{error:?}");
+    assert_eq!(message, error.to_string());
+}
+
+#[test]
+fn wrong_entry_pc_count_is_a_typed_error() {
+    use mt_elastic::proc::{CpuConfig, CpuError};
+    let (error, message) = cpu_build_error(CpuConfig::new(4), vec![0], vec![0; 3]);
+    assert!(
+        matches!(
+            error,
+            CpuError::EntryPcCount {
+                threads: 4,
+                entry_pcs: 3
+            }
+        ),
+        "{error:?}"
+    );
+    assert_eq!(message, error.to_string());
+}
