@@ -7,8 +7,9 @@
 //! count is timed in [`PAIRS`] pairs, each a serial campaign and an
 //! N-worker campaign run back to back (which one goes first alternates),
 //! so both sides of a speedup see the same host load; the curve records
-//! the median and the range of the per-pair speedups. The binary asserts
-//! that
+//! the median and the range of the per-pair speedups. The serial
+//! campaign is the pool's own loop on one worker thread, so both sides
+//! of a pair run the same code. The binary asserts that
 //!
 //! * every campaign, serial or parallel, reproduces the first serial
 //!   digests;

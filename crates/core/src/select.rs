@@ -57,40 +57,8 @@ pub fn select_output_thread<T: Token>(
         let pick = arbiter
             .choose(ready_requests)
             .expect("non-empty request set");
-        // Anti-swap guard — settle-phase damping only (not on the step's
-        // first evaluation), and only on feedback channels: when this
-        // module is already offering a thread that still has data but is
-        // not ready, it may abandon that offer for a ready thread only in
-        // the direction of the global rotating priority. Two modules
-        // feeding an M-Join otherwise chase each other's offers forever
-        // (each one's downstream ready(i) is the other's valid(i)); the
-        // shared priority makes exactly one of them yield, so the pairing
-        // converges within a bounded number of switches. On the first
-        // evaluation of a step (`EvalCtx::first_eval`) the decision is
-        // fresh — the previous cycle's (possibly stalled) offer holds no
-        // claim. Off feedback cycles the rank schedule evaluates the
-        // consumer first, so the first evaluation already sees final ready
-        // bits and the pure ready-first pick is kept: selection stays a
-        // function of the inputs alone, independent of evaluation order.
-        if !ctx.first_eval() && ctx.in_feedback(out) {
-            let current = ctx.valid_mask(out).first_one();
-            if let Some(c) = current {
-                if has_data.get(c) && !ctx.ready(out, c) {
-                    let rank =
-                        |t: usize| (t + threads - (ctx.cycle() as usize % threads)) % threads;
-                    let best = ready_requests
-                        .iter_ones()
-                        .min_by_key(|&t| rank(t))
-                        .expect("non-empty request set");
-                    return if rank(best) < rank(c) {
-                        Some(best)
-                    } else {
-                        Some(c)
-                    };
-                }
-            }
-        }
-        return Some(pick);
+        // The anti-swap guard damps the pick on feedback channels.
+        return Some(ctx.anti_swap(out, has_data, pick));
     }
 
     // No thread is ready: rotating stalled offer.

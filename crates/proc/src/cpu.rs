@@ -23,6 +23,7 @@ use elastic_synth::{
     CycleCoverLint, ElasticIr, IrNodeKind, MebSubstitution, PassManager, ProtocolLint,
 };
 
+use crate::asm::{assemble, AsmError};
 use crate::isa::Instr;
 use crate::stages::{execute, Fetcher, MemUnit, RegUnit, SpecState};
 use crate::token::ProcToken;
@@ -161,6 +162,8 @@ pub enum CpuError {
         /// Length of the entry-PC list.
         entry_pcs: usize,
     },
+    /// [`Cpu::from_asm`]'s source did not assemble.
+    Asm(AsmError),
 }
 
 impl std::fmt::Display for CpuError {
@@ -183,6 +186,7 @@ impl std::fmt::Display for CpuError {
                 f,
                 "{entry_pcs} entry PCs for {threads} threads (one entry PC per thread)"
             ),
+            CpuError::Asm(e) => write!(f, "assembler error: {e}"),
         }
     }
 }
@@ -191,6 +195,7 @@ impl std::error::Error for CpuError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CpuError::Sim(e) => Some(e),
+            CpuError::Asm(e) => Some(e),
             _ => None,
         }
     }
@@ -199,6 +204,12 @@ impl std::error::Error for CpuError {
 impl From<SimError> for CpuError {
     fn from(e: SimError) -> Self {
         CpuError::Sim(e)
+    }
+}
+
+impl From<AsmError> for CpuError {
+    fn from(e: AsmError) -> Self {
+        CpuError::Asm(e)
     }
 }
 
@@ -495,11 +506,12 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Returns the assembler error, if any.
-    pub fn from_asm(config: CpuConfig, source: &str) -> Result<Self, crate::asm::AsmError> {
-        let program = crate::asm::assemble(source)?;
+    /// [`CpuError::Asm`] if `source` does not assemble, else whatever
+    /// [`try_new`](Self::try_new) returns for `config` and the program.
+    pub fn from_asm(config: CpuConfig, source: &str) -> Result<Self, CpuError> {
+        let program = assemble(source)?;
         let entries = vec![0; config.threads];
-        Ok(Self::new(config, program, entries))
+        Self::try_new(config, program, entries)
     }
 
     /// The configuration this processor was built with.

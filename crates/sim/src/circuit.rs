@@ -134,6 +134,52 @@ impl<'a, T: Token> EvalCtx<'a, T> {
         self.feedback[ch.0]
     }
 
+    /// The anti-swap guard on a ready-first pick for `out`: returns the
+    /// thread to offer, given the threads `has` that have data and the
+    /// arbiter's `pick` among those that are also ready.
+    ///
+    /// The guard damps the settle phase only: not on the step's first
+    /// evaluation ([`first_eval`](Self::first_eval)), whose decision is
+    /// fresh because the previous cycle's (possibly stalled) offer holds
+    /// no claim, and only on a feedback channel
+    /// ([`in_feedback`](Self::in_feedback)). There, while this driver
+    /// already offers a thread `c` that still has data but is not ready,
+    /// it may abandon `c` only for the ready thread of lowest rank in the
+    /// global rotating priority (rank 0 is thread `cycle mod S`), and
+    /// only if that rank is lower than `c`'s. Two drivers feeding an
+    /// M-Join otherwise chase each other's offers forever (each one's
+    /// downstream `ready(i)` is the other's `valid(i)`); the shared
+    /// priority makes exactly one of them yield, so the pairing
+    /// converges within a bounded number of switches. Off feedback
+    /// cycles the rank schedule evaluates the consumer first, so the
+    /// first evaluation already sees final ready bits and `pick` stands:
+    /// selection stays a function of the inputs alone.
+    #[inline]
+    pub fn anti_swap(&self, out: ChannelId, has: &ThreadMask, pick: usize) -> usize {
+        if self.first || !self.in_feedback(out) {
+            return pick;
+        }
+        let ready = self.ready_mask(out);
+        match self.valid_mask(out).first_one() {
+            Some(c) if has.get(c) && !ready.get(c) => {
+                let threads = has.threads();
+                let base = self.cycle as usize % threads;
+                let rank = |t: usize| (t + threads - base) % threads;
+                // The lowest rank among ready threads with data is the
+                // first one at or after the rotation point.
+                let best = has
+                    .next_one_wrapping_and(ready, base)
+                    .expect("`pick` has data and is ready");
+                if rank(best) < rank(c) {
+                    best
+                } else {
+                    c
+                }
+            }
+            _ => pick,
+        }
+    }
+
     /// Thread count of channel `ch`.
     #[inline]
     pub fn threads(&self, ch: ChannelId) -> usize {

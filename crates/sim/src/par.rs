@@ -9,17 +9,14 @@
 //! across all cores while remaining bit-deterministic.
 //!
 //! [`run_sweep`] executes a vector of [`SimJob`]s on a pure-`std`
-//! **work-stealing** worker pool:
+//! worker pool:
 //!
 //! * **Worker model** — [`std::thread::scope`] spawns
-//!   `available_parallelism()` workers (or the requested count). Each
-//!   worker owns a deque seeded with a contiguous chunk of the
-//!   submission order; it pops its own jobs from the front and, when its
-//!   deque runs dry, steals from the *back* of a neighbour's. Workers
-//!   therefore run uncontended on their own chunk in the common case and
-//!   only touch a shared lock to rebalance stragglers — the earlier
-//!   design funneled every single job through one `Mutex<Receiver>`
-//!   handoff, which cost more than it saved on short jobs.
+//!   `available_parallelism()` workers (or the requested count, at most
+//!   one per job). Each worker claims its next job with one `fetch_add`
+//!   on a shared cursor over the submitted jobs and keeps its reports
+//!   until the cursor runs past the last job. The claim takes no lock,
+//!   and one worker runs the very same loop as many.
 //! * **Determinism** — each job is a self-contained deterministic
 //!   function that builds its own circuit; results are returned **in
 //!   submission order**, so the output of a parallel sweep is
@@ -51,9 +48,9 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -217,6 +214,33 @@ pub struct SweepReport<R> {
 }
 
 impl<R> SweepReport<R> {
+    /// The report over `jobs`, given in submission order: merges their
+    /// kernel counters, times the sweep from `start` and counts no cache
+    /// traffic. [`run_sweep_on`] returns it as is;
+    /// [`SweepService::run`](crate::SweepService::run) adds its cache
+    /// counts.
+    pub(crate) fn new(
+        jobs: Vec<JobReport<R>>,
+        workers_requested: usize,
+        workers_used: usize,
+        start: Instant,
+    ) -> Self {
+        let mut kernel = KernelStats::default();
+        for j in &jobs {
+            kernel.merge(&j.kernel);
+        }
+        Self {
+            jobs,
+            workers_requested,
+            workers_used,
+            wall: start.elapsed(),
+            kernel,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
+        }
+    }
+
     /// Number of jobs that completed successfully.
     pub fn ok_count(&self) -> usize {
         self.jobs.iter().filter(|j| j.outcome.is_ok()).count()
@@ -327,114 +351,62 @@ fn execute<R>(job: SimJob<R>, index: usize) -> JobReport<R> {
     }
 }
 
-/// One worker's deque of `(submission index, job)` pairs.
-type JobDeque<R> = Mutex<VecDeque<(usize, SimJob<R>)>>;
-
-/// Pops the next job for worker `me`: its own deque front first, then a
-/// steal from the *back* of the nearest non-empty neighbour (scanning
-/// `me+1, me+2, …` cyclically). Stealing from the opposite end keeps the
-/// victim's cache-warm front-of-chunk jobs with the victim.
-fn next_job<R>(deques: &[JobDeque<R>], me: usize) -> Option<(usize, SimJob<R>)> {
-    if let Some(pair) = deques[me].lock().expect("deque lock").pop_front() {
-        return Some(pair);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        if let Some(pair) = deques[victim].lock().expect("deque lock").pop_back() {
-            return Some(pair);
-        }
-    }
-    None
-}
-
-/// Runs indexed jobs on `workers` threads, handing each finished
-/// [`JobReport`] (in completion order, on the calling thread) to
-/// `on_report`. Returns the clamped worker count actually used.
+/// Runs `(submission index, job)` pairs on `min(workers, jobs)` scoped
+/// threads with the loop of the module docs' worker model, returning
+/// their reports sorted by submission index and the clamped worker count
+/// (`1..=jobs`). The cursor hands out each position once, so a slot's
+/// lock is taken once and never waited for.
 ///
 /// This is the engine under both [`run_sweep_on`] and
 /// [`SweepService`](crate::SweepService).
 pub(crate) fn run_pool<R: Send>(
     jobs: Vec<(usize, SimJob<R>)>,
     workers: usize,
-    on_report: &mut dyn FnMut(JobReport<R>),
-) -> usize {
+) -> (Vec<JobReport<R>>, usize) {
     let n = jobs.len();
     let workers_used = workers.clamp(1, n.max(1));
-
-    if workers_used <= 1 {
-        for (index, job) in jobs {
-            on_report(execute(job, index));
+    let slots: Vec<_> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        // `Relaxed` suffices: the cursor only hands out positions, and
+        // each slot's lock publishes the job it holds.
+        while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let (index, job) = slot
+                .lock()
+                .expect("job slot")
+                .take()
+                .expect("the cursor hands out each slot once");
+            done.push(execute(job, index));
         }
-        return workers_used;
-    }
-
-    // Seed each worker's deque with a contiguous chunk of the submission
-    // order: worker w starts on jobs [w·n/W, (w+1)·n/W).
-    let deques: Vec<JobDeque<R>> = (0..workers_used)
-        .map(|_| Mutex::new(VecDeque::new()))
-        .collect();
-    for (pos, pair) in jobs.into_iter().enumerate() {
-        let w = pos * workers_used / n;
-        deques[w].lock().expect("deque lock").push_back(pair);
-    }
-    let deques = &deques;
-
-    let (result_tx, result_rx) = mpsc::channel::<JobReport<R>>();
-    thread::scope(|scope| {
-        for w in 0..workers_used {
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                while let Some((index, job)) = next_job(deques, w) {
-                    // A send only fails when the collector hung up, which
-                    // cannot happen while this scope is alive.
-                    let _ = result_tx.send(execute(job, index));
-                }
-            });
-        }
-        drop(result_tx);
-        for report in result_rx.iter() {
-            on_report(report);
-        }
+        done
+    };
+    let mut reports: Vec<JobReport<R>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers_used.min(n))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // `execute` catches every job panic, so no worker panics.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker"))
+            .collect()
     });
-    workers_used
+    reports.sort_unstable_by_key(|report| report.index);
+    (reports, workers_used)
 }
 
-/// Runs `jobs` on a pool of `workers` work-stealing threads (clamped to
-/// `1..=jobs.len()`), returning per-job reports **in submission order**.
+/// Runs `jobs` on `workers` threads (clamped to `1..=jobs.len()`),
+/// returning per-job reports **in submission order**.
 ///
-/// `workers == 1` executes the jobs inline on the calling thread — the
-/// serial baseline every parallel sweep must reproduce bit-identically.
-/// Failures (simulation errors and panics alike) are isolated per job:
-/// the pool always returns one report per submitted job.
+/// Every worker count runs the same pool loop on spawned threads, so
+/// `workers == 1` is the serial reference that every parallel sweep must
+/// reproduce bit-identically. Failures (simulation errors and panics
+/// alike) are isolated per job: the pool always returns one report per
+/// submitted job.
 pub fn run_sweep_on<R: Send>(jobs: Vec<SimJob<R>>, workers: usize) -> SweepReport<R> {
-    let n = jobs.len();
     let start = Instant::now();
-    let mut slots: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
-    let indexed: Vec<(usize, SimJob<R>)> = jobs.into_iter().enumerate().collect();
-    let workers_used = run_pool(indexed, workers, &mut |report| {
-        let index = report.index;
-        slots[index] = Some(report);
-    });
-
-    let jobs: Vec<JobReport<R>> = slots
-        .into_iter()
-        .map(|s| s.expect("one report per job"))
-        .collect();
-    let mut kernel = KernelStats::default();
-    for j in &jobs {
-        kernel.merge(&j.kernel);
-    }
-    SweepReport {
-        jobs,
-        workers_requested: workers,
-        workers_used,
-        wall: start.elapsed(),
-        kernel,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-    }
+    let (jobs, workers_used) = run_pool(jobs.into_iter().enumerate().collect(), workers);
+    SweepReport::new(jobs, workers, workers_used, start)
 }
 
 #[cfg(test)]

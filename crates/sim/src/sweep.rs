@@ -1,6 +1,6 @@
-//! Campaign front-end over the work-stealing sweep pool: submit
-//! thousands of [`SimJob`]s, get one [`JobReport`] per job in submission
-//! order, and memoize keyed results across submissions.
+//! Campaign front-end over the sweep pool: submit thousands of
+//! [`SimJob`]s, get one [`JobReport`] per job in submission order, and
+//! memoize keyed results across submissions.
 //!
 //! Experiment binaries often resubmit overlapping campaigns — the same
 //! `(circuit, config, seed)` points appear in a scaling curve, an
@@ -159,22 +159,24 @@ impl<R: Clone + Send> SweepService<R> {
     }
 
     /// Runs a campaign, returning the submission-ordered report.
+    ///
+    /// Keyed jobs found in the cache are answered from it; every other
+    /// job runs on the pool. Once the pool returns, the successful keyed
+    /// results enter the cache in submission order, so which entries an
+    /// eviction leaves does not depend on which job finished first.
     pub fn run(&self, jobs: Vec<SimJob<R>>) -> SweepReport<R> {
-        let n = jobs.len();
         let start = Instant::now();
-        let mut slots: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<JobReport<R>>> = Vec::with_capacity(jobs.len());
         let mut misses: Vec<(usize, SimJob<R>)> = Vec::new();
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
-        let mut cache_evictions = 0u64;
-
         {
             let mut cache = self.cache.lock().expect("cache lock");
             for (index, job) in jobs.into_iter().enumerate() {
-                let hit = job.cache_key().and_then(|k| cache.hit(k));
-                match hit {
+                match job.cache_key().and_then(|k| cache.hit(k)) {
                     Some((value, kernel)) => {
-                        let report = JobReport {
+                        cache_hits += 1;
+                        slots.push(Some(JobReport {
                             index,
                             label: job.label().to_string(),
                             cache_key: job.cache_key(),
@@ -182,50 +184,39 @@ impl<R: Clone + Send> SweepService<R> {
                             kernel,
                             wall: Duration::ZERO,
                             memoized: true,
-                        };
-                        cache_hits += 1;
-                        slots[index] = Some(report);
+                        }));
                     }
                     None => {
-                        if job.cache_key().is_some() {
-                            cache_misses += 1;
-                        }
+                        cache_misses += u64::from(job.cache_key().is_some());
+                        slots.push(None);
                         misses.push((index, job));
                     }
                 }
             }
         }
 
-        let workers_used = if misses.is_empty() {
-            1
-        } else {
-            run_pool(misses, self.workers, &mut |report| {
+        let (ran, workers_used) = run_pool(misses, self.workers);
+        let mut cache_evictions = 0u64;
+        {
+            let mut cache = self.cache.lock().expect("cache lock");
+            for report in ran {
                 if let (Some(key), Ok(value)) = (report.cache_key, &report.outcome) {
-                    let mut cache = self.cache.lock().expect("cache lock");
                     cache_evictions += cache.insert(self.cap, key, value.clone(), report.kernel);
                 }
                 let index = report.index;
                 slots[index] = Some(report);
-            })
-        };
+            }
+        }
 
-        let jobs: Vec<JobReport<R>> = slots
+        let jobs = slots
             .into_iter()
             .map(|s| s.expect("one report per job"))
             .collect();
-        let mut kernel = KernelStats::default();
-        for j in &jobs {
-            kernel.merge(&j.kernel);
-        }
         SweepReport {
-            jobs,
-            workers_requested: self.workers,
-            workers_used,
-            wall: start.elapsed(),
-            kernel,
             cache_hits,
             cache_misses,
             cache_evictions,
+            ..SweepReport::new(jobs, self.workers, workers_used, start)
         }
     }
 }

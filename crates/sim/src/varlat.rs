@@ -247,24 +247,9 @@ impl<T: Token> VarLatency<T> {
         let Some(ready_pick) = self.heads.next_one_wrapping_and(ready, self.rr) else {
             return self.heads.next_one_wrapping(self.rr);
         };
-        // The anti-swap guard (see `choose`) only runs on a feedback
-        // output, after the first evaluation of the step.
-        if !ctx.first_eval() && ctx.in_feedback(self.out) {
-            if let Some(c) = ctx.valid_mask(self.out).first_one() {
-                if self.heads.get(c) && !ready.get(c) {
-                    // The lowest rank among ready heads is the first one
-                    // at or after the cycle's rotation point.
-                    let base = ctx.cycle() as usize % self.threads;
-                    let rank = |t: usize| (t + self.threads - base) % self.threads;
-                    let best = self
-                        .heads
-                        .next_one_wrapping_and(ready, base)
-                        .expect("ready pick exists");
-                    return Some(if rank(best) < rank(c) { best } else { c });
-                }
-            }
-        }
-        Some(ready_pick)
+        // The anti-swap guard; `choose` keeps its own copy as the
+        // reference.
+        Some(ctx.anti_swap(self.out, &self.heads, ready_pick))
     }
 
     /// Chooses the `(thread, entry index)` to offer. Mirrors the MEB

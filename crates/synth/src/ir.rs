@@ -237,6 +237,27 @@ impl IrNodeTag {
         )
     }
 
+    /// Whether a node of this kind may have `inputs` input and `outputs`
+    /// output ports: a source 0 → 1, a sink 1 → 0, a fork 1 → ≥ 2, a
+    /// join or merge ≥ 2 → 1, a branch 1 → 2 and every other primitive
+    /// 1 → 1. A custom node chooses its own ports. The protocol lint and
+    /// [`ElasticIr::elaborate`] both apply this rule.
+    pub(crate) fn fits_ports(self, inputs: usize, outputs: usize) -> bool {
+        match self {
+            IrNodeTag::Source => inputs == 0 && outputs == 1,
+            IrNodeTag::Sink => inputs == 1 && outputs == 0,
+            IrNodeTag::Eb
+            | IrNodeTag::Meb(_)
+            | IrNodeTag::Barrier
+            | IrNodeTag::VarLatency
+            | IrNodeTag::Transform => inputs == 1 && outputs == 1,
+            IrNodeTag::Fork => inputs == 1 && outputs >= 2,
+            IrNodeTag::Join | IrNodeTag::Merge => inputs >= 2 && outputs == 1,
+            IrNodeTag::Branch => inputs == 1 && outputs == 2,
+            IrNodeTag::Custom { .. } => true,
+        }
+    }
+
     /// The op class of the component this node elaborates to
     /// ([`Component::op_kind`]), which is also the class it renders as
     /// in DOT.
@@ -899,24 +920,24 @@ impl<T: Token> ElasticIr<T> {
         // list gets its own exact-size copy.
         let (mut ins, mut outs) = (Vec::new(), Vec::new());
         for node in nodes {
+            let (inputs, outputs) = (node.inputs.len(), node.outputs.len());
+            if !node.tag().fits_ports(inputs, outputs) {
+                return Err(IrError::BadPorts {
+                    node: node.name,
+                    inputs,
+                    outputs,
+                });
+            }
             let name = node.name;
             ins.clear();
             ins.extend(node.inputs.iter().map(|c| channel_ids[c.0]));
             outs.clear();
             outs.extend(node.outputs.iter().map(|c| channel_ids[c.0]));
-            let bad = |_: &()| IrError::BadPorts {
-                node: name.clone(),
-                inputs: ins.len(),
-                outputs: outs.len(),
-            };
-            let ok = |cond: bool| if cond { Ok(()) } else { Err(bad(&())) };
             match node.kind {
                 IrNodeKind::Source => {
-                    ok(ins.is_empty() && outs.len() == 1)?;
                     b.add(Source::<T>::new(name, outs[0], threads_of(&node.outputs)));
                 }
                 IrNodeKind::Sink { capture, policy } => {
-                    ok(ins.len() == 1 && outs.is_empty())?;
                     let threads = threads_of(&node.inputs);
                     if capture {
                         b.add(Sink::<T>::with_capture(name, ins[0], threads, policy));
@@ -925,7 +946,6 @@ impl<T: Token> ElasticIr<T> {
                     }
                 }
                 IrNodeKind::Eb => {
-                    ok(ins.len() == 1 && outs.len() == 1)?;
                     b.add(ElasticBuffer::<T>::new(name, ins[0], outs[0]));
                 }
                 IrNodeKind::Meb {
@@ -934,7 +954,6 @@ impl<T: Token> ElasticIr<T> {
                     initial,
                     ..
                 } => {
-                    ok(ins.len() == 1 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
                     let meb = kind
                         .build_initial::<T>(
@@ -949,7 +968,6 @@ impl<T: Token> ElasticIr<T> {
                     b.add_boxed(meb);
                 }
                 IrNodeKind::Fork { route } => {
-                    ok(ins.len() == 1 && outs.len() >= 2)?;
                     let threads = threads_of(&node.inputs);
                     let mut fork = Fork::new(name, ins[0], outs.clone(), threads);
                     if let Some(f) = route {
@@ -958,17 +976,14 @@ impl<T: Token> ElasticIr<T> {
                     b.add(fork);
                 }
                 IrNodeKind::Join { combine } => {
-                    ok(ins.len() >= 2 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
                     b.add(Join::new(name, ins.clone(), outs[0], threads, combine));
                 }
                 IrNodeKind::Branch { cond } => {
-                    ok(ins.len() == 1 && outs.len() == 2)?;
                     let threads = threads_of(&node.inputs);
                     b.add(Branch::new(name, ins[0], outs[0], outs[1], threads, cond));
                 }
                 IrNodeKind::Merge => {
-                    ok(ins.len() >= 2 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
                     b.add(Merge::new(name, ins.clone(), outs[0], threads));
                 }
@@ -976,7 +991,6 @@ impl<T: Token> ElasticIr<T> {
                     participants,
                     on_release,
                 } => {
-                    ok(ins.len() == 1 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
                     if let Some(mask) = &participants {
                         let count = mask.iter().filter(|&&p| p).count();
@@ -1003,7 +1017,6 @@ impl<T: Token> ElasticIr<T> {
                     model,
                     transform,
                 } => {
-                    ok(ins.len() == 1 && outs.len() == 1)?;
                     if servers == 0 {
                         return Err(IrError::NoServers { node: name });
                     }
@@ -1024,7 +1037,6 @@ impl<T: Token> ElasticIr<T> {
                     b.add(unit);
                 }
                 IrNodeKind::Transform { f } => {
-                    ok(ins.len() == 1 && outs.len() == 1)?;
                     let threads = threads_of(&node.inputs);
                     b.add(Transform::new(name, ins[0], outs[0], threads, f));
                 }

@@ -534,20 +534,7 @@ impl<T: Token> Pass<T> for ProtocolLint {
                 });
             }
             let (ni, no) = (node.inputs().len(), node.outputs().len());
-            let ok = match node.tag() {
-                IrNodeTag::Source => ni == 0 && no == 1,
-                IrNodeTag::Sink => ni == 1 && no == 0,
-                IrNodeTag::Eb
-                | IrNodeTag::Meb(_)
-                | IrNodeTag::Barrier
-                | IrNodeTag::VarLatency
-                | IrNodeTag::Transform => ni == 1 && no == 1,
-                IrNodeTag::Fork => ni == 1 && no >= 2,
-                IrNodeTag::Join | IrNodeTag::Merge => ni >= 2 && no == 1,
-                IrNodeTag::Branch => ni == 1 && no == 2,
-                IrNodeTag::Custom { .. } => true,
-            };
-            if !ok {
+            if !node.tag().fits_ports(ni, no) {
                 return Err(PassError::BadArity {
                     node: node.name().to_string(),
                     inputs: ni,

@@ -1,14 +1,15 @@
 //! Integration coverage for the parallel sweep harness (`sim::par` +
 //! `sim::sweep`): running a realistic simulation campaign — MEB
-//! pipelines plus the MD5 design example — through the work-stealing
-//! pool must be byte-identical to running it serially (whatever the pool
-//! shape, job mix, or panic placement), a circuit rewound by
-//! `Circuit::reset` must be indistinguishable from a fresh build,
-//! failures must stay isolated to their job, the `SweepService` campaign
-//! cache must answer repeat submissions from memory — while staying
-//! bounded at its capacity cap under autotune-volume key churn and never
-//! serving a stale result across an IR mutation — and on hosts with
-//! real parallelism the wall-clock must actually scale.
+//! pipelines plus the MD5 design example — through the sweep pool must
+//! be byte-identical to running it serially (whatever the pool shape,
+//! job mix, or panic placement), a circuit rewound by `Circuit::reset`
+//! must be indistinguishable from a fresh build, failures must stay
+//! isolated to their job, the `SweepService` campaign cache must answer
+//! repeat submissions from memory — while staying bounded at its
+//! capacity cap under autotune-volume key churn, keeping the same
+//! entries whatever order its jobs finish in, and never serving a stale
+//! result across an IR mutation — and on hosts with real parallelism
+//! the wall-clock must actually scale.
 
 use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
 use mt_elastic::md5::Md5Hasher;
@@ -296,7 +297,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Pool shape is behaviourally invisible: whatever the worker count
-    /// (and hence chunk seeding and steal pattern), however owned jobs
+    /// (and hence which worker claims which job), however owned jobs
     /// and their reset twins interleave, and wherever a panicking job
     /// lands, the submission-ordered outcomes — digests, errors *and* the
     /// aggregated kernel counters — are byte-identical to `workers == 1`.
@@ -429,6 +430,56 @@ fn campaign_cache_is_bounded_at_autotune_volume() {
         .map(|i| point(campaign_key(i, 0xC0DE, 0), 9000 + i))
         .collect();
     assert_eq!(svc.run(ancient).cache_hits, 0, "evicted keys must not hit");
+}
+
+/// The campaign cache keeps the same entries whatever order a
+/// submission's jobs finish in: results enter the cache in submission
+/// order once the pool returns. A keyed campaign larger than the cap,
+/// whose early jobs run longer than its late ones, leaves exactly its
+/// last `CAP` jobs, oldest first, on 1, 2 and 4 workers. The sleeps only
+/// let late jobs finish first, which a cache filled in completion order
+/// would show; the assertions hold under any timing.
+#[test]
+fn campaign_cache_keeps_the_last_jobs_in_submission_order() {
+    const JOBS: u64 = 8;
+    const CAP: usize = 3;
+    let key = |i: u64| campaign_key(0x0D0E, 0x5EED, i);
+    let slow_first = |i: u64| -> SimJob<u64> {
+        SimJob::new(format!("job {i}"), move || {
+            std::thread::sleep(std::time::Duration::from_millis(2 * (JOBS - i)));
+            Ok(i)
+        })
+        .with_cache_key(key(i))
+    };
+    let poisoned =
+        |i: u64| SimJob::new(format!("poison {i}"), move || Ok(u64::MAX)).with_cache_key(key(i));
+    for workers in [1, 2, 4] {
+        let svc = SweepService::new(workers).with_cache_capacity(CAP);
+        let first = svc.run((0..JOBS).map(slow_first).collect());
+        assert_eq!(first.cache_evictions, JOBS - CAP as u64);
+        assert_eq!(svc.cached_results(), CAP);
+
+        // A resubmission answers exactly the last CAP jobs from memory,
+        // with their original values.
+        let again = svc.run((0..JOBS).map(poisoned).collect());
+        let memoized: Vec<u64> = again
+            .jobs
+            .iter()
+            .filter(|j| j.memoized)
+            .map(|j| *j.outcome.as_ref().expect("a hit is a value"))
+            .collect();
+        let survivors: Vec<u64> = (JOBS - CAP as u64..JOBS).collect();
+        assert_eq!(memoized, survivors, "{workers} workers");
+
+        // They entered in submission order: a fresh cache of the same
+        // campaign, then one new key, evicts the oldest survivor.
+        let svc = SweepService::new(workers).with_cache_capacity(CAP);
+        svc.run((0..JOBS).map(slow_first).collect());
+        assert_eq!(svc.run(vec![poisoned(JOBS)]).cache_evictions, 1);
+        let after = svc.run(survivors.iter().map(|&i| poisoned(i)).collect());
+        let memo: Vec<bool> = after.jobs.iter().map(|j| j.memoized).collect();
+        assert_eq!(memo, [false, true, true], "{workers} workers");
+    }
 }
 
 /// Campaign keys derived from `ElasticIr::structural_hash` can never

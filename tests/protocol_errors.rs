@@ -742,3 +742,37 @@ fn wrong_entry_pc_count_is_a_typed_error() {
     );
     assert_eq!(message, error.to_string());
 }
+
+/// `Cpu::from_asm` builds through `Cpu::try_new`, so a bad configuration
+/// is the same typed error there, not a panic.
+#[test]
+fn from_asm_rejects_a_bad_configuration() {
+    use mt_elastic::proc::{Cpu, CpuConfig, CpuError};
+    let mut config = CpuConfig::new(2);
+    config.imem_latency = (3, 1);
+    let error = Cpu::from_asm(config, "halt\n")
+        .err()
+        .expect("the configuration is rejected");
+    assert!(
+        matches!(error, CpuError::ImemLatency { min: 3, max: 1 }),
+        "{error:?}"
+    );
+}
+
+/// A program that does not assemble is `CpuError::Asm`, whose source is
+/// the assembler's error.
+#[test]
+fn from_asm_reports_the_assembler_error() {
+    use mt_elastic::proc::{Cpu, CpuConfig, CpuError};
+    use std::error::Error;
+    let error = Cpu::from_asm(CpuConfig::new(2), "halt\nbogus r1\n")
+        .err()
+        .expect("the program is rejected");
+    let CpuError::Asm(asm) = &error else {
+        panic!("unexpected: {error:?}");
+    };
+    assert_eq!(asm.line, 2);
+    let source = error.source().expect("the assembler error is the source");
+    assert_eq!(source.to_string(), asm.to_string());
+    assert!(error.to_string().contains(&asm.to_string()), "{error}");
+}
